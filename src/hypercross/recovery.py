@@ -8,10 +8,13 @@
 which, regrouped over the downward-closed level set, is a short weighted sum
 of level operators (the classic combination trick): the weight of level k is
 ``sum over masks e of (-1)**|e| [k + e in set]`` and vanishes for all levels
-away from the upper boundary of the set.  Evaluation is vectorized over
-points; per level each point sees only the spline translates covering its
-cell, and every local polynomial is built once from the sample values, keyed
-by exact point identity.
+away from the upper boundary of the set.  Each surviving level is evaluated
+as a full tensor grid: its local interpolants form one monomial coefficient
+table, built on first use from the sample values keyed by exact point
+identity.  Points are evaluated in fixed-size chunks; per level and blending
+offset a chunk costs one gather from the table and a per-axis Horner step,
+and per-axis cell indices and spline factors are shared by all levels that
+agree on that axis.  Points must lie in the closed unit cube.
 
 `lq_error` measures distances with composite tensor Gauss-Legendre quadrature
 on a dyadic cell partition (finite q) or on a dense interior lattice united
@@ -107,35 +110,89 @@ def _polyval_nd(coeffs: Array, pts: Array) -> Array:
     return np.einsum(spec, coeffs, *pows)
 
 
-def _diff_coeffs(coeffs: Array, deriv: Sequence[int]) -> Array | None:
-    """Coefficient tensor of a mixed derivative; None when it vanishes."""
-    c = coeffs
-    for axis, r in enumerate(deriv):
-        if r == 0:
-            continue
-        n = c.shape[axis]
-        if r >= n:
-            return None
-        sl = [slice(None)] * c.ndim
-        sl[axis] = slice(r, None)
-        fac = np.array([math.perm(j, r) for j in range(r, n)], dtype=float)
-        shape = [1] * c.ndim
-        shape[axis] = n - r
-        c = c[tuple(sl)] * fac.reshape(shape)
-    return c
+# Points evaluated per batch.  Every temporary of an evaluation is a few
+# arrays of this length (times the coefficient count of one cell), so memory
+# stays bounded whatever the number of points.
+_CHUNK = 8_192
+
+
+def _horner(coeffs: Array, axis: int, t: Array) -> Array:
+    """Reduce coefficient axis ``axis`` of a ``(q_0, ..., q_{n-1}, m)`` block.
+
+    The last axis runs over the m points and ``t`` holds their coordinates;
+    the result lacks ``axis`` and is evaluated by Horner's rule.
+    """
+    lead = (slice(None),) * axis
+    q = coeffs.shape[axis]
+    if q == 1:
+        return coeffs[lead + (0,)]
+    acc = coeffs[lead + (q - 1,)] * t
+    acc += coeffs[lead + (q - 2,)]
+    for i in range(q - 3, -1, -1):
+        acc *= t
+        acc += coeffs[lead + (i,)]
+    return acc
+
+
+class _ChunkAxes:
+    """Per-axis quantities of one point chunk.
+
+    Each depends on a single axis's level only, so every combination level
+    sharing that axis level reuses it.
+    """
+
+    def __init__(self, pts: Array, order: Sequence[int]):
+        self.pts = pts
+        self.order = order
+        self._cells: dict[tuple[int, int], tuple[Array, Array, Array]] = {}
+        self._anchors: dict[tuple[int, int, int], tuple[Array, Array]] = {}
+        self._splines: dict[tuple[int, int, int, int], Array] = {}
+
+    def cells(self, j: int, k: int) -> tuple[Array, Array, Array]:
+        """Scaled coordinate, cell index (right edge folded in) and local coordinate."""
+        got = self._cells.get((j, k))
+        if got is None:
+            scaled = self.pts[:, j] * float(1 << k)
+            cell = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << k) - 1)
+            got = self._cells[(j, k)] = (scaled, cell, scaled - cell)
+        return got
+
+    def anchor(self, j: int, k: int, offset: int) -> tuple[Array, Array]:
+        """Cell whose polynomial the translate at ``offset`` carries, and the
+        coordinate relative to that cell."""
+        if offset == 0:
+            return self.cells(j, k)[1:]
+        got = self._anchors.get((j, k, offset))
+        if got is None:
+            scaled, cell, _ = self.cells(j, k)
+            anchor = np.maximum(cell + offset, 0)
+            got = self._anchors[(j, k, offset)] = (anchor, scaled - anchor)
+        return got
+
+    def spline(self, j: int, k: int, split: int, offset: int) -> Array:
+        """``split``-th derivative of the blending spline translated by ``offset``."""
+        got = self._splines.get((j, k, split, offset))
+        if got is None:
+            local = self.cells(j, k)[2]
+            got = bspline_deriv_many(self.order[j], split, local - offset)
+            self._splines[(j, k, split, offset)] = got
+        return got
 
 
 class Approximant:
-    """The reconstructed derivative, evaluable anywhere in the cube.
+    """The reconstructed derivative, evaluable anywhere in the closed unit cube.
 
-    Linear in the samples by construction.  Per-point evaluation cost is
-    proportional to the number of surviving combination levels times the
-    covering-translate count, independent of the total sample count.
+    Linear in the samples by construction.  Every surviving combination level
+    is evaluated as a full tensor grid: its local interpolants are one
+    monomial coefficient table, ``(degrees + 1)`` coefficients for each of
+    its cells, built on first use from the sample values.  Points go through
+    in chunks of ``_CHUNK``; per level and blending offset a point costs one
+    table gather and a per-axis Horner step, independent of the total sample
+    count.  Points must be finite and lie in the closed unit cube.
 
-    Evaluation is deterministic and effectively read-only: per-cell
-    polynomial coefficients are derived lazily from the immutable sample
-    values, so concurrent evaluation can at worst duplicate a derivation,
-    never change a result.
+    Evaluation is deterministic and effectively read-only: a level's table
+    is stored only once it is fully built, so concurrent evaluation can at
+    worst duplicate a build, never see a partial table or change a result.
     """
 
     def __init__(self, samples: SampleSet, plan: RecoveryPlan, deriv: Sequence[int]):
@@ -157,83 +214,110 @@ class Approximant:
         self._node_nums = [_node_numerators(dg) for dg in self.degrees]
         self._mono = [_monomial_matrix(dg) for dg in self.degrees]
         self._weights = combination_weights(plan.levels)
-        self._coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], Array] = {}
-        self._splits = list(product(*[range(r + 1) for r in deriv]))
+        self._tables: dict[tuple[int, ...], Array] = {}
         self._offsets = list(product(*[range(-m, 1) for m in self.order]))
+        # Axes without a derivative are reduced once per offset.  Along the
+        # others the product rule splits the derivative between spline and
+        # polynomial; the polynomial's r derivatives along an axis keep its
+        # coefficients from power r on, scaled by falling factorials.
+        self._plain_axes = [j for j, r in enumerate(deriv) if r == 0]
+        self._splits = []
+        for split in product(*[range(r + 1) for r in deriv]):
+            binom = math.prod(math.comb(r, s) for r, s in zip(deriv, split))
+            poly_axes = []
+            for j, (r, s, dg) in enumerate(zip(deriv, split, self.degrees)):
+                if r:
+                    fac = [math.perm(i, r - s) for i in range(r - s, dg + 1)]
+                    poly_axes.append((j, r - s, np.array(fac, dtype=float)))
+            self._splits.append((split, binom, poly_axes))
 
     # ---- local polynomial coefficients, from exact-keyed samples
 
-    def _cell_coeffs(self, level: tuple[int, ...], cell: tuple[int, ...]) -> Array:
-        key = (level, cell)
-        c = self._coeffs.get(key)
-        if c is None:
-            shape = tuple(dg + 1 for dg in self.degrees)
-            vals = np.empty(shape)
-            for idx in product(*[range(s) for s in shape]):
-                k = _packed_key(level, cell, idx, self._node_nums)
-                vals[idx] = self._samples[k]
-            c = vals
+    def _level_table(self, level: tuple[int, ...]) -> Array:
+        """Monomial coefficients of every cell of one level.
+
+        Shape ``(*(degrees + 1), n_cells)``, cells in C order, so a gather
+        of m cells yields one contiguous row of m values per coefficient.
+        """
+        table = self._tables.get(level)
+        if table is None:
+            d = len(level)
+            axis_keys = [
+                [
+                    _packed_key((k,), (c,), (i,), (nums,))[0]
+                    for c in range(1 << k)
+                    for i in range(len(nums))
+                ]
+                for k, nums in zip(level, self._node_nums)
+            ]
+            shape = [n for k, dg in zip(level, self.degrees) for n in (1 << k, dg + 1)]
+            vals = np.fromiter(
+                map(self._samples.__getitem__, product(*axis_keys)),
+                dtype=float,
+                count=math.prod(shape),
+            )
+            # (cell_0, node_0, cell_1, node_1, ...) -> (node_0, node_1, ..., cell)
+            c = vals.reshape(shape).transpose(
+                list(range(1, 2 * d, 2)) + list(range(0, 2 * d, 2))
+            ).reshape(tuple(dg + 1 for dg in self.degrees) + (-1,))
             for axis, M in enumerate(self._mono):
                 c = np.moveaxis(np.tensordot(M, c, axes=([1], [axis])), 0, axis)
-            self._coeffs[key] = c
-        return c
+            table = np.ascontiguousarray(c)
+            self._tables[level] = table
+        return table
 
     # ---- evaluation
 
     def __call__(self, x) -> Array:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if pts.shape[1] != self.plan.params.d:
+        d = self.plan.params.d
+        if pts.ndim != 2 or pts.shape[1] != d:
             raise ValueError("point dimension mismatch")
-        out = np.zeros(len(pts))
-        for level in sorted(self._weights):
-            out += self._weights[level] * self._level_deriv(level, pts)
+        bad = np.flatnonzero(~np.all((pts >= 0.0) & (pts <= 1.0), axis=1))
+        if bad.size:
+            raise ValueError(
+                f"evaluation point {pts[bad[0]].tolist()} (row {bad[0]}) is not "
+                f"finite or lies outside [0, 1]^{d}"
+            )
+        out = np.empty(len(pts))
+        for start in range(0, len(pts), _CHUNK):
+            chunk = _ChunkAxes(pts[start : start + _CHUNK], self.order)
+            acc = np.zeros(len(chunk.pts))
+            for level in sorted(self._weights):
+                acc += self._weights[level] * self._level_deriv(level, chunk)
+            out[start : start + _CHUNK] = acc
         return out
 
     def eval_at(self, x: Sequence[float]) -> float:
         return float(self(np.asarray(x, dtype=float)[None, :])[0])
 
-    def _level_deriv(self, level: tuple[int, ...], pts: Array) -> Array:
+    def _level_deriv(self, level: tuple[int, ...], chunk: _ChunkAxes) -> Array:
+        """``D^deriv`` of one level operator at the chunk's points."""
+        table = self._level_table(level)
         d = len(level)
-        two = np.array([float(1 << k) for k in level])
-        top = np.array([(1 << k) - 1 for k in level], dtype=np.int64)
-        scaled = pts * two
-        cells = np.minimum(np.floor(scaled).astype(np.int64), top)
-        cells = np.maximum(cells, 0)
-        local = scaled - cells  # in [0, 1) except at the right edge
+        dims = tuple(1 << k for k in level)
         lead = 2.0 ** sum(k * r for k, r in zip(level, self.deriv))
-        out = np.zeros(len(pts))
-        dims = tuple(t + 1 for t in top)
+        out = np.zeros(len(chunk.pts))
         for offset in self._offsets:
-            anchors = np.maximum(cells + np.array(offset, dtype=np.int64), 0)
-            flat = np.ravel_multi_index(tuple(anchors[:, j] for j in range(d)), dims)
-            order_ix = np.argsort(flat, kind="stable")
-            sflat = flat[order_ix]
-            bounds = np.flatnonzero(np.r_[True, sflat[1:] != sflat[:-1], True])
-            # Spline factors depend only on local - offset, not on the group.
-            spline_per_split = []
-            for split in self._splits:
-                fac = np.ones(len(pts))
-                for j in range(d):
-                    fac *= bspline_deriv_many(
-                        self.order[j], split[j], local[:, j] - offset[j]
-                    )
-                spline_per_split.append(fac)
-            for b0, b1 in zip(bounds[:-1], bounds[1:]):
-                rows = order_ix[b0:b1]
-                anchor = tuple(int(a) for a in anchors[rows[0]])
-                coeffs = self._cell_coeffs(level, anchor)
-                t = scaled[rows] - np.array(anchor, dtype=float)
-                acc = np.zeros(len(rows))
-                for split, spline in zip(self._splits, spline_per_split):
-                    rest = tuple(r - s for r, s in zip(self.deriv, split))
-                    dc = _diff_coeffs(coeffs, rest)
-                    if dc is None:
-                        continue
-                    binom = math.prod(
-                        math.comb(r, s) for r, s in zip(self.deriv, split)
-                    )
-                    acc += binom * _polyval_nd(dc, t) * spline[rows]
-                out[rows] += lead * acc
+            anchors, ts = zip(*(chunk.anchor(j, level[j], offset[j]) for j in range(d)))
+            block = np.take(table, np.ravel_multi_index(anchors, dims), axis=-1)
+            for j in reversed(self._plain_axes):
+                block = _horner(block, j, ts[j])
+            acc = np.zeros(len(chunk.pts))
+            for split, binom, poly_axes in self._splits:
+                poly = block
+                for pos in range(len(poly_axes) - 1, -1, -1):
+                    j, r, fac = poly_axes[pos]
+                    if r:
+                        poly = poly[(slice(None),) * pos + (slice(r, None),)] * fac.reshape(
+                            (-1,) + (1,) * (poly.ndim - pos - 1)
+                        )
+                    poly = _horner(poly, pos, ts[j])
+                spline = chunk.spline(0, level[0], split[0], offset[0])
+                for j in range(1, d):
+                    spline = spline * chunk.spline(j, level[j], split[j], offset[j])
+                acc += binom * poly * spline
+            out += lead * acc
         return out
 
 

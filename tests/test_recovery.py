@@ -173,6 +173,84 @@ class TestReconstruct:
         assert errs[1] < errs[0]
 
 
+class TestInputContract:
+    @pytest.fixture(scope="class")
+    def approx(self):
+        plan = grid.build_plan(params_smooth(), 2)
+        return reconstruct(sample(functions.get_function("trig", 2).value, plan), plan, (0, 0))
+
+    def test_empty_input_gives_empty_output(self, approx):
+        got = approx(np.empty((0, 2)))
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            ((1.5, 0.2), r"\[1\.5, 0\.2\] \(row 3\)"),
+            ((0.3, -0.25), r"\[0\.3, -0\.25\] \(row 3\)"),
+            ((math.nan, 0.5), r"\[nan, 0\.5\] \(row 3\)"),
+            ((0.5, math.inf), r"\[0\.5, inf\] \(row 3\)"),
+        ],
+    )
+    def test_point_outside_cube_is_named(self, approx, bad, shown):
+        pts = np.full((6, 2), 0.5)
+        pts[3] = bad
+        pts[5] = (2.0, 2.0)  # only the first offending point is reported
+        with pytest.raises(ValueError, match=shown):
+            approx(pts)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[((2.0, 2.0, 1.5), (1, 0, 0)), ((3.0, 2.0, 1.5), (2, 0, 1))],
+    ids=["deriv100", "deriv201"],
+)
+def batched_case(request):
+    # d=3 with anisotropic weights, several blending offsets and derivative
+    # splits: (1, 0, 0) is the benchmark's derivative study, (2, 0, 1) adds
+    # a binomial weight of 2 and a second derivative axis.
+    alpha, deriv = request.param
+    params = grid.derive_params(3, alpha, 2.0, 2.0, 2.0, deriv)
+    plan = grid.build_plan(params, 3)
+    f = functions.get_function("aniso", 3)
+    approx = reconstruct(sample(f.value, plan), plan, deriv)
+    assert len(approx._offsets) > 1 and len(approx._splits) > 1
+    ev = DyadicEvaluator(params.degrees, deriv, f=f.value_at)
+    return deriv, plan, approx, ev
+
+
+class TestBatchedEvaluation:
+    """The chunked table evaluation against the scalar surplus sum."""
+
+    @staticmethod
+    def points(n, seed):
+        # Random points with dyadic cell edges, 0 and 1 mixed into their coordinates.
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, (n, 3))
+        edges = rng.integers(0, 9, (n, 3)) / 8.0
+        mask = rng.random((n, 3)) < 0.4
+        return np.where(mask, edges, pts)
+
+    def test_matches_scalar_surplus_sum(self, batched_case, monkeypatch):
+        deriv, plan, approx, ev = batched_case
+        monkeypatch.setattr(recovery, "_CHUNK", 16)
+        pts = self.points(41, 6)  # three chunks, the last one partial
+        direct = [sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels) for p in pts]
+        np.testing.assert_allclose(approx(pts), direct, atol=1e-10)
+
+    def test_result_does_not_depend_on_chunking(self, batched_case, monkeypatch):
+        approx = batched_case[2]
+        n = recovery._CHUNK + 1000
+        pts = self.points(n, 7)
+        whole = approx(pts)
+        cuts = [0, 5, recovery._CHUNK + 3, n]
+        pieces = np.concatenate([approx(pts[a:b]) for a, b in zip(cuts, cuts[1:])])
+        monkeypatch.setattr(recovery, "_CHUNK", 999)
+        small = approx(pts)
+        assert np.array_equal(whole, pieces)
+        assert np.array_equal(whole, small)
+
+
 class TestCombinationWeights:
     def test_full_box_collapses_to_top_level(self):
         levels = [(k1, k2) for k1 in range(3) for k2 in range(4)]
