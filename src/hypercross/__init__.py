@@ -18,7 +18,6 @@ from .dyadic import (
 )
 from .functions import MixedDifference, TestFunction, get_function, mixed_difference, modulus_estimate, registry
 from .grid import (
-    DyadicRational,
     RecoveryPlan,
     SmoothnessParams,
     build_plan,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Approximant",
     "DyadicEvaluator",
-    "DyadicRational",
     "MixedDifference",
     "Quadrature",
     "RecoveryPlan",

@@ -53,6 +53,15 @@ def decrement_masks(level: Sequence[int]) -> list[Vector]:
     return masks
 
 
+def _blend(m: int, r: int, u: float, right_edge: bool) -> float:
+    """r-th derivative of the order-m blending spline at ``u``: the right limit
+    at interior knots, the left limit (by the symmetry ``psi(u) = psi(m+1-u)``)
+    at the cube's right edge, so that ``x = 1`` is the limit from inside."""
+    if right_edge:
+        return (-1) ** r * bspline_derivative(m, r, m + 1 - u)
+    return bspline_derivative(m, r, u)
+
+
 def _cell_of(level: Vector, x: Sequence[float]) -> Vector:
     # Right edge of the cube folds into the last cell.
     return tuple(
@@ -146,8 +155,8 @@ class DyadicEvaluator:
             for split in product(*[range(r + 1) for r in deriv]):
                 spline = 1.0
                 for j in range(self.dim):
-                    spline *= 2.0 ** (level[j] * split[j]) * bspline_derivative(
-                        self.order[j], split[j], u[j]
+                    spline *= 2.0 ** (level[j] * split[j]) * _blend(
+                        self.order[j], split[j], u[j], x[j] == 1.0
                     )
                     if spline == 0.0:
                         break
@@ -242,8 +251,8 @@ class DyadicEvaluator:
             for split in product(*[range(r + 1) for r in deriv]):
                 spline = 1.0
                 for j in range(self.dim):
-                    spline *= 2.0 ** (level[j] * split[j]) * bspline_derivative(
-                        self.order[j], split[j], u[j]
+                    spline *= 2.0 ** (level[j] * split[j]) * _blend(
+                        self.order[j], split[j], u[j], x[j] == 1.0
                     )
                 if spline == 0.0:
                     continue

@@ -1,10 +1,16 @@
 """Anisotropic dyadic level sets, sample-point enumeration, and budgeting.
 
 The recovery construction samples at the tensor interpolation nodes of every
-cell of every level ``k`` with ``(k, weights) <= radius``.  Coordinates are
-dyadic rationals by construction (node times ``2**-level`` plus a dyadic
-shift), so point identity across levels is decided in exact integer
-arithmetic and deduplication needs no epsilons.
+cell of every level ``k`` with ``(k, weights) <= radius``.  Along an axis,
+node ``i`` of cell ``c`` at level ``k`` sits at ``(c * 2**40 + n_i) / 2**(k+40)``
+(nodes are snapped to ``2**-40``, see `hypercross.interp`) with
+``k <= MAX_RADIUS = 22``.  At the common denominator ``2**62`` its numerator
+``(c * 2**40 + n_i) << (22 - k)`` fits an int64, so one such key per axis
+names a point exactly: plans are int64 key arrays, and point identity across
+levels is integer equality, with no epsilons.  One stable lexicographic sort
+that keeps first occurrences deduplicates them; it yields the plan, the
+per-level gather tables from (cell, node) to point, and the per-radius counts
+that `choose_radius` searches.
 
 Smoothness bookkeeping turns the class parameters into the quantities the
 construction needs: the per-axis effective exponents, their minimum (the
@@ -16,9 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -26,40 +30,14 @@ import numpy as np
 from .interp import NODE_BITS, nodes_exact
 
 _TIE_REL = 1e-9
-# Levels beyond this make per-axis cell counts (and exact numerators) too
-# large for the vectorized int64 counting path; plans of that size would be
-# far outside enumerable range anyway.
+# Levels beyond this would overflow the int64 keys below (and make per-axis
+# cell counts far outside enumerable range anyway).
 MAX_RADIUS = 22
+# Every coordinate is a key over 2**KEY_BITS; keys stay below 2**62 < 2**63.
+KEY_BITS = NODE_BITS + MAX_RADIUS
 
 
-# -- exact dyadic coordinates ----------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class DyadicRational:
-    """Exact value ``num / 2**bits`` with ``num`` odd unless ``bits == 0``."""
-
-    num: int
-    bits: int
-
-    @staticmethod
-    def make(num: int, bits: int) -> "DyadicRational":
-        if bits < 0:
-            num <<= -bits
-            bits = 0
-        while bits > 0 and num % 2 == 0:
-            num //= 2
-            bits -= 1
-        return DyadicRational(num, bits)
-
-    def as_float(self) -> float:
-        return math.ldexp(self.num, -self.bits)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.bits)
-
-    def __str__(self) -> str:
-        return f"{self.num}/{1 << self.bits}"
+# -- exact keys ------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -68,28 +46,11 @@ def _node_numerators(deg: int) -> tuple[int, ...]:
     return tuple((v.numerator << NODE_BITS) // v.denominator for v in nodes_exact(deg))
 
 
-def exact_node_point(
-    level: Sequence[int], cell: Sequence[int], idx: Sequence[int], degrees: Sequence[int]
-) -> tuple[DyadicRational, ...]:
-    """Exact coordinates of interpolation node ``idx`` of cell ``cell`` at ``level``."""
-    out = []
-    for k, c, i, d in zip(level, cell, idx, degrees):
-        num = (c << NODE_BITS) + _node_numerators(d)[i]
-        out.append(DyadicRational.make(num, k + NODE_BITS))
-    return tuple(out)
-
-
-def _packed_key(level: Sequence[int], cell: Sequence[int], idx: Sequence[int],
-                node_nums: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    # One int per axis: the normalized (numerator, bits) pair packed together.
-    key = []
-    for k, c, i, nums in zip(level, cell, idx, node_nums):
-        num = (c << NODE_BITS) + nums[i]
-        bits = k + NODE_BITS
-        shift = (num & -num).bit_length() - 1 if num else bits
-        shift = min(shift, bits)
-        key.append(((num >> shift) << 7) | (bits - shift))
-    return tuple(key)
+def _axis_keys(k: int, deg: int) -> np.ndarray:
+    """Keys of node ``i`` of cell ``c`` along one axis at level ``k``, shape (2**k, deg+1)."""
+    nums = np.array(_node_numerators(deg), dtype=np.int64)
+    cells = np.arange(1 << k, dtype=np.int64) << NODE_BITS
+    return (cells[:, None] + nums[None, :]) << (MAX_RADIUS - k)
 
 
 # -- smoothness bookkeeping ------------------------------------------------------
@@ -247,42 +208,45 @@ def tail_sum(exponents: Sequence[float], weights: Sequence[float], radius: float
 # -- plans -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanPoint:
-    """One deduplicated sample point with the (level, cell, node) that first hit it."""
-
-    point: tuple[DyadicRational, ...]
-    level: tuple[int, ...]
-    cell: tuple[int, ...]
-    node_idx: tuple[int, ...]
-
-    def floats(self) -> tuple[float, ...]:
-        return tuple(c.as_float() for c in self.point)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryPlan:
-    """Deduplicated sample layout for one radius.
+    """Deduplicated sample layout for one radius, as arrays.
 
-    ``levels`` is the sorted level set, ``points`` the deduplicated sample
-    points in deterministic enumeration order, and ``keys`` their packed
-    exact identities (aligned with ``points``): the key of a node is shared
-    by every (level, cell, node index) that produces the same coordinates.
+    ``levels`` is the sorted level set.  Row ``i`` of ``keys`` (shape
+    ``(n_actual, d)``, int64) names point ``i`` exactly: its coordinates are
+    ``keys[i] / 2**KEY_BITS``.  Points come in enumeration order (levels
+    sorted, cells in C order, node indices in C order within a cell), and
+    each point is tagged with the (level, cell, node index) that first
+    produced it: ``levels[level_index[i]]``, ``cell[i]`` and ``node_idx[i]``.
+    ``gather[l]`` maps every (cell, node index) of level ``levels[l]`` to its
+    point: ``gather[l][cell + node_idx]`` is a row of ``keys``; its shape is
+    ``(*2**levels[l], *(degrees + 1))``.
     """
 
     params: SmoothnessParams
     radius: int
     levels: tuple[tuple[int, ...], ...]
-    points: tuple[PlanPoint, ...]
-    keys: tuple[tuple[int, ...], ...]
+    keys: np.ndarray
+    level_index: np.ndarray
+    cell: np.ndarray
+    node_idx: np.ndarray
+    gather: tuple[np.ndarray, ...]
 
     @property
     def n_actual(self) -> int:
-        return len(self.points)
+        return len(self.keys)
 
-    def key_of(self, level, cell, idx) -> tuple[int, ...]:
-        node_nums = [_node_numerators(d) for d in self.params.degrees]
-        return _packed_key(level, cell, idx, node_nums)
+    def floats(self) -> np.ndarray:
+        """Point coordinates as an ``(n_actual, d)`` float array, correctly rounded."""
+        return self.keys * 2.0**-KEY_BITS
+
+    def describe(self, i: int) -> str:
+        """Point ``i`` with its float coordinates and provenance, for error messages."""
+        return (
+            f"point {i} at {(self.keys[i] * 2.0**-KEY_BITS).tolist()} "
+            f"(level {self.levels[self.level_index[i]]}, cell {tuple(self.cell[i].tolist())}, "
+            f"node {tuple(self.node_idx[i].tolist())})"
+        )
 
 
 def _check_radius(radius: int) -> int:
@@ -294,31 +258,80 @@ def _check_radius(radius: int) -> int:
     return radius
 
 
+def _level_shape(params: SmoothnessParams, level: Sequence[int]) -> tuple[int, ...]:
+    return tuple(1 << k for k in level) + tuple(dg + 1 for dg in params.degrees)
+
+
+def _raw_keys(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Keys of every raw (level, cell, node) triple, as one ``(n_raw, d)`` array.
+
+    Levels in the given order; within a level cells in C order outside,
+    node indices in C order inside.
+    """
+    d = params.d
+    blocks = []
+    for lvl in levels:
+        shape = _level_shape(params, lvl)
+        block = np.empty(shape + (d,), dtype=np.int64)
+        for j, (k, dg) in enumerate(zip(lvl, params.degrees)):
+            axis_shape = [1] * (2 * d)
+            axis_shape[j] = 1 << k
+            axis_shape[d + j] = dg + 1
+            block[..., j] = _axis_keys(k, dg).reshape(axis_shape)
+        blocks.append(block.reshape(-1, d))
+    return np.concatenate(blocks)
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicate the rows of an ``(n, d)`` key array, keeping first occurrences.
+
+    Returns the ascending row numbers of the first occurrences and, for every
+    row, the position of its first occurrence among them.  One stable
+    lexicographic sort: equal rows keep their order, so each group of equal
+    keys starts at its first occurrence.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    firsts = order[starts]
+    by_row = np.argsort(firsts)
+    position = np.empty_like(by_row)
+    position[by_row] = np.arange(len(by_row))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = position[np.cumsum(starts) - 1]
+    return firsts[by_row], inverse
+
+
 def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
     """Enumerate and deduplicate all sample points for the given radius."""
     radius = _check_radius(radius)
     levels = index_set(params.weights, radius)
     _guard_raw_size(params, levels)
-    node_nums = [_node_numerators(d) for d in params.degrees]
-    seen: dict[tuple[int, ...], PlanPoint] = {}
-    idx_ranges = [range(d + 1) for d in params.degrees]
-    for lvl in levels:
-        for cell in product(*[range(1 << k) for k in lvl]):
-            for idx in product(*idx_ranges):
-                key = _packed_key(lvl, cell, idx, node_nums)
-                if key not in seen:
-                    seen[key] = PlanPoint(
-                        point=exact_node_point(lvl, cell, idx, params.degrees),
-                        level=lvl,
-                        cell=cell,
-                        node_idx=idx,
-                    )
+    keys = _raw_keys(params, levels)
+    first, inverse = _first_occurrences(keys)
+    shapes = [_level_shape(params, lvl) for lvl in levels]
+    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
+    level_index = np.searchsorted(bounds, first, side="right") - 1
+    # First occurrences ascend, so each level's points are one contiguous run.
+    runs = np.searchsorted(level_index, np.arange(len(levels) + 1))
+    tags = np.empty((len(first), 2 * params.d), dtype=np.int64)
+    for li, shape in enumerate(shapes):
+        a, b = runs[li], runs[li + 1]
+        tags[a:b] = np.stack(np.unravel_index(first[a:b] - bounds[li], shape), axis=1)
     return RecoveryPlan(
         params=params,
         radius=radius,
         levels=tuple(levels),
-        points=tuple(seen.values()),
-        keys=tuple(seen.keys()),
+        keys=keys[first],
+        level_index=level_index,
+        cell=tags[:, : params.d],
+        node_idx=tags[:, params.d :],
+        gather=tuple(
+            inverse[bounds[li] : bounds[li + 1]].reshape(shape)
+            for li, shape in enumerate(shapes)
+        ),
     )
 
 
@@ -331,109 +344,91 @@ def _first_radius(level: tuple[int, ...], weights: Sequence[float]) -> int:
 _MAX_RAW_POINTS = 50_000_000
 
 
+def _raw_count(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> int:
+    return sum(math.prod(_level_shape(params, lvl)) for lvl in levels)
+
+
 def _guard_raw_size(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> None:
-    raw = sum(
-        math.prod((dg + 1) << k for k, dg in zip(lvl, params.degrees))
-        for lvl in levels
-    )
+    raw = _raw_count(params, levels)
     if raw > _MAX_RAW_POINTS:
         raise ValueError(
             f"level set produces {raw} raw points, beyond the enumerable limit"
         )
 
 
-@lru_cache(maxsize=64)
-def _axis_key_columns(level_j: int, deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized (numerator, bits) columns for every (cell, node) pair of one axis."""
-    nums = np.array(_node_numerators(deg), dtype=np.int64)
-    cells = np.arange(1 << level_j, dtype=np.int64)
-    num = ((cells[:, None] << NODE_BITS) + nums[None, :]).ravel()
-    low = num & -num
-    # exact for powers of two below 2**53; levels are capped well under that
-    tz = np.log2(low.astype(np.float64)).astype(np.int64)
-    return num >> tz, (level_j + NODE_BITS) - tz
-
-
-def _level_key_array(params: SmoothnessParams, level: tuple[int, ...]) -> np.ndarray:
-    """Exact point identities of one level as an (n, 2d) int64 array."""
-    axcols = [_axis_key_columns(k, dg) for k, dg in zip(level, params.degrees)]
-    nums = np.meshgrid(*[c[0] for c in axcols], indexing="ij")
-    bits = np.meshgrid(*[c[1] for c in axcols], indexing="ij")
-    return np.stack(
-        [g.ravel() for pair in zip(nums, bits) for g in pair], axis=-1
-    )
-
-
 def count_profile(params: SmoothnessParams, r_max: int) -> list[int]:
     """Deduplicated point counts for radii 1..r_max from one global sort.
 
-    Every raw (level, cell, node) triple is tagged with the first radius
-    whose level set produces it; after one lexicographic sort by exact point
-    identity (radius as tie-breaker), the first row of each identity group
-    carries the radius at which that point enters the plan.
+    Levels are enumerated in order of the first radius whose level set
+    contains them, so the first occurrence of every point carries the radius
+    at which that point enters the plan; binning the first occurrences by
+    radius and accumulating gives the counts.
     """
     r_max = _check_radius(r_max)
-    levels = index_set(params.weights, r_max)
+    tagged = sorted(
+        (_first_radius(lvl, params.weights), lvl) for lvl in index_set(params.weights, r_max)
+    )
+    levels = [lvl for _, lvl in tagged]
     _guard_raw_size(params, levels)
-    blocks = []
-    radii = []
-    for lvl in levels:
-        arr = _level_key_array(params, lvl)
-        blocks.append(arr)
-        radii.append(
-            np.full(len(arr), _first_radius(lvl, params.weights), dtype=np.int64)
-        )
-    keys = np.concatenate(blocks)
-    rad = np.concatenate(radii)
-    order = np.lexsort((rad, *(keys[:, c] for c in range(keys.shape[1]))))
-    keys = keys[order]
-    rad = rad[order]
-    starts = np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
-    per_radius = np.bincount(rad[starts], minlength=r_max + 1)
-    return np.cumsum(per_radius)[1:].tolist()
+    radius = np.repeat(
+        [r for r, _ in tagged], [math.prod(_level_shape(params, lvl)) for lvl in levels]
+    )
+    first, _ = _first_occurrences(_raw_keys(params, levels))
+    per_radius = np.bincount(radius[first], minlength=r_max + 1)
+    return np.cumsum(per_radius)[1 : r_max + 1].tolist()
 
 
 def choose_radius(params: SmoothnessParams, budget: int) -> int:
     """Largest radius whose deduplicated point count fits within ``budget``."""
     budget = int(budget)
-    seen = np.empty((0, 2 * params.d), dtype=np.int64)
-    best = 0
-    for r in range(1, MAX_RADIUS + 1):
-        new_levels = [
-            lvl
-            for lvl in index_set(params.weights, r)
-            if _first_radius(lvl, params.weights) == r
-        ]
-        _guard_raw_size(params, new_levels)
-        fresh = [_level_key_array(params, lvl) for lvl in new_levels]
-        if fresh:
-            seen = np.unique(np.concatenate([seen] + fresh), axis=0)
-        if len(seen) > budget:
-            if best == 0:
-                raise ValueError(
-                    f"budget {budget} is below the minimum plan size {len(seen)}"
-                )
-            return best
-        best = r
-    return best
+    # Deduplication only removes points, so every radius whose raw count fits
+    # is admissible; profile up to the first radius whose raw count does not,
+    # and extend only while the deduplicated count still fits.
+    r_max = 1
+    while (
+        r_max < MAX_RADIUS
+        and _raw_count(params, index_set(params.weights, r_max)) <= budget
+    ):
+        r_max += 1
+    counts = count_profile(params, r_max)
+    while counts[-1] <= budget and r_max < MAX_RADIUS:
+        r_max += 1
+        counts = count_profile(params, r_max)
+    if counts[0] > budget:
+        raise ValueError(f"budget {budget} is below the minimum plan size {counts[0]}")
+    return sum(1 for c in counts if c <= budget)
 
 
 def write_plan(plan: RecoveryPlan, stream: TextIO) -> None:
     """Serialize a plan, one point per line.
 
     Columns (tab-separated): level vector, cell vector, node-index vector,
-    exact coordinates as ``numerator/2**bits`` fractions; vectors and
-    coordinate lists are comma-joined.
+    exact coordinates as reduced ``numerator/denominator`` fractions (the
+    denominator a power of two); vectors and coordinate lists are
+    comma-joined.
     """
-    for pt in plan.points:
-        stream.write(
-            "\t".join(
-                (
-                    ",".join(map(str, pt.level)),
-                    ",".join(map(str, pt.cell)),
-                    ",".join(map(str, pt.node_idx)),
-                    ",".join(str(c) for c in pt.point),
+    d = plan.params.d
+    columns = "\t".join([",".join(["%s"] * d)] * 3) + "\n"
+    runs = np.searchsorted(plan.level_index, np.arange(len(plan.levels) + 1))
+    for li, lvl in enumerate(plan.levels):
+        a, b = runs[li], runs[li + 1]
+        cells, nodes, coords = [], [], []
+        for j, (k, dg) in enumerate(zip(lvl, plan.params.degrees)):
+            # The distinct coordinates of this axis at this level, rendered
+            # once: keys reduced by their common power of two.
+            keys = _axis_keys(k, dg).ravel()
+            zeros = np.frexp(keys & -keys)[1] - 1
+            text = [
+                f"{n}/{q}"
+                for n, q in zip(
+                    (keys >> zeros).tolist(), (np.int64(1) << (KEY_BITS - zeros)).tolist()
                 )
-            )
-            + "\n"
-        )
+            ]
+            cell_j = plan.cell[a:b, j]
+            node_j = plan.node_idx[a:b, j]
+            names = [str(i) for i in range(max(1 << k, dg + 1))]
+            cells.append(list(map(names.__getitem__, cell_j.tolist())))
+            nodes.append(list(map(names.__getitem__, node_j.tolist())))
+            coords.append(list(map(text.__getitem__, (cell_j * (dg + 1) + node_j).tolist())))
+        row = ",".join(map(str, lvl)) + "\t" + columns
+        stream.write("".join([row % t for t in zip(*cells, *nodes, *coords)]))

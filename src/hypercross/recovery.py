@@ -1,7 +1,9 @@
 """Assembling and measuring the recovery operator.
 
-`sample` evaluates the target function once per deduplicated plan point.
-`reconstruct` builds the linear approximant
+`sample` evaluates the target function once per deduplicated plan point, at
+the plan's exact keys converted to floats, and returns a `SampleSet`: one
+value per point, aligned with the plan's key array.  `reconstruct` builds the
+linear approximant
 
     x  ->  sum over plan levels of  D^deriv (surplus at level k) (x),
 
@@ -10,15 +12,20 @@ of level operators (the classic combination trick): the weight of level k is
 ``sum over masks e of (-1)**|e| [k + e in set]`` and vanishes for all levels
 away from the upper boundary of the set.  Each surviving level is evaluated
 as a full tensor grid: its local interpolants form one monomial coefficient
-table, built on first use from the sample values keyed by exact point
-identity.  Points are evaluated in fixed-size chunks; per level and blending
-offset a chunk costs one gather from the table and a per-axis Horner step,
-and per-axis cell indices and spline factors are shared by all levels that
-agree on that axis.  Points must lie in the closed unit cube.
+table, built on first use by gathering the sample values through the plan's
+(cell, node) -> point table of that level.  Points are evaluated in
+fixed-size chunks; per level and blending offset a chunk costs one gather
+from the table and a per-axis Horner step, and per-axis cell indices and
+spline factors are shared by all levels that agree on that axis.
+
+Points must lie in the closed unit cube.  Blending splines take right limits
+at interior knots; at the right edge ``x_j = 1`` they take the left limit,
+so the value there is the limit from inside the cube.
 
 `lq_error` measures distances with composite tensor Gauss-Legendre quadrature
 on a dyadic cell partition (finite q) or on a dense interior lattice united
-with the quadrature nodes (q = infinity).
+with the quadrature nodes (q = infinity).  Rules beyond a fixed point count
+are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import bspline_deriv_many
-from .grid import RecoveryPlan, _node_numerators, _packed_key
+from .grid import RecoveryPlan
 from .interp import _monomial_matrix
 
 Array = np.ndarray
@@ -42,37 +49,54 @@ PointFn = Callable[[Array], Array]
 # -- sampling ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Function values keyed by the exact identity of the plan points."""
+    """Function values, one per plan point: ``values[i]`` belongs to ``plan.keys[i]``."""
 
-    values: dict[tuple[int, ...], float]
+    plan: RecoveryPlan
+    values: Array
 
     def __len__(self) -> int:
         return len(self.values)
 
     @staticmethod
     def from_array(plan: RecoveryPlan, values: Sequence[float]) -> "SampleSet":
-        if len(values) != plan.n_actual:
-            raise ValueError("value vector length does not match the plan")
-        return SampleSet(dict(zip(plan.keys, (float(v) for v in values))))
+        """Wrap a value vector aligned with the plan's points.
+
+        Raises ValueError on a vector of the wrong length, or naming the
+        first row (and its point) whose value is not finite.
+        """
+        vals = np.array(values, dtype=float).reshape(-1)
+        if len(vals) != plan.n_actual:
+            raise ValueError(
+                f"value vector has {len(vals)} entries; the plan has {plan.n_actual} points"
+            )
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(
+                f"value {vals[bad[0]]} at row {bad[0]} is not finite: {plan.describe(bad[0])}"
+            )
+        return SampleSet(plan, vals)
 
 
 def sample(f: PointFn, plan: RecoveryPlan) -> SampleSet:
     """Evaluate ``f`` once per deduplicated plan point.
 
     ``f`` receives a single (n, d) array, so an instrumented callable sees
-    exactly ``plan.n_actual`` rows.  Non-finite values abort with the
-    offending point.
+    exactly ``plan.n_actual`` rows.  Non-finite values abort, naming the
+    offending point with its coordinates and provenance.
     """
-    pts = np.array([p.floats() for p in plan.points])
-    vals = np.asarray(f(pts), dtype=float).reshape(-1)
+    vals = np.asarray(f(plan.floats()), dtype=float).reshape(-1)
     if vals.shape[0] != plan.n_actual:
-        raise ValueError("sampled value count does not match the plan")
-    bad = np.nonzero(~np.isfinite(vals))[0]
+        raise ValueError(
+            f"function returned {vals.shape[0]} values for {plan.n_actual} plan points"
+        )
+    bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
-        raise ValueError(f"function evaluation failed at {plan.points[bad[0]].floats()}")
-    return SampleSet(dict(zip(plan.keys, vals.tolist())))
+        raise ValueError(
+            f"function evaluation failed at {plan.describe(bad[0])}: got {vals[bad[0]]}"
+        )
+    return SampleSet(plan, vals)
 
 
 # -- combination weights -------------------------------------------------------------
@@ -144,12 +168,14 @@ class _ChunkAxes:
     def __init__(self, pts: Array, order: Sequence[int]):
         self.pts = pts
         self.order = order
+        self._edges = [np.flatnonzero(pts[:, j] == 1.0) for j in range(pts.shape[1])]
         self._cells: dict[tuple[int, int], tuple[Array, Array, Array]] = {}
         self._anchors: dict[tuple[int, int, int], tuple[Array, Array]] = {}
         self._splines: dict[tuple[int, int, int, int], Array] = {}
 
     def cells(self, j: int, k: int) -> tuple[Array, Array, Array]:
-        """Scaled coordinate, cell index (right edge folded in) and local coordinate."""
+        """Scaled coordinate, cell index and local coordinate; the right edge
+        ``x_j = 1`` belongs to the last cell, at local coordinate 1."""
         got = self._cells.get((j, k))
         if got is None:
             scaled = self.pts[:, j] * float(1 << k)
@@ -170,11 +196,21 @@ class _ChunkAxes:
         return got
 
     def spline(self, j: int, k: int, split: int, offset: int) -> Array:
-        """``split``-th derivative of the blending spline translated by ``offset``."""
+        """``split``-th derivative of the blending spline translated by ``offset``.
+
+        Right limits at interior knots; at the cube's right edge ``x_j = 1``
+        the left limit, taken through the symmetry ``psi(u) = psi(m+1-u)``.
+        """
         got = self._splines.get((j, k, split, offset))
         if got is None:
+            m = self.order[j]
             local = self.cells(j, k)[2]
-            got = bspline_deriv_many(self.order[j], split, local - offset)
+            got = bspline_deriv_many(m, split, local - offset)
+            edge = self._edges[j]
+            if edge.size:
+                got[edge] = (-1) ** split * bspline_deriv_many(
+                    m, split, m + 1 + offset - local[edge]
+                )
             self._splines[(j, k, split, offset)] = got
         return got
 
@@ -204,14 +240,14 @@ class Approximant:
             raise ValueError(
                 f"derivative {deriv} exceeds interpolation degrees {params.degrees}"
             )
-        if set(samples.values.keys()) != set(plan.keys):
+        if samples.plan is not plan and not np.array_equal(samples.plan.keys, plan.keys):
             raise ValueError("sample set does not match the plan's points")
         self.plan = plan
         self.deriv = deriv
         self.order = deriv  # smallest admissible blending order per axis
         self.degrees = params.degrees
-        self._samples = samples.values
-        self._node_nums = [_node_numerators(dg) for dg in self.degrees]
+        self._values = samples.values
+        self._gather = dict(zip(plan.levels, plan.gather))
         self._mono = [_monomial_matrix(dg) for dg in self.degrees]
         self._weights = combination_weights(plan.levels)
         self._tables: dict[tuple[int, ...], Array] = {}
@@ -231,7 +267,7 @@ class Approximant:
                     poly_axes.append((j, r - s, np.array(fac, dtype=float)))
             self._splits.append((split, binom, poly_axes))
 
-    # ---- local polynomial coefficients, from exact-keyed samples
+    # ---- local polynomial coefficients, gathered from the samples
 
     def _level_table(self, level: tuple[int, ...]) -> Array:
         """Monomial coefficients of every cell of one level.
@@ -242,23 +278,9 @@ class Approximant:
         table = self._tables.get(level)
         if table is None:
             d = len(level)
-            axis_keys = [
-                [
-                    _packed_key((k,), (c,), (i,), (nums,))[0]
-                    for c in range(1 << k)
-                    for i in range(len(nums))
-                ]
-                for k, nums in zip(level, self._node_nums)
-            ]
-            shape = [n for k, dg in zip(level, self.degrees) for n in (1 << k, dg + 1)]
-            vals = np.fromiter(
-                map(self._samples.__getitem__, product(*axis_keys)),
-                dtype=float,
-                count=math.prod(shape),
-            )
-            # (cell_0, node_0, cell_1, node_1, ...) -> (node_0, node_1, ..., cell)
-            c = vals.reshape(shape).transpose(
-                list(range(1, 2 * d, 2)) + list(range(0, 2 * d, 2))
+            # (cell_0, ..., cell_{d-1}, node_0, ..., node_{d-1}) -> (node_0, ..., cell)
+            c = self._values[self._gather[level]].transpose(
+                list(range(d, 2 * d)) + list(range(d))
             ).reshape(tuple(dg + 1 for dg in self.degrees) + (-1,))
             for axis, M in enumerate(self._mono):
                 c = np.moveaxis(np.tensordot(M, c, axes=([1], [axis])), 0, axis)
@@ -375,14 +397,34 @@ def _tensor_rule(quad: Quadrature) -> tuple[Array, Array]:
     return pts, w
 
 
+# Most points one rule or sup-norm lattice of `lq_error` may have.  Each
+# point costs d coordinates and a value of both functions at once; the rules
+# in use have at most about 1.05M points (d=4 default rule, d=2 lattice).
+_MAX_RULE_POINTS = 1 << 21
+
+
+def _check_rule_size(d: int, count: int, field: str) -> None:
+    if count > _MAX_RULE_POINTS:
+        raise ValueError(
+            f"quadrature at d={d} needs {count} points, above the limit of "
+            f"{_MAX_RULE_POINTS}; lower Quadrature.{field}"
+        )
+
+
 def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     """L_q distance of two point-evaluable functions over the unit cube.
 
     Finite q: composite Gauss-Legendre.  q = infinity: maximum of |g - h|
     over an interior midpoint lattice united with the quadrature nodes.
+    A rule or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
+    ValueError before anything is allocated.
     """
     if q < 1:
         raise ValueError("q must lie in [1, inf]")
+    per_axis = quad.points_per_cell << quad.resolved_cells_log2()
+    _check_rule_size(quad.d, per_axis**quad.d, "cells_log2")
+    if math.isinf(q):
+        _check_rule_size(quad.d, quad.resolved_sup_points() ** quad.d, "sup_points")
     pts, w = _tensor_rule(quad)
     diff = np.abs(np.asarray(g(pts), dtype=float) - np.asarray(h(pts), dtype=float))
     if math.isinf(q):

@@ -1,13 +1,16 @@
 """Tests for smoothness bookkeeping, level sets, and sample plans."""
 
+import hashlib
 import io
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from hypercross import grid
+from hypercross.interp import nodes_exact
 
 
 class TestDeriveParams:
@@ -115,10 +118,56 @@ def params_1d_midpoints():
     return grid.derive_params(1, (0.6,), 2.0, 2.0, math.inf, (0,))
 
 
+def params_2d_aniso():
+    # Degrees (2, 1), weights (1, sqrt(1.5)): the criterion-7 derivative study.
+    return grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
+
+
+def params_3d():
+    # Degrees (2, 2, 1) with three distinct weights: the d=3 derivative study.
+    return grid.derive_params(3, (2.0, 2.0, 1.5), 2.0, 2.0, 2.0, (1, 0, 0))
+
+
+def params_2d_smooth():
+    return grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (0, 0))
+
+
+PARAM_SETS = {
+    "d1_mid": params_1d_midpoints,
+    "d2_smooth": params_2d_smooth,
+    "d2_aniso": params_2d_aniso,
+    "d3": params_3d,
+}
+
+
+def key_fractions(plan):
+    """Exact coordinates of every plan point, read from the int64 keys."""
+    scale = 1 << grid.KEY_BITS
+    return [tuple(Fraction(int(k), scale) for k in row) for row in plan.keys]
+
+
+def oracle_plan(params, radius):
+    """Brute-force plan: exact Fractions from the node family, deduplicated by
+    a dict in enumeration order (levels sorted, cells then node indices in C
+    order).  Maps each point to the (level index, cell, node index) that
+    first produced it."""
+    seen = {}
+    levels = grid.index_set(params.weights, radius)
+    for li, lvl in enumerate(levels):
+        for cell in product(*[range(1 << k) for k in lvl]):
+            for idx in product(*[range(dg + 1) for dg in params.degrees]):
+                pt = tuple(
+                    (c + nodes_exact(dg)[i]) / (1 << k)
+                    for k, c, i, dg in zip(lvl, cell, idx, params.degrees)
+                )
+                seen.setdefault(pt, (li, cell, idx))
+    return levels, seen
+
+
 class TestPlans:
     def test_midpoint_plan_is_seven_points(self):
         plan = grid.build_plan(params_1d_midpoints(), 2)
-        got = sorted(pt.point[0].as_fraction() for pt in plan.points)
+        got = sorted(pt[0] for pt in key_fractions(plan))
         assert got == [
             Fraction(1, 8),
             Fraction(1, 4),
@@ -145,8 +194,9 @@ class TestPlans:
 
     def test_points_strictly_interior(self):
         plan = grid.build_plan(params_1d_midpoints(), 4)
-        for pt in plan.points:
-            f = pt.point[0].as_fraction()
+        assert plan.keys.dtype == np.int64
+        assert np.all(plan.keys > 0) and np.all(plan.keys < 1 << grid.KEY_BITS)
+        for (f,) in key_fractions(plan):
             assert 0 < f < 1
 
     def test_dedup_is_exact_identity(self):
@@ -154,29 +204,35 @@ class TestPlans:
         params = params_1d_midpoints()
         small = grid.build_plan(params, 2)
         large = grid.build_plan(params, 3)
-        small_keys = set(small.keys)
-        large_keys = set(large.keys)
+        small_keys = set(map(tuple, small.keys.tolist()))
+        large_keys = set(map(tuple, large.keys.tolist()))
         assert small_keys < large_keys
         # keys distinguish points exactly: same count as exact fractions
-        fracs = {tuple(c.as_fraction() for c in p.point) for p in large.points}
-        assert len(fracs) == large.n_actual
+        assert len(large_keys) == len(set(key_fractions(large))) == large.n_actual
 
     def test_provenance_tags_resolve_to_stored_point(self):
         params = grid.derive_params(2, (1.5, 1.5), 2.0, 2.0, math.inf, (0, 0))
         plan = grid.build_plan(params, 3)
-        for pt, key in zip(plan.points, plan.keys):
-            assert plan.key_of(pt.level, pt.cell, pt.node_idx) == key
+        for i in range(plan.n_actual):
+            li = plan.level_index[i]
+            tag = tuple(plan.cell[i]) + tuple(plan.node_idx[i])
+            assert plan.gather[li][tag] == i
 
     def test_every_node_triple_maps_into_plan(self):
-        from itertools import product as iproduct
-
         params = grid.derive_params(2, (1.5, 1.5), 2.0, 2.0, math.inf, (0, 0))
         plan = grid.build_plan(params, 3)
-        stored = set(plan.keys)
-        for lvl in plan.levels:
-            for cell in iproduct(*[range(1 << k) for k in lvl]):
-                for idx in iproduct(*[range(dg + 1) for dg in params.degrees]):
-                    assert plan.key_of(lvl, cell, idx) in stored
+        fracs = key_fractions(plan)
+        for lvl, table in zip(plan.levels, plan.gather):
+            assert table.shape == tuple(1 << k for k in lvl) + tuple(
+                dg + 1 for dg in params.degrees
+            )
+            for cell in product(*[range(1 << k) for k in lvl]):
+                for idx in product(*[range(dg + 1) for dg in params.degrees]):
+                    exact = tuple(
+                        (c + nodes_exact(dg)[i]) / (1 << k)
+                        for k, c, i, dg in zip(lvl, cell, idx, params.degrees)
+                    )
+                    assert fracs[table[cell + idx]] == exact
 
     def test_count_profile_matches_plans(self):
         params = grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
@@ -184,9 +240,71 @@ class TestPlans:
         for r in range(1, 7):
             assert profile[r - 1] == grid.build_plan(params, r).n_actual
 
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_count_profile_matches_oracle(self, name):
+        params = PARAM_SETS[name]()
+        r_max = 6 if params.d < 3 else 3
+        profile = grid.count_profile(params, r_max)
+        assert profile == [len(oracle_plan(params, r)[1]) for r in range(1, r_max + 1)]
+
     def test_radius_cap(self):
         with pytest.raises(ValueError):
             grid.build_plan(params_1d_midpoints(), grid.MAX_RADIUS + 1)
+
+
+class TestPlanOracle:
+    """`build_plan` against a brute-force Fraction enumeration."""
+
+    @pytest.mark.parametrize(
+        "name, radius", [("d1_mid", 4), ("d2_smooth", 3), ("d2_aniso", 4), ("d3", 2)]
+    )
+    def test_points_order_provenance_and_gather(self, name, radius):
+        params = PARAM_SETS[name]()
+        plan = grid.build_plan(params, radius)
+        levels, seen = oracle_plan(params, radius)
+        assert list(plan.levels) == levels
+        assert key_fractions(plan) == list(seen)
+        tags = list(seen.values())
+        assert plan.level_index.tolist() == [t[0] for t in tags]
+        assert [tuple(c) for c in plan.cell.tolist()] == [t[1] for t in tags]
+        assert [tuple(i) for i in plan.node_idx.tolist()] == [t[2] for t in tags]
+        index = {pt: n for n, pt in enumerate(seen)}
+        for lvl, table in zip(levels, plan.gather):
+            for cell in product(*[range(1 << k) for k in lvl]):
+                for idx in product(*[range(dg + 1) for dg in params.degrees]):
+                    pt = tuple(
+                        (c + nodes_exact(dg)[i]) / (1 << k)
+                        for k, c, i, dg in zip(lvl, cell, idx, params.degrees)
+                    )
+                    assert table[cell + idx] == index[pt]
+
+    def test_floats_are_correctly_rounded(self):
+        plan = grid.build_plan(params_3d(), 2)
+        want = np.array([[float(c) for c in pt] for pt in key_fractions(plan)])
+        assert np.array_equal(plan.floats(), want)
+
+
+class TestFirstOccurrences:
+    """The dedup step on synthetic keys: real node families never collide."""
+
+    def test_duplicates_point_at_first_occurrence(self):
+        keys = np.array(
+            [[3, 1], [1, 2], [3, 1], [0, 0], [1, 2], [1, 2], [3, 0]], dtype=np.int64
+        )
+        first, inverse = grid._first_occurrences(keys)
+        assert first.tolist() == [0, 1, 3, 6]
+        assert inverse.tolist() == [0, 1, 0, 2, 1, 1, 3]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dict_oracle(self, d):
+        rng = np.random.default_rng(d)
+        keys = rng.integers(0, 4, size=(500, d)).astype(np.int64) << 60
+        first, inverse = grid._first_occurrences(keys)
+        seen = {}
+        want_inverse = [seen.setdefault(tuple(row), len(seen)) for row in keys.tolist()]
+        assert len(first) == len(seen) < len(keys)
+        assert [tuple(keys[i]) for i in first] == list(seen)
+        assert inverse.tolist() == want_inverse
 
 
 class TestChooseRadius:
@@ -208,6 +326,25 @@ class TestChooseRadius:
     def test_budget_below_minimum(self):
         with pytest.raises(ValueError, match="minimum plan size"):
             grid.choose_radius(params_1d_midpoints(), 2)
+
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_exact_at_budget_edges(self, name):
+        params = PARAM_SETS[name]()
+        counts = grid.count_profile(params, 6)
+        for r in range(2, 7):
+            assert grid.choose_radius(params, counts[r - 1]) == r
+            assert grid.choose_radius(params, counts[r - 1] - 1) == r - 1
+        with pytest.raises(ValueError, match=f"minimum plan size {counts[0]}"):
+            grid.choose_radius(params, counts[0] - 1)
+
+
+# (radius, n_actual, bytes, sha256) of `write_plan` output, pinned from the
+# per-point implementation that the int64 key arrays replaced.
+GOLDEN_PLANS = {
+    "d1_mid": (4, 31, 354, "76a7700e57929fc85b7408c3899d449bbc6c84d895dccbca414bf88ff6c35eb3"),
+    "d2_aniso": (6, 2118, 128510, "06c6b1aa0ebd76030110717170fe42cc4f04f9ed9764bb4d509f864b17632dc7"),
+    "d3": (3, 702, 59220, "be319e65ae58c1a7064a6e301c21d31469cef6c5fb27ea6088eaa78816a43547"),
+}
 
 
 class TestSerialization:
@@ -233,15 +370,44 @@ class TestSerialization:
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+    def test_golden_bytes(self, name):
+        radius, n, size, digest = GOLDEN_PLANS[name]
+        plan = grid.build_plan(PARAM_SETS[name](), radius)
+        buf = io.StringIO()
+        grid.write_plan(plan, buf)
+        data = buf.getvalue().encode()
+        assert (plan.n_actual, len(data)) == (n, size)
+        assert hashlib.sha256(data).hexdigest() == digest
 
-class TestDyadicRational:
+    def test_lines_match_oracle(self):
+        # Every line: provenance, then the exact coordinates as reduced fractions.
+        params = params_3d()
+        levels, seen = oracle_plan(params, 2)
+        buf = io.StringIO()
+        grid.write_plan(grid.build_plan(params, 2), buf)
+        lines = buf.getvalue().split("\n")
+        assert lines.pop() == ""
+        for line, (pt, (li, cell, idx)) in zip(lines, seen.items(), strict=True):
+            lvl_s, cell_s, idx_s, coords = line.split("\t")
+            assert lvl_s == ",".join(map(str, levels[li]))
+            assert cell_s == ",".join(map(str, cell))
+            assert idx_s == ",".join(map(str, idx))
+            assert coords == ",".join(f"{c.numerator}/{c.denominator}" for c in pt)
+
+
+class TestKeyRendering:
     def test_normalization(self):
-        v = grid.DyadicRational.make(8, 4)
-        assert (v.num, v.bits) == (1, 1)
-        assert v.as_float() == 0.5
-        assert str(v) == "1/2"
+        # 8/16 = 1/2 at level 3, rendered reduced.
+        plan = grid.build_plan(params_1d_midpoints(), 1)
+        buf = io.StringIO()
+        grid.write_plan(plan, buf)
+        assert buf.getvalue() == "0\t0\t0\t1/2\n1\t0\t0\t1/4\n1\t1\t0\t3/4\n"
+        assert plan.keys[:, 0].tolist() == [1 << 61, 1 << 60, 3 << 60]
 
     def test_float_roundtrip_exact(self):
-        v = grid.DyadicRational.make(5, 4)
-        assert v.as_float() == 5 / 16
-        assert v.as_fraction() == Fraction(5, 16)
+        plan = grid.build_plan(params_1d_midpoints(), 3)
+        assert plan.floats()[:, 0].tolist() == [
+            float(f) for (f,) in key_fractions(plan)
+        ]
+        assert plan.floats()[3, 0] == 1 / 8

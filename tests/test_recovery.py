@@ -19,7 +19,7 @@ class TestSample:
         plan = grid.build_plan(params_smooth(), 2)
         s = sample(lambda pts: np.zeros(len(pts)), plan)
         assert len(s) == plan.n_actual
-        assert all(v == 0.0 for v in s.values.values())
+        assert s.values.shape == (plan.n_actual,) and np.all(s.values == 0.0)
 
     def test_instrumented_count_is_exact(self):
         plan = grid.build_plan(params_smooth(), 3)
@@ -42,6 +42,46 @@ class TestSample:
 
         with pytest.raises(ValueError, match="failed at"):
             sample(bad, plan)
+
+
+    def test_failure_names_point_and_provenance(self):
+        plan = grid.build_plan(params_smooth(), 2)
+
+        def bad(pts):
+            out = np.ones(len(pts))
+            out[3] = np.inf
+            return out
+
+        # Row 3 is node (1, 0) of the single cell of level (0, 0): x = 1/2.
+        with pytest.raises(
+            ValueError,
+            match=r"point 3 at \[0\.5, 0\.0669.*\] \(level \(0, 0\), cell \(0, 0\), node \(1, 0\)\)",
+        ):
+            sample(bad, plan)
+
+    def test_wrong_value_count(self):
+        plan = grid.build_plan(params_smooth(), 2)
+        with pytest.raises(ValueError, match=f"returned 5 values for {plan.n_actual}"):
+            sample(lambda pts: np.ones(5), plan)
+
+    def test_from_array_rejects_wrong_length(self):
+        plan = grid.build_plan(params_smooth(), 2)
+        with pytest.raises(ValueError, match=f"has 3 entries; the plan has {plan.n_actual}"):
+            SampleSet.from_array(plan, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_from_array_names_non_finite_row(self, bad):
+        plan = grid.build_plan(params_smooth(), 2)
+        vals = np.zeros(plan.n_actual)
+        vals[[4, 7]] = bad
+        with pytest.raises(ValueError, match=r"at row 4 is not finite: point 4 at"):
+            SampleSet.from_array(plan, vals)
+
+    def test_points_are_the_plan_keys(self):
+        plan = grid.build_plan(params_smooth(), 3)
+        seen = []
+        sample(lambda pts: seen.append(pts.copy()) or np.zeros(len(pts)), plan)
+        assert np.array_equal(seen[0], plan.keys * 2.0**-grid.KEY_BITS)
 
 
 class TestReconstruct:
@@ -200,6 +240,41 @@ class TestInputContract:
             approx(pts)
 
 
+class TestRightEdge:
+    """``x_j = 1`` is the limit from inside the cube, in both evaluation paths."""
+
+    # Coordinates 0, 1, dyadic cell edges, 1 - 1e-12 and interior points.
+    COORDS = (0.0, 1.0, 0.5, 0.25, 0.75, 0.96875, 1 - 1e-12, 0.3, 0.8125 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "deriv, tol", [((0, 0), 1e-4), ((1, 0), 0.05), ((1, 1), 0.1)]
+    )
+    def test_both_paths_match_truth_on_the_closed_cube(self, deriv, tol):
+        f = functions.get_function("trig", 2)
+        params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
+        plan = grid.build_plan(params, 5)
+        approx = reconstruct(sample(f.value, plan), plan, deriv)
+        ev = DyadicEvaluator(params.degrees, deriv, f=f.value_at)
+        pts = np.array([(a, b) for a in self.COORDS for b in self.COORDS])
+        got = approx(pts)
+        direct = [sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels) for p in pts]
+        np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-11)
+        np.testing.assert_allclose(got, f.deriv(deriv, pts), atol=tol)
+
+    @pytest.mark.parametrize("deriv", [(0, 0), (1, 1)])
+    def test_edge_is_the_left_limit(self, deriv):
+        f = functions.get_function("trig", 2)
+        params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
+        plan = grid.build_plan(params, 5)
+        approx = reconstruct(sample(f.value, plan), plan, deriv)
+        ev = DyadicEvaluator(params.degrees, deriv, f=f.value_at)
+        for edge, inside in [((1.0, 0.5), (1 - 1e-12, 0.5)), ((1.0, 1.0), (1 - 1e-12, 1 - 1e-12))]:
+            near = approx.eval_at(inside)
+            assert approx.eval_at(edge) == pytest.approx(near, rel=1e-9, abs=1e-9)
+            scalar = sum(ev.surplus_deriv(lvl, deriv, edge) for lvl in plan.levels)
+            assert scalar == pytest.approx(near, rel=1e-9, abs=1e-9)
+
+
 @pytest.fixture(
     scope="module",
     params=[((2.0, 2.0, 1.5), (1, 0, 0)), ((3.0, 2.0, 1.5), (2, 0, 1))],
@@ -287,6 +362,36 @@ class TestLqError:
         f = lambda pts: np.zeros(len(pts))  # noqa: E731
         with pytest.raises(ValueError):
             lq_error(f, f, 0.5, Quadrature(d=1))
+
+    @staticmethod
+    def never(pts):
+        raise AssertionError("the refused rule must not be evaluated")
+
+    @pytest.mark.parametrize(
+        "quad, q, count, field",
+        [
+            (Quadrature(d=5), 2.0, 32**5, "cells_log2"),
+            (Quadrature(d=4), math.inf, 65**4, "sup_points"),
+            (Quadrature(d=5, cells_log2=1), math.inf, 65**5, "sup_points"),
+            (Quadrature(d=6, cells_log2=1), math.inf, 65**6, "sup_points"),
+        ],
+    )
+    def test_oversized_rule_is_refused(self, quad, q, count, field):
+        # Sizes are computed, never allocated: the check comes first.
+        with pytest.raises(
+            ValueError, match=rf"d={quad.d} needs {count} points.*Quadrature\.{field}"
+        ):
+            lq_error(self.never, self.never, q, quad)
+
+    def test_rule_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(recovery, "_MAX_RULE_POINTS", 64)
+        one = lambda pts: np.ones(len(pts))  # noqa: E731
+        assert lq_error(one, one, 2.0, Quadrature(d=1, cells_log2=4)) == 0.0
+        assert lq_error(one, one, math.inf, Quadrature(d=2, cells_log2=1, sup_points=8)) == 0.0
+        with pytest.raises(ValueError, match="needs 128 points"):
+            lq_error(one, one, 2.0, Quadrature(d=1, cells_log2=5))
+        with pytest.raises(ValueError, match="needs 81 points"):
+            lq_error(one, one, math.inf, Quadrature(d=2, cells_log2=1, sup_points=9))
 
     def test_quadrature_refinement_stable(self):
         # Doubling the cell count moves a smooth-error integral by < 1%.
