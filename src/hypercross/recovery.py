@@ -64,7 +64,7 @@ class SampleSet:
         """Wrap a value vector aligned with the plan's points.
 
         Raises ValueError on a vector of the wrong length, or naming the
-        first row (and its point) whose value is not finite.
+        first row, with its point, whose value is not finite.
         """
         vals = np.array(values, dtype=float).reshape(-1)
         if len(vals) != plan.n_actual:
@@ -74,7 +74,8 @@ class SampleSet:
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise ValueError(
-                f"value {vals[bad[0]]} at row {bad[0]} is not finite: {plan.describe(bad[0])}"
+                f"value {vals[bad[0]]} at row {bad[0]} is not finite: "
+                f"evaluation failed at {plan.describe(bad[0])}"
             )
         return SampleSet(plan, vals)
 
@@ -83,20 +84,11 @@ def sample(f: PointFn, plan: RecoveryPlan) -> SampleSet:
     """Evaluate ``f`` once per deduplicated plan point.
 
     ``f`` receives a single (n, d) array, so an instrumented callable sees
-    exactly ``plan.n_actual`` rows.  Non-finite values abort, naming the
-    offending point with its coordinates and provenance.
+    exactly ``plan.n_actual`` rows.  A wrong value count aborts, and so does
+    a non-finite value, naming the offending point with its coordinates and
+    provenance.
     """
-    vals = np.asarray(f(plan.floats()), dtype=float).reshape(-1)
-    if vals.shape[0] != plan.n_actual:
-        raise ValueError(
-            f"function returned {vals.shape[0]} values for {plan.n_actual} plan points"
-        )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise ValueError(
-            f"function evaluation failed at {plan.describe(bad[0])}: got {vals[bad[0]]}"
-        )
-    return SampleSet(plan, vals)
+    return SampleSet.from_array(plan, f(plan.floats()))
 
 
 # -- combination weights -------------------------------------------------------------

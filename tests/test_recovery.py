@@ -61,7 +61,7 @@ class TestSample:
 
     def test_wrong_value_count(self):
         plan = grid.build_plan(params_smooth(), 2)
-        with pytest.raises(ValueError, match=f"returned 5 values for {plan.n_actual}"):
+        with pytest.raises(ValueError, match=f"has 5 entries; the plan has {plan.n_actual}"):
             sample(lambda pts: np.ones(5), plan)
 
     def test_from_array_rejects_wrong_length(self):
@@ -74,7 +74,7 @@ class TestSample:
         plan = grid.build_plan(params_smooth(), 2)
         vals = np.zeros(plan.n_actual)
         vals[[4, 7]] = bad
-        with pytest.raises(ValueError, match=r"at row 4 is not finite: point 4 at"):
+        with pytest.raises(ValueError, match=r"at row 4 is not finite: evaluation failed at point 4 at"):
             SampleSet.from_array(plan, vals)
 
     def test_points_are_the_plan_keys(self):
