@@ -9,13 +9,7 @@ from .bspline import (
     refinement_coeffs,
     translate_deriv,
 )
-from .dyadic import (
-    DyadicEvaluator,
-    local_interp,
-    quasi_interp_eval,
-    surplus_eval,
-    surplus_local_poly,
-)
+from .dyadic import DyadicEvaluator
 from .functions import MixedDifference, TestFunction, get_function, mixed_difference, modulus_estimate, registry
 from .grid import (
     RecoveryPlan,
@@ -29,7 +23,7 @@ from .grid import (
     weighted_sum,
     write_plan,
 )
-from .interp import TensorPoly, lagrange_basis_eval, nodes, poly_deriv_eval, tensor_interpolate
+from .interp import TensorPoly, lagrange_basis_eval, nodes, tensor_interpolate
 from .recovery import Approximant, Quadrature, SampleSet, lq_error, reconstruct, sample
 
 __version__ = "0.1.0"
@@ -56,19 +50,14 @@ __all__ = [
     "get_function",
     "index_set",
     "lagrange_basis_eval",
-    "local_interp",
     "lq_error",
     "mixed_difference",
     "modulus_estimate",
     "nodes",
-    "poly_deriv_eval",
-    "quasi_interp_eval",
     "reconstruct",
     "refinement_coeffs",
     "registry",
     "sample",
-    "surplus_eval",
-    "surplus_local_poly",
     "tail_sum",
     "tensor_interpolate",
     "translate_deriv",

@@ -136,8 +136,7 @@ def bspline_deriv_many(m: int, r: int, x: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(u)
     for j in range(rows.shape[-1] - 1, -1, -1):
         acc = acc * u + rows[..., j]
-    acc[~inside] = 0.0
-    return acc
+    return np.where(inside, acc, 0.0)
 
 
 def refinement_coeffs(m: int) -> tuple[Fraction, ...]:

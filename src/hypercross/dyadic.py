@@ -144,14 +144,31 @@ class DyadicEvaluator:
         for r, m in zip(deriv, self.order):
             if not 0 <= r <= m:
                 raise ValueError(f"derivative order {deriv} not within spline order {self.order}")
+        return self._blended(
+            level, deriv, x, lambda shift: self.local_interp(level, tuple(max(s, 0) for s in shift))
+        )
+
+    def _blended(
+        self,
+        level: Vector,
+        deriv: Vector,
+        x: Sequence[float],
+        poly_at: Callable[[Vector], TensorPoly],
+    ) -> float:
+        """``D^deriv sum_shift poly_at(shift) * g[level, shift]`` at ``x``.
+
+        The sum runs over the translates covering ``x``, each by the product
+        rule over the splits of ``deriv`` between polynomial and spline
+        factor; a translate's polynomial is built only once one of its
+        spline factors is nonzero.
+        """
         cell = _cell_of(level, x)
         total = 0.0
         for offset in product(*[range(-m, 1) for m in self.order]):
             shift = tuple(c + o for c, o in zip(cell, offset))
-            anchor = tuple(max(s, 0) for s in shift)
-            poly = self.local_interp(level, anchor)
             # u_j = 2**k_j x_j - shift_j lies in the translate's support.
             u = [math.ldexp(xj, k) - s for k, s, xj in zip(level, shift, x)]
+            poly = None
             for split in product(*[range(r + 1) for r in deriv]):
                 spline = 1.0
                 for j in range(self.dim):
@@ -162,6 +179,8 @@ class DyadicEvaluator:
                         break
                 if spline == 0.0:
                     continue
+                if poly is None:
+                    poly = poly_at(shift)
                 rest = tuple(r - s for r, s in zip(deriv, split))
                 binom = math.prod(math.comb(r, s) for r, s in zip(deriv, split))
                 total += binom * spline * poly.deriv_eval(rest, x)
@@ -242,48 +261,7 @@ class DyadicEvaluator:
         """
         level = tuple(int(k) for k in level)
         deriv = tuple(int(r) for r in deriv)
-        cell = _cell_of(level, x)
-        total = 0.0
-        for offset in product(*[range(-m, 1) for m in self.order]):
-            shift = tuple(c + o for c, o in zip(cell, offset))
-            upoly = self.surplus_local_poly(level, shift)
-            u = [math.ldexp(xj, k) - s for k, s, xj in zip(level, shift, x)]
-            for split in product(*[range(r + 1) for r in deriv]):
-                spline = 1.0
-                for j in range(self.dim):
-                    spline *= 2.0 ** (level[j] * split[j]) * _blend(
-                        self.order[j], split[j], u[j], x[j] == 1.0
-                    )
-                if spline == 0.0:
-                    continue
-                rest = tuple(r - s for r, s in zip(deriv, split))
-                binom = math.prod(math.comb(r, s) for r, s in zip(deriv, split))
-                total += binom * spline * upoly.deriv_eval(rest, x)
-        return total
+        return self._blended(
+            level, deriv, x, lambda shift: self.surplus_local_poly(level, shift)
+        )
 
-
-# -- one-shot wrappers ---------------------------------------------------------
-
-
-def local_interp(f, level, cell, degrees) -> TensorPoly:
-    """Interpolate ``f`` on one dyadic cell by a tensor polynomial."""
-    ev = DyadicEvaluator(degrees, (0,) * len(tuple(degrees)), f=f)
-    return ev.local_interp(level, cell)
-
-
-def quasi_interp_eval(f, level, degrees, order, deriv, x) -> float:
-    """Mixed derivative of the level operator of ``f`` at ``x``."""
-    ev = DyadicEvaluator(degrees, order, f=f)
-    return ev.quasi_interp_deriv(level, deriv, x)
-
-
-def surplus_eval(f, level, degrees, order, deriv, x) -> float:
-    """Mixed derivative of the surplus operator of ``f`` at ``x``."""
-    ev = DyadicEvaluator(degrees, order, f=f)
-    return ev.surplus_deriv(level, deriv, x)
-
-
-def surplus_local_poly(f, level, shift, degrees, order) -> TensorPoly:
-    """Per-translate polynomial factor of the surplus expansion."""
-    ev = DyadicEvaluator(degrees, order, f=f)
-    return ev.surplus_local_poly(level, shift)

@@ -53,9 +53,6 @@ class TestFunction:
             raise ValueError(f"bad derivative index {lam}")
         return self._deriv(lam, _as_points(x, self.d))
 
-    def value_at(self, x: Sequence[float]) -> float:
-        return float(self.value([tuple(x)])[0])
-
 
 # -- factor library ---------------------------------------------------------------
 

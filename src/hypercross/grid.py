@@ -379,19 +379,27 @@ def count_profile(params: SmoothnessParams, r_max: int) -> list[int]:
 
 
 def choose_radius(params: SmoothnessParams, budget: int) -> int:
-    """Largest radius whose deduplicated point count fits within ``budget``."""
+    """Largest radius whose deduplicated point count fits within ``budget``.
+
+    The scan stops at ``MAX_RADIUS`` and at the last radius whose raw point
+    count is within ``_MAX_RAW_POINTS``: a larger budget gets that radius.
+    """
     budget = int(budget)
+
+    def raw(r: int) -> int:
+        return _raw_count(params, index_set(params.weights, r))
+
+    def can_grow(r: int) -> bool:
+        return r < MAX_RADIUS and raw(r + 1) <= _MAX_RAW_POINTS
+
     # Deduplication only removes points, so every radius whose raw count fits
     # is admissible; profile up to the first radius whose raw count does not,
     # and extend only while the deduplicated count still fits.
     r_max = 1
-    while (
-        r_max < MAX_RADIUS
-        and _raw_count(params, index_set(params.weights, r_max)) <= budget
-    ):
+    while raw(r_max) <= budget and can_grow(r_max):
         r_max += 1
     counts = count_profile(params, r_max)
-    while counts[-1] <= budget and r_max < MAX_RADIUS:
+    while counts[-1] <= budget and can_grow(r_max):
         r_max += 1
         counts = count_profile(params, r_max)
     if counts[0] > budget:

@@ -6,10 +6,13 @@ is what makes sample-point identity across dyadic cells decidable in exact
 arithmetic (see `hypercross.grid`); at 2**-40 it is far below every tolerance
 used anywhere else.
 
-Interpolants are stored by their node values.  Plain evaluation uses the
-second barycentric form (exact at the nodes by construction); derivative
-evaluation converts to local monomial coefficients through an exactly
-inverted Vandermonde matrix, cached per degree.
+Node values become local monomial coefficients through an exactly inverted
+Vandermonde matrix, cached per degree (`monomial_coeffs`); derivatives keep
+the coefficients from power r on, scaled by falling factorials
+(`differentiate`), and values come from Horner's rule one axis at a time
+(`horner`).  `TensorPoly` and the batched `Approximant` both evaluate
+through these three helpers.  Only `lagrange_basis_eval` uses the second
+barycentric form, which is exact at the nodes by construction.
 """
 
 from __future__ import annotations
@@ -116,30 +119,47 @@ def lagrange_basis_eval(deg: int, index: int, x: float) -> float:
     return float(terms[index] / terms.sum())
 
 
-def _basis_values(deg: int, u: float) -> np.ndarray:
-    """All deg+1 Lagrange basis values at u (barycentric, node-hit safe)."""
-    xs = _node_array(deg)
-    diff = u - xs
-    hit = np.nonzero(diff == 0.0)[0]
-    if hit.size:
-        out = np.zeros(deg + 1)
-        out[hit[0]] = 1.0
-        return out
-    terms = _bary_weights(deg) / diff
-    return terms / terms.sum()
+def monomial_coeffs(values: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
+    """Ascending monomial coefficients of tensor interpolants, from node values.
+
+    Axis ``j < len(degrees)`` of ``values`` runs over the ``degrees[j] + 1``
+    nodes of that axis and becomes the coefficient axis of power ``0..deg``;
+    trailing axes (cells, say) are carried along.
+    """
+    c = values
+    for axis, deg in enumerate(degrees):
+        c = np.moveaxis(np.tensordot(_monomial_matrix(deg), c, axes=([1], [axis])), 0, axis)
+    return c
 
 
-def _basis_deriv_values(deg: int, r: int, u: float) -> np.ndarray:
-    """r-th derivatives of all basis polynomials at u, via monomial form."""
+def differentiate(coeffs: np.ndarray, axis: int, r: int) -> np.ndarray:
+    """Coefficients of the ``r``-th derivative along coefficient axis ``axis``.
+
+    Keeps powers ``r`` and above, each times the falling factorial
+    ``perm(i, r)``; the axis shrinks by ``r``.
+    """
     if r == 0:
-        return _basis_values(deg, u)
-    if r > deg:
-        return np.zeros(deg + 1)
-    M = _monomial_matrix(deg)  # rows: powers, cols: basis index
-    acc = np.zeros(deg + 1)
-    # Horner in u over rows r..deg with falling-factorial weights.
-    for j in range(deg, r - 1, -1):
-        acc = acc * u + M[j] * math.perm(j, r)
+        return coeffs
+    fac = np.array([math.perm(i, r) for i in range(r, coeffs.shape[axis])], dtype=float)
+    lead = (slice(None),) * axis
+    return coeffs[lead + (slice(r, None),)] * fac.reshape((-1,) + (1,) * (coeffs.ndim - axis - 1))
+
+
+def horner(coeffs: np.ndarray, axis: int, t) -> np.ndarray:
+    """Reduce coefficient axis ``axis`` by Horner's rule at ``t``.
+
+    ``t`` is a scalar, or holds one coordinate per entry of the last axis of
+    a ``(q_0, ..., q_{n-1}, m)`` block of m points; the result lacks ``axis``.
+    """
+    lead = (slice(None),) * axis
+    q = coeffs.shape[axis]
+    if q == 1:
+        return coeffs[lead + (0,)]
+    acc = coeffs[lead + (q - 1,)] * t
+    acc += coeffs[lead + (q - 2,)]
+    for i in range(q - 3, -1, -1):
+        acc *= t
+        acc += coeffs[lead + (i,)]
     return acc
 
 
@@ -149,15 +169,15 @@ class TensorPoly:
 
     ``values[i1, ..., id]`` is the value at the node with per-axis indices
     ``i``; the node grid lives on the box ``x0 + delta * [0,1]^d``.  The
-    object is immutable; the monomial coefficient tensor (local coordinates
-    ``u = (x - x0)/delta``) is derived lazily and cached.
+    object is immutable; its monomial coefficient tensor, in the local
+    coordinates ``u = (x - x0)/delta``, is computed once at construction.
     """
 
     degrees: tuple[int, ...]
     x0: tuple[float, ...]
     delta: tuple[float, ...]
     values: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.values.shape != tuple(d + 1 for d in self.degrees):
@@ -165,22 +185,11 @@ class TensorPoly:
         if any(d <= 0 for d in self.delta):
             raise ValueError("box widths must be positive")
         self.values.setflags(write=False)
+        object.__setattr__(self, "_coeffs", monomial_coeffs(self.values, self.degrees))
 
     @property
     def dim(self) -> int:
         return len(self.degrees)
-
-    def coeffs(self) -> np.ndarray:
-        """Monomial coefficient tensor in local coordinates, ascending powers."""
-        c = self._cache.get("coeffs")
-        if c is None:
-            c = self.values
-            for axis, deg in enumerate(self.degrees):
-                c = np.moveaxis(
-                    np.tensordot(_monomial_matrix(deg), c, axes=([1], [axis])), 0, axis
-                )
-            self._cache["coeffs"] = c
-        return c
 
     def eval(self, x: Sequence[float]) -> float:
         return self.deriv_eval((0,) * self.dim, x)
@@ -193,17 +202,13 @@ class TensorPoly:
             raise ValueError("derivative orders must be nonnegative")
         if any(r > d for r, d in zip(deriv, self.degrees)):
             return 0.0
-        axis_vecs = []
-        for deg, x0, dl, r, xj in zip(self.degrees, self.x0, self.delta, deriv, x):
-            u = (xj - x0) / dl
-            vec = _basis_deriv_values(deg, r, u)
+        c = self._coeffs
+        for axis, (r, dl) in enumerate(zip(deriv, self.delta)):
             if r:
-                vec = vec / dl**r
-            axis_vecs.append(vec)
-        acc = self.values
-        for vec in axis_vecs:
-            acc = np.tensordot(vec, acc, axes=([0], [0]))
-        return float(acc)
+                c = differentiate(c, axis, r) / dl**r
+        for axis in range(self.dim - 1, -1, -1):
+            c = horner(c, axis, (x[axis] - self.x0[axis]) / self.delta[axis])
+        return float(c)
 
 
 def tensor_nodes(
@@ -243,7 +248,3 @@ def tensor_interpolate(
     x0, delta = box
     return TensorPoly(degrees, tuple(float(v) for v in x0), tuple(float(v) for v in delta), arr)
 
-
-def poly_deriv_eval(poly: TensorPoly, deriv: Sequence[int], x: Sequence[float]) -> float:
-    """Module-level alias for `TensorPoly.deriv_eval`."""
-    return poly.deriv_eval(deriv, x)

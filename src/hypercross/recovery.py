@@ -40,7 +40,7 @@ import numpy as np
 
 from .bspline import bspline_deriv_many
 from .grid import RecoveryPlan
-from .interp import _monomial_matrix
+from .interp import differentiate, horner, monomial_coeffs
 
 Array = np.ndarray
 PointFn = Callable[[Array], Array]
@@ -115,39 +115,10 @@ def combination_weights(levels: Sequence[tuple[int, ...]]) -> dict[tuple[int, ..
 # -- the approximant -----------------------------------------------------------------
 
 
-def _polyval_nd(coeffs: Array, pts: Array) -> Array:
-    """Evaluate a small monomial coefficient tensor at (n, d) local points."""
-    d = pts.shape[1]
-    letters = "abcdefgh"[:d]
-    pows = [
-        pts[:, j][:, None] ** np.arange(coeffs.shape[j])[None, :] for j in range(d)
-    ]
-    spec = letters + "," + ",".join("z" + c for c in letters) + "->z"
-    return np.einsum(spec, coeffs, *pows)
-
-
 # Points evaluated per batch.  Every temporary of an evaluation is a few
 # arrays of this length (times the coefficient count of one cell), so memory
 # stays bounded whatever the number of points.
 _CHUNK = 8_192
-
-
-def _horner(coeffs: Array, axis: int, t: Array) -> Array:
-    """Reduce coefficient axis ``axis`` of a ``(q_0, ..., q_{n-1}, m)`` block.
-
-    The last axis runs over the m points and ``t`` holds their coordinates;
-    the result lacks ``axis`` and is evaluated by Horner's rule.
-    """
-    lead = (slice(None),) * axis
-    q = coeffs.shape[axis]
-    if q == 1:
-        return coeffs[lead + (0,)]
-    acc = coeffs[lead + (q - 1,)] * t
-    acc += coeffs[lead + (q - 2,)]
-    for i in range(q - 3, -1, -1):
-        acc *= t
-        acc += coeffs[lead + (i,)]
-    return acc
 
 
 class _ChunkAxes:
@@ -240,24 +211,18 @@ class Approximant:
         self.degrees = params.degrees
         self._values = samples.values
         self._gather = dict(zip(plan.levels, plan.gather))
-        self._mono = [_monomial_matrix(dg) for dg in self.degrees]
         self._weights = combination_weights(plan.levels)
         self._tables: dict[tuple[int, ...], Array] = {}
         self._offsets = list(product(*[range(-m, 1) for m in self.order]))
         # Axes without a derivative are reduced once per offset.  Along the
         # others the product rule splits the derivative between spline and
-        # polynomial; the polynomial's r derivatives along an axis keep its
-        # coefficients from power r on, scaled by falling factorials.
+        # polynomial.
         self._plain_axes = [j for j, r in enumerate(deriv) if r == 0]
-        self._splits = []
-        for split in product(*[range(r + 1) for r in deriv]):
-            binom = math.prod(math.comb(r, s) for r, s in zip(deriv, split))
-            poly_axes = []
-            for j, (r, s, dg) in enumerate(zip(deriv, split, self.degrees)):
-                if r:
-                    fac = [math.perm(i, r - s) for i in range(r - s, dg + 1)]
-                    poly_axes.append((j, r - s, np.array(fac, dtype=float)))
-            self._splits.append((split, binom, poly_axes))
+        self._deriv_axes = [j for j, r in enumerate(deriv) if r]
+        self._splits = [
+            (split, math.prod(math.comb(r, s) for r, s in zip(deriv, split)))
+            for split in product(*[range(r + 1) for r in deriv])
+        ]
 
     # ---- local polynomial coefficients, gathered from the samples
 
@@ -274,9 +239,7 @@ class Approximant:
             c = self._values[self._gather[level]].transpose(
                 list(range(d, 2 * d)) + list(range(d))
             ).reshape(tuple(dg + 1 for dg in self.degrees) + (-1,))
-            for axis, M in enumerate(self._mono):
-                c = np.moveaxis(np.tensordot(M, c, axes=([1], [axis])), 0, axis)
-            table = np.ascontiguousarray(c)
+            table = np.ascontiguousarray(monomial_coeffs(c, self.degrees))
             self._tables[level] = table
         return table
 
@@ -302,9 +265,6 @@ class Approximant:
             out[start : start + _CHUNK] = acc
         return out
 
-    def eval_at(self, x: Sequence[float]) -> float:
-        return float(self(np.asarray(x, dtype=float)[None, :])[0])
-
     def _level_deriv(self, level: tuple[int, ...], chunk: _ChunkAxes) -> Array:
         """``D^deriv`` of one level operator at the chunk's points."""
         table = self._level_table(level)
@@ -316,17 +276,12 @@ class Approximant:
             anchors, ts = zip(*(chunk.anchor(j, level[j], offset[j]) for j in range(d)))
             block = np.take(table, np.ravel_multi_index(anchors, dims), axis=-1)
             for j in reversed(self._plain_axes):
-                block = _horner(block, j, ts[j])
+                block = horner(block, j, ts[j])
             acc = np.zeros(len(chunk.pts))
-            for split, binom, poly_axes in self._splits:
+            for split, binom in self._splits:
                 poly = block
-                for pos in range(len(poly_axes) - 1, -1, -1):
-                    j, r, fac = poly_axes[pos]
-                    if r:
-                        poly = poly[(slice(None),) * pos + (slice(r, None),)] * fac.reshape(
-                            (-1,) + (1,) * (poly.ndim - pos - 1)
-                        )
-                    poly = _horner(poly, pos, ts[j])
+                for pos, j in reversed(list(enumerate(self._deriv_axes))):
+                    poly = horner(differentiate(poly, pos, self.deriv[j] - split[j]), pos, ts[j])
                 spline = chunk.spline(0, level[0], split[0], offset[0])
                 for j in range(1, d):
                     spline = spline * chunk.spline(j, level[j], split[j], offset[j])

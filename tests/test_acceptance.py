@@ -16,7 +16,8 @@ from hypercross import cli, functions, grid, interp, recovery
 from hypercross.bspline import bspline_eval_many, refinement_coeffs
 from hypercross.dyadic import DyadicEvaluator
 from hypercross.recovery import Quadrature, lq_error, reconstruct, sample
-from hypercross.recovery import _polyval_nd
+
+from test_interp import numpy_polyval
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -85,8 +86,8 @@ def test_criterion_2_polynomial_reproduction():
         eval_pts = rng.uniform(0, 1, size=(30, d))
         for _ in range(50):
             coeffs = rng.uniform(-1, 1, size=tuple(g + 1 for g in degrees))
-            node_vals = _polyval_nd(coeffs, node_pts)
-            want = _polyval_nd(coeffs, eval_pts)
+            node_vals = numpy_polyval(coeffs, node_pts)
+            want = numpy_polyval(coeffs, eval_pts)
             poly = interp.tensor_interpolate(
                 {idx: v for (idx, _), v in zip(node_list, node_vals)}, box
             )
@@ -105,7 +106,7 @@ def test_criterion_3_surplus_algebra():
     pts = rng.uniform(0.005, 0.995, size=(100, 2))
 
     coeffs = rng.uniform(-1, 1, size=(3, 3))
-    poly_f = lambda p: float(_polyval_nd(coeffs, np.asarray(p)[None, :])[0])  # noqa: E731
+    poly_f = lambda p: float(numpy_polyval(coeffs, np.asarray(p)[None, :])[0])  # noqa: E731
     ev_poly = DyadicEvaluator(degrees, order, f=poly_f)
     worst_ann = 0.0
     for level in [(1, 0), (0, 1), (2, 2), (3, 1), (1, 3)]:

@@ -62,6 +62,17 @@ class TestDerivative:
         assert bspline.bspline_derivative(3, 1, 4.5) == 0.0
         assert bspline.bspline_derivative(3, 1, -0.5) == 0.0
 
+    @pytest.mark.parametrize("m", range(6))
+    def test_scalar_input_matches_scalar_twin(self, m):
+        # Inside the support, outside it on both sides, and at every knot.
+        xs = [0.37, m + 0.61, -0.5, m + 1.25] + [float(k) for k in range(m + 2)]
+        for r in range(m + 1):
+            for x in xs:
+                got = bspline.bspline_deriv_many(m, r, x)
+                assert got.ndim == 0
+                assert got.item().hex() == bspline.bspline_derivative(m, r, x).hex()
+                assert bspline.bspline_deriv_many(m, r, np.float64(x)).item() == got.item()
+
     def test_order_beyond_smoothness_rejected(self):
         with pytest.raises(ValueError):
             bspline.bspline_derivative(2, 3, 0.5)

@@ -20,30 +20,30 @@ class TestLocalInterp:
     def test_reproduces_polynomials_on_cell(self):
         rng = np.random.default_rng(0)
         f, scale = random_poly(rng, (2, 2))
-        poly = dyadic.local_interp(f, (2, 1), (1, 0), (2, 2))
+        poly = DyadicEvaluator((2, 2), (0, 0), f=f).local_interp((2, 1), (1, 0))
         for pt in rng.uniform(0, 1, (30, 2)):
             cellpt = (0.25 + 0.25 * pt[0], 0.5 * pt[1])
             assert abs(poly.eval(cellpt) - f(cellpt)) <= 1e-10 * max(scale, 1)
 
     def test_zero_function(self):
-        poly = dyadic.local_interp(lambda p: 0.0, (1, 1), (0, 1), (1, 1))
+        poly = DyadicEvaluator((1, 1), (0, 0), f=lambda p: 0.0).local_interp((1, 1), (0, 1))
         assert poly.eval((0.3, 0.8)) == 0.0
 
     def test_midpoint_rule_cell(self):
         # Degree 0 on cell [1/2, 1): the interpolant is f at the cell midpoint-ish node.
-        poly = dyadic.local_interp(lambda p: p[0], (1,), (1,), (0,))
+        poly = DyadicEvaluator((0,), (0,), f=lambda p: p[0]).local_interp((1,), (1,))
         assert poly.eval((0.6,)) == pytest.approx(0.75, abs=1e-12)
 
     def test_invalid_cell(self):
         with pytest.raises(ValueError):
-            dyadic.local_interp(lambda p: 0.0, (1,), (2,), (0,))
+            DyadicEvaluator((0,), (0,), f=lambda p: 0.0).local_interp((1,), (2,))
 
     def test_function_failure_propagates(self):
         def bad(p):
             raise RuntimeError("no value here")
 
         with pytest.raises(RuntimeError, match="no value here"):
-            dyadic.local_interp(bad, (1,), (0,), (1,))
+            DyadicEvaluator((1,), (0,), f=bad).local_interp((1,), (0,))
 
 
 class TestQuasiInterp:

@@ -323,6 +323,14 @@ class TestChooseRadius:
             assert grid.build_plan(params, r).n_actual <= n
             assert grid.build_plan(params, r + 1).n_actual > n
 
+    def test_scan_stops_at_the_enumerable_limit(self, monkeypatch):
+        # Radius 8 has 36,873 raw points, past the lowered limit; radius 7
+        # has 16,137 and fits, so large budgets get radius 7, not a refusal.
+        monkeypatch.setattr(grid, "_MAX_RAW_POINTS", 20_000)
+        params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (0, 0))
+        assert grid.choose_radius(params, 18_000) == 7
+        assert grid.choose_radius(params, 10**9) == 7
+
     def test_budget_below_minimum(self):
         with pytest.raises(ValueError, match="minimum plan size"):
             grid.choose_radius(params_1d_midpoints(), 2)

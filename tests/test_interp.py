@@ -8,6 +8,15 @@ import pytest
 
 from hypercross import interp
 
+P = np.polynomial.polynomial
+
+
+def numpy_polyval(coeffs, pts):
+    """Monomial coefficient tensor at (n, d) points, d <= 3, by numpy: a
+    reference independent of the package's own evaluator."""
+    fn = {1: P.polyval, 2: P.polyval2d, 3: P.polyval3d}[pts.shape[1]]
+    return fn(*pts.T, coeffs)
+
 
 def random_poly(rng, degrees):
     """Random polynomial with the given coordinate degrees, plus its coeff scale."""
@@ -183,7 +192,76 @@ class TestDerivEval:
         poly = interp.tensor_interpolate(vals, ((0.5,), (0.25,)))
         assert poly.deriv_eval((2,), (0.6,)) == pytest.approx(2.0, abs=1e-9)
 
-    def test_module_alias(self):
+    def test_constant_derivative_vanishes(self):
         vals = {idx: 1.0 for idx, _ in interp.tensor_nodes((1,), (0,), (1,))}
         poly = interp.tensor_interpolate(vals, ((0,), (1,)))
-        assert interp.poly_deriv_eval(poly, (1,), (0.4,)) == pytest.approx(0.0, abs=1e-12)
+        assert poly.deriv_eval((1,), (0.4,)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("degrees", [(2, 3), (2, 1, 2)])
+    def test_mixed_derivatives_match_numpy(self, degrees):
+        # Random polynomials in global coordinates on a scaled, shifted box;
+        # every derivative order up to one past the degree (which gives 0).
+        rng = np.random.default_rng(sum(degrees))
+        d = len(degrees)
+        x0, delta = (0.25, 0.5, 0.125)[:d], (0.25, 0.125, 0.5)[:d]
+        box = (x0, delta)
+        coeffs = rng.uniform(-1, 1, size=tuple(g + 1 for g in degrees))
+        node_list = list(interp.tensor_nodes(degrees, *box))
+        node_vals = numpy_polyval(coeffs, np.array([pt for _, pt in node_list]))
+        poly = interp.tensor_interpolate(
+            {idx: v for (idx, _), v in zip(node_list, node_vals)}, box
+        )
+        pts = np.array(x0) + np.array(delta) * rng.uniform(0, 1, size=(10, d))
+        for deriv in product(*[range(g + 2) for g in degrees]):
+            dc = coeffs
+            for axis, r in enumerate(deriv):
+                dc = P.polyder(dc, m=r, axis=axis)
+            want = numpy_polyval(dc, pts)
+            got = np.array([poly.deriv_eval(deriv, p) for p in pts])
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+            if any(r > g for r, g in zip(deriv, degrees)):
+                assert np.all(got == 0.0)
+
+
+class TestPolynomialHelpers:
+    """The shared monomial helpers on blocks with a trailing axis of m items."""
+
+    def test_monomial_coeffs_recovers_coefficients(self):
+        rng = np.random.default_rng(7)
+        degrees, m = (2, 3), 5
+        coeffs = rng.uniform(-1, 1, size=(3, 4, m))
+        n0, n1 = (np.array(interp.nodes(g)) for g in degrees)
+        # values[i, j, c] = sum_ab coeffs[a, b, c] n0[i]^a n1[j]^b
+        values = np.stack(
+            [P.polygrid2d(n0, n1, coeffs[..., c]) for c in range(m)], axis=-1
+        )
+        got = interp.monomial_coeffs(values, degrees)
+        assert got.shape == coeffs.shape
+        np.testing.assert_allclose(got, coeffs, rtol=0, atol=1e-11)
+
+    def test_differentiate_matches_polyder(self):
+        rng = np.random.default_rng(8)
+        coeffs = rng.uniform(-1, 1, size=(4, 3, 6))
+        for axis in (0, 1):
+            for r in range(coeffs.shape[axis]):
+                got = interp.differentiate(coeffs, axis, r)
+                np.testing.assert_array_equal(got, P.polyder(coeffs, m=r, axis=axis))
+
+    def test_horner_matches_polyval(self):
+        rng = np.random.default_rng(9)
+        coeffs = rng.uniform(-1, 1, size=(4, 3, 6))
+        t = rng.uniform(0, 1, 6)
+        # P.polyval(t, c) evaluates c along its first axis at every entry of t.
+        inner = interp.horner(coeffs, 1, t)
+        want = np.array([[P.polyval(t[i], coeffs[a, :, i]) for i in range(6)] for a in range(4)])
+        np.testing.assert_allclose(inner, want, rtol=0, atol=1e-14)
+        got = interp.horner(inner, 0, t)
+        np.testing.assert_allclose(
+            got, [P.polyval(t[i], want[:, i]) for i in range(6)], rtol=0, atol=1e-14
+        )
+        scalar = interp.horner(coeffs[..., 0], 1, 0.3)
+        np.testing.assert_allclose(scalar, P.polyval(0.3, coeffs[:, :, 0].T), rtol=0, atol=1e-14)
+        assert float(interp.horner(coeffs[:, 0, 0], 0, 0.3)) == pytest.approx(
+            P.polyval(0.3, coeffs[:, 0, 0]), abs=1e-14
+        )

@@ -10,6 +10,11 @@ from hypercross.dyadic import DyadicEvaluator
 from hypercross.recovery import Quadrature, SampleSet, lq_error, reconstruct, sample
 
 
+def pointwise(f):
+    """A registry function as the scalar evaluator takes it: point in, float out."""
+    return lambda p: float(f.value([p])[0])
+
+
 def params_smooth(deriv=(0, 0)):
     return grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
 
@@ -142,7 +147,7 @@ class TestReconstruct:
         f = functions.get_function("trig", 2)
         plan = grid.build_plan(params_smooth(), 3)
         approx = reconstruct(sample(f.value, plan), plan, (0, 0))
-        ev = DyadicEvaluator(plan.params.degrees, (0, 0), f=f.value_at)
+        ev = DyadicEvaluator(plan.params.degrees, (0, 0), f=pointwise(f))
         pts = np.random.default_rng(4).uniform(0.01, 0.99, (25, 2))
         direct = [
             sum(ev.surplus_deriv(lvl, (0, 0), p) for lvl in plan.levels) for p in pts
@@ -156,17 +161,17 @@ class TestReconstruct:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (1, 1))
         plan = grid.build_plan(params, 3)
         approx = reconstruct(sample(f.value, plan), plan, (1, 1))
-        ev = DyadicEvaluator(params.degrees, (1, 1), f=f.value_at)
+        ev = DyadicEvaluator(params.degrees, (1, 1), f=pointwise(f))
         for p in [(0.5, 0.25), (0.0, 0.5), (0.125, 0.0), (0.0, 0.0), (1.0, 0.3)]:
             direct = sum(ev.surplus_deriv(lvl, (1, 1), p) for lvl in plan.levels)
-            assert approx.eval_at(p) == pytest.approx(direct, abs=1e-10)
+            assert approx([p])[0] == pytest.approx(direct, abs=1e-10)
 
     def test_matches_scalar_surplus_sum_with_derivative(self):
         f = functions.get_function("trig", 2)
         params = grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
         plan = grid.build_plan(params, 3)
         approx = reconstruct(sample(f.value, plan), plan, (1, 0))
-        ev = DyadicEvaluator(plan.params.degrees, (1, 0), f=f.value_at)
+        ev = DyadicEvaluator(plan.params.degrees, (1, 0), f=pointwise(f))
         pts = np.random.default_rng(5).uniform(0.01, 0.99, (20, 2))
         direct = [
             sum(ev.surplus_deriv(lvl, (1, 0), p) for lvl in plan.levels) for p in pts
@@ -254,7 +259,7 @@ class TestRightEdge:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
         plan = grid.build_plan(params, 5)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
-        ev = DyadicEvaluator(params.degrees, deriv, f=f.value_at)
+        ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
         pts = np.array([(a, b) for a in self.COORDS for b in self.COORDS])
         got = approx(pts)
         direct = [sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels) for p in pts]
@@ -267,10 +272,10 @@ class TestRightEdge:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
         plan = grid.build_plan(params, 5)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
-        ev = DyadicEvaluator(params.degrees, deriv, f=f.value_at)
+        ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
         for edge, inside in [((1.0, 0.5), (1 - 1e-12, 0.5)), ((1.0, 1.0), (1 - 1e-12, 1 - 1e-12))]:
-            near = approx.eval_at(inside)
-            assert approx.eval_at(edge) == pytest.approx(near, rel=1e-9, abs=1e-9)
+            near = approx([inside])[0]
+            assert approx([edge])[0] == pytest.approx(near, rel=1e-9, abs=1e-9)
             scalar = sum(ev.surplus_deriv(lvl, deriv, edge) for lvl in plan.levels)
             assert scalar == pytest.approx(near, rel=1e-9, abs=1e-9)
 
@@ -290,7 +295,7 @@ def batched_case(request):
     f = functions.get_function("aniso", 3)
     approx = reconstruct(sample(f.value, plan), plan, deriv)
     assert len(approx._offsets) > 1 and len(approx._splits) > 1
-    ev = DyadicEvaluator(params.degrees, deriv, f=f.value_at)
+    ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
     return deriv, plan, approx, ev
 
 
