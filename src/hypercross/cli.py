@@ -82,6 +82,25 @@ def _parse_extended(v, what: str) -> float:
     raise ValueError(f"{what}: expected a number, got {v!r}")
 
 
+def _integer(v, what: str) -> int:
+    """An integral JSON number; booleans and fractions are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+        raise ValueError(f"{what}: expected an integer, got {v!r}")
+    return int(v)
+
+
+def _array(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what}: expected a JSON array, got {v!r}")
+    return v
+
+
+def _finite(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"{what}: expected a finite number, got {v!r}")
+    return float(v)
+
+
 def load_config(text: str) -> StudyConfig:
     """Parse and validate a study config; unknown keys are rejected."""
     raw = json.loads(text)
@@ -93,10 +112,10 @@ def load_config(text: str) -> StudyConfig:
     for key in ("d", "alpha", "deriv", "p", "q", "theta", "test_fn", "budgets"):
         if key not in raw:
             raise ValueError(f"config missing required key {key!r}")
-    d = int(raw["d"])
-    alpha = tuple(float(a) for a in raw["alpha"])
-    deriv = tuple(int(r) for r in raw["deriv"])
-    budgets = tuple(int(n) for n in raw["budgets"])
+    d = _integer(raw["d"], "d")
+    alpha = tuple(_finite(a, "alpha") for a in _array(raw["alpha"], "alpha"))
+    deriv = tuple(_integer(r, "deriv") for r in _array(raw["deriv"], "deriv"))
+    budgets = tuple(_integer(n, "budgets") for n in _array(raw["budgets"], "budgets"))
     if not budgets:
         raise ValueError("budgets must be nonempty")
     if any(b <= a for a, b in zip(budgets, budgets[1:])):
@@ -111,12 +130,7 @@ def load_config(text: str) -> StudyConfig:
         unknown = set(qraw) - _QUAD_KEYS
         if unknown:
             raise ValueError(f"unknown quadrature keys: {sorted(unknown)}")
-        quad = Quadrature(
-            d=d,
-            cells_log2=int(qraw["cells_log2"]) if "cells_log2" in qraw else None,
-            points_per_cell=int(qraw.get("points_per_cell", 4)),
-            sup_points=int(qraw["sup_points"]) if "sup_points" in qraw else None,
-        )
+        quad = Quadrature(d=d, **{k: _integer(v, f"quadrature.{k}") for k, v in qraw.items()})
     cfg = StudyConfig(
         d=d,
         alpha=alpha,
@@ -126,7 +140,7 @@ def load_config(text: str) -> StudyConfig:
         theta=_parse_extended(raw["theta"], "theta"),
         test_fn=str(raw["test_fn"]),
         budgets=budgets,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw.get("seed", 0), "seed"),
         quadrature=quad,
         out=str(raw["out"]) if "out" in raw else None,
     )

@@ -17,9 +17,8 @@ so surpluses over any downward-closed level set telescope back to level
 operators.  Derivatives of either operator follow from the product rule
 applied to each polynomial-times-spline term.
 
-`DyadicEvaluator` memoizes the local interpolants per (level, cell), which is
-what makes repeated evaluations (and the recovery sweep built on top) reuse
-every function value instead of resampling it.
+`DyadicEvaluator` memoizes the local interpolants per (level, cell), so
+repeated evaluations reuse every function value instead of resampling it.
 """
 
 from __future__ import annotations
@@ -74,36 +73,22 @@ class DyadicEvaluator:
 
     ``degrees`` bounds the per-axis polynomial degree of the local
     interpolants and ``order`` is the per-axis B-spline order of the blending
-    partition.  Function values enter either through ``f`` (called with a
-    float point) or through ``node_value(level, cell, idx)``, which lets a
-    caller key values by exact sample identity.
+    partition.  Function values come from ``f``, called with a float point.
     """
 
     def __init__(
         self,
         degrees: Sequence[int],
         order: Sequence[int],
-        f: Callable[[tuple[float, ...]], float] | None = None,
-        node_value: Callable[[Vector, Vector, Vector], float] | None = None,
+        f: Callable[[tuple[float, ...]], float],
     ):
-        if (f is None) == (node_value is None):
-            raise ValueError("provide exactly one of f or node_value")
         self.degrees = tuple(int(d) for d in degrees)
         self.order = tuple(int(m) for m in order)
         if len(self.degrees) != len(self.order):
             raise ValueError("degrees and order must share one dimension")
         self.dim = len(self.degrees)
         self._axis_nodes = [nodes(d) for d in self.degrees]
-        if node_value is None:
-
-            def node_value(level: Vector, cell: Vector, idx: Vector) -> float:
-                pt = tuple(
-                    math.ldexp(c + self._axis_nodes[j][idx[j]], -k)
-                    for j, (k, c) in enumerate(zip(level, cell))
-                )
-                return f(pt)
-
-        self._node_value = node_value
+        self._f = f
         self._polys: dict[tuple[Vector, Vector], TensorPoly] = {}
 
     # -- local interpolation -------------------------------------------------
@@ -121,7 +106,12 @@ class DyadicEvaluator:
             shape = tuple(d + 1 for d in self.degrees)
             vals = np.empty(shape)
             for idx in product(*[range(s) for s in shape]):
-                vals[idx] = self._node_value(level, cell, idx)
+                vals[idx] = self._f(
+                    tuple(
+                        math.ldexp(c + self._axis_nodes[j][i], -k)
+                        for j, (k, c, i) in enumerate(zip(level, cell, idx))
+                    )
+                )
             x0 = tuple(math.ldexp(c, -k) for k, c in zip(level, cell))
             delta = tuple(math.ldexp(1.0, -k) for k in level)
             poly = TensorPoly(self.degrees, x0, delta, vals)

@@ -6,11 +6,11 @@ node ``i`` of cell ``c`` at level ``k`` sits at ``(c * 2**40 + n_i) / 2**(k+40)`
 (nodes are snapped to ``2**-40``, see `hypercross.interp`) with
 ``k <= MAX_RADIUS = 22``.  At the common denominator ``2**62`` its numerator
 ``(c * 2**40 + n_i) << (22 - k)`` fits an int64, so one such key per axis
-names a point exactly: plans are int64 key arrays, and point identity across
-levels is integer equality, with no epsilons.  One stable lexicographic sort
-that keeps first occurrences deduplicates them; it yields the plan, the
-per-level gather tables from (cell, node) to point, and the per-radius counts
-that `choose_radius` searches.
+names a point exactly: plans are int64 key arrays.  No two (level, cell,
+node) triples name the same point, which the node family checks once per
+degree, so a plan is its triples in enumeration order, the rows of one level
+are one contiguous run, and the point count of a radius is a sum of level
+sizes.
 
 Smoothness bookkeeping turns the class parameters into the quantities the
 construction needs: the per-axis effective exponents, their minimum (the
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -43,7 +44,16 @@ KEY_BITS = NODE_BITS + MAX_RADIUS
 @lru_cache(maxsize=None)
 def _node_numerators(deg: int) -> tuple[int, ...]:
     # Node values have denominators dividing 2**NODE_BITS, so this is exact.
-    return tuple((v.numerator << NODE_BITS) // v.denominator for v in nodes_exact(deg))
+    nums = tuple((v.numerator << NODE_BITS) // v.denominator for v in nodes_exact(deg))
+    # Plans hold no duplicate points.  Nodes lie strictly inside the cell, so
+    # the cells of one level share none; a node of level k is also a node of
+    # level k + s along an axis only if (N << s) mod 2**NODE_BITS is again a
+    # node numerator.
+    mask = (1 << NODE_BITS) - 1
+    assert all(
+        set(nums).isdisjoint((n << s) & mask for n in nums) for s in range(1, MAX_RADIUS + 1)
+    ), f"degree {deg}: interpolation nodes coincide across levels"
+    return nums
 
 
 def _axis_keys(k: int, deg: int) -> np.ndarray:
@@ -210,27 +220,21 @@ def tail_sum(exponents: Sequence[float], weights: Sequence[float], radius: float
 
 @dataclass(frozen=True, eq=False)
 class RecoveryPlan:
-    """Deduplicated sample layout for one radius, as arrays.
+    """Sample layout for one radius, as arrays.
 
     ``levels`` is the sorted level set.  Row ``i`` of ``keys`` (shape
     ``(n_actual, d)``, int64) names point ``i`` exactly: its coordinates are
-    ``keys[i] / 2**KEY_BITS``.  Points come in enumeration order (levels
-    sorted, cells in C order, node indices in C order within a cell), and
-    each point is tagged with the (level, cell, node index) that first
-    produced it: ``levels[level_index[i]]``, ``cell[i]`` and ``node_idx[i]``.
-    ``gather[l]`` maps every (cell, node index) of level ``levels[l]`` to its
-    point: ``gather[l][cell + node_idx]`` is a row of ``keys``; its shape is
-    ``(*2**levels[l], *(degrees + 1))``.
+    ``keys[i] / 2**KEY_BITS``.  Points come in enumeration order: levels
+    sorted, and rows ``bounds[l]:bounds[l + 1]`` hold the cells of
+    ``levels[l]`` in C order, node indices in C order within a cell, so that
+    they reshape to ``(*2**levels[l], *(degrees + 1))``.
     """
 
     params: SmoothnessParams
     radius: int
     levels: tuple[tuple[int, ...], ...]
     keys: np.ndarray
-    level_index: np.ndarray
-    cell: np.ndarray
-    node_idx: np.ndarray
-    gather: tuple[np.ndarray, ...]
+    bounds: np.ndarray
 
     @property
     def n_actual(self) -> int:
@@ -242,10 +246,13 @@ class RecoveryPlan:
 
     def describe(self, i: int) -> str:
         """Point ``i`` with its float coordinates and provenance, for error messages."""
+        li = int(np.searchsorted(self.bounds, i, side="right")) - 1
+        lvl, d = self.levels[li], self.params.d
+        shape = _level_shape(self.params, lvl)
+        tag = [int(t) for t in np.unravel_index(i - self.bounds[li], shape)]
         return (
             f"point {i} at {(self.keys[i] * 2.0**-KEY_BITS).tolist()} "
-            f"(level {self.levels[self.level_index[i]]}, cell {tuple(self.cell[i].tolist())}, "
-            f"node {tuple(self.node_idx[i].tolist())})"
+            f"(level {lvl}, cell {tuple(tag[:d])}, node {tuple(tag[d:])})"
         )
 
 
@@ -263,7 +270,7 @@ def _level_shape(params: SmoothnessParams, level: Sequence[int]) -> tuple[int, .
 
 
 def _raw_keys(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Keys of every raw (level, cell, node) triple, as one ``(n_raw, d)`` array.
+    """Keys of every (level, cell, node) triple, as one ``(n, d)`` array.
 
     Levels in the given order; within a level cells in C order outside,
     node indices in C order inside.
@@ -282,56 +289,17 @@ def _raw_keys(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> np
     return np.concatenate(blocks)
 
 
-def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicate the rows of an ``(n, d)`` key array, keeping first occurrences.
-
-    Returns the ascending row numbers of the first occurrences and, for every
-    row, the position of its first occurrence among them.  One stable
-    lexicographic sort: equal rows keep their order, so each group of equal
-    keys starts at its first occurrence.
-    """
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.empty(len(keys), dtype=bool)
-    starts[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    firsts = order[starts]
-    by_row = np.argsort(firsts)
-    position = np.empty_like(by_row)
-    position[by_row] = np.arange(len(by_row))
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = position[np.cumsum(starts) - 1]
-    return firsts[by_row], inverse
-
-
 def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
-    """Enumerate and deduplicate all sample points for the given radius."""
+    """Enumerate all sample points for the given radius."""
     radius = _check_radius(radius)
     levels = index_set(params.weights, radius)
     _guard_raw_size(params, levels)
-    keys = _raw_keys(params, levels)
-    first, inverse = _first_occurrences(keys)
-    shapes = [_level_shape(params, lvl) for lvl in levels]
-    bounds = np.cumsum([0] + [math.prod(s) for s in shapes])
-    level_index = np.searchsorted(bounds, first, side="right") - 1
-    # First occurrences ascend, so each level's points are one contiguous run.
-    runs = np.searchsorted(level_index, np.arange(len(levels) + 1))
-    tags = np.empty((len(first), 2 * params.d), dtype=np.int64)
-    for li, shape in enumerate(shapes):
-        a, b = runs[li], runs[li + 1]
-        tags[a:b] = np.stack(np.unravel_index(first[a:b] - bounds[li], shape), axis=1)
     return RecoveryPlan(
         params=params,
         radius=radius,
         levels=tuple(levels),
-        keys=keys[first],
-        level_index=level_index,
-        cell=tags[:, : params.d],
-        node_idx=tags[:, params.d :],
-        gather=tuple(
-            inverse[bounds[li] : bounds[li + 1]].reshape(shape)
-            for li, shape in enumerate(shapes)
-        ),
+        keys=_raw_keys(params, levels),
+        bounds=np.cumsum([0] + [math.prod(_level_shape(params, lvl)) for lvl in levels]),
     )
 
 
@@ -357,54 +325,36 @@ def _guard_raw_size(params: SmoothnessParams, levels: Sequence[tuple[int, ...]])
 
 
 def count_profile(params: SmoothnessParams, r_max: int) -> list[int]:
-    """Deduplicated point counts for radii 1..r_max from one global sort.
+    """Point counts for radii 1..r_max.
 
-    Levels are enumerated in order of the first radius whose level set
-    contains them, so the first occurrence of every point carries the radius
-    at which that point enters the plan; binning the first occurrences by
-    radius and accumulating gives the counts.
+    Every level enters the plan at its first radius and brings all of its
+    points, so the counts accumulate the level sizes binned by first radius.
     """
     r_max = _check_radius(r_max)
-    tagged = sorted(
-        (_first_radius(lvl, params.weights), lvl) for lvl in index_set(params.weights, r_max)
-    )
-    levels = [lvl for _, lvl in tagged]
-    _guard_raw_size(params, levels)
-    radius = np.repeat(
-        [r for r, _ in tagged], [math.prod(_level_shape(params, lvl)) for lvl in levels]
-    )
-    first, _ = _first_occurrences(_raw_keys(params, levels))
-    per_radius = np.bincount(radius[first], minlength=r_max + 1)
-    return np.cumsum(per_radius)[1 : r_max + 1].tolist()
+    per_radius = [0] * (r_max + 1)
+    for lvl in index_set(params.weights, r_max):
+        per_radius[_first_radius(lvl, params.weights)] += math.prod(_level_shape(params, lvl))
+    return list(accumulate(per_radius))[1:]
 
 
 def choose_radius(params: SmoothnessParams, budget: int) -> int:
-    """Largest radius whose deduplicated point count fits within ``budget``.
+    """Largest radius whose point count fits within ``budget``.
 
-    The scan stops at ``MAX_RADIUS`` and at the last radius whose raw point
+    The scan stops at ``MAX_RADIUS`` and at the last radius whose point
     count is within ``_MAX_RAW_POINTS``: a larger budget gets that radius.
     """
     budget = int(budget)
-
-    def raw(r: int) -> int:
-        return _raw_count(params, index_set(params.weights, r))
-
-    def can_grow(r: int) -> bool:
-        return r < MAX_RADIUS and raw(r + 1) <= _MAX_RAW_POINTS
-
-    # Deduplication only removes points, so every radius whose raw count fits
-    # is admissible; profile up to the first radius whose raw count does not,
-    # and extend only while the deduplicated count still fits.
-    r_max = 1
-    while raw(r_max) <= budget and can_grow(r_max):
-        r_max += 1
-    counts = count_profile(params, r_max)
-    while counts[-1] <= budget and can_grow(r_max):
-        r_max += 1
-        counts = count_profile(params, r_max)
-    if counts[0] > budget:
-        raise ValueError(f"budget {budget} is below the minimum plan size {counts[0]}")
-    return sum(1 for c in counts if c <= budget)
+    radius = 0
+    while radius < MAX_RADIUS:
+        levels = index_set(params.weights, radius + 1)
+        count = _raw_count(params, levels)
+        if count > budget or count > _MAX_RAW_POINTS:
+            break
+        radius += 1
+    if radius == 0:
+        _guard_raw_size(params, levels)
+        raise ValueError(f"budget {budget} is below the minimum plan size {count}")
+    return radius
 
 
 def write_plan(plan: RecoveryPlan, stream: TextIO) -> None:
@@ -417,9 +367,9 @@ def write_plan(plan: RecoveryPlan, stream: TextIO) -> None:
     """
     d = plan.params.d
     columns = "\t".join([",".join(["%s"] * d)] * 3) + "\n"
-    runs = np.searchsorted(plan.level_index, np.arange(len(plan.levels) + 1))
     for li, lvl in enumerate(plan.levels):
-        a, b = runs[li], runs[li + 1]
+        shape = _level_shape(plan.params, lvl)
+        tags = np.unravel_index(np.arange(plan.bounds[li + 1] - plan.bounds[li]), shape)
         cells, nodes, coords = [], [], []
         for j, (k, dg) in enumerate(zip(lvl, plan.params.degrees)):
             # The distinct coordinates of this axis at this level, rendered
@@ -432,8 +382,7 @@ def write_plan(plan: RecoveryPlan, stream: TextIO) -> None:
                     (keys >> zeros).tolist(), (np.int64(1) << (KEY_BITS - zeros)).tolist()
                 )
             ]
-            cell_j = plan.cell[a:b, j]
-            node_j = plan.node_idx[a:b, j]
+            cell_j, node_j = tags[j], tags[d + j]
             names = [str(i) for i in range(max(1 << k, dg + 1))]
             cells.append(list(map(names.__getitem__, cell_j.tolist())))
             nodes.append(list(map(names.__getitem__, node_j.tolist())))

@@ -1,9 +1,9 @@
 """Assembling and measuring the recovery operator.
 
-`sample` evaluates the target function once per deduplicated plan point, at
-the plan's exact keys converted to floats, and returns a `SampleSet`: one
-value per point, aligned with the plan's key array.  `reconstruct` builds the
-linear approximant
+`sample` evaluates the target function once per plan point, at the plan's
+exact keys converted to floats, and returns a `SampleSet`: one value per
+point, aligned with the plan's key array.  `reconstruct` builds the linear
+approximant
 
     x  ->  sum over plan levels of  D^deriv (surplus at level k) (x),
 
@@ -12,11 +12,11 @@ of level operators (the classic combination trick): the weight of level k is
 ``sum over masks e of (-1)**|e| [k + e in set]`` and vanishes for all levels
 away from the upper boundary of the set.  Each surviving level is evaluated
 as a full tensor grid: its local interpolants form one monomial coefficient
-table, built on first use by gathering the sample values through the plan's
-(cell, node) -> point table of that level.  Points are evaluated in
-fixed-size chunks; per level and blending offset a chunk costs one gather
-from the table and a per-axis Horner step, and per-axis cell indices and
-spline factors are shared by all levels that agree on that axis.
+table, built on first use from the level's contiguous run of sample values,
+which come in (cell, node) order.  Points are evaluated in fixed-size
+chunks; per level and blending offset a chunk costs one gather from the
+table and a per-axis Horner step, and per-axis cell indices and spline
+factors are shared by all levels that agree on that axis.
 
 Points must lie in the closed unit cube.  Blending splines take right limits
 at interior knots; at the right edge ``x_j = 1`` they take the left limit,
@@ -81,7 +81,7 @@ class SampleSet:
 
 
 def sample(f: PointFn, plan: RecoveryPlan) -> SampleSet:
-    """Evaluate ``f`` once per deduplicated plan point.
+    """Evaluate ``f`` once per plan point.
 
     ``f`` receives a single (n, d) array, so an instrumented callable sees
     exactly ``plan.n_actual`` rows.  A wrong value count aborts, and so does
@@ -210,7 +210,9 @@ class Approximant:
         self.order = deriv  # smallest admissible blending order per axis
         self.degrees = params.degrees
         self._values = samples.values
-        self._gather = dict(zip(plan.levels, plan.gather))
+        self._rows = {
+            level: (plan.bounds[li], plan.bounds[li + 1]) for li, level in enumerate(plan.levels)
+        }
         self._weights = combination_weights(plan.levels)
         self._tables: dict[tuple[int, ...], Array] = {}
         self._offsets = list(product(*[range(-m, 1) for m in self.order]))
@@ -235,10 +237,12 @@ class Approximant:
         table = self._tables.get(level)
         if table is None:
             d = len(level)
+            a, b = self._rows[level]
+            nodes = tuple(dg + 1 for dg in self.degrees)
             # (cell_0, ..., cell_{d-1}, node_0, ..., node_{d-1}) -> (node_0, ..., cell)
-            c = self._values[self._gather[level]].transpose(
+            c = self._values[a:b].reshape(tuple(1 << k for k in level) + nodes).transpose(
                 list(range(d, 2 * d)) + list(range(d))
-            ).reshape(tuple(dg + 1 for dg in self.degrees) + (-1,))
+            ).reshape(nodes + (-1,))
             table = np.ascontiguousarray(monomial_coeffs(c, self.degrees))
             self._tables[level] = table
         return table
@@ -312,6 +316,14 @@ class Quadrature:
     points_per_cell: int = 4
     sup_points: int | None = None
 
+    def __post_init__(self) -> None:
+        for name, low in (("d", 1), ("cells_log2", 0), ("points_per_cell", 1), ("sup_points", 1)):
+            value = getattr(self, name)
+            if value is None and name in ("cells_log2", "sup_points"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"Quadrature.{name} must be an integer >= {low}, got {value!r}")
+
     def resolved_cells_log2(self) -> int:
         if self.cells_log2 is not None:
             return self.cells_log2
@@ -366,8 +378,8 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     A rule or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
     ValueError before anything is allocated.
     """
-    if q < 1:
-        raise ValueError("q must lie in [1, inf]")
+    if not q >= 1:
+        raise ValueError(f"q must lie in [1, inf], got {q!r}")
     per_axis = quad.points_per_cell << quad.resolved_cells_log2()
     _check_rule_size(quad.d, per_axis**quad.d, "cells_log2")
     if math.isinf(q):

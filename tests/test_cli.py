@@ -57,6 +57,45 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha - 1/p"):
             cli.load_config(make_cfg(alpha=[0.4, 2.0]))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("d", 2.5),
+            ("d", True),
+            ("d", "2"),
+            ("deriv", [0.9, 0]),
+            ("deriv", [False, 0]),
+            ("deriv", "00"),
+            ("budgets", [64.7]),
+            ("budgets", 64),
+            ("alpha", "22"),
+            ("alpha", None),
+            ("alpha", [2.0, "2"]),
+            ("seed", 1.5),
+        ],
+    )
+    def test_types_are_strict(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key}: expected"):
+            cli.load_config(make_cfg(**{key: value}))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("cells_log2", 2.5, "quadrature.cells_log2: expected an integer"),
+            ("points_per_cell", True, "quadrature.points_per_cell: expected an integer"),
+            ("cells_log2", -1, r"Quadrature\.cells_log2 must be an integer >= 0"),
+            ("sup_points", 0, r"Quadrature\.sup_points must be an integer >= 1"),
+        ],
+    )
+    def test_quadrature_fields_are_strict(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            cli.load_config(make_cfg(quadrature={field: value}))
+
+    def test_integral_floats_are_integers(self):
+        cfg = cli.load_config(make_cfg(d=2.0, deriv=[0.0, 0], budgets=[128.0, 512]))
+        assert (cfg.d, cfg.deriv, cfg.budgets) == (2, (0, 0), (128, 512))
+        assert all(type(v) is int for v in (cfg.d, *cfg.deriv, *cfg.budgets))
+
     def test_unknown_test_fn_rejected(self):
         with pytest.raises(KeyError):
             cli.load_config(make_cfg(test_fn="missing"))
@@ -147,6 +186,17 @@ class TestMain:
         cfg_path.write_text("{not json")
         rc = cli.main(["study", "--config", str(cfg_path), "--out", "/dev/null"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "override", [{"budgets": 64}, {"alpha": None}, {"d": True}, {"deriv": [0.9, 0]}]
+    )
+    def test_bad_type_exit_code(self, tmp_path, capsys, override):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_cfg(**override))
+        rc = cli.main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        key = next(iter(override))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: expected")
 
     def test_budget_below_minimum_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

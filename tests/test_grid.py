@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hypercross import grid
-from hypercross.interp import nodes_exact
+from hypercross.interp import MAX_DEGREE, nodes_exact
 
 
 class TestDeriveParams:
@@ -150,7 +150,8 @@ def oracle_plan(params, radius):
     """Brute-force plan: exact Fractions from the node family, deduplicated by
     a dict in enumeration order (levels sorted, cells then node indices in C
     order).  Maps each point to the (level index, cell, node index) that
-    first produced it."""
+    first produced it; the point count is the raw count only because the node
+    family never collides."""
     seen = {}
     levels = grid.index_set(params.weights, radius)
     for li, lvl in enumerate(levels):
@@ -162,6 +163,43 @@ def oracle_plan(params, radius):
                 )
                 seen.setdefault(pt, (li, cell, idx))
     return levels, seen
+
+
+def raw_count(params, levels):
+    return sum(
+        math.prod(dg + 1 for dg in params.degrees) * 2 ** sum(lvl) for lvl in levels
+    )
+
+
+def plan_tags(plan):
+    """(level index, cell, node index) of every row, read from ``bounds``:
+    each level's rows walk its cells and node indices in C order."""
+    d = plan.params.d
+    tags = []
+    for li, lvl in enumerate(plan.levels):
+        shape = [1 << k for k in lvl] + [dg + 1 for dg in plan.params.degrees]
+        assert plan.bounds[li + 1] - plan.bounds[li] == math.prod(shape)
+        tags.extend((li, t[:d], t[d:]) for t in product(*map(range, shape)))
+    assert plan.bounds[0] == 0 and len(tags) == plan.n_actual
+    return tags
+
+
+class TestNodeFamily:
+    """No two (level, cell, node) triples name one point: a node family is
+    checked once per degree, when its numerators are built."""
+
+    @pytest.mark.parametrize("deg", range(MAX_DEGREE + 1))
+    def test_no_node_recurs_at_a_finer_level(self, deg):
+        xs = nodes_exact(deg)
+        for gap in range(1, grid.MAX_RADIUS + 1):
+            assert set(xs).isdisjoint(x * 2**gap % 1 for x in xs)
+        grid._node_numerators.__wrapped__(deg)
+
+    def test_check_refuses_a_colliding_family(self, monkeypatch):
+        # Node 1/4 of a cell is node 1/2 of a cell one level finer.
+        monkeypatch.setattr(grid, "nodes_exact", lambda deg: (Fraction(1, 4), Fraction(1, 2)))
+        with pytest.raises(AssertionError, match="degree 1: interpolation nodes coincide"):
+            grid._node_numerators.__wrapped__(1)
 
 
 class TestPlans:
@@ -184,12 +222,8 @@ class TestPlans:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (0, 0))
         r = 4
         plan = grid.build_plan(params, r)
-        raw = sum(
-            math.prod(params.degrees[j] + 1 for j in range(2)) * 2 ** sum(lvl)
-            for lvl in grid.index_set(params.weights, r)
-        )
-        assert plan.n_actual <= raw
-        # The snapped node family produces no cross-level collisions here.
+        raw = raw_count(params, grid.index_set(params.weights, r))
+        # The snapped node family produces no cross-level collisions.
         assert plan.n_actual == raw
 
     def test_points_strictly_interior(self):
@@ -211,28 +245,32 @@ class TestPlans:
         assert len(large_keys) == len(set(key_fractions(large))) == large.n_actual
 
     def test_provenance_tags_resolve_to_stored_point(self):
+        # The tag `describe` reports for a row is the oracle's tag of the
+        # point stored there.
         params = grid.derive_params(2, (1.5, 1.5), 2.0, 2.0, math.inf, (0, 0))
         plan = grid.build_plan(params, 3)
-        for i in range(plan.n_actual):
-            li = plan.level_index[i]
-            tag = tuple(plan.cell[i]) + tuple(plan.node_idx[i])
-            assert plan.gather[li][tag] == i
+        levels, seen = oracle_plan(params, 3)
+        assert len(seen) == raw_count(params, levels) == plan.n_actual
+        for i, pt in enumerate(key_fractions(plan)):
+            li, cell, idx = seen[pt]
+            assert plan.describe(i).endswith(f"(level {levels[li]}, cell {cell}, node {idx})")
 
     def test_every_node_triple_maps_into_plan(self):
+        # A level's rows, reshaped to (cells, nodes), hold every node triple
+        # of that level at its exact coordinate.
         params = grid.derive_params(2, (1.5, 1.5), 2.0, 2.0, math.inf, (0, 0))
         plan = grid.build_plan(params, 3)
         fracs = key_fractions(plan)
-        for lvl, table in zip(plan.levels, plan.gather):
-            assert table.shape == tuple(1 << k for k in lvl) + tuple(
-                dg + 1 for dg in params.degrees
-            )
+        for li, lvl in enumerate(plan.levels):
+            shape = tuple(1 << k for k in lvl) + tuple(dg + 1 for dg in params.degrees)
+            rows = np.arange(plan.bounds[li], plan.bounds[li + 1]).reshape(shape)
             for cell in product(*[range(1 << k) for k in lvl]):
                 for idx in product(*[range(dg + 1) for dg in params.degrees]):
                     exact = tuple(
                         (c + nodes_exact(dg)[i]) / (1 << k)
                         for k, c, i, dg in zip(lvl, cell, idx, params.degrees)
                     )
-                    assert fracs[table[cell + idx]] == exact
+                    assert fracs[rows[cell + idx]] == exact
 
     def test_count_profile_matches_plans(self):
         params = grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
@@ -246,6 +284,13 @@ class TestPlans:
         r_max = 6 if params.d < 3 else 3
         profile = grid.count_profile(params, r_max)
         assert profile == [len(oracle_plan(params, r)[1]) for r in range(1, r_max + 1)]
+
+    def test_count_profile_needs_no_enumeration(self):
+        # Radius 22 has far more points than a plan may enumerate.
+        params = params_2d_smooth()
+        profile = grid.count_profile(params, grid.MAX_RADIUS)
+        assert profile[-1] == raw_count(params, grid.index_set(params.weights, grid.MAX_RADIUS))
+        assert profile[-1] > grid._MAX_RAW_POINTS
 
     def test_radius_cap(self):
         with pytest.raises(ValueError):
@@ -263,13 +308,18 @@ class TestPlanOracle:
         plan = grid.build_plan(params, radius)
         levels, seen = oracle_plan(params, radius)
         assert list(plan.levels) == levels
+        assert len(seen) == raw_count(params, levels)
         assert key_fractions(plan) == list(seen)
-        tags = list(seen.values())
-        assert plan.level_index.tolist() == [t[0] for t in tags]
-        assert [tuple(c) for c in plan.cell.tolist()] == [t[1] for t in tags]
-        assert [tuple(i) for i in plan.node_idx.tolist()] == [t[2] for t in tags]
+        tags = plan_tags(plan)
+        assert tags == list(seen.values())
+        for i in (0, plan.n_actual // 2, plan.n_actual - 1):
+            li, cell, idx = tags[i]
+            assert plan.describe(i).endswith(f"(level {levels[li]}, cell {cell}, node {idx})")
+        # Each level's rows reshape to its (cell, node) table.
         index = {pt: n for n, pt in enumerate(seen)}
-        for lvl, table in zip(levels, plan.gather):
+        for li, lvl in enumerate(levels):
+            shape = tuple(1 << k for k in lvl) + tuple(dg + 1 for dg in params.degrees)
+            table = np.arange(plan.bounds[li], plan.bounds[li + 1]).reshape(shape)
             for cell in product(*[range(1 << k) for k in lvl]):
                 for idx in product(*[range(dg + 1) for dg in params.degrees]):
                     pt = tuple(
@@ -282,29 +332,6 @@ class TestPlanOracle:
         plan = grid.build_plan(params_3d(), 2)
         want = np.array([[float(c) for c in pt] for pt in key_fractions(plan)])
         assert np.array_equal(plan.floats(), want)
-
-
-class TestFirstOccurrences:
-    """The dedup step on synthetic keys: real node families never collide."""
-
-    def test_duplicates_point_at_first_occurrence(self):
-        keys = np.array(
-            [[3, 1], [1, 2], [3, 1], [0, 0], [1, 2], [1, 2], [3, 0]], dtype=np.int64
-        )
-        first, inverse = grid._first_occurrences(keys)
-        assert first.tolist() == [0, 1, 3, 6]
-        assert inverse.tolist() == [0, 1, 0, 2, 1, 1, 3]
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_dict_oracle(self, d):
-        rng = np.random.default_rng(d)
-        keys = rng.integers(0, 4, size=(500, d)).astype(np.int64) << 60
-        first, inverse = grid._first_occurrences(keys)
-        seen = {}
-        want_inverse = [seen.setdefault(tuple(row), len(seen)) for row in keys.tolist()]
-        assert len(first) == len(seen) < len(keys)
-        assert [tuple(keys[i]) for i in first] == list(seen)
-        assert inverse.tolist() == want_inverse
 
 
 class TestChooseRadius:
@@ -330,6 +357,12 @@ class TestChooseRadius:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (0, 0))
         assert grid.choose_radius(params, 18_000) == 7
         assert grid.choose_radius(params, 10**9) == 7
+
+    def test_first_radius_beyond_the_enumerable_limit(self, monkeypatch):
+        # Radius 1 has 3 points: no radius fits the limit, whatever the budget.
+        monkeypatch.setattr(grid, "_MAX_RAW_POINTS", 2)
+        with pytest.raises(ValueError, match="3 raw points, beyond the enumerable limit"):
+            grid.choose_radius(params_1d_midpoints(), 100)
 
     def test_budget_below_minimum(self):
         with pytest.raises(ValueError, match="minimum plan size"):

@@ -365,8 +365,30 @@ class TestLqError:
 
     def test_q_validation(self):
         f = lambda pts: np.zeros(len(pts))  # noqa: E731
-        with pytest.raises(ValueError):
-            lq_error(f, f, 0.5, Quadrature(d=1))
+        for q in (0.5, math.nan, -math.inf):
+            with pytest.raises(ValueError, match=r"q must lie in \[1, inf\], got"):
+                lq_error(f, f, q, Quadrature(d=1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", 0),
+            ("d", True),
+            ("cells_log2", -1),
+            ("cells_log2", 2.0),
+            ("points_per_cell", 0),
+            ("sup_points", 0),
+        ],
+    )
+    def test_quadrature_fields_validated(self, field, value):
+        fields = {"d": 2, field: value}
+        with pytest.raises(ValueError, match=rf"Quadrature\.{field} must be an integer"):
+            Quadrature(**fields)
+
+    def test_quadrature_optional_fields(self):
+        quad = Quadrature(d=np.int64(3), cells_log2=0, points_per_cell=1, sup_points=1)
+        assert (quad.resolved_cells_log2(), quad.resolved_sup_points()) == (0, 1)
+        assert Quadrature(d=3).resolved_cells_log2() == 4
 
     @staticmethod
     def never(pts):
