@@ -2,15 +2,13 @@
 
 from .bspline import (
     SplineTranslate,
-    active_translates,
     bspline_derivative,
     bspline_eval,
-    covering_translates,
     refinement_coeffs,
     translate_deriv,
 )
 from .dyadic import DyadicEvaluator
-from .functions import MixedDifference, TestFunction, get_function, mixed_difference, modulus_estimate, registry
+from .functions import TestFunction, get_function, modulus_estimate, registry
 from .grid import (
     RecoveryPlan,
     SmoothnessParams,
@@ -31,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Approximant",
     "DyadicEvaluator",
-    "MixedDifference",
     "Quadrature",
     "RecoveryPlan",
     "SampleSet",
@@ -39,19 +36,16 @@ __all__ = [
     "SplineTranslate",
     "TensorPoly",
     "TestFunction",
-    "active_translates",
     "bspline_derivative",
     "bspline_eval",
     "build_plan",
     "choose_radius",
     "count_profile",
-    "covering_translates",
     "derive_params",
     "get_function",
     "index_set",
     "lagrange_basis_eval",
     "lq_error",
-    "mixed_difference",
     "modulus_estimate",
     "nodes",
     "reconstruct",

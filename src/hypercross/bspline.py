@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -172,13 +171,6 @@ class SplineTranslate:
     def dim(self) -> int:
         return len(self.order)
 
-    def support(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Exact per-axis support intervals."""
-        return tuple(
-            (Fraction(n, 2**k), Fraction(n + m + 1, 2**k))
-            for m, k, n in zip(self.order, self.level, self.shift)
-        )
-
 
 def translate_deriv(t: SplineTranslate, deriv: Sequence[int], x: Sequence[float]) -> float:
     """Mixed derivative of a scaled translate at a point.
@@ -196,28 +188,3 @@ def translate_deriv(t: SplineTranslate, deriv: Sequence[int], x: Sequence[float]
         if out == 0.0:
             return 0.0
     return out
-
-
-def active_translates(
-    order: Sequence[int], level: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Shifts whose translate meets the open unit cube: the box -order..2**level-1.
-
-    The count is ``prod_j (2**level_j + order_j)``.
-    """
-    ranges = [range(-m, 2**k) for m, k in zip(order, level)]
-    return product(*ranges)
-
-
-def covering_translates(
-    order: Sequence[int], level: Sequence[int], cell: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Shifts whose translate support meets the dyadic cell ``cell`` at ``level``.
-
-    Exactly the box ``cell - order .. cell``; at most ``prod (order_j + 1)``
-    shifts, independent of the level.
-    """
-    for c, k in zip(cell, level):
-        if not 0 <= c <= 2**k - 1:
-            raise ValueError(f"cell index {tuple(cell)} outside level {tuple(level)}")
-    return list(product(*[range(c - m, c + 1) for c, m in zip(cell, order)]))

@@ -1,13 +1,13 @@
-"""Test functions with known mixed smoothness, and difference/modulus tools.
+"""Test functions with known mixed smoothness, and a modulus estimator.
 
 Registry entries carry an analytic value, analytic mixed derivatives (valid
 away from declared kink loci), and the smoothness they are declared to have.
 Declared exponents are what the entry is *known* to satisfy for the stated
 integrability index; smooth factors satisfy any finite declaration.
 
-Mixed differences and the derived modulus estimator are diagnostics: the
-modulus is a supremum over all step vectors, so a finite lattice only ever
-produces a lower estimate.  They are never used as recovery ground truth.
+`modulus_estimate` is a diagnostic built on the mixed-difference stencil:
+the modulus is a supremum over all step vectors, so a finite lattice only
+ever produces a lower estimate.  It is never used as recovery ground truth.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class TestFunction:
     alpha: tuple[float, ...]
     p: float
     theta: float
-    tag: str  # "H" (Hoelder-type) or "B" (finite theta)
     kink_loci: tuple[tuple[float, ...], ...]  # per axis, positions to avoid
     _value: Callable[[Array], Array] = field(repr=False)
     _deriv: Callable[[tuple[int, ...], Array], Array] = field(repr=False)
@@ -112,7 +111,7 @@ def registry(d: int = 2) -> list[TestFunction]:
     val, der = _tensor([_sin_factor] * d)
     entries.append(
         TestFunction(
-            fid="trig", d=d, alpha=(2.0,) * d, p=2.0, theta=math.inf, tag="H",
+            fid="trig", d=d, alpha=(2.0,) * d, p=2.0, theta=math.inf,
             kink_loci=((),) * d, _value=val, _deriv=der,
         )
     )
@@ -123,7 +122,7 @@ def registry(d: int = 2) -> list[TestFunction]:
     )
     entries.append(
         TestFunction(
-            fid="kink", d=d, alpha=(kink_expo,) * d, p=2.0, theta=math.inf, tag="H",
+            fid="kink", d=d, alpha=(kink_expo,) * d, p=2.0, theta=math.inf,
             kink_loci=((0.5,),) * d, _value=val, _deriv=der,
         )
     )
@@ -131,7 +130,7 @@ def registry(d: int = 2) -> list[TestFunction]:
     val, der = _tensor([_sq_factor] * d)
     entries.append(
         TestFunction(
-            fid="poly", d=d, alpha=(2.5,) * d, p=2.0, theta=math.inf, tag="H",
+            fid="poly", d=d, alpha=(2.5,) * d, p=2.0, theta=math.inf,
             kink_loci=((),) * d, _value=val, _deriv=der,
         )
     )
@@ -143,8 +142,7 @@ def registry(d: int = 2) -> list[TestFunction]:
         val, der = _tensor(factors)
         entries.append(
             TestFunction(
-                fid="aniso", d=d, alpha=(2.0,) * (d - 1) + (1.5,), p=2.0,
-                theta=2.0, tag="B",
+                fid="aniso", d=d, alpha=(2.0,) * (d - 1) + (1.5,), p=2.0, theta=2.0,
                 kink_loci=((),) * (d - 1) + ((1.0 / 3.0,),),
                 _value=val, _deriv=der,
             )
@@ -160,48 +158,7 @@ def get_function(fid: str, d: int = 2) -> TestFunction:
     raise KeyError(f"unknown test function {fid!r} for d={d} (known: {known})")
 
 
-# -- mixed differences and moduli ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MixedDifference:
-    """Order vector, step vector, and active axes of a mixed difference."""
-
-    order: tuple[int, ...]
-    step: tuple[float, ...]
-    axes: tuple[int, ...] | None = None
-
-    def effective_order(self) -> tuple[int, ...]:
-        if self.axes is None:
-            return self.order
-        return tuple(
-            r if j in self.axes else 0 for j, r in enumerate(self.order)
-        )
-
-
-def mixed_difference(f: Callable[[Array], Array], spec: MixedDifference,
-                     x: Sequence[float]) -> float:
-    """Signed binomial sum of f over the difference stencil anchored at x.
-
-    The whole stencil must stay inside the closed unit cube, otherwise the
-    anchor is outside the admissible domain of the difference and a
-    ValueError is raised.
-    """
-    order = spec.effective_order()
-    x = tuple(float(v) for v in x)
-    far = tuple(xj + r * h for xj, r, h in zip(x, order, spec.step))
-    for xj, fj in zip(x, far):
-        if not (0.0 <= xj <= 1.0 and -1e-12 <= fj <= 1.0 + 1e-12):
-            raise ValueError(f"stencil leaves the cube: anchor {x}, far corner {far}")
-    pts = []
-    signs = []
-    for k in product(*[range(r + 1) for r in order]):
-        pts.append([xj + kj * h for xj, kj, h in zip(x, k, spec.step)])
-        c = math.prod(math.comb(r, kj) for r, kj in zip(order, k))
-        s = (-1) ** (sum(order) - sum(k))
-        signs.append(s * c)
-    vals = f(np.asarray(pts))
-    return float(np.dot(signs, vals))
+# -- moduli of smoothness ----------------------------------------------------------
 
 
 def modulus_estimate(
@@ -218,7 +175,8 @@ def modulus_estimate(
     Maximizes the discrete L_p norm of the mixed difference (order masked to
     ``axes``) over a finite lattice of positive step vectors ``h <= t`` and a
     uniform anchor grid inside the admissible domain.  Being a finite search
-    it can only under-estimate the true supremum.
+    it can only under-estimate the true supremum.  Raises ValueError if
+    every step of the lattice takes the stencil out of the unit cube.
     """
     axes = tuple(sorted(set(int(a) for a in axes)))
     order = tuple(int(r) for r in order)
@@ -226,7 +184,7 @@ def modulus_estimate(
     if not axes:
         raise ValueError("need at least one active axis")
     eff = tuple(r if j in axes else 0 for j, r in enumerate(order))
-    best = 0.0
+    best = None
     lattice = [
         [float(t[j]) * i / step_lattice for i in range(1, step_lattice + 1)]
         if j in axes
@@ -254,5 +212,7 @@ def modulus_estimate(
             norm = float(np.max(np.abs(diffs)))
         else:
             norm = float((np.mean(np.abs(diffs) ** p) * vol) ** (1.0 / p))
-        best = max(best, norm)
+        best = norm if best is None else max(best, norm)
+    if best is None:
+        raise ValueError(f"every step h <= t={tuple(map(float, t))} takes the stencil off the cube")
     return best

@@ -105,9 +105,10 @@ def derive_params(
 ) -> SmoothnessParams:
     """Validate class parameters and derive the recovery bookkeeping.
 
-    Raises ValueError naming the failing axis when the integrability
-    condition ``alpha_j > 1/p`` or the positivity condition
-    ``alpha_j - deriv_j - (1/p - 1/q)_+ > 0`` is violated.
+    Raises ValueError naming the failing axis when ``alpha_j`` is not
+    finite, or when the integrability condition ``alpha_j > 1/p`` or the
+    positivity condition ``alpha_j - deriv_j - (1/p - 1/q)_+ > 0`` is
+    violated.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
@@ -115,8 +116,6 @@ def derive_params(
     deriv = tuple(int(r) for r in deriv)
     if len(alpha) != d or len(deriv) != d:
         raise ValueError("alpha and deriv must have length d")
-    if any(a <= 0 for a in alpha):
-        raise ValueError("alpha must be positive")
     if any(r < 0 for r in deriv):
         raise ValueError("derivative orders must be nonnegative")
     if not 1 <= p < math.inf:
@@ -126,6 +125,8 @@ def derive_params(
     if not 1 <= theta:
         raise ValueError("theta must lie in [1, inf]")
     for j, a in enumerate(alpha):
+        if not math.isfinite(a):
+            raise ValueError(f"axis {j}: alpha={a} is not finite")
         if a - 1.0 / p <= 0:
             raise ValueError(f"axis {j}: alpha={a} fails alpha - 1/p > 0 (p={p})")
     gap = max(1.0 / p - (0.0 if math.isinf(q) else 1.0 / q), 0.0)

@@ -14,9 +14,9 @@ away from the upper boundary of the set.  Each surviving level is evaluated
 as a full tensor grid: its local interpolants form one monomial coefficient
 table, built on first use from the level's contiguous run of sample values,
 which come in (cell, node) order.  Points are evaluated in fixed-size
-chunks; per level and blending offset a chunk costs one gather from the
-table and a per-axis Horner step, and per-axis cell indices and spline
-factors are shared by all levels that agree on that axis.
+chunks; per level and blending offset a chunk gathers one block from the
+table and reduces it one axis at a time, and per-axis cell indices and
+spline factors are shared by all levels that agree on that axis.
 
 Points must lie in the closed unit cube.  Blending splines take right limits
 at interior knots; at the right edge ``x_j = 1`` they take the left limit,
@@ -186,8 +186,9 @@ class Approximant:
     monomial coefficient table, ``(degrees + 1)`` coefficients for each of
     its cells, built on first use from the sample values.  Points go through
     in chunks of ``_CHUNK``; per level and blending offset a point costs one
-    table gather and a per-axis Horner step, independent of the total sample
-    count.  Points must be finite and lie in the closed unit cube.
+    table gather and ``deriv[j] + 1`` Horner steps along each axis j,
+    independent of the total sample count.  Points must be finite and lie in
+    the closed unit cube.
 
     Evaluation is deterministic and effectively read-only: a level's table
     is stored only once it is fully built, so concurrent evaluation can at
@@ -207,7 +208,6 @@ class Approximant:
             raise ValueError("sample set does not match the plan's points")
         self.plan = plan
         self.deriv = deriv
-        self.order = deriv  # smallest admissible blending order per axis
         self.degrees = params.degrees
         self._values = samples.values
         self._rows = {
@@ -215,16 +215,9 @@ class Approximant:
         }
         self._weights = combination_weights(plan.levels)
         self._tables: dict[tuple[int, ...], Array] = {}
-        self._offsets = list(product(*[range(-m, 1) for m in self.order]))
-        # Axes without a derivative are reduced once per offset.  Along the
-        # others the product rule splits the derivative between spline and
-        # polynomial.
-        self._plain_axes = [j for j, r in enumerate(deriv) if r == 0]
-        self._deriv_axes = [j for j, r in enumerate(deriv) if r]
-        self._splits = [
-            (split, math.prod(math.comb(r, s) for r, s in zip(deriv, split)))
-            for split in product(*[range(r + 1) for r in deriv])
-        ]
+        # Each axis blends with splines of order deriv[j], the smallest
+        # admissible; those covering a point sit at offsets -deriv[j]..0.
+        self._offsets = list(product(*[range(-r, 1) for r in deriv]))
 
     # ---- local polynomial coefficients, gathered from the samples
 
@@ -262,7 +255,7 @@ class Approximant:
             )
         out = np.empty(len(pts))
         for start in range(0, len(pts), _CHUNK):
-            chunk = _ChunkAxes(pts[start : start + _CHUNK], self.order)
+            chunk = _ChunkAxes(pts[start : start + _CHUNK], self.deriv)
             acc = np.zeros(len(chunk.pts))
             for level in sorted(self._weights):
                 acc += self._weights[level] * self._level_deriv(level, chunk)
@@ -270,27 +263,31 @@ class Approximant:
         return out
 
     def _level_deriv(self, level: tuple[int, ...], chunk: _ChunkAxes) -> Array:
-        """``D^deriv`` of one level operator at the chunk's points."""
+        """``D^deriv`` of one level operator at the chunk's points.
+
+        Per offset, the gathered block is reduced from the last axis to the
+        first: by a Horner step where ``r = deriv[j]`` is 0 (the order-0
+        spline is 1 on the closed cell), else by the product rule,
+        ``sum_s comb(r, s) 2**(k r) psi^(s) * horner(D^(r-s) block)``.
+        """
         table = self._level_table(level)
         d = len(level)
         dims = tuple(1 << k for k in level)
-        lead = 2.0 ** sum(k * r for k, r in zip(level, self.deriv))
         out = np.zeros(len(chunk.pts))
         for offset in self._offsets:
             anchors, ts = zip(*(chunk.anchor(j, level[j], offset[j]) for j in range(d)))
             block = np.take(table, np.ravel_multi_index(anchors, dims), axis=-1)
-            for j in reversed(self._plain_axes):
-                block = horner(block, j, ts[j])
-            acc = np.zeros(len(chunk.pts))
-            for split, binom in self._splits:
-                poly = block
-                for pos, j in reversed(list(enumerate(self._deriv_axes))):
-                    poly = horner(differentiate(poly, pos, self.deriv[j] - split[j]), pos, ts[j])
-                spline = chunk.spline(0, level[0], split[0], offset[0])
-                for j in range(1, d):
-                    spline = spline * chunk.spline(j, level[j], split[j], offset[j])
-                acc += binom * poly * spline
-            out += lead * acc
+            for j in reversed(range(d)):
+                k, r = level[j], self.deriv[j]
+                if r == 0:
+                    block = horner(block, j, ts[j])
+                    continue
+                block = sum(
+                    (math.comb(r, s) * 2.0 ** (k * r)) * chunk.spline(j, k, s, offset[j])
+                    * horner(differentiate(block, j, r - s), j, ts[j])
+                    for s in range(r + 1)
+                )
+            out += block
         return out
 
 

@@ -160,40 +160,10 @@ class TestTranslates:
         val = bspline.translate_deriv(t, (1, 0), (0.25, 1.0))
         assert val == pytest.approx(2.0, abs=1e-12)
 
-    def test_support_box(self):
-        t = bspline.SplineTranslate((2, 1), (1, 0), (-1, 0))
-        assert t.support() == (
-            (Fraction(-1, 2), Fraction(2, 2)),
-            (Fraction(0), Fraction(2)),
-        )
-
     def test_deriv_order_rejected(self):
         t = bspline.SplineTranslate((1,), (0,), (0,))
         with pytest.raises(ValueError):
             bspline.translate_deriv(t, (2,), (0.5,))
-
-    def test_active_translates(self):
-        assert list(bspline.active_translates((0,), (0,))) == [(0,)]
-        assert list(bspline.active_translates((2,), (1,))) == [(-2,), (-1,), (0,), (1,)]
-        assert len(list(bspline.active_translates((1, 0), (1, 1)))) == 6
-
-    def test_covering_translates(self):
-        assert bspline.covering_translates((0,), (2,), (3,)) == [(3,)]
-        assert bspline.covering_translates((2,), (2,), (3,)) == [(1,), (2,), (3,)]
-        assert len(bspline.covering_translates((1, 1), (2, 2), (1, 2))) == 4
-        with pytest.raises(ValueError):
-            bspline.covering_translates((0,), (1,), (2,))
-
-    def test_covering_matches_support_overlap(self):
-        order, level = (2,), (2,)
-        for cell in range(4):
-            covered = set(bspline.covering_translates(order, level, (cell,)))
-            by_support = set()
-            for (shift,) in bspline.active_translates(order, level):
-                lo, hi = shift / 4.0, (shift + order[0] + 1) / 4.0
-                if lo < (cell + 1) / 4.0 and hi > cell / 4.0:
-                    by_support.add((shift,))
-            assert covered == by_support
 
     def test_sup_norm_scaling(self):
         # max |D^r g| over the support equals 2**(level*r) times the unscaled max.

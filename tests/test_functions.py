@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypercross import functions
-from hypercross.functions import MixedDifference, mixed_difference, modulus_estimate
+from hypercross.functions import modulus_estimate
 
 
 class TestRegistry:
@@ -68,39 +68,6 @@ class TestRegistry:
             f.deriv((-1, 0), [[0.5, 0.5]])
 
 
-class TestMixedDifference:
-    def test_second_difference_kills_affine(self):
-        f = lambda pts: 2.0 * pts[:, 0] - 0.7  # noqa: E731
-        spec = MixedDifference(order=(2,), step=(0.1,))
-        assert mixed_difference(f, spec, (0.3,)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_square_second_difference_symbolic(self):
-        # (x+2h)^2 - 2(x+h)^2 + x^2 = 2 h^2
-        f = lambda pts: pts[:, 0] ** 2  # noqa: E731
-        for h in (0.05, 0.2):
-            spec = MixedDifference(order=(2,), step=(h,))
-            got = mixed_difference(f, spec, (0.25,))
-            assert got == pytest.approx(2 * h * h, abs=1e-13)
-
-    def test_order_zero_is_identity(self):
-        f = lambda pts: np.sin(pts[:, 0])  # noqa: E731
-        spec = MixedDifference(order=(0,), step=(0.3,))
-        assert mixed_difference(f, spec, (0.4,)) == pytest.approx(math.sin(0.4))
-
-    def test_axis_mask(self):
-        f = lambda pts: pts[:, 0] ** 2 * pts[:, 1]  # noqa: E731
-        spec = MixedDifference(order=(2, 2), step=(0.1, 0.1), axes=(0,))
-        # Only axis 0 active: difference of x^2 times the frozen y value.
-        got = mixed_difference(f, spec, (0.2, 0.5))
-        assert got == pytest.approx(2 * 0.01 * 0.5, abs=1e-14)
-
-    def test_stencil_must_stay_inside(self):
-        f = lambda pts: pts[:, 0]  # noqa: E731
-        spec = MixedDifference(order=(2,), step=(0.3,))
-        with pytest.raises(ValueError):
-            mixed_difference(f, spec, (0.5,))
-
-
 class TestModulusEstimate:
     def test_constant_function_zero(self):
         f = lambda pts: np.full(len(pts), 3.3)  # noqa: E731
@@ -129,3 +96,33 @@ class TestModulusEstimate:
         entry = functions.get_function("trig", 2)
         with pytest.raises(ValueError):
             modulus_estimate(entry.value, (2, 2), (0.1, 0.1), (), 2.0)
+
+    def test_second_difference_kills_affine(self):
+        f = lambda pts: 2.0 * pts[:, 0] - 0.7  # noqa: E731
+        got = modulus_estimate(f, (2,), (0.1,), (0,), math.inf)
+        assert got == pytest.approx(0.0, abs=1e-14)
+
+    def test_square_second_difference_symbolic(self):
+        # (x+2h)^2 - 2(x+h)^2 + x^2 = 2 h^2 at every anchor; one step, h = t.
+        f = lambda pts: pts[:, 0] ** 2  # noqa: E731
+        for t in (0.05, 0.2):
+            got = modulus_estimate(f, (2,), (t,), (0,), math.inf, step_lattice=1)
+            assert got == pytest.approx(2 * t * t, abs=1e-13)
+
+    def test_order_zero_is_identity(self):
+        # The zeroth difference is f itself, so the estimate is max |f|.
+        f = lambda pts: np.sin(pts[:, 0])  # noqa: E731
+        got = modulus_estimate(f, (0,), (0.3,), (0,), math.inf)
+        assert got == pytest.approx(math.sin(1.0))
+
+    def test_axis_mask(self):
+        # Only axis 0 active: the difference of x^2 times the frozen y <= 1.
+        f = lambda pts: pts[:, 0] ** 2 * pts[:, 1]  # noqa: E731
+        got = modulus_estimate(f, (2, 2), (0.1, 0.1), (0,), math.inf)
+        assert got == pytest.approx(2 * 0.1**2, rel=1e-12)
+
+    def test_stencil_must_stay_inside(self):
+        # Every step h in (0, 2] takes a second difference out of [0, 1].
+        f = lambda pts: pts[:, 0] ** 2  # noqa: E731
+        with pytest.raises(ValueError, match=r"every step h <= t=\(2\.0,\)"):
+            modulus_estimate(f, (2,), (2.0,), (0,), math.inf)

@@ -35,10 +35,18 @@ class TestDeriveParams:
         grid.derive_params(1, (1.2,), 1.0, 2.0, math.inf, (0,))  # 1.2 - 1 > 0 passes
         with pytest.raises(ValueError, match="alpha - 1/p"):
             grid.derive_params(1, (0.9,), 1.0, 2.0, math.inf, (0,))
+        for nonpositive in (0.0, -1.0):  # alpha > 1/p > 0 is also the positivity check
+            with pytest.raises(ValueError, match=rf"axis 0: alpha={nonpositive} fails"):
+                grid.derive_params(1, (nonpositive,), 2.0, 2.0, math.inf, (0,))
 
     def test_rejects_nonpositive_effective_exponent(self):
         with pytest.raises(ValueError, match="effective exponent"):
             grid.derive_params(1, (1.5,), 2.0, 2.0, math.inf, (2,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, value):
+        with pytest.raises(ValueError, match=rf"axis 1: alpha={value} is not finite"):
+            grid.derive_params(2, (2.0, value), 2.0, 2.0, math.inf, (0, 0))
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -1,9 +1,13 @@
 """Tests for sampling, reconstruction, and error measurement."""
 
 import math
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercross import functions, grid, recovery
 from hypercross.dyadic import DyadicEvaluator
@@ -294,7 +298,7 @@ def batched_case(request):
     plan = grid.build_plan(params, 3)
     f = functions.get_function("aniso", 3)
     approx = reconstruct(sample(f.value, plan), plan, deriv)
-    assert len(approx._offsets) > 1 and len(approx._splits) > 1
+    assert len(approx._offsets) == math.prod(r + 1 for r in deriv) > 1
     ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
     return deriv, plan, approx, ev
 
@@ -329,6 +333,76 @@ class TestBatchedEvaluation:
         small = approx(pts)
         assert np.array_equal(whole, pieces)
         assert np.array_equal(whole, small)
+
+
+# (d, function, alpha, q, radius, deriv): d=2 smooth at every derivative
+# shape (none, one axis, both), d=3 anisotropic at the benchmark's (1, 0, 0)
+# and at (2, 0, 1), a binomial weight and two derivative axes.
+DIFFERENTIAL_CASES = [
+    (2, "trig", (2.0, 2.0), math.inf, 4, (0, 0)),
+    (2, "trig", (2.0, 2.0), math.inf, 4, (1, 0)),
+    (2, "trig", (2.0, 2.0), math.inf, 4, (1, 1)),
+    (3, "aniso", (2.0, 2.0, 1.5), 2.0, 3, (1, 0, 0)),
+    (3, "aniso", (3.0, 2.0, 1.5), 2.0, 3, (2, 0, 1)),
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=DIFFERENTIAL_CASES,
+    ids=lambda c: f"d{c[0]}-deriv{''.join(map(str, c[5]))}",
+)
+def differential_case(request):
+    d, fid, alpha, q, radius, deriv = request.param
+    params = grid.derive_params(d, alpha, 2.0, 2.0, q, deriv)
+    plan = grid.build_plan(params, radius)
+    f = functions.get_function(fid, d)
+    approx = reconstruct(sample(f.value, plan), plan, deriv)
+    ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
+    return d, deriv, plan, approx, ev
+
+
+# A coordinate is uniform in [0, 1], a dyadic cell edge c / 2**L, 0 or 1.
+_coordinate = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(0, 6).flatmap(lambda L: st.integers(0, 1 << L).map(lambda c: c / (1 << L))),
+    st.sampled_from([0.0, 1.0]),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_approximant_equals_surplus_sum(differential_case, data):
+    """``Approximant`` against the scalar oracle: the surpluses over the plan's levels."""
+    d, deriv, plan, approx, ev = differential_case
+    pts = np.array(
+        data.draw(st.lists(st.tuples(*[_coordinate] * d), min_size=1, max_size=5))
+    )
+    direct = [sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels) for p in pts]
+    for chunk in (2, recovery._CHUNK):
+        with mock.patch.object(recovery, "_CHUNK", chunk):
+            np.testing.assert_allclose(approx(pts), direct, rtol=1e-12, atol=1e-10)
+
+
+class TestBlendingOffsets:
+    """The translates that carry a point are the offset box ``-m..0`` from its cell."""
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_box_splines_sum_to_one(self, m):
+        # Nonnegative translates summing to 1 over the box leave no mass for
+        # a translate outside it, at interior points and at the right edge.
+        k = 3
+        rng = np.random.default_rng(m)
+        cells = rng.integers(0, 1 << k, 200)
+        x = np.concatenate([(cells + rng.random(200)) / (1 << k), [1.0]])
+        chunk = recovery._ChunkAxes(x[:, None], (m,))
+        assert chunk.cells(0, k)[2][-1] == 1.0  # x = 1 sits at local coordinate 1
+        total = sum(chunk.spline(0, k, 0, o) for o in range(-m, 1))
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-13)
+
+    def test_approximant_offsets_are_the_box(self, differential_case):
+        deriv, approx = differential_case[1], differential_case[3]
+        assert approx._offsets == list(product(*[range(-r, 1) for r in deriv]))
 
 
 class TestCombinationWeights:
