@@ -1,12 +1,6 @@
 """Recovery of mixed derivatives from hyperbolic-cross point samples."""
 
-from .bspline import (
-    SplineTranslate,
-    bspline_derivative,
-    bspline_eval,
-    refinement_coeffs,
-    translate_deriv,
-)
+from .bspline import bspline_derivative, refinement_coeffs
 from .dyadic import DyadicEvaluator
 from .functions import TestFunction, get_function, modulus_estimate, registry
 from .grid import (
@@ -21,7 +15,7 @@ from .grid import (
     weighted_sum,
     write_plan,
 )
-from .interp import TensorPoly, lagrange_basis_eval, nodes, tensor_interpolate
+from .interp import TensorPoly, nodes, tensor_interpolate
 from .recovery import Approximant, Quadrature, SampleSet, lq_error, reconstruct, sample
 
 __version__ = "0.1.0"
@@ -33,18 +27,15 @@ __all__ = [
     "RecoveryPlan",
     "SampleSet",
     "SmoothnessParams",
-    "SplineTranslate",
     "TensorPoly",
     "TestFunction",
     "bspline_derivative",
-    "bspline_eval",
     "build_plan",
     "choose_radius",
     "count_profile",
     "derive_params",
     "get_function",
     "index_set",
-    "lagrange_basis_eval",
     "lq_error",
     "modulus_estimate",
     "nodes",
@@ -54,7 +45,6 @@ __all__ = [
     "sample",
     "tail_sum",
     "tensor_interpolate",
-    "translate_deriv",
     "weighted_sum",
     "write_plan",
 ]

@@ -1,4 +1,4 @@
-"""Cardinal B-splines on integer knots and their dyadic translates.
+"""Cardinal B-splines on integer knots and their two-scale refinement.
 
 The degree-``m`` cardinal B-spline is the ``m``-fold self-convolution of the
 indicator of the unit interval; it is supported on ``[0, m+1]``, nonnegative,
@@ -16,10 +16,8 @@ unity, refinement, ...) hold almost everywhere regardless of the convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -90,11 +88,6 @@ def _float_table(m: int, r: int) -> np.ndarray:
     return table
 
 
-def bspline_eval(m: int, x: float) -> float:
-    """Value of the degree-m cardinal B-spline at x (support [0, m+1])."""
-    return bspline_derivative(m, 0, x)
-
-
 def bspline_derivative(m: int, r: int, x: float) -> float:
     """r-th derivative of the degree-m cardinal B-spline at x.
 
@@ -113,11 +106,6 @@ def bspline_derivative(m: int, r: int, x: float) -> float:
     for c in row[::-1]:
         acc = acc * u + c
     return acc
-
-
-def bspline_eval_many(m: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized `bspline_eval` over an array of points."""
-    return bspline_deriv_many(m, 0, x)
 
 
 def bspline_deriv_many(m: int, r: int, x: np.ndarray) -> np.ndarray:
@@ -145,46 +133,3 @@ def refinement_coeffs(m: int) -> tuple[Fraction, ...]:
     """
     _check_order(m)
     return tuple(Fraction(math.comb(m + 1, mu), 2**m) for mu in range(m + 2))
-
-
-@dataclass(frozen=True)
-class SplineTranslate:
-    """A tensor B-spline rescaled to dyadic level ``level`` and shifted by ``shift``.
-
-    The function is ``x -> prod_j psi_{order_j}(2**level_j * x_j - shift_j)``,
-    supported on ``2**-level * (shift + (order + 1) * [0,1]^d)``.
-    """
-
-    order: tuple[int, ...]
-    level: tuple[int, ...]
-    shift: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not len(self.order) == len(self.level) == len(self.shift):
-            raise ValueError("order, level and shift must share one dimension")
-        for m in self.order:
-            _check_order(m)
-        if any(k < 0 for k in self.level):
-            raise ValueError("dyadic level must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return len(self.order)
-
-
-def translate_deriv(t: SplineTranslate, deriv: Sequence[int], x: Sequence[float]) -> float:
-    """Mixed derivative of a scaled translate at a point.
-
-    Each axis contributes ``2**(level*deriv)`` from the chain rule, so the
-    sup-norm of the result scales like ``2**(level, deriv)``.
-    """
-    if len(deriv) != t.dim or len(x) != t.dim:
-        raise ValueError("dimension mismatch")
-    out = 1.0
-    for m, k, n, r, xj in zip(t.order, t.level, t.shift, deriv, x):
-        if not 0 <= r <= m:
-            raise ValueError(f"derivative order {r} not in [0, {m}]")
-        out *= 2.0 ** (k * r) * bspline_derivative(m, r, math.ldexp(xj, k) - n)
-        if out == 0.0:
-            return 0.0
-    return out

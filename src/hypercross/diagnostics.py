@@ -52,8 +52,8 @@ def bspline_checks() -> list[CheckResult]:
         for j in range(d):
             axis_sum = np.zeros(len(x))
             for shift in range(-order[j], 2 ** level[j]):
-                axis_sum += bspline.bspline_eval_many(
-                    order[j], np.ldexp(x[:, j], level[j]) - shift
+                axis_sum += bspline.bspline_deriv_many(
+                    order[j], 0, np.ldexp(x[:, j], level[j]) - shift
                 )
             total *= axis_sum
         worst = max(worst, float(np.max(np.abs(total - 1.0))))
@@ -63,17 +63,17 @@ def bspline_checks() -> list[CheckResult]:
     for m in range(7):
         coeffs = [float(a) for a in bspline.refinement_coeffs(m)]
         x = rng.uniform(-1, m + 2, size=4000)
-        lhs = bspline.bspline_eval_many(m, x)
+        lhs = bspline.bspline_deriv_many(m, 0, x)
         rhs = np.zeros_like(x)
         for mu, a in enumerate(coeffs):
-            rhs += a * bspline.bspline_eval_many(m, 2 * x - mu)
+            rhs += a * bspline.bspline_deriv_many(m, 0, 2 * x - mu)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     out.append(_check("bspline.refinement", worst, 1e-12))
 
     bad = 0.0
     for m in range(5):
         x = rng.uniform(-0.5, m + 1.5, size=4000)
-        v = bspline.bspline_eval_many(m, x)
+        v = bspline.bspline_deriv_many(m, 0, x)
         inside = (x > 0) & (x < m + 1)
         # Positivity may only fail within float noise of the support edges.
         near_edge = np.minimum(np.abs(x), np.abs(x - (m + 1))) < 1e-9
@@ -83,16 +83,21 @@ def bspline_checks() -> list[CheckResult]:
 
     worst = 0.0
     for order, level, deriv in [((1, 2), (2, 1), (1, 1)), ((2, 0), (3, 2), (2, 0))]:
-        shift = (0, 0)
-        t0 = bspline.SplineTranslate(order, (0, 0), shift)
-        t1 = bspline.SplineTranslate(order, level, shift)
+
+        def spline_deriv(lvl, x):
+            # D^deriv of x -> prod_j psi_{m_j}(2**k_j x_j), by the chain rule.
+            return math.prod(
+                2.0 ** (k * r) * bspline.bspline_derivative(m, r, math.ldexp(xj, k))
+                for m, k, r, xj in zip(order, lvl, deriv, x)
+            )
+
         grid_pts = [np.linspace(1e-4, m + 1 - 1e-4, 61) for m in order]
         base = 0.0
         scaled = 0.0
         for u in product(*grid_pts):
-            base = max(base, abs(bspline.translate_deriv(t0, deriv, u)))
+            base = max(base, abs(spline_deriv((0, 0), u)))
             xs = tuple(math.ldexp(uj, -k) for uj, k in zip(u, level))
-            scaled = max(scaled, abs(bspline.translate_deriv(t1, deriv, xs)))
+            scaled = max(scaled, abs(spline_deriv(level, xs)))
         expect = 2.0 ** sum(k * r for k, r in zip(level, deriv)) * base
         worst = max(worst, abs(scaled / expect - 1.0))
     out.append(_check("bspline.deriv_sup_scaling", worst, 1e-10))
@@ -103,7 +108,9 @@ def bspline_checks() -> list[CheckResult]:
         xs = rng.uniform(0.3, m + 0.7, size=200)
         xs = xs[np.abs(xs - np.round(xs)) > 0.01]
         for x in xs:
-            fd = (bspline.bspline_eval(m, x + h) - bspline.bspline_eval(m, x - h)) / (2 * h)
+            fd = (
+                bspline.bspline_derivative(m, 0, x + h) - bspline.bspline_derivative(m, 0, x - h)
+            ) / (2 * h)
             worst = max(worst, abs(fd - bspline.bspline_derivative(m, 1, x)))
     out.append(_check("bspline.derivative_fd", worst, 1e-6))
     return out
@@ -149,14 +156,14 @@ def interp_checks() -> list[CheckResult]:
 
     worst = 0.0
     for deg in [1, 3, 5]:
-        xs = interp.nodes(deg)
-        for i, x in enumerate(xs):
-            for j in range(deg + 1):
-                got = interp.lagrange_basis_eval(deg, j, x)
-                worst = max(worst, abs(got - (1.0 if i == j else 0.0)))
+        # Column j holds the monomial coefficients of the basis polynomial of
+        # node j, as the study's evaluators build them.
+        basis = interp.monomial_coeffs(np.eye(deg + 1), (deg,))
+        for i, x in enumerate(interp.nodes(deg)):
+            got = interp.horner(basis, 0, x)
+            worst = max(worst, float(np.max(np.abs(got - np.eye(deg + 1)[i]))))
         for x in rng.uniform(0, 1, size=50):
-            s = sum(interp.lagrange_basis_eval(deg, j, x) for j in range(deg + 1))
-            worst = max(worst, abs(s - 1.0))
+            worst = max(worst, abs(sum(interp.horner(basis, 0, x)) - 1.0))
     out.append(_check("interp.lagrange_kronecker", worst, 1e-12))
 
     worst = 0.0

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import bspline_derivative, refinement_coeffs
-from .interp import TensorPoly, nodes
+from .interp import TensorPoly, tensor_nodes
 
 Vector = tuple[int, ...]
 
@@ -87,7 +87,6 @@ class DyadicEvaluator:
         if len(self.degrees) != len(self.order):
             raise ValueError("degrees and order must share one dimension")
         self.dim = len(self.degrees)
-        self._axis_nodes = [nodes(d) for d in self.degrees]
         self._f = f
         self._polys: dict[tuple[Vector, Vector], TensorPoly] = {}
 
@@ -103,20 +102,19 @@ class DyadicEvaluator:
         key = (level, cell)
         poly = self._polys.get(key)
         if poly is None:
-            shape = tuple(d + 1 for d in self.degrees)
-            vals = np.empty(shape)
-            for idx in product(*[range(s) for s in shape]):
-                vals[idx] = self._f(
-                    tuple(
-                        math.ldexp(c + self._axis_nodes[j][i], -k)
-                        for j, (k, c, i) in enumerate(zip(level, cell, idx))
-                    )
-                )
-            x0 = tuple(math.ldexp(c, -k) for k, c in zip(level, cell))
-            delta = tuple(math.ldexp(1.0, -k) for k in level)
-            poly = TensorPoly(self.degrees, x0, delta, vals)
-            self._polys[key] = poly
+            poly = self._polys[key] = self._on_cell(level, cell, self._f)
         return poly
+
+    def _on_cell(
+        self, level: Vector, cell: Vector, f: Callable[[tuple[float, ...]], float]
+    ) -> TensorPoly:
+        """Tensor interpolant of ``f`` at the nodes of one dyadic cell."""
+        x0 = tuple(math.ldexp(c, -k) for k, c in zip(level, cell))
+        delta = tuple(math.ldexp(1.0, -k) for k in level)
+        vals = np.empty(tuple(d + 1 for d in self.degrees))
+        for idx, pt in tensor_nodes(self.degrees, x0, delta):
+            vals[idx] = f(pt)
+        return TensorPoly(self.degrees, x0, delta, vals)
 
     # -- level operator -------------------------------------------------------
 
@@ -231,16 +229,7 @@ class DyadicEvaluator:
         # The signed combination is again a polynomial of the same coordinate
         # degree; re-read it at the nodes of the anchor cell of ``shift``.
         anchor = tuple(max(s, 0) for s in shift)
-        x0 = tuple(math.ldexp(c, -k) for k, c in zip(level, anchor))
-        delta = tuple(math.ldexp(1.0, -k) for k in level)
-        shape = tuple(d + 1 for d in self.degrees)
-        vals = np.zeros(shape)
-        for idx in product(*[range(s) for s in shape]):
-            pt = tuple(
-                x0[j] + delta[j] * self._axis_nodes[j][idx[j]] for j in range(self.dim)
-            )
-            vals[idx] = sum(w * p.eval(pt) for w, p in terms)
-        return TensorPoly(self.degrees, x0, delta, vals)
+        return self._on_cell(level, anchor, lambda pt: sum(w * p.eval(pt) for w, p in terms))
 
     def surplus_via_translates(
         self, level: Sequence[int], deriv: Sequence[int], x: Sequence[float]

@@ -176,13 +176,18 @@ def modulus_estimate(
     ``axes``) over a finite lattice of positive step vectors ``h <= t`` and a
     uniform anchor grid inside the admissible domain.  Being a finite search
     it can only under-estimate the true supremum.  Raises ValueError if
-    every step of the lattice takes the stencil out of the unit cube.
+    ``t`` or ``axes`` does not fit the dimension ``len(order)``, or if every
+    step of the lattice takes the stencil out of the unit cube.
     """
     axes = tuple(sorted(set(int(a) for a in axes)))
     order = tuple(int(r) for r in order)
     d = len(order)
     if not axes:
         raise ValueError("need at least one active axis")
+    if len(t) != d:
+        raise ValueError(f"t={tuple(t)} has {len(t)} entries; order has {d}")
+    if not 0 <= axes[0] <= axes[-1] < d:
+        raise ValueError(f"axes={axes} must lie in 0..{d - 1}")
     eff = tuple(r if j in axes else 0 for j, r in enumerate(order))
     best = None
     lattice = [

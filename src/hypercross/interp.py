@@ -11,8 +11,7 @@ Vandermonde matrix, cached per degree (`monomial_coeffs`); derivatives keep
 the coefficients from power r on, scaled by falling factorials
 (`differentiate`), and values come from Horner's rule one axis at a time
 (`horner`).  `TensorPoly` and the batched `Approximant` both evaluate
-through these three helpers.  Only `lagrange_basis_eval` uses the second
-barycentric form, which is exact at the nodes by construction.
+through these three helpers.
 """
 
 from __future__ import annotations
@@ -57,25 +56,6 @@ def nodes(deg: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=None)
-def _node_array(deg: int) -> np.ndarray:
-    return np.array(nodes(deg))
-
-
-@lru_cache(maxsize=None)
-def _bary_weights(deg: int) -> np.ndarray:
-    """Barycentric weights 1/prod(x_i - x_j), computed exactly then floated."""
-    xs = nodes_exact(deg)
-    ws = []
-    for i, xi in enumerate(xs):
-        p = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                p *= xi - xj
-        ws.append(1 / p)
-    return np.array([float(w) for w in ws])
-
-
-@lru_cache(maxsize=None)
 def _monomial_matrix(deg: int) -> np.ndarray:
     """Matrix M with M @ values = ascending monomial coefficients.
 
@@ -98,25 +78,6 @@ def _monomial_matrix(deg: int) -> np.ndarray:
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     inv_rows = [row[n:] for row in aug]
     return np.array([[float(v) for v in row] for row in inv_rows])
-
-
-def lagrange_basis_eval(deg: int, index: int, x: float) -> float:
-    """Value at x of the Lagrange basis polynomial that is 1 at node ``index``.
-
-    Kronecker values at the nodes are exact (node hits are detected before
-    dividing); elsewhere the second barycentric form is used.
-    """
-    _check_degree(deg)
-    if not 0 <= index <= deg:
-        raise ValueError(f"basis index {index} not in [0, {deg}]")
-    xs = _node_array(deg)
-    diff = x - xs
-    hit = np.nonzero(diff == 0.0)[0]
-    if hit.size:
-        return 1.0 if hit[0] == index else 0.0
-    w = _bary_weights(deg)
-    terms = w / diff
-    return float(terms[index] / terms.sum())
 
 
 def monomial_coeffs(values: np.ndarray, degrees: Sequence[int]) -> np.ndarray:

@@ -367,13 +367,28 @@ def _check_rule_size(d: int, count: int, field: str) -> None:
         )
 
 
+def _gap(g: PointFn, h: PointFn, pts: Array) -> Array:
+    """``|g - h|`` at the rows of ``pts``; each must give one value per row."""
+    vals = []
+    for name, fn in (("g", g), ("h", h)):
+        v = np.asarray(fn(pts), dtype=float)
+        if v.shape != (len(pts),):
+            raise ValueError(
+                f"lq_error: {name} returned shape {v.shape} for {len(pts)} points, "
+                f"expected ({len(pts)},)"
+            )
+        vals.append(v)
+    return np.abs(vals[0] - vals[1])
+
+
 def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     """L_q distance of two point-evaluable functions over the unit cube.
 
     Finite q: composite Gauss-Legendre.  q = infinity: maximum of |g - h|
     over an interior midpoint lattice united with the quadrature nodes.
     A rule or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
-    ValueError before anything is allocated.
+    ValueError before anything is allocated, and so is a ``g`` or ``h`` that
+    does not return one value per point.
     """
     if not q >= 1:
         raise ValueError(f"q must lie in [1, inf], got {q!r}")
@@ -382,14 +397,12 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     if math.isinf(q):
         _check_rule_size(quad.d, quad.resolved_sup_points() ** quad.d, "sup_points")
     pts, w = _tensor_rule(quad)
-    diff = np.abs(np.asarray(g(pts), dtype=float) - np.asarray(h(pts), dtype=float))
+    diff = _gap(g, h, pts)
     if math.isinf(q):
         n = quad.resolved_sup_points()
         axis = (np.arange(n) + 0.5) / n
         grids = np.meshgrid(*([axis] * quad.d), indexing="ij")
         lattice = np.stack([gr.ravel() for gr in grids], axis=-1)
-        dense = np.abs(
-            np.asarray(g(lattice), dtype=float) - np.asarray(h(lattice), dtype=float)
-        )
+        dense = _gap(g, h, lattice)
         return float(max(diff.max(initial=0.0), dense.max(initial=0.0)))
     return float(np.sum(w * diff**q) ** (1.0 / q))

@@ -12,8 +12,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hypercross import cli, functions, grid, interp, recovery
-from hypercross.bspline import bspline_eval_many, refinement_coeffs
+from hypercross import cli, diagnostics, functions, grid, interp, recovery
+from hypercross.bspline import bspline_deriv_many, refinement_coeffs
 from hypercross.dyadic import DyadicEvaluator
 from hypercross.recovery import Quadrature, lq_error, reconstruct, sample
 
@@ -42,17 +42,17 @@ def test_criterion_1_bspline_identities():
         for j in range(d):
             axis = np.zeros(n_pts)
             for shift in range(-order[j], 2 ** level[j]):
-                axis += bspline_eval_many(order[j], np.ldexp(x[:, j], level[j]) - shift)
+                axis += bspline_deriv_many(order[j], 0, np.ldexp(x[:, j], level[j]) - shift)
             total *= axis
         worst_pu = max(worst_pu, float(np.abs(total - 1.0).max()))
 
     worst_rf = 0.0
     for m in range(5):
         x = rng.uniform(-1.0, m + 2.0, size=n_pts)
-        lhs = bspline_eval_many(m, x)
+        lhs = bspline_deriv_many(m, 0, x)
         rhs = np.zeros_like(x)
         for mu, a in enumerate(refinement_coeffs(m)):
-            rhs += float(a) * bspline_eval_many(m, 2 * x - mu)
+            rhs += float(a) * bspline_deriv_many(m, 0, 2 * x - mu)
         worst_rf = max(worst_rf, float(np.abs(lhs - rhs).max()))
 
     wall = time.perf_counter() - t0
@@ -141,34 +141,20 @@ def test_criterion_3_surplus_algebra():
 
 
 def test_criterion_4_counting_laws():
+    # The head growth, tail decay and brute-force tail checks of `diagnose`.
     t0 = time.perf_counter()
-    ones = (1.0, 1.0)
-
-    ref = grid.weighted_sum(ones, ones, 6) / (2.0**6 * 6)
-    head_ratios = [
-        grid.weighted_sum(ones, ones, r) / (2.0**r * r) / ref for r in range(4, 15)
-    ]
-    head_worst = max(max(head_ratios), 1.0 / min(head_ratios))
-
-    ref = grid.tail_sum(ones, ones, 6) / (2.0**-6 * 6)
-    tail_ratios = [
-        grid.tail_sum(ones, ones, r) / (2.0**-r * r) / ref for r in range(4, 15)
-    ]
-    tail_worst = max(max(tail_ratios), 1.0 / min(tail_ratios))
-
-    brute = sum(
-        2.0 ** -(k1 + k2) for k1 in range(41) for k2 in range(41) if k1 + k2 > 5
-    )
-    oracle_gap = abs(grid.tail_sum(ones, ones, 5) - brute)
-
+    names = ("grid.head_growth_law", "grid.tail_decay_law", "grid.tail_brute_force")
+    results = {c.name: c for c in diagnostics.grid_checks() if c.name in names}
+    head, tail, oracle = (results[n] for n in names)
+    assert (head.bound, tail.bound, oracle.bound) == (4.0, 4.0, 1e-10)
     wall = time.perf_counter() - t0
-    ok = head_worst <= 4.0 and tail_worst <= 4.0 and oracle_gap <= 1e-10 and wall < 5.0
+    ok = all(c.passed for c in (head, tail, oracle)) and wall < 5.0
     report(
         4,
         "counting laws",
         ok,
-        f"head={head_worst:.3f} tail={tail_worst:.3f} oracle_gap={oracle_gap:.2e} "
-        f"wall={wall:.2f}s",
+        f"head={head.residual:.3f} tail={tail.residual:.3f} "
+        f"oracle_gap={oracle.residual:.2e} wall={wall:.2f}s",
     )
 
 

@@ -121,6 +121,21 @@ class TestModulusEstimate:
         got = modulus_estimate(f, (2, 2), (0.1, 0.1), (0,), math.inf)
         assert got == pytest.approx(2 * 0.1**2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "t, axes, match",
+        [
+            ((0.1,), (0, 1), r"t=\(0\.1,\) has 1 entries; order has 2"),
+            ((0.1, 0.1, 0.1), (0,), r"t=.* has 3 entries; order has 2"),
+            ((0.1, 0.1), (5,), r"axes=\(5,\) must lie in 0\.\.1"),
+            ((0.1, 0.1), (-1, 0), r"axes=\(-1, 0\) must lie in 0\.\.1"),
+        ],
+        ids=["t-short", "t-long", "axis-above", "axis-negative"],
+    )
+    def test_t_and_axes_fit_the_dimension(self, t, axes, match):
+        f = lambda pts: pts[:, 0] ** 2  # noqa: E731
+        with pytest.raises(ValueError, match=match):
+            modulus_estimate(f, (2, 2), t, axes, 2.0)
+
     def test_stencil_must_stay_inside(self):
         # Every step h in (0, 2] takes a second difference out of [0, 1].
         f = lambda pts: pts[:, 0] ** 2  # noqa: E731

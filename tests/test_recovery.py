@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hypercross import functions, grid, recovery
@@ -370,7 +370,13 @@ _coordinate = st.one_of(
 )
 
 
-@settings(max_examples=12, deadline=None)
+# No shrink phase: each shrink step reruns the scalar oracle over every plan
+# level, so shrinking a failure would take a minute or more.
+@settings(
+    max_examples=12,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 @given(data=st.data())
 def test_approximant_equals_surplus_sum(differential_case, data):
     """``Approximant`` against the scalar oracle: the surpluses over the plan's levels."""
@@ -483,6 +489,23 @@ class TestLqError:
             ValueError, match=rf"d={quad.d} needs {count} points.*Quadrature\.{field}"
         ):
             lq_error(self.never, self.never, q, quad)
+
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    @pytest.mark.parametrize(
+        "g, h, message",
+        [
+            (lambda p: p[:, :1], lambda p: p[:, 0], r"g returned shape \(256, 1\)"),
+            (lambda p: p[:, 0], lambda p: p[:, :1], r"h returned shape \(256, 1\)"),
+            (lambda p: p[:, :1], lambda p: p[:, :1], r"g returned shape \(256, 1\)"),
+            (lambda p: 0.0, lambda p: p[:, 0], r"g returned shape \(\)"),
+        ],
+        ids=["g-column", "h-column", "both-column", "g-scalar"],
+    )
+    def test_values_must_be_one_per_point(self, g, h, message, q):
+        # An (n, 1) column would broadcast against an (n,) vector to (n, n).
+        quad = Quadrature(d=2, cells_log2=2, sup_points=16)
+        with pytest.raises(ValueError, match=message + " for 256 points, expected"):
+            lq_error(g, h, q, quad)
 
     def test_rule_size_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(recovery, "_MAX_RULE_POINTS", 64)
