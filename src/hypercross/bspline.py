@@ -4,8 +4,11 @@ The degree-``m`` cardinal B-spline is the ``m``-fold self-convolution of the
 indicator of the unit interval; it is supported on ``[0, m+1]``, nonnegative,
 and its integer translates form a partition of unity.  Everything here is
 derived once in exact rational arithmetic (the convolution recurrence yields
-piecewise polynomials with rational coefficients) and evaluated by Horner's
-rule on cached float tables.
+piecewise polynomials with rational coefficients).  One evaluator,
+`bspline_derivative`, serves scalars and arrays alike: it looks up each
+point's row of a cached float table of derivative coefficients and reduces
+it with `interp.horner`, the Horner step every polynomial in the package
+goes through.
 
 Pointwise values at knots follow the half-open convention: the defining
 polynomial piece on ``[k, k+1)`` also supplies the value at ``x = k``, so a
@@ -20,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .interp import horner
 
 # Largest per-axis spline order kept in the precomputed tables.  The recovery
 # construction only ever needs the order of the requested derivative, so this
@@ -88,42 +93,24 @@ def _float_table(m: int, r: int) -> np.ndarray:
     return table
 
 
-def bspline_derivative(m: int, r: int, x: float) -> float:
+def bspline_derivative(m: int, r: int, x) -> np.ndarray:
     """r-th derivative of the degree-m cardinal B-spline at x.
 
-    At a knot the right-hand limit is returned.  Orders ``r > m`` leave the
+    ``x`` is a scalar or an array; the result is an array of its shape (0-d
+    for a scalar).  At a knot the right-hand limit is returned, and points
+    outside the support, or not finite, give 0.  Orders ``r > m`` leave the
     bounded-derivative range and are rejected.
     """
     _check_order(m)
     if not 0 <= r <= m:
         raise ValueError(f"derivative order {r} not in [0, {m}]")
-    k = math.floor(x)
-    if k < 0 or k > m:
-        return 0.0
-    row = _float_table(m, r)[k]
-    u = x - k
-    acc = 0.0
-    for c in row[::-1]:
-        acc = acc * u + c
-    return acc
-
-
-def bspline_deriv_many(m: int, r: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized `bspline_derivative` over an array of points."""
-    _check_order(m)
-    if not 0 <= r <= m:
-        raise ValueError(f"derivative order {r} not in [0, {m}]")
     x = np.asarray(x, dtype=float)
-    k = np.floor(x).astype(np.int64)
+    k = np.floor(x)
     inside = (k >= 0) & (k <= m)
-    ks = np.where(inside, k, 0)
-    table = _float_table(m, r)
-    rows = table[ks]
-    u = x - ks
-    acc = np.zeros_like(u)
-    for j in range(rows.shape[-1] - 1, -1, -1):
-        acc = acc * u + rows[..., j]
-    return np.where(inside, acc, 0.0)
+    ks = np.where(inside, k, 0).astype(np.int64)
+    # (m+1-r, *x.shape): the coefficients of each point's piece, one row per power.
+    rows = _float_table(m, r).T[:, ks]
+    return np.where(inside, horner(rows, 0, x - ks), 0.0)
 
 
 def refinement_coeffs(m: int) -> tuple[Fraction, ...]:

@@ -52,10 +52,11 @@ def decrement_masks(level: Sequence[int]) -> list[Vector]:
     return masks
 
 
-def _blend(m: int, r: int, u: float, right_edge: bool) -> float:
-    """r-th derivative of the order-m blending spline at ``u``: the right limit
-    at interior knots, the left limit (by the symmetry ``psi(u) = psi(m+1-u)``)
-    at the cube's right edge, so that ``x = 1`` is the limit from inside."""
+def _blend(m: int, r: int, u: np.ndarray, right_edge: bool) -> np.ndarray:
+    """r-th derivative of the order-m blending spline at each ``u``: the right
+    limit at interior knots, the left limit (by the symmetry
+    ``psi(u) = psi(m+1-u)``) at the cube's right edge, so that ``x = 1`` is the
+    limit from inside."""
     if right_edge:
         return (-1) ** r * bspline_derivative(m, r, m + 1 - u)
     return bspline_derivative(m, r, u)
@@ -151,24 +152,28 @@ class DyadicEvaluator:
         spline factors is nonzero.
         """
         cell = _cell_of(level, x)
+        # factors[j][s][i]: 2**(k_j s) psi^(s) at u_j = 2**k_j x_j - shift_j for
+        # the i-th covering translate of axis j, shift_j = cell_j + i - m_j.
+        factors = []
+        for k, m, r, c, xj in zip(level, self.order, deriv, cell, x):
+            u = math.ldexp(xj, k) - np.arange(c - m, c + 1)
+            factors.append(
+                [
+                    [2.0 ** (k * s) * v for v in _blend(m, s, u, xj == 1.0).tolist()]
+                    for s in range(r + 1)
+                ]
+            )
         total = 0.0
-        for offset in product(*[range(-m, 1) for m in self.order]):
-            shift = tuple(c + o for c, o in zip(cell, offset))
-            # u_j = 2**k_j x_j - shift_j lies in the translate's support.
-            u = [math.ldexp(xj, k) - s for k, s, xj in zip(level, shift, x)]
+        for idx in product(*[range(m + 1) for m in self.order]):
             poly = None
             for split in product(*[range(r + 1) for r in deriv]):
                 spline = 1.0
                 for j in range(self.dim):
-                    spline *= 2.0 ** (level[j] * split[j]) * _blend(
-                        self.order[j], split[j], u[j], x[j] == 1.0
-                    )
-                    if spline == 0.0:
-                        break
+                    spline *= factors[j][split[j]][idx[j]]
                 if spline == 0.0:
                     continue
                 if poly is None:
-                    poly = poly_at(shift)
+                    poly = poly_at(tuple(c + i - m for c, i, m in zip(cell, idx, self.order)))
                 rest = tuple(r - s for r, s in zip(deriv, split))
                 binom = math.prod(math.comb(r, s) for r, s in zip(deriv, split))
                 total += binom * spline * poly.deriv_eval(rest, x)

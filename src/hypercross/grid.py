@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -304,12 +303,6 @@ def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
     )
 
 
-def _first_radius(level: tuple[int, ...], weights: Sequence[float]) -> int:
-    """Smallest integer radius whose level set contains ``level``."""
-    w = sum(k * b for k, b in zip(level, weights))
-    return max(1, math.ceil(w - 1e-12))
-
-
 _MAX_RAW_POINTS = 50_000_000
 
 
@@ -328,14 +321,11 @@ def _guard_raw_size(params: SmoothnessParams, levels: Sequence[tuple[int, ...]])
 def count_profile(params: SmoothnessParams, r_max: int) -> list[int]:
     """Point counts for radii 1..r_max.
 
-    Every level enters the plan at its first radius and brings all of its
-    points, so the counts accumulate the level sizes binned by first radius.
+    Every level of a plan brings all of its points, so a radius's count is
+    the summed size of its level set, by the rule `choose_radius` uses.
     """
     r_max = _check_radius(r_max)
-    per_radius = [0] * (r_max + 1)
-    for lvl in index_set(params.weights, r_max):
-        per_radius[_first_radius(lvl, params.weights)] += math.prod(_level_shape(params, lvl))
-    return list(accumulate(per_radius))[1:]
+    return [_raw_count(params, index_set(params.weights, r)) for r in range(1, r_max + 1)]
 
 
 def choose_radius(params: SmoothnessParams, budget: int) -> int:

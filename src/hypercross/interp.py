@@ -11,7 +11,8 @@ Vandermonde matrix, cached per degree (`monomial_coeffs`); derivatives keep
 the coefficients from power r on, scaled by falling factorials
 (`differentiate`), and values come from Horner's rule one axis at a time
 (`horner`).  `TensorPoly` and the batched `Approximant` both evaluate
-through these three helpers.
+through these three helpers, and `bspline.bspline_derivative` reduces its
+piece tables with `horner` too.
 """
 
 from __future__ import annotations

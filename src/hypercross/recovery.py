@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bspline import bspline_deriv_many
+from .bspline import bspline_derivative
 from .grid import RecoveryPlan
 from .interp import differentiate, horner, monomial_coeffs
 
@@ -168,10 +168,10 @@ class _ChunkAxes:
         if got is None:
             m = self.order[j]
             local = self.cells(j, k)[2]
-            got = bspline_deriv_many(m, split, local - offset)
+            got = bspline_derivative(m, split, local - offset)
             edge = self._edges[j]
             if edge.size:
-                got[edge] = (-1) ** split * bspline_deriv_many(
+                got[edge] = (-1) ** split * bspline_derivative(
                     m, split, m + 1 + offset - local[edge]
                 )
             self._splines[(j, k, split, offset)] = got

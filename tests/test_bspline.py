@@ -25,7 +25,7 @@ class TestEval:
         # Numeric convolution of the indicator with itself at x=1 (midpoint rule).
         n = 20000
         ys = (np.arange(n) + 0.5) / n
-        oracle = np.mean(bspline.bspline_deriv_many(0, 0, 1.0 - ys))
+        oracle = np.mean(bspline.bspline_derivative(0, 0, 1.0 - ys))
         assert bspline.bspline_derivative(1, 0, 1.0) == pytest.approx(oracle, abs=1e-6)
         assert bspline.bspline_derivative(1, 0, 1.0) == 1.0
 
@@ -33,14 +33,14 @@ class TestEval:
         n = 40000
         for m in range(6):
             xs = (np.arange(n) + 0.5) * (m + 1) / n
-            integ = np.mean(bspline.bspline_deriv_many(m, 0, xs)) * (m + 1)
+            integ = np.mean(bspline.bspline_derivative(m, 0, xs)) * (m + 1)
             assert integ == pytest.approx(1.0, abs=1e-6)
 
     def test_vectorized_matches_scalar(self):
         xs = np.random.default_rng(0).uniform(-1, 5, 200)
         for m in range(5):
-            vec = bspline.bspline_deriv_many(m, 0, xs)
-            ref = [bspline.bspline_derivative(m, 0, x) for x in xs]
+            vec = bspline.bspline_derivative(m, 0, xs)
+            ref = [bspline.bspline_derivative(m, 0, x).item() for x in xs]
             np.testing.assert_allclose(vec, ref, rtol=0, atol=0)
 
     def test_order_validation(self):
@@ -61,14 +61,18 @@ class TestDerivative:
 
     @pytest.mark.parametrize("m", range(6))
     def test_scalar_input_matches_scalar_twin(self, m):
-        # Inside the support, outside it on both sides, and at every knot.
+        # A scalar gives a 0-d array, bitwise equal to the same point in a
+        # 1-element array: inside the support, outside it on both sides, and
+        # at every knot.
         xs = [0.37, m + 0.61, -0.5, m + 1.25] + [float(k) for k in range(m + 2)]
         for r in range(m + 1):
             for x in xs:
-                got = bspline.bspline_deriv_many(m, r, x)
+                got = bspline.bspline_derivative(m, r, x)
                 assert got.ndim == 0
-                assert got.item().hex() == bspline.bspline_derivative(m, r, x).hex()
-                assert bspline.bspline_deriv_many(m, r, np.float64(x)).item() == got.item()
+                one = bspline.bspline_derivative(m, r, np.array([x]))
+                assert one.shape == (1,)
+                assert got.item().hex() == one[0].item().hex()
+                assert bspline.bspline_derivative(m, r, np.float64(x)).item() == got.item()
 
     def test_order_beyond_smoothness_rejected(self):
         with pytest.raises(ValueError):
@@ -93,9 +97,9 @@ class TestDerivative:
             xs = rng.uniform(0.1, m + 0.9, 100)
             xs = xs[np.abs(xs - np.round(xs)) > 0.02]
             fd = (
-                bspline.bspline_deriv_many(m, 0, xs + h) - bspline.bspline_deriv_many(m, 0, xs - h)
+                bspline.bspline_derivative(m, 0, xs + h) - bspline.bspline_derivative(m, 0, xs - h)
             ) / (2 * h)
-            ex = bspline.bspline_deriv_many(m, 1, xs)
+            ex = bspline.bspline_derivative(m, 1, xs)
             np.testing.assert_allclose(fd, ex, atol=1e-6)
 
 
@@ -122,26 +126,33 @@ class TestRefinement:
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-1.0, max_value=8.0, allow_nan=False))
 def test_refinement_identity_pointwise(x):
+    # Differentiated r times, the two-scale relation gains the factor 2**r.
     for m in (0, 2, 5):
-        lhs = bspline.bspline_derivative(m, 0, x)
-        rhs = sum(
-            float(a) * bspline.bspline_derivative(m, 0, 2 * x - mu)
-            for mu, a in enumerate(bspline.refinement_coeffs(m))
-        )
-        assert abs(lhs - rhs) <= 1e-12
+        coeffs = [float(a) for a in bspline.refinement_coeffs(m)]
+        for r in range(m + 1):
+            lhs = bspline.bspline_derivative(m, r, x)
+            rhs = 2.0**r * sum(
+                a * bspline.bspline_derivative(m, r, 2 * x - mu) for mu, a in enumerate(coeffs)
+            )
+            assert abs(lhs - rhs) <= 1e-12 * 2.0**r
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
 )
-def test_partition_of_unity_pointwise(x1, x2):
-    order, level = (2, 1), (1, 2)
-    total = 1.0
-    for j, (m, k, x) in enumerate(zip(order, level, (x1, x2))):
-        total *= sum(
-            bspline.bspline_derivative(m, 0, math.ldexp(x, k) - nu) for nu in range(-m, 2**k)
-        )
-    assert abs(total - 1.0) <= 1e-12
-
+def test_partition_of_unity_pointwise(x1, x2, x3):
+    for order, level in [
+        ((2, 1), (1, 2)),
+        ((4,), (3,)),
+        ((2, 4), (2, 1)),
+        ((1, 3, 4), (2, 1, 1)),
+    ]:
+        total = 1.0
+        for m, k, x in zip(order, level, (x1, x2, x3)):
+            total *= sum(
+                bspline.bspline_derivative(m, 0, math.ldexp(x, k) - nu) for nu in range(-m, 2**k)
+            )
+        assert abs(total - 1.0) <= 1e-12

@@ -112,7 +112,7 @@ class TestSurplus:
         rng = np.random.default_rng(2)
         f, scale = random_poly(rng, (2, 2))
         ev = DyadicEvaluator((2, 2), (1, 1), f=f)
-        for level in [(1, 0), (0, 1), (2, 2), (1, 3)]:
+        for level in [(1, 0), (0, 1), (2, 2), (1, 3), (3, 1)]:
             for pt in rng.uniform(0.01, 0.99, (25, 2)):
                 got = ev.surplus_deriv(level, (0, 0), pt)
                 assert abs(got) <= 1e-9 * max(scale, 1)

@@ -281,10 +281,14 @@ class TestPlans:
                     assert fracs[rows[cell + idx]] == exact
 
     def test_count_profile_matches_plans(self):
-        params = grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
-        profile = grid.count_profile(params, 6)
-        for r in range(1, 7):
-            assert profile[r - 1] == grid.build_plan(params, r).n_actual
+        # The second class has weights (1, 1.5000000000006): level (0, 2)
+        # weighs 3.0000000000012, within the tolerance that puts it in the
+        # level set of radius 3.
+        for alpha, deriv in [((2.0, 1.5), (1, 0)), ((1.0, 2.2500000000018), (0, 0))]:
+            params = grid.derive_params(2, alpha, 2.0, 2.0, 2.0, deriv)
+            profile = grid.count_profile(params, 6)
+            for r in range(1, 7):
+                assert profile[r - 1] == grid.build_plan(params, r).n_actual
 
     @pytest.mark.parametrize("name", sorted(PARAM_SETS))
     def test_count_profile_matches_oracle(self, name):

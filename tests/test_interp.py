@@ -98,7 +98,7 @@ class TestTensorInterpolate:
 
     def test_reproduction_random_polys(self):
         rng = np.random.default_rng(2)
-        for degrees in [(3,), (2, 2), (1, 3), (2, 1, 2)]:
+        for degrees in [(3,), (2, 2), (1, 3), (2, 1, 2), (3, 3, 3), (2, 1, 3)]:
             d = len(degrees)
             box = ((0.0,) * d, (1.0,) * d)
             for _ in range(5):
