@@ -15,7 +15,7 @@ from .grid import (
     weighted_sum,
     write_plan,
 )
-from .interp import TensorPoly, nodes, tensor_interpolate
+from .interp import TensorPoly, interpolate, nodes
 from .recovery import Approximant, Quadrature, SampleSet, lq_error, reconstruct, sample
 
 __version__ = "0.1.0"
@@ -36,6 +36,7 @@ __all__ = [
     "derive_params",
     "get_function",
     "index_set",
+    "interpolate",
     "lq_error",
     "modulus_estimate",
     "nodes",
@@ -44,7 +45,6 @@ __all__ = [
     "registry",
     "sample",
     "tail_sum",
-    "tensor_interpolate",
     "weighted_sum",
     "write_plan",
 ]

@@ -2,9 +2,13 @@
 
 The degree-``m`` cardinal B-spline is the ``m``-fold self-convolution of the
 indicator of the unit interval; it is supported on ``[0, m+1]``, nonnegative,
-and its integer translates form a partition of unity.  Everything here is
-derived once in exact rational arithmetic (the convolution recurrence yields
-piecewise polynomials with rational coefficients).  One evaluator,
+and its integer translates form a partition of unity.  Its pieces come from
+the truncated-power form (Schoenberg 1946; de Boor, *A Practical Guide to
+Splines*)
+
+    psi_m^(r)(x) = sum_i (-1)^i C(m+1, i) (x - i)_+^(m-r) / (m-r)!,
+
+expanded exactly in integers and rounded once per coefficient.  One evaluator,
 `bspline_derivative`, serves scalars and arrays alike: it looks up each
 point's row of a cached float table of derivative coefficients and reduces
 it with `interp.horner`, the Horner step every polynomial in the package
@@ -40,57 +44,24 @@ def _check_order(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _pieces(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact polynomial pieces of the degree-m cardinal B-spline.
-
-    Piece ``k`` (for ``k = 0..m``) holds ascending coefficients in the local
-    variable ``u = x - k``, valid on ``[k, k+1)``.
-    """
-    if m == 0:
-        return ((Fraction(1),),)
-    prev = _pieces(m - 1)
-    # Antiderivative F of the degree-(m-1) spline, piece by piece, with the
-    # running constant chosen so F is continuous and F(0) = 0.
-    anti: list[tuple[Fraction, ...]] = []
-    const = Fraction(0)
-    for piece in prev:
-        integ = [const] + [c / (j + 1) for j, c in enumerate(piece)]
-        anti.append(tuple(integ))
-        const += sum(c / (j + 1) for j, c in enumerate(piece))
-    # const is now the total integral, which equals 1 for every order.
-    assert const == 1
-
-    def anti_piece(k: int) -> tuple[Fraction, ...]:
-        if k < 0:
-            return (Fraction(0),)
-        if k >= m:
-            return (Fraction(1),)
-        return anti[k]
-
-    # psi_m(x) = F(x) - F(x-1); on [k, k+1) both arguments share the local u.
-    pieces: list[tuple[Fraction, ...]] = []
-    for k in range(m + 1):
-        a = anti_piece(k)
-        b = anti_piece(k - 1)
-        width = max(len(a), len(b))
-        coeffs = tuple(
-            (a[j] if j < len(a) else Fraction(0)) - (b[j] if j < len(b) else Fraction(0))
-            for j in range(width)
-        )
-        pieces.append(coeffs)
-    return tuple(pieces)
-
-
-@lru_cache(maxsize=None)
 def _float_table(m: int, r: int) -> np.ndarray:
-    """Float coefficients of the r-th derivative of each piece, shape (m+1, m+1-r)."""
-    pieces = _pieces(m)
-    width = m + 1 - r
-    table = np.zeros((m + 1, width))
-    for k, piece in enumerate(pieces):
-        for j in range(r, len(piece)):
-            table[k, j - r] = float(piece[j] * math.perm(j, r))
-    return table
+    """Float coefficients of the r-th derivative of each piece, shape (m+1, m+1-r).
+
+    Row ``k`` holds ascending coefficients in the local variable ``u = x - k``,
+    valid on ``[k, k+1)``.  There only the translates ``i <= k`` of the
+    truncated-power form are active, and ``x - i = u + (k - i)``; each entry
+    is an exact integer divided once by ``(m-r)!``, which rounds correctly.
+    """
+    n = m - r
+    return np.array([
+        [
+            math.comb(n, j)
+            * sum((-1) ** i * math.comb(m + 1, i) * (k - i) ** (n - j) for i in range(k + 1))
+            / math.factorial(n)
+            for j in range(n + 1)
+        ]
+        for k in range(m + 1)
+    ])
 
 
 def bspline_derivative(m: int, r: int, x) -> np.ndarray:
@@ -98,13 +69,18 @@ def bspline_derivative(m: int, r: int, x) -> np.ndarray:
 
     ``x`` is a scalar or an array; the result is an array of its shape (0-d
     for a scalar).  At a knot the right-hand limit is returned, and points
-    outside the support, or not finite, give 0.  Orders ``r > m`` leave the
+    outside the support give 0.  A NaN or infinite ``x`` raises a
+    ValueError naming the first such entry.  Orders ``r > m`` leave the
     bounded-derivative range and are rejected.
     """
     _check_order(m)
     if not 0 <= r <= m:
         raise ValueError(f"derivative order {r} not in [0, {m}]")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        name = f"x[{', '.join(map(str, at))}]" if at else "x"
+        raise ValueError(f"{name} = {x[at]} is not finite")
     k = np.floor(x)
     inside = (k >= 0) & (k <= m)
     ks = np.where(inside, k, 0).astype(np.int64)

@@ -137,11 +137,9 @@ def interp_checks() -> list[CheckResult]:
         d = len(degrees)
         for _ in range(10):
             f = _random_poly(rng, degrees)
-            vals = {
-                idx: float(f(np.array([pt]))[0])
-                for idx, pt in interp.tensor_nodes(degrees, (0.2,) * d, (0.5,) * d)
-            }
-            poly = interp.tensor_interpolate(vals, ((0.2,) * d, (0.5,) * d))
+            poly = interp.interpolate(
+                lambda pt: float(f(np.array([pt]))[0]), degrees, (0.2,) * d, (0.5,) * d
+            )
             pts = rng.uniform(0.2, 0.7, size=(40, d))
             err = np.max(np.abs([poly.eval(p) for p in pts] - f(pts)))
             worst = max(worst, float(err))
@@ -163,23 +161,16 @@ def interp_checks() -> list[CheckResult]:
     degrees = (2, 3)
     f = _random_poly(rng, degrees)
     x0, delta = (0.25, 0.5), (0.5, 0.25)
-    vals = {
-        idx: float(f(np.array([pt]))[0])
-        for idx, pt in interp.tensor_nodes(degrees, x0, delta)
-    }
-    poly = interp.tensor_interpolate(vals, (x0, delta))
-    # Axis-by-axis interpolation must reproduce the tensor result.
-    ax_nodes = [interp.nodes(dg) for dg in degrees]
+    poly = interp.interpolate(lambda pt: float(f(np.array([pt]))[0]), degrees, x0, delta)
+    # Axis-by-axis interpolation must reproduce the tensor result: each row of
+    # node values along axis 1 is a 1-D interpolant, and their values at the
+    # point are interpolated along axis 0.
     for p in rng.uniform(0.3, 0.7, size=(30, 2)):
-        inner = []
-        for i0 in range(degrees[0] + 1):
-            x1 = x0[0] + delta[0] * ax_nodes[0][i0]
-            vals1 = {(i1,): vals[(i0, i1)] for i1 in range(degrees[1] + 1)}
-            p1 = interp.tensor_interpolate(vals1, ((x0[1],), (delta[1],)))
-            inner.append(p1.eval((p[1],)))
-        pfin = interp.tensor_interpolate(
-            {(i,): v for i, v in enumerate(inner)}, ((x0[0],), (delta[0],))
-        )
+        inner = [
+            interp.TensorPoly(degrees[1:], x0[1:], delta[1:], row).eval(p[1:])
+            for row in poly.values
+        ]
+        pfin = interp.TensorPoly(degrees[:1], x0[:1], delta[:1], np.array(inner))
         worst = max(worst, abs(pfin.eval((p[0],)) - poly.eval(p)))
     out.append(_check("interp.axis_factorization", worst, 1e-10))
     return out

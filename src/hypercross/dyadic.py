@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import bspline_derivative, refinement_coeffs
-from .interp import TensorPoly, tensor_nodes
+from .interp import TensorPoly, interpolate
 
 Vector = tuple[int, ...]
 
@@ -60,6 +60,14 @@ def _blend(m: int, r: int, u: np.ndarray, right_edge: bool) -> np.ndarray:
     if right_edge:
         return (-1) ** r * bspline_derivative(m, r, m + 1 - u)
     return bspline_derivative(m, r, u)
+
+
+def _cell_box(level: Vector, cell: Vector) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Corner and widths of one dyadic cell."""
+    return (
+        tuple(math.ldexp(c, -k) for k, c in zip(level, cell)),
+        tuple(math.ldexp(1.0, -k) for k in level),
+    )
 
 
 def _cell_of(level: Vector, x: Sequence[float]) -> Vector:
@@ -103,19 +111,9 @@ class DyadicEvaluator:
         key = (level, cell)
         poly = self._polys.get(key)
         if poly is None:
-            poly = self._polys[key] = self._on_cell(level, cell, self._f)
+            box = _cell_box(level, cell)
+            poly = self._polys[key] = interpolate(self._f, self.degrees, *box)
         return poly
-
-    def _on_cell(
-        self, level: Vector, cell: Vector, f: Callable[[tuple[float, ...]], float]
-    ) -> TensorPoly:
-        """Tensor interpolant of ``f`` at the nodes of one dyadic cell."""
-        x0 = tuple(math.ldexp(c, -k) for k, c in zip(level, cell))
-        delta = tuple(math.ldexp(1.0, -k) for k in level)
-        vals = np.empty(tuple(d + 1 for d in self.degrees))
-        for idx, pt in tensor_nodes(self.degrees, x0, delta):
-            vals[idx] = f(pt)
-        return TensorPoly(self.degrees, x0, delta, vals)
 
     # -- level operator -------------------------------------------------------
 
@@ -234,7 +232,8 @@ class DyadicEvaluator:
         # The signed combination is again a polynomial of the same coordinate
         # degree; re-read it at the nodes of the anchor cell of ``shift``.
         anchor = tuple(max(s, 0) for s in shift)
-        return self._on_cell(level, anchor, lambda pt: sum(w * p.eval(pt) for w, p in terms))
+        combined = lambda pt: sum(w * p.eval(pt) for w, p in terms)  # noqa: E731
+        return interpolate(combined, self.degrees, *_cell_box(level, anchor))
 
     def surplus_via_translates(
         self, level: Sequence[int], deriv: Sequence[int], x: Sequence[float]

@@ -39,11 +39,10 @@ class TestFunction:
     p: float
     theta: float
     kink_loci: tuple[tuple[float, ...], ...]  # per axis, positions to avoid
-    _value: Callable[[Array], Array] = field(repr=False)
     _deriv: Callable[[tuple[int, ...], Array], Array] = field(repr=False)
 
     def value(self, x) -> Array:
-        return self._value(_as_points(x, self.d))
+        return self._deriv((0,) * self.d, _as_points(x, self.d))
 
     def deriv(self, deriv: Sequence[int], x) -> Array:
         """Analytic mixed derivative, valid away from the kink loci."""
@@ -80,19 +79,13 @@ def _sq_factor(col: Array, order: int) -> Array:
 
 
 def _tensor(factors: list[Callable[[Array, int], Array]]):
-    def value(x: Array) -> Array:
-        out = np.ones(len(x))
-        for j, fac in enumerate(factors):
-            out *= fac(x[:, j], 0)
-        return out
-
     def deriv(lam: tuple[int, ...], x: Array) -> Array:
         out = np.ones(len(x))
         for j, fac in enumerate(factors):
             out *= fac(x[:, j], lam[j])
         return out
 
-    return value, deriv
+    return deriv
 
 
 def registry(d: int = 2) -> list[TestFunction]:
@@ -108,30 +101,26 @@ def registry(d: int = 2) -> list[TestFunction]:
         raise ValueError("dimension must be positive")
     entries = []
 
-    val, der = _tensor([_sin_factor] * d)
     entries.append(
         TestFunction(
             fid="trig", d=d, alpha=(2.0,) * d, p=2.0, theta=math.inf,
-            kink_loci=((),) * d, _value=val, _deriv=der,
+            kink_loci=((),) * d, _deriv=_tensor([_sin_factor] * d),
         )
     )
 
     kink_expo = 0.75
-    val, der = _tensor(
-        [lambda c, r, e=kink_expo: _abs_factor(c, 0.5, e, r)] * d
-    )
     entries.append(
         TestFunction(
             fid="kink", d=d, alpha=(kink_expo,) * d, p=2.0, theta=math.inf,
-            kink_loci=((0.5,),) * d, _value=val, _deriv=der,
+            kink_loci=((0.5,),) * d,
+            _deriv=_tensor([lambda c, r, e=kink_expo: _abs_factor(c, 0.5, e, r)] * d),
         )
     )
 
-    val, der = _tensor([_sq_factor] * d)
     entries.append(
         TestFunction(
             fid="poly", d=d, alpha=(2.5,) * d, p=2.0, theta=math.inf,
-            kink_loci=((),) * d, _value=val, _deriv=der,
+            kink_loci=((),) * d, _deriv=_tensor([_sq_factor] * d),
         )
     )
 
@@ -139,12 +128,11 @@ def registry(d: int = 2) -> list[TestFunction]:
         factors = [_sin_factor] * (d - 1) + [
             lambda c, r: _abs_factor(c, 1.0 / 3.0, 1.0, r)
         ]
-        val, der = _tensor(factors)
         entries.append(
             TestFunction(
                 fid="aniso", d=d, alpha=(2.0,) * (d - 1) + (1.5,), p=2.0, theta=2.0,
                 kink_loci=((),) * (d - 1) + ((1.0 / 3.0,),),
-                _value=val, _deriv=der,
+                _deriv=_tensor(factors),
             )
         )
     return entries

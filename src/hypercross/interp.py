@@ -6,13 +6,14 @@ is what makes sample-point identity across dyadic cells decidable in exact
 arithmetic (see `hypercross.grid`); at 2**-40 it is far below every tolerance
 used anywhere else.
 
-Node values become local monomial coefficients through an exactly inverted
-Vandermonde matrix, cached per degree (`monomial_coeffs`); derivatives keep
-the coefficients from power r on, scaled by falling factorials
-(`differentiate`), and values come from Horner's rule one axis at a time
-(`horner`).  `TensorPoly` and the batched `Approximant` both evaluate
-through these three helpers, and `bspline.bspline_derivative` reduces its
-piece tables with `horner` too.
+Node values become local monomial coefficients through the Lagrange basis
+products, multiplied out in exact rationals and cached per degree
+(`monomial_coeffs`); derivatives keep the coefficients from power r on,
+scaled by falling factorials (`differentiate`), and values come from
+Horner's rule one axis at a time (`horner`).  `TensorPoly` and the batched
+`Approximant` both evaluate through these three helpers, and
+`bspline.bspline_derivative` reduces its piece tables with `horner` too.
+`interpolate` is the one way to build a `TensorPoly` from a function.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,25 +61,20 @@ def nodes(deg: int) -> tuple[float, ...]:
 def _monomial_matrix(deg: int) -> np.ndarray:
     """Matrix M with M @ values = ascending monomial coefficients.
 
-    M is the exact rational inverse of the Vandermonde matrix of the nodes,
-    so polynomial reproduction is limited only by the final float rounding.
+    Column ``i`` holds the Lagrange basis polynomial of node ``i``,
+    ``prod_{j != i} (x - x_j) / (x_i - x_j)``, multiplied out in exact
+    rationals, so polynomial reproduction is limited only by the final float
+    rounding.
     """
     xs = nodes_exact(deg)
-    n = deg + 1
-    # Gauss-Jordan over Fractions on [V | I].
-    aug = [[xs[i] ** j for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv_rows = [row[n:] for row in aug]
-    return np.array([[float(v) for v in row] for row in inv_rows])
+    cols = []
+    for i, xi in enumerate(xs):
+        c = [Fraction(1)]
+        for xj in xs[:i] + xs[i + 1:]:
+            # c * (x - xj) / (xi - xj), ascending powers.
+            c = [(lo - xj * hi) / (xi - xj) for lo, hi in zip([0] + c, c + [0])]
+        cols.append(c)
+    return np.array([[float(col[p]) for col in cols] for p in range(deg + 1)])
 
 
 def monomial_coeffs(values: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
@@ -125,6 +121,13 @@ def horner(coeffs: np.ndarray, axis: int, t) -> np.ndarray:
     return acc
 
 
+def _check_box(dim: int, x0: Sequence[float], delta: Sequence[float]) -> None:
+    if len(x0) != dim or not all(math.isfinite(v) for v in x0):
+        raise ValueError(f"x0 must hold {dim} finite coordinates, got {x0}")
+    if len(delta) != dim or not all(0 < v < math.inf for v in delta):
+        raise ValueError(f"delta must hold {dim} finite widths > 0, got {delta}")
+
+
 @dataclass(frozen=True)
 class TensorPoly:
     """Tensor-product polynomial stored by its values at the box nodes.
@@ -133,6 +136,8 @@ class TensorPoly:
     ``i``; the node grid lives on the box ``x0 + delta * [0,1]^d``.  The
     object is immutable; its monomial coefficient tensor, in the local
     coordinates ``u = (x - x0)/delta``, is computed once at construction.
+    A ``values``, ``x0`` or ``delta`` that does not fit ``degrees`` raises a
+    ValueError naming the field.
     """
 
     degrees: tuple[int, ...]
@@ -142,10 +147,10 @@ class TensorPoly:
     _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.values.shape != tuple(d + 1 for d in self.degrees):
-            raise ValueError("values shape does not match degrees")
-        if any(d <= 0 for d in self.delta):
-            raise ValueError("box widths must be positive")
+        shape = tuple(d + 1 for d in self.degrees)
+        if not isinstance(self.values, np.ndarray) or self.values.shape != shape:
+            raise ValueError(f"values must be an array of shape {shape}, one entry per node")
+        _check_box(self.dim, self.x0, self.delta)
         self.values.setflags(write=False)
         object.__setattr__(self, "_coeffs", monomial_coeffs(self.values, self.degrees))
 
@@ -173,40 +178,20 @@ class TensorPoly:
         return float(c)
 
 
-def tensor_nodes(
-    degrees: Sequence[int], x0: Sequence[float], delta: Sequence[float]
-) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
-    """Yield (index, point) for the full tensor node grid of a box."""
-    axis_nodes = [nodes(d) for d in degrees]
-    for idx in product(*[range(d + 1) for d in degrees]):
-        pt = tuple(
-            x0j + dj * axis_nodes[j][idx[j]]
-            for j, (x0j, dj) in enumerate(zip(x0, delta))
-        )
-        yield idx, pt
-
-
-def tensor_interpolate(
-    values: Mapping[tuple[int, ...], float],
-    box: tuple[Sequence[float], Sequence[float]],
+def interpolate(
+    f: Callable[[tuple[float, ...]], float],
+    degrees: Sequence[int],
+    x0: Sequence[float],
+    delta: Sequence[float],
 ) -> TensorPoly:
-    """Interpolate prescribed node values on a box.
+    """Tensor interpolant of ``f`` at the nodes of the box ``x0 + delta * [0,1]^d``.
 
-    ``values`` must contain exactly one entry per index of the tensor grid;
-    the per-axis degree is inferred from the largest index seen.
+    ``f`` is called once per node, with the node as a tuple of floats, after
+    the box has been checked.
     """
-    if not values:
-        raise ValueError("empty value map")
-    dim = len(next(iter(values)))
-    degrees = tuple(max(idx[j] for idx in values) for j in range(dim))
-    expected = math.prod(d + 1 for d in degrees)
-    if len(values) != expected:
-        raise ValueError(f"expected {expected} node values, got {len(values)}")
-    arr = np.empty(tuple(d + 1 for d in degrees))
+    _check_box(len(degrees), x0, delta)
+    axis_nodes = [nodes(d) for d in degrees]
+    vals = np.empty(tuple(d + 1 for d in degrees))
     for idx in product(*[range(d + 1) for d in degrees]):
-        if idx not in values:
-            raise ValueError(f"missing value for node index {idx}")
-        arr[idx] = values[idx]
-    x0, delta = box
-    return TensorPoly(degrees, tuple(float(v) for v in x0), tuple(float(v) for v in delta), arr)
-
+        vals[idx] = f(tuple(a + w * ns[i] for a, w, ns, i in zip(x0, delta, axis_nodes, idx)))
+    return TensorPoly(tuple(degrees), tuple(x0), tuple(delta), vals)

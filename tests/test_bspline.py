@@ -79,16 +79,28 @@ class TestDerivative:
             bspline.bspline_derivative(2, 3, 0.5)
 
     def test_difference_identity(self):
-        # d/dx psi_m(x) = psi_{m-1}(x) - psi_{m-1}(x - 1), also at knots
-        # under the right-limit convention.
-        xs = np.random.default_rng(1).uniform(-0.5, 6.5, 300)
-        for m in range(1, 6):
-            for x in list(xs) + [0.0, 1.0, float(m)]:
-                lhs = bspline.bspline_derivative(m, 1, x)
-                rhs = bspline.bspline_derivative(m - 1, 0, x) - bspline.bspline_derivative(
-                    m - 1, 0, x - 1
+        # psi_m^(r)(x) = psi_{m-1}^(r-1)(x) - psi_{m-1}^(r-1)(x - 1) for every
+        # order and derivative, also at every knot under the right-limit
+        # convention.  The bound is relative to max |psi_m^(r)| (measured at
+        # most 7.1e-16 of it).
+        rng = np.random.default_rng(1)
+        for m in range(1, bspline.MAX_ORDER + 1):
+            xs = np.concatenate([rng.uniform(-0.5, m + 1.5, 300), np.arange(m + 2.0)])
+            for r in range(1, m + 1):
+                lhs = bspline.bspline_derivative(m, r, xs)
+                rhs = bspline.bspline_derivative(m - 1, r - 1, xs) - bspline.bspline_derivative(
+                    m - 1, r - 1, xs - 1
                 )
-                assert lhs == pytest.approx(rhs, abs=1e-14)
+                assert np.max(np.abs(lhs - rhs)) <= 2e-15 * np.max(np.abs(lhs))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^x = .* is not finite"):
+            bspline.bspline_derivative(3, 1, bad)
+        with pytest.raises(ValueError, match=r"^x\[2\] = .* is not finite"):
+            bspline.bspline_derivative(3, 1, np.array([0.5, 2.5, bad, math.nan]))
+        with pytest.raises(ValueError, match=r"^x\[1, 0\] = .* is not finite"):
+            bspline.bspline_derivative(2, 0, np.array([[0.5, 1.0], [bad, 0.0]]))
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(2)

@@ -66,11 +66,15 @@ class TestLagrangeBasis:
         return interp.horner(interp.monomial_coeffs(np.eye(deg + 1), (deg,)), 0, x)
 
     def test_kronecker(self):
-        for deg in (0, 2, 5):
-            xs = interp.nodes(deg)
-            for i, j in product(range(deg + 1), repeat=2):
-                want = 1.0 if i == j else 0.0
-                assert self.basis_at(deg, xs[i])[j] == pytest.approx(want, abs=1e-12)
+        # Every supported degree; the coefficients grow to about 3e7 at degree
+        # 12, so the bound is relative to the largest one (measured at most
+        # 1.8e-16 of it).
+        for deg in range(interp.MAX_DEGREE + 1):
+            basis = interp.monomial_coeffs(np.eye(deg + 1), (deg,))
+            bound = 1e-15 * np.abs(basis).max()
+            for i, x in enumerate(interp.nodes(deg)):
+                got = interp.horner(basis, 0, x)
+                assert np.max(np.abs(got - np.eye(deg + 1)[i])) <= bound
 
     def test_partition(self):
         rng = np.random.default_rng(0)
@@ -81,17 +85,12 @@ class TestLagrangeBasis:
 
 class TestTensorInterpolate:
     def test_constant(self):
-        vals = {idx: 3.25 for idx, _ in interp.tensor_nodes((1, 2), (0, 0), (1, 1))}
-        poly = interp.tensor_interpolate(vals, ((0, 0), (1, 1)))
+        poly = interp.interpolate(lambda pt: 3.25, (1, 2), (0, 0), (1, 1))
         for pt in [(0.1, 0.9), (0.5, 0.5)]:
             assert poly.eval(pt) == pytest.approx(3.25, abs=1e-13)
 
     def test_bilinear_product(self):
-        vals = {
-            idx: pt[0] * pt[1]
-            for idx, pt in interp.tensor_nodes((1, 1), (0, 0), (1, 1))
-        }
-        poly = interp.tensor_interpolate(vals, ((0, 0), (1, 1)))
+        poly = interp.interpolate(lambda pt: pt[0] * pt[1], (1, 1), (0, 0), (1, 1))
         rng = np.random.default_rng(1)
         for pt in rng.uniform(0, 1, (50, 2)):
             assert poly.eval(pt) == pytest.approx(pt[0] * pt[1], abs=1e-12)
@@ -103,83 +102,87 @@ class TestTensorInterpolate:
             box = ((0.0,) * d, (1.0,) * d)
             for _ in range(5):
                 f, scale = random_poly(rng, degrees)
-                vals = {
-                    idx: f(pt) for idx, pt in interp.tensor_nodes(degrees, *box)
-                }
-                poly = interp.tensor_interpolate(vals, box)
+                poly = interp.interpolate(f, degrees, *box)
                 for pt in rng.uniform(0, 1, (20, d)):
                     assert abs(poly.eval(pt) - f(pt)) <= 1e-9 * max(scale, 1.0)
 
-    def test_missing_and_extra_indices_rejected(self):
-        vals = {idx: 1.0 for idx, _ in interp.tensor_nodes((1, 1), (0, 0), (1, 1))}
-        vals.pop((0, 0))
-        with pytest.raises(ValueError):
-            interp.tensor_interpolate(vals, ((0, 0), (1, 1)))
-        vals[(0, 0)] = 1.0
-        vals[(5, 5)] = 1.0
-        with pytest.raises(ValueError):
-            interp.tensor_interpolate(vals, ((0, 0), (1, 1)))
+    def test_bad_fields_rejected(self):
+        # Each error names the field at fault, before any evaluation.
+        good = dict(degrees=(1, 2), x0=(0.0, 0.0), delta=(1.0, 1.0))
+        nan, inf = math.nan, math.inf
+        bad = [
+            ("values", np.ones((3, 2))),
+            ("values", np.ones(6)),
+            ("values", [[1.0] * 3] * 2),
+            ("x0", (0.0,)),
+            ("x0", (0.0, 0.0, 0.0)),
+            ("x0", (nan, 0.0)),
+            ("x0", (0.0, -inf)),
+            ("delta", (1.0,)),
+            ("delta", (1.0, 1.0, 1.0)),
+            ("delta", (nan, 1.0)),
+            ("delta", (1.0, inf)),
+            ("delta", (0.0, 1.0)),
+            ("delta", (1.0, -0.5)),
+        ]
+        for name, value in bad:
+            fields = {**good, "values": np.ones((2, 3)), name: value}
+            with pytest.raises(ValueError, match=name):
+                interp.TensorPoly(**fields)
+            if name != "values":
+                # interpolate checks the box before it calls f at a node.
+                with pytest.raises(ValueError, match=name):
+                    interp.interpolate(lambda pt: pt[1], (1, 2), fields["x0"], fields["delta"])
+        poly = interp.TensorPoly(**good, values=np.ones((2, 3)))
+        assert poly.eval((0.3, 0.7)) == pytest.approx(1.0, abs=1e-13)
 
     def test_affine_covariance(self):
         rng = np.random.default_rng(3)
         degrees = (2, 2)
         f, _ = random_poly(rng, degrees)
         x0, delta = (0.25, 0.5), (0.25, 0.125)
-        vals_local = {
-            idx: f(pt) for idx, pt in interp.tensor_nodes(degrees, x0, delta)
-        }
-        p_local = interp.tensor_interpolate(vals_local, (x0, delta))
-        vals_unit = {
-            idx: f((x0[0] + delta[0] * pt[0], x0[1] + delta[1] * pt[1]))
-            for idx, pt in interp.tensor_nodes(degrees, (0, 0), (1, 1))
-        }
-        p_unit = interp.tensor_interpolate(vals_unit, ((0, 0), (1, 1)))
+        p_local = interp.interpolate(f, degrees, x0, delta)
+        p_unit = interp.interpolate(
+            lambda pt: f((x0[0] + delta[0] * pt[0], x0[1] + delta[1] * pt[1])),
+            degrees, (0, 0), (1, 1),
+        )
         for pt in rng.uniform(0, 1, (30, 2)):
             x = (x0[0] + delta[0] * pt[0], x0[1] + delta[1] * pt[1])
             assert p_local.eval(x) == pytest.approx(p_unit.eval(pt), abs=1e-12)
 
     def test_axiswise_equals_tensor(self):
-        # Interpolating one axis at a time gives the full tensor interpolant.
+        # Interpolating one axis at a time gives the full tensor interpolant:
+        # each row of node values along axis 1 is a 1-D interpolant.
         rng = np.random.default_rng(4)
         degrees = (2, 3)
         f, _ = random_poly(rng, (4, 4))  # higher degree: interpolation not exact
-        box = ((0.0, 0.0), (1.0, 1.0))
-        vals = {idx: f(pt) for idx, pt in interp.tensor_nodes(degrees, *box)}
-        full = interp.tensor_interpolate(vals, box)
+        full = interp.interpolate(f, degrees, (0.0, 0.0), (1.0, 1.0))
         nodes0 = interp.nodes(degrees[0])
         for pt in rng.uniform(0, 1, (25, 2)):
-            stage = []
-            for i0 in range(degrees[0] + 1):
-                axis_vals = {(i1,): vals[(i0, i1)] for i1 in range(degrees[1] + 1)}
-                p1 = interp.tensor_interpolate(axis_vals, ((0.0,), (1.0,)))
-                stage.append(p1.eval((pt[1],)))
-            p0 = interp.tensor_interpolate(
-                {(i,): v for i, v in enumerate(stage)}, ((0.0,), (1.0,))
-            )
+            stage = [
+                interp.TensorPoly(degrees[1:], (0.0,), (1.0,), row).eval((pt[1],))
+                for row in full.values
+            ]
+            p0 = interp.TensorPoly(degrees[:1], (0.0,), (1.0,), np.array(stage))
             assert p0.eval((pt[0],)) == pytest.approx(full.eval(pt), abs=1e-10)
             assert nodes0[0] > 0.0  # axis order irrelevant; sanity anchor
 
 
+def square(pt):
+    return pt[0] ** 2
+
+
 class TestDerivEval:
     def test_zero_order_is_eval(self):
-        vals = {
-            idx: pt[0] ** 2 for idx, pt in interp.tensor_nodes((2,), (0,), (1,))
-        }
-        poly = interp.tensor_interpolate(vals, ((0,), (1,)))
+        poly = interp.interpolate(square, (2,), (0,), (1,))
         assert poly.deriv_eval((0,), (0.3,)) == pytest.approx(poly.eval((0.3,)))
 
     def test_beyond_degree_vanishes(self):
-        vals = {
-            idx: pt[0] ** 2 for idx, pt in interp.tensor_nodes((2,), (0,), (1,))
-        }
-        poly = interp.tensor_interpolate(vals, ((0,), (1,)))
+        poly = interp.interpolate(square, (2,), (0,), (1,))
         assert poly.deriv_eval((3,), (0.3,)) == 0.0
 
     def test_square_derivative_fd_oracle(self):
-        vals = {
-            idx: pt[0] ** 2 for idx, pt in interp.tensor_nodes((2,), (0,), (1,))
-        }
-        poly = interp.tensor_interpolate(vals, ((0,), (1,)))
+        poly = interp.interpolate(square, (2,), (0,), (1,))
         h = 1e-6
         for x in (0.15, 0.5, 0.85):
             fd = (poly.eval((x + h,)) - poly.eval((x - h,))) / (2 * h)
@@ -188,15 +191,11 @@ class TestDerivEval:
             assert got == pytest.approx(fd, abs=1e-8)
 
     def test_scaled_box_chain_rule(self):
-        vals = {
-            idx: pt[0] ** 2 for idx, pt in interp.tensor_nodes((2,), (0.5,), (0.25,))
-        }
-        poly = interp.tensor_interpolate(vals, ((0.5,), (0.25,)))
+        poly = interp.interpolate(square, (2,), (0.5,), (0.25,))
         assert poly.deriv_eval((2,), (0.6,)) == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_derivative_vanishes(self):
-        vals = {idx: 1.0 for idx, _ in interp.tensor_nodes((1,), (0,), (1,))}
-        poly = interp.tensor_interpolate(vals, ((0,), (1,)))
+        poly = interp.interpolate(lambda pt: 1.0, (1,), (0,), (1,))
         assert poly.deriv_eval((1,), (0.4,)) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("degrees", [(2, 3), (2, 1, 2)])
@@ -206,12 +205,9 @@ class TestDerivEval:
         rng = np.random.default_rng(sum(degrees))
         d = len(degrees)
         x0, delta = (0.25, 0.5, 0.125)[:d], (0.25, 0.125, 0.5)[:d]
-        box = (x0, delta)
         coeffs = rng.uniform(-1, 1, size=tuple(g + 1 for g in degrees))
-        node_list = list(interp.tensor_nodes(degrees, *box))
-        node_vals = numpy_polyval(coeffs, np.array([pt for _, pt in node_list]))
-        poly = interp.tensor_interpolate(
-            {idx: v for (idx, _), v in zip(node_list, node_vals)}, box
+        poly = interp.interpolate(
+            lambda pt: numpy_polyval(coeffs, np.array([pt]))[0], degrees, x0, delta
         )
         pts = np.array(x0) + np.array(delta) * rng.uniform(0, 1, size=(10, d))
         for deriv in product(*[range(g + 2) for g in degrees]):
