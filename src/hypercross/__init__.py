@@ -16,7 +16,7 @@ from .grid import (
     write_plan,
 )
 from .interp import TensorPoly, interpolate, nodes
-from .recovery import Approximant, Quadrature, SampleSet, lq_error, reconstruct, sample
+from .recovery import Approximant, Quadrature, lq_error, reconstruct, sample
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "DyadicEvaluator",
     "Quadrature",
     "RecoveryPlan",
-    "SampleSet",
     "SmoothnessParams",
     "TensorPoly",
     "TestFunction",

@@ -291,11 +291,9 @@ def recovery_checks() -> list[CheckResult]:
     v1 = rng.uniform(-1, 1, size=plan.n_actual)
     v2 = rng.uniform(-1, 1, size=plan.n_actual)
     a, b = 0.7, -1.3
-    r1 = recovery.reconstruct(recovery.SampleSet.from_array(plan, v1), plan, (1, 1))
-    r2 = recovery.reconstruct(recovery.SampleSet.from_array(plan, v2), plan, (1, 1))
-    r12 = recovery.reconstruct(
-        recovery.SampleSet.from_array(plan, a * v1 + b * v2), plan, (1, 1)
-    )
+    r1 = recovery.reconstruct(v1, plan, (1, 1))
+    r2 = recovery.reconstruct(v2, plan, (1, 1))
+    r12 = recovery.reconstruct(a * v1 + b * v2, plan, (1, 1))
     pts = rng.uniform(0.02, 0.98, size=(50, 2))
     worst = float(np.max(np.abs(r12(pts) - a * r1(pts) - b * r2(pts))))
     out.append(_check("recovery.linearity", worst, 1e-10))

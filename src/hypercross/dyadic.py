@@ -35,21 +35,9 @@ from .interp import TensorPoly, interpolate
 Vector = tuple[int, ...]
 
 
-def support_axes(level: Sequence[int]) -> tuple[int, ...]:
-    """Axes along which the level vector is positive."""
-    return tuple(j for j, k in enumerate(level) if k > 0)
-
-
 def decrement_masks(level: Sequence[int]) -> list[Vector]:
     """All 0/1 masks supported on the positive axes of ``level``."""
-    axes = support_axes(level)
-    masks = []
-    for bits in product((0, 1), repeat=len(axes)):
-        m = [0] * len(level)
-        for a, b in zip(axes, bits):
-            m[a] = b
-        masks.append(tuple(m))
-    return masks
+    return list(product(*[(0, 1) if k > 0 else (0,) for k in level]))
 
 
 def _blend(m: int, r: int, u: np.ndarray, right_edge: bool) -> np.ndarray:

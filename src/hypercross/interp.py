@@ -134,10 +134,11 @@ class TensorPoly:
 
     ``values[i1, ..., id]`` is the value at the node with per-axis indices
     ``i``; the node grid lives on the box ``x0 + delta * [0,1]^d``.  The
-    object is immutable; its monomial coefficient tensor, in the local
-    coordinates ``u = (x - x0)/delta``, is computed once at construction.
-    A ``values``, ``x0`` or ``delta`` that does not fit ``degrees`` raises a
-    ValueError naming the field.
+    object is immutable: it keeps a read-only float copy of ``values``, so
+    the caller's array stays writable, and its monomial coefficient tensor,
+    in the local coordinates ``u = (x - x0)/delta``, is computed once at
+    construction.  A ``values``, ``x0`` or ``delta`` that does not fit
+    ``degrees`` raises a ValueError naming the field.
     """
 
     degrees: tuple[int, ...]
@@ -151,8 +152,10 @@ class TensorPoly:
         if not isinstance(self.values, np.ndarray) or self.values.shape != shape:
             raise ValueError(f"values must be an array of shape {shape}, one entry per node")
         _check_box(self.dim, self.x0, self.delta)
-        self.values.setflags(write=False)
-        object.__setattr__(self, "_coeffs", monomial_coeffs(self.values, self.degrees))
+        values = self.values.astype(float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_coeffs", monomial_coeffs(values, self.degrees))
 
     @property
     def dim(self) -> int:
@@ -162,11 +165,17 @@ class TensorPoly:
         return self.deriv_eval((0,) * self.dim, x)
 
     def deriv_eval(self, deriv: Sequence[int], x: Sequence[float]) -> float:
-        """Mixed derivative of the polynomial at a point (zero past the degree)."""
+        """Mixed derivative of the polynomial at a point (zero past the degree).
+
+        The point may lie outside the box; a non-finite coordinate raises a
+        ValueError naming the point.
+        """
         if len(deriv) != self.dim or len(x) != self.dim:
             raise ValueError("dimension mismatch")
         if any(r < 0 for r in deriv):
             raise ValueError("derivative orders must be nonnegative")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"point {tuple(x)} is not finite")
         if any(r > d for r, d in zip(deriv, self.degrees)):
             return 0.0
         c = self._coeffs

@@ -1,9 +1,9 @@
 """Assembling and measuring the recovery operator.
 
 `sample` evaluates the target function once per plan point, at the plan's
-exact keys converted to floats, and returns a `SampleSet`: one value per
-point, aligned with the plan's key array.  `reconstruct` builds the linear
-approximant
+exact keys converted to floats, and returns the checked value vector: one
+float per point, aligned with the plan's key array.  `reconstruct` builds
+the linear approximant
 
     x  ->  sum over plan levels of  D^deriv (surplus at level k) (x),
 
@@ -12,11 +12,12 @@ of level operators (the classic combination trick): the weight of level k is
 ``sum over masks e of (-1)**|e| [k + e in set]`` and vanishes for all levels
 away from the upper boundary of the set.  Each surviving level is evaluated
 as a full tensor grid: its local interpolants form one monomial coefficient
-table, built on first use from the level's contiguous run of sample values,
-which come in (cell, node) order.  Points are evaluated in fixed-size
-chunks; per level and blending offset a chunk gathers one block from the
-table and reduces it one axis at a time, and per-axis cell indices and
-spline factors are shared by all levels that agree on that axis.
+table, built at construction from the level's contiguous run of sample
+values, which come in (cell, node) order.  Points are evaluated in
+fixed-size chunks; per level and blending offset a chunk gathers one block
+from the table and reduces it one axis at a time, and one per-axis basis
+(anchor cells, local coordinates, spline factors) is shared by all levels
+that agree on that axis.
 
 Points must lie in the closed unit cube.  Blending splines take right limits
 at interior knots; at the right edge ``x_j = 1`` they take the left limit,
@@ -49,46 +50,35 @@ PointFn = Callable[[Array], Array]
 # -- sampling ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Function values, one per plan point: ``values[i]`` belongs to ``plan.keys[i]``."""
+def _checked(plan: RecoveryPlan, values: Sequence[float]) -> Array:
+    """A float copy of a value vector aligned with the plan's points.
 
-    plan: RecoveryPlan
-    values: Array
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @staticmethod
-    def from_array(plan: RecoveryPlan, values: Sequence[float]) -> "SampleSet":
-        """Wrap a value vector aligned with the plan's points.
-
-        Raises ValueError on a vector of the wrong length, or naming the
-        first row, with its point, whose value is not finite.
-        """
-        vals = np.array(values, dtype=float).reshape(-1)
-        if len(vals) != plan.n_actual:
-            raise ValueError(
-                f"value vector has {len(vals)} entries; the plan has {plan.n_actual} points"
-            )
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise ValueError(
-                f"value {vals[bad[0]]} at row {bad[0]} is not finite: "
-                f"evaluation failed at {plan.describe(bad[0])}"
-            )
-        return SampleSet(plan, vals)
+    Raises ValueError on a vector of the wrong length, or naming the first
+    row, with its point, whose value is not finite.
+    """
+    vals = np.array(values, dtype=float).reshape(-1)
+    if len(vals) != plan.n_actual:
+        raise ValueError(
+            f"value vector has {len(vals)} entries; the plan has {plan.n_actual} points"
+        )
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(
+            f"value {vals[bad[0]]} at row {bad[0]} is not finite: "
+            f"evaluation failed at {plan.describe(bad[0])}"
+        )
+    return vals
 
 
-def sample(f: PointFn, plan: RecoveryPlan) -> SampleSet:
-    """Evaluate ``f`` once per plan point.
+def sample(f: PointFn, plan: RecoveryPlan) -> Array:
+    """Evaluate ``f`` once per plan point; ``values[i]`` belongs to ``plan.keys[i]``.
 
     ``f`` receives a single (n, d) array, so an instrumented callable sees
     exactly ``plan.n_actual`` rows.  A wrong value count aborts, and so does
     a non-finite value, naming the offending point with its coordinates and
     provenance.
     """
-    return SampleSet.from_array(plan, f(plan.floats()))
+    return _checked(plan, f(plan.floats()))
 
 
 # -- combination weights -------------------------------------------------------------
@@ -122,59 +112,46 @@ _CHUNK = 8_192
 
 
 class _ChunkAxes:
-    """Per-axis quantities of one point chunk.
+    """The per-axis basis of one point chunk.
 
-    Each depends on a single axis's level only, so every combination level
-    sharing that axis level reuses it.
+    Each entry depends on a single axis's level only, so every combination
+    level sharing that axis level reuses it.
     """
 
     def __init__(self, pts: Array, order: Sequence[int]):
         self.pts = pts
         self.order = order
-        self._edges = [np.flatnonzero(pts[:, j] == 1.0) for j in range(pts.shape[1])]
-        self._cells: dict[tuple[int, int], tuple[Array, Array, Array]] = {}
-        self._anchors: dict[tuple[int, int, int], tuple[Array, Array]] = {}
-        self._splines: dict[tuple[int, int, int, int], Array] = {}
+        self._axes: dict[tuple[int, int], list[tuple[Array, Array, list[Array]]]] = {}
 
-    def cells(self, j: int, k: int) -> tuple[Array, Array, Array]:
-        """Scaled coordinate, cell index and local coordinate; the right edge
-        ``x_j = 1`` belongs to the last cell, at local coordinate 1."""
-        got = self._cells.get((j, k))
+    def axis(self, j: int, k: int) -> list[tuple[Array, Array, list[Array]]]:
+        """Per blending offset ``o = -r..0`` of axis ``j`` at level ``k``, with
+        ``r = order[j]``: the anchor cell whose polynomial the translate at
+        ``o`` carries, the coordinate relative to that cell, and for
+        ``s = 0..r`` the product-rule factor ``comb(r, s) 2**(k r) psi^(s)``
+        (none when ``r = 0``, where the order-0 spline is 1 on the closed cell).
+
+        The right edge ``x_j = 1`` belongs to the last cell, at local
+        coordinate 1.  Splines take right limits at interior knots; at the
+        right edge the left limit, through the symmetry ``psi(u) = psi(r+1-u)``.
+        """
+        got = self._axes.get((j, k))
         if got is None:
+            r = self.order[j]
             scaled = self.pts[:, j] * float(1 << k)
             cell = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << k) - 1)
-            got = self._cells[(j, k)] = (scaled, cell, scaled - cell)
-        return got
-
-    def anchor(self, j: int, k: int, offset: int) -> tuple[Array, Array]:
-        """Cell whose polynomial the translate at ``offset`` carries, and the
-        coordinate relative to that cell."""
-        if offset == 0:
-            return self.cells(j, k)[1:]
-        got = self._anchors.get((j, k, offset))
-        if got is None:
-            scaled, cell, _ = self.cells(j, k)
-            anchor = np.maximum(cell + offset, 0)
-            got = self._anchors[(j, k, offset)] = (anchor, scaled - anchor)
-        return got
-
-    def spline(self, j: int, k: int, split: int, offset: int) -> Array:
-        """``split``-th derivative of the blending spline translated by ``offset``.
-
-        Right limits at interior knots; at the cube's right edge ``x_j = 1``
-        the left limit, taken through the symmetry ``psi(u) = psi(m+1-u)``.
-        """
-        got = self._splines.get((j, k, split, offset))
-        if got is None:
-            m = self.order[j]
-            local = self.cells(j, k)[2]
-            got = bspline_derivative(m, split, local - offset)
-            edge = self._edges[j]
-            if edge.size:
-                got[edge] = (-1) ** split * bspline_derivative(
-                    m, split, m + 1 + offset - local[edge]
-                )
-            self._splines[(j, k, split, offset)] = got
+            local = scaled - cell
+            edge = np.flatnonzero(self.pts[:, j] == 1.0)
+            got = []
+            for o in range(-r, 1):
+                factors = []
+                for s in range(r + 1) if r else ():
+                    psi = bspline_derivative(r, s, local - o)
+                    if edge.size:
+                        psi[edge] = (-1) ** s * bspline_derivative(r, s, r + 1 + o - local[edge])
+                    factors.append((math.comb(r, s) * 2.0 ** (k * r)) * psi)
+                anchor = np.maximum(cell + o, 0)
+                got.append((anchor, scaled - anchor, factors))
+            self._axes[(j, k)] = got
         return got
 
 
@@ -184,18 +161,15 @@ class Approximant:
     Linear in the samples by construction.  Every surviving combination level
     is evaluated as a full tensor grid: its local interpolants are one
     monomial coefficient table, ``(degrees + 1)`` coefficients for each of
-    its cells, built on first use from the sample values.  Points go through
-    in chunks of ``_CHUNK``; per level and blending offset a point costs one
-    table gather and ``deriv[j] + 1`` Horner steps along each axis j,
-    independent of the total sample count.  Points must be finite and lie in
-    the closed unit cube.
-
-    Evaluation is deterministic and effectively read-only: a level's table
-    is stored only once it is fully built, so concurrent evaluation can at
-    worst duplicate a build, never see a partial table or change a result.
+    its cells, built at construction from the value vector (checked like
+    `sample`'s).  Points go through in chunks of ``_CHUNK``; per level and
+    blending offset a point costs one table gather and ``deriv[j] + 1``
+    Horner steps along each axis j, independent of the total sample count.
+    Points must be finite and lie in the closed unit cube.  Evaluation is
+    deterministic and read-only.
     """
 
-    def __init__(self, samples: SampleSet, plan: RecoveryPlan, deriv: Sequence[int]):
+    def __init__(self, values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]):
         params = plan.params
         deriv = tuple(int(r) for r in deriv)
         if len(deriv) != params.d or any(r < 0 for r in deriv):
@@ -204,43 +178,31 @@ class Approximant:
             raise ValueError(
                 f"derivative {deriv} exceeds interpolation degrees {params.degrees}"
             )
-        if samples.plan is not plan and not np.array_equal(samples.plan.keys, plan.keys):
-            raise ValueError("sample set does not match the plan's points")
+        values = _checked(plan, values)
         self.plan = plan
         self.deriv = deriv
         self.degrees = params.degrees
-        self._values = samples.values
-        self._rows = {
-            level: (plan.bounds[li], plan.bounds[li + 1]) for li, level in enumerate(plan.levels)
-        }
-        self._weights = combination_weights(plan.levels)
-        self._tables: dict[tuple[int, ...], Array] = {}
+        # One (level, weight, table) per surviving level, in sorted level
+        # order.  A table holds the monomial coefficients of every cell of its
+        # level, shape ``(*(degrees + 1), n_cells)``, cells in C order, so a
+        # gather of m cells yields one contiguous row of m values per
+        # coefficient.
+        weights = combination_weights(plan.levels)
+        nodes = tuple(dg + 1 for dg in self.degrees)
+        d = params.d
+        self._levels = []
+        for li, level in enumerate(plan.levels):
+            if level not in weights:
+                continue
+            # (cell_0, ..., cell_{d-1}, node_0, ..., node_{d-1}) -> (node_0, ..., cell)
+            c = values[plan.bounds[li] : plan.bounds[li + 1]].reshape(
+                tuple(1 << k for k in level) + nodes
+            ).transpose(list(range(d, 2 * d)) + list(range(d))).reshape(nodes + (-1,))
+            table = np.ascontiguousarray(monomial_coeffs(c, self.degrees))
+            self._levels.append((level, weights[level], table))
         # Each axis blends with splines of order deriv[j], the smallest
         # admissible; those covering a point sit at offsets -deriv[j]..0.
         self._offsets = list(product(*[range(-r, 1) for r in deriv]))
-
-    # ---- local polynomial coefficients, gathered from the samples
-
-    def _level_table(self, level: tuple[int, ...]) -> Array:
-        """Monomial coefficients of every cell of one level.
-
-        Shape ``(*(degrees + 1), n_cells)``, cells in C order, so a gather
-        of m cells yields one contiguous row of m values per coefficient.
-        """
-        table = self._tables.get(level)
-        if table is None:
-            d = len(level)
-            a, b = self._rows[level]
-            nodes = tuple(dg + 1 for dg in self.degrees)
-            # (cell_0, ..., cell_{d-1}, node_0, ..., node_{d-1}) -> (node_0, ..., cell)
-            c = self._values[a:b].reshape(tuple(1 << k for k in level) + nodes).transpose(
-                list(range(d, 2 * d)) + list(range(d))
-            ).reshape(nodes + (-1,))
-            table = np.ascontiguousarray(monomial_coeffs(c, self.degrees))
-            self._tables[level] = table
-        return table
-
-    # ---- evaluation
 
     def __call__(self, x) -> Array:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -257,12 +219,12 @@ class Approximant:
         for start in range(0, len(pts), _CHUNK):
             chunk = _ChunkAxes(pts[start : start + _CHUNK], self.deriv)
             acc = np.zeros(len(chunk.pts))
-            for level in sorted(self._weights):
-                acc += self._weights[level] * self._level_deriv(level, chunk)
+            for level, weight, table in self._levels:
+                acc += weight * self._level_deriv(level, table, chunk)
             out[start : start + _CHUNK] = acc
         return out
 
-    def _level_deriv(self, level: tuple[int, ...], chunk: _ChunkAxes) -> Array:
+    def _level_deriv(self, level: tuple[int, ...], table: Array, chunk: _ChunkAxes) -> Array:
         """``D^deriv`` of one level operator at the chunk's points.
 
         Per offset, the gathered block is reduced from the last axis to the
@@ -270,30 +232,36 @@ class Approximant:
         spline is 1 on the closed cell), else by the product rule,
         ``sum_s comb(r, s) 2**(k r) psi^(s) * horner(D^(r-s) block)``.
         """
-        table = self._level_table(level)
         d = len(level)
         dims = tuple(1 << k for k in level)
+        axes = [chunk.axis(j, k) for j, k in enumerate(level)]
         out = np.zeros(len(chunk.pts))
         for offset in self._offsets:
-            anchors, ts = zip(*(chunk.anchor(j, level[j], offset[j]) for j in range(d)))
+            anchors, ts, factors = zip(
+                *(axes[j][o + self.deriv[j]] for j, o in enumerate(offset))
+            )
             block = np.take(table, np.ravel_multi_index(anchors, dims), axis=-1)
             for j in reversed(range(d)):
-                k, r = level[j], self.deriv[j]
+                r = self.deriv[j]
                 if r == 0:
                     block = horner(block, j, ts[j])
                     continue
                 block = sum(
-                    (math.comb(r, s) * 2.0 ** (k * r)) * chunk.spline(j, k, s, offset[j])
-                    * horner(differentiate(block, j, r - s), j, ts[j])
+                    factors[j][s] * horner(differentiate(block, j, r - s), j, ts[j])
                     for s in range(r + 1)
                 )
             out += block
         return out
 
 
-def reconstruct(samples: SampleSet, plan: RecoveryPlan, deriv: Sequence[int]) -> Approximant:
-    """Build the linear approximant of ``D^deriv f`` from plan samples."""
-    return Approximant(samples, plan, deriv)
+def reconstruct(values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]) -> Approximant:
+    """Build the linear approximant of ``D^deriv f`` from the plan's value vector.
+
+    ``values[i]`` belongs to ``plan.keys[i]``, as `sample` returns it; a
+    vector of the wrong length or with a non-finite entry raises the same
+    ValueError as in `sample`.
+    """
+    return Approximant(values, plan, deriv)
 
 
 # -- error measurement ----------------------------------------------------------------
@@ -342,15 +310,10 @@ def _axis_rule(cells_log2: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _tensor_rule(quad: Quadrature) -> tuple[Array, Array]:
-    nodes, weights = _axis_rule(quad.resolved_cells_log2(), quad.points_per_cell)
-    grids = np.meshgrid(*([nodes] * quad.d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([weights] * quad.d), indexing="ij")
-    w = np.ones(len(pts))
-    for g in wgrids:
-        w *= g.ravel()
-    return pts, w
+def _grid(axis: Array, d: int) -> Array:
+    """The tensor grid ``axis^d``, one point per row, in C order."""
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 # Most points one rule or sup-norm lattice of `lq_error` may have.  Each
@@ -396,13 +359,13 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     _check_rule_size(quad.d, per_axis**quad.d, "cells_log2")
     if math.isinf(q):
         _check_rule_size(quad.d, quad.resolved_sup_points() ** quad.d, "sup_points")
-    pts, w = _tensor_rule(quad)
-    diff = _gap(g, h, pts)
+    nodes, weights = _axis_rule(quad.resolved_cells_log2(), quad.points_per_cell)
+    diff = _gap(g, h, _grid(nodes, quad.d))
     if math.isinf(q):
         n = quad.resolved_sup_points()
-        axis = (np.arange(n) + 0.5) / n
-        grids = np.meshgrid(*([axis] * quad.d), indexing="ij")
-        lattice = np.stack([gr.ravel() for gr in grids], axis=-1)
-        dense = _gap(g, h, lattice)
+        dense = _gap(g, h, _grid((np.arange(n) + 0.5) / n, quad.d))
         return float(max(diff.max(initial=0.0), dense.max(initial=0.0)))
+    w = np.ones(len(diff))
+    for col in _grid(weights, quad.d).T:
+        w *= col
     return float(np.sum(w * diff**q) ** (1.0 / q))

@@ -101,6 +101,14 @@ class TestQuasiInterp:
 
 
 class TestSurplus:
+    def test_decrement_masks_are_the_support_subsets(self):
+        # Every 0/1 mask with e <= sign(k), each once, in lexicographic order.
+        for level in product(range(3), repeat=4):
+            want = [
+                e for e in product((0, 1), repeat=4) if all(b <= (k > 0) for b, k in zip(e, level))
+            ]
+            assert dyadic.decrement_masks(level) == want
+
     def test_level_zero_equals_quasi_interp(self):
         ev = DyadicEvaluator((2, 2), (1, 1), f=smooth2)
         for x in [(0.2, 0.9), (0.55, 0.1)]:

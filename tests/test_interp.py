@@ -136,6 +136,14 @@ class TestTensorInterpolate:
         poly = interp.TensorPoly(**good, values=np.ones((2, 3)))
         assert poly.eval((0.3, 0.7)) == pytest.approx(1.0, abs=1e-13)
 
+    def test_caller_array_stays_writable(self):
+        # The polynomial freezes its own float copy, not the caller's array.
+        a = np.ones((2, 3))
+        poly = interp.TensorPoly((1, 2), (0.0, 0.0), (1.0, 1.0), a)
+        a[0, 0] = 2.0
+        assert not poly.values.flags.writeable and poly.values[0, 0] == 1.0
+        assert poly.eval((0.3, 0.7)) == pytest.approx(1.0, abs=1e-13)
+
     def test_affine_covariance(self):
         rng = np.random.default_rng(3)
         degrees = (2, 2)
@@ -197,6 +205,17 @@ class TestDerivEval:
     def test_constant_derivative_vanishes(self):
         poly = interp.interpolate(lambda pt: 1.0, (1,), (0,), (1,))
         assert poly.deriv_eval((1,), (0.4,)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # Points outside the box are legal; a non-finite one is named.
+        poly = interp.interpolate(lambda pt: pt[0] * pt[1], (1, 1), (0.0, 0.0), (1.0, 1.0))
+        assert poly.eval((2.0, -1.0)) == pytest.approx(-2.0, abs=1e-12)
+        for deriv in [(0, 0), (1, 0), (2, 0)]:
+            with pytest.raises(ValueError, match=rf"point \({bad}, 0\.5\) is not finite"):
+                poly.deriv_eval(deriv, (bad, 0.5))
+        with pytest.raises(ValueError, match="not finite"):
+            poly.eval((0.5, bad))
 
     @pytest.mark.parametrize("degrees", [(2, 3), (2, 1, 2)])
     def test_mixed_derivatives_match_numpy(self, degrees):

@@ -10,8 +10,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hypercross import functions, grid, recovery
+from hypercross.bspline import bspline_derivative
 from hypercross.dyadic import DyadicEvaluator
-from hypercross.recovery import Quadrature, SampleSet, lq_error, reconstruct, sample
+from hypercross.recovery import Quadrature, lq_error, reconstruct, sample
 
 
 def pointwise(f):
@@ -27,8 +28,8 @@ class TestSample:
     def test_zero_function(self):
         plan = grid.build_plan(params_smooth(), 2)
         s = sample(lambda pts: np.zeros(len(pts)), plan)
-        assert len(s) == plan.n_actual
-        assert s.values.shape == (plan.n_actual,) and np.all(s.values == 0.0)
+        assert isinstance(s, np.ndarray) and s.dtype == float
+        assert s.shape == (plan.n_actual,) and np.all(s == 0.0)
 
     def test_instrumented_count_is_exact(self):
         plan = grid.build_plan(params_smooth(), 3)
@@ -76,7 +77,7 @@ class TestSample:
     def test_from_array_rejects_wrong_length(self):
         plan = grid.build_plan(params_smooth(), 2)
         with pytest.raises(ValueError, match=f"has 3 entries; the plan has {plan.n_actual}"):
-            SampleSet.from_array(plan, [1.0, 2.0, 3.0])
+            reconstruct([1.0, 2.0, 3.0], plan, (0, 0))
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_from_array_names_non_finite_row(self, bad):
@@ -84,7 +85,7 @@ class TestSample:
         vals = np.zeros(plan.n_actual)
         vals[[4, 7]] = bad
         with pytest.raises(ValueError, match=r"at row 4 is not finite: evaluation failed at point 4 at"):
-            SampleSet.from_array(plan, vals)
+            reconstruct(vals, plan, (0, 0))
 
     def test_points_are_the_plan_keys(self):
         plan = grid.build_plan(params_smooth(), 3)
@@ -111,9 +112,7 @@ class TestReconstruct:
 
     def test_zero_samples_zero_function(self):
         plan = grid.build_plan(params_smooth(), 2)
-        approx = reconstruct(
-            SampleSet.from_array(plan, np.zeros(plan.n_actual)), plan, (0, 0)
-        )
+        approx = reconstruct(np.zeros(plan.n_actual), plan, (0, 0))
         pts = np.random.default_rng(2).uniform(0, 1, (50, 2))
         assert np.abs(approx(pts)).max() == 0.0
 
@@ -124,9 +123,9 @@ class TestReconstruct:
         v1 = rng.uniform(-1, 1, plan.n_actual)
         v2 = rng.uniform(-1, 1, plan.n_actual)
         a, b = 1.7, -0.35
-        r1 = reconstruct(SampleSet.from_array(plan, v1), plan, (1, 1))
-        r2 = reconstruct(SampleSet.from_array(plan, v2), plan, (1, 1))
-        r12 = reconstruct(SampleSet.from_array(plan, a * v1 + b * v2), plan, (1, 1))
+        r1 = reconstruct(v1, plan, (1, 1))
+        r2 = reconstruct(v2, plan, (1, 1))
+        r12 = reconstruct(a * v1 + b * v2, plan, (1, 1))
         pts = rng.uniform(0.01, 0.99, (50, 2))
         np.testing.assert_allclose(
             r12(pts), a * r1(pts) + b * r2(pts), atol=1e-10
@@ -136,7 +135,9 @@ class TestReconstruct:
         plan2 = grid.build_plan(params_smooth(), 2)
         plan3 = grid.build_plan(params_smooth(), 3)
         s = sample(lambda pts: np.ones(len(pts)), plan2)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(
+            ValueError, match=f"has {plan2.n_actual} entries; the plan has {plan3.n_actual}"
+        ):
             reconstruct(s, plan3, (0, 0))
 
     def test_deriv_beyond_degrees_rejected(self):
@@ -401,14 +402,30 @@ class TestBlendingOffsets:
         rng = np.random.default_rng(m)
         cells = rng.integers(0, 1 << k, 200)
         x = np.concatenate([(cells + rng.random(200)) / (1 << k), [1.0]])
-        chunk = recovery._ChunkAxes(x[:, None], (m,))
-        assert chunk.cells(0, k)[2][-1] == 1.0  # x = 1 sits at local coordinate 1
-        total = sum(chunk.spline(0, k, 0, o) for o in range(-m, 1))
+        entries = recovery._ChunkAxes(x[:, None], (m,)).axis(0, k)
+        assert len(entries) == m + 1
+        assert entries[-1][1][-1] == 1.0  # x = 1 sits at local coordinate 1
+        if m:
+            # Factor s = 0 is comb(m, 0) 2**(k m) psi.
+            total = sum(factors[0] for _, _, factors in entries) / 2.0 ** (k * m)
+        else:
+            # No factor at order 0; the left limit at the edge by symmetry.
+            t = entries[0][1]
+            total = np.where(
+                x == 1.0, bspline_derivative(0, 0, 1.0 - t), bspline_derivative(0, 0, t)
+            )
         np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-13)
 
     def test_approximant_offsets_are_the_box(self, differential_case):
         deriv, approx = differential_case[1], differential_case[3]
         assert approx._offsets == list(product(*[range(-r, 1) for r in deriv]))
+
+    def test_levels_are_the_sorted_surviving_levels(self, differential_case):
+        # The level sum runs in sorted level order, so float results do not
+        # depend on the order of the weight dict.
+        plan, approx = differential_case[2], differential_case[3]
+        weights = recovery.combination_weights(plan.levels)
+        assert [(lvl, w) for lvl, w, _ in approx._levels] == sorted(weights.items())
 
 
 class TestCombinationWeights:
