@@ -165,29 +165,24 @@ def derive_params(
 def index_set(weights: Sequence[float], radius: float) -> list[tuple[int, ...]]:
     """All nonnegative integer vectors with ``sum(weights * k) <= radius``, sorted.
 
-    Enumerated depth-first with budget pruning; weights must be >= 1 so the
-    set is finite with per-axis range bounded by the radius.
+    Enumerated axis by axis with budget pruning, each prefix extended in
+    increasing order, so the list comes out sorted; weights must be >= 1 so
+    the set is finite with per-axis range bounded by the radius.
     """
     weights = tuple(float(w) for w in weights)
     if any(w < 1.0 for w in weights):
         raise ValueError("level weights must be >= 1")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    d = len(weights)
-    out: list[tuple[int, ...]] = []
-
-    def rec(axis: int, prefix: tuple[int, ...], budget: float) -> None:
-        if axis == d - 1:
-            top = math.floor(budget / weights[axis] + 1e-12)
-            out.extend(prefix + (k,) for k in range(top + 1))
-            return
-        top = math.floor(budget / weights[axis] + 1e-12)
-        for k in range(top + 1):
-            rec(axis + 1, prefix + (k,), budget - k * weights[axis])
-
-    rec(0, (), float(radius))
-    out.sort()
-    return out
+    # (prefix, budget left for the remaining axes)
+    front: list[tuple[tuple[int, ...], float]] = [((), float(radius))]
+    for w in weights:
+        front = [
+            (prefix + (k,), budget - k * w)
+            for prefix, budget in front
+            for k in range(math.floor(budget / w + 1e-12) + 1)
+        ]
+    return [prefix for prefix, _ in front]
 
 
 def weighted_sum(exponents: Sequence[float], weights: Sequence[float], radius: float) -> float:
@@ -208,11 +203,7 @@ def tail_sum(exponents: Sequence[float], weights: Sequence[float], radius: float
     if any(a <= 0 for a in exponents):
         raise ValueError("tail exponents must be positive")
     total = math.prod(1.0 / (1.0 - 2.0**-a) for a in exponents)
-    head = math.fsum(
-        2.0 ** -sum(k * a for k, a in zip(lvl, exponents))
-        for lvl in index_set(weights, radius)
-    )
-    return total - head
+    return total - weighted_sum([-a for a in exponents], weights, radius)
 
 
 # -- plans -------------------------------------------------------------------------
@@ -220,7 +211,7 @@ def tail_sum(exponents: Sequence[float], weights: Sequence[float], radius: float
 
 @dataclass(frozen=True, eq=False)
 class RecoveryPlan:
-    """Sample layout for one radius, as arrays.
+    """Sample layout for one level set, as arrays.
 
     ``levels`` is the sorted level set.  Row ``i`` of ``keys`` (shape
     ``(n_actual, d)``, int64) names point ``i`` exactly: its coordinates are
@@ -231,7 +222,6 @@ class RecoveryPlan:
     """
 
     params: SmoothnessParams
-    radius: int
     levels: tuple[tuple[int, ...], ...]
     keys: np.ndarray
     bounds: np.ndarray
@@ -296,7 +286,6 @@ def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
     _guard_raw_size(params, levels)
     return RecoveryPlan(
         params=params,
-        radius=radius,
         levels=tuple(levels),
         keys=_raw_keys(params, levels),
         bounds=np.cumsum([0] + [math.prod(_level_shape(params, lvl)) for lvl in levels]),

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 from itertools import product
 from typing import Callable, Sequence
 
@@ -111,48 +111,35 @@ def combination_weights(levels: Sequence[tuple[int, ...]]) -> dict[tuple[int, ..
 _CHUNK = 8_192
 
 
-class _ChunkAxes:
-    """The per-axis basis of one point chunk.
+def _axis_basis(x: Array, k: int, r: int) -> list[tuple[Array, Array, list[Array]]]:
+    """The basis of one axis at level ``k`` for the coordinates ``x``.
 
-    Each entry depends on a single axis's level only, so every combination
-    level sharing that axis level reuses it.
+    Per blending offset ``o = -r..0``: the anchor cell whose polynomial the
+    translate at ``o`` carries, the coordinate relative to that cell, and for
+    ``s = 0..r`` the product-rule factor ``comb(r, s) 2**(k r) psi^(s)``
+    (none when ``r = 0``, where the order-0 spline is 1 on the closed cell).
+    It depends on a single axis's level only, so every combination level
+    sharing that axis level reuses it.
+
+    The right edge ``x = 1`` belongs to the last cell, at local coordinate 1.
+    Splines take right limits at interior knots; at the right edge the left
+    limit, through the symmetry ``psi(u) = psi(r+1-u)``.
     """
-
-    def __init__(self, pts: Array, order: Sequence[int]):
-        self.pts = pts
-        self.order = order
-        self._axes: dict[tuple[int, int], list[tuple[Array, Array, list[Array]]]] = {}
-
-    def axis(self, j: int, k: int) -> list[tuple[Array, Array, list[Array]]]:
-        """Per blending offset ``o = -r..0`` of axis ``j`` at level ``k``, with
-        ``r = order[j]``: the anchor cell whose polynomial the translate at
-        ``o`` carries, the coordinate relative to that cell, and for
-        ``s = 0..r`` the product-rule factor ``comb(r, s) 2**(k r) psi^(s)``
-        (none when ``r = 0``, where the order-0 spline is 1 on the closed cell).
-
-        The right edge ``x_j = 1`` belongs to the last cell, at local
-        coordinate 1.  Splines take right limits at interior knots; at the
-        right edge the left limit, through the symmetry ``psi(u) = psi(r+1-u)``.
-        """
-        got = self._axes.get((j, k))
-        if got is None:
-            r = self.order[j]
-            scaled = self.pts[:, j] * float(1 << k)
-            cell = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << k) - 1)
-            local = scaled - cell
-            edge = np.flatnonzero(self.pts[:, j] == 1.0)
-            got = []
-            for o in range(-r, 1):
-                factors = []
-                for s in range(r + 1) if r else ():
-                    psi = bspline_derivative(r, s, local - o)
-                    if edge.size:
-                        psi[edge] = (-1) ** s * bspline_derivative(r, s, r + 1 + o - local[edge])
-                    factors.append((math.comb(r, s) * 2.0 ** (k * r)) * psi)
-                anchor = np.maximum(cell + o, 0)
-                got.append((anchor, scaled - anchor, factors))
-            self._axes[(j, k)] = got
-        return got
+    scaled = x * float(1 << k)
+    cell = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << k) - 1)
+    local = scaled - cell
+    edge = np.flatnonzero(x == 1.0)
+    basis = []
+    for o in range(-r, 1):
+        factors = []
+        for s in range(r + 1) if r else ():
+            psi = bspline_derivative(r, s, local - o)
+            if edge.size:
+                psi[edge] = (-1) ** s * bspline_derivative(r, s, r + 1 + o - local[edge])
+            factors.append((math.comb(r, s) * 2.0 ** (k * r)) * psi)
+        anchor = np.maximum(cell + o, 0)
+        basis.append((anchor, scaled - anchor, factors))
+    return basis
 
 
 class Approximant:
@@ -200,6 +187,10 @@ class Approximant:
             ).transpose(list(range(d, 2 * d)) + list(range(d))).reshape(nodes + (-1,))
             table = np.ascontiguousarray(monomial_coeffs(c, self.degrees))
             self._levels.append((level, weights[level], table))
+        # The (axis, level) pairs whose basis a chunk needs.
+        self._axis_levels = sorted(
+            {(j, k) for level, _, _ in self._levels for j, k in enumerate(level)}
+        )
         # Each axis blends with splines of order deriv[j], the smallest
         # admissible; those covering a point sit at offsets -deriv[j]..0.
         self._offsets = list(product(*[range(-r, 1) for r in deriv]))
@@ -217,15 +208,20 @@ class Approximant:
             )
         out = np.empty(len(pts))
         for start in range(0, len(pts), _CHUNK):
-            chunk = _ChunkAxes(pts[start : start + _CHUNK], self.deriv)
-            acc = np.zeros(len(chunk.pts))
-            for level, weight, table in self._levels:
-                acc += weight * self._level_deriv(level, table, chunk)
-            out[start : start + _CHUNK] = acc
+            out[start : start + _CHUNK] = self._chunk(pts[start : start + _CHUNK])
         return out
 
-    def _level_deriv(self, level: tuple[int, ...], table: Array, chunk: _ChunkAxes) -> Array:
-        """``D^deriv`` of one level operator at the chunk's points.
+    def _chunk(self, pts: Array) -> Array:
+        """The weighted level sum at one chunk's points; its bases die on return."""
+        bases = {(j, k): _axis_basis(pts[:, j], k, self.deriv[j]) for j, k in self._axis_levels}
+        acc = np.zeros(len(pts))
+        for level, weight, table in self._levels:
+            axes = [bases[j, k] for j, k in enumerate(level)]
+            acc += weight * self._level_deriv(level, table, axes, len(pts))
+        return acc
+
+    def _level_deriv(self, level: tuple[int, ...], table: Array, axes: list, n: int) -> Array:
+        """``D^deriv`` of one level operator at ``n`` points, from their per-axis bases.
 
         Per offset, the gathered block is reduced from the last axis to the
         first: by a Horner step where ``r = deriv[j]`` is 0 (the order-0
@@ -234,8 +230,7 @@ class Approximant:
         """
         d = len(level)
         dims = tuple(1 << k for k in level)
-        axes = [chunk.axis(j, k) for j, k in enumerate(level)]
-        out = np.zeros(len(chunk.pts))
+        out = np.zeros(n)
         for offset in self._offsets:
             anchors, ts, factors = zip(
                 *(axes[j][o + self.deriv[j]] for j, o in enumerate(offset))
@@ -300,7 +295,6 @@ class Quadrature:
         return 2**10 + 1 if self.d <= 2 else 2**6 + 1
 
 
-@lru_cache(maxsize=8)
 def _axis_rule(cells_log2: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     gx, gw = np.polynomial.legendre.leggauss(k)
     width = 0.5**cells_log2
@@ -365,7 +359,5 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
         n = quad.resolved_sup_points()
         dense = _gap(g, h, _grid((np.arange(n) + 0.5) / n, quad.d))
         return float(max(diff.max(initial=0.0), dense.max(initial=0.0)))
-    w = np.ones(len(diff))
-    for col in _grid(weights, quad.d).T:
-        w *= col
+    w = reduce(np.multiply.outer, [weights] * quad.d).ravel()
     return float(np.sum(w * diff**q) ** (1.0 / q))

@@ -72,16 +72,14 @@ class TestIndexSet:
         assert len(got) == 6
 
     def test_enumeration_oracle(self):
-        # brute force against the box
-        w = (1.0, 1.5)
-        r = 5
-        brute = {
-            (k1, k2)
-            for k1 in range(r + 1)
-            for k2 in range(r + 1)
-            if k1 * w[0] + k2 * w[1] <= r + 1e-12
-        }
-        assert set(grid.index_set(w, r)) == brute
+        # brute force against the box; the list comes out sorted
+        for w, r in [((1.0, 1.5), 5), ((1.0, 1.2247, 1.5), 7)]:
+            brute = [
+                k
+                for k in product(range(r + 1), repeat=len(w))
+                if sum(ki * wi for ki, wi in zip(k, w)) <= r + 1e-12
+            ]
+            assert grid.index_set(w, r) == sorted(brute)
 
     def test_weights_below_one_rejected(self):
         with pytest.raises(ValueError):

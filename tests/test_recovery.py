@@ -74,19 +74,6 @@ class TestSample:
         with pytest.raises(ValueError, match=f"has 5 entries; the plan has {plan.n_actual}"):
             sample(lambda pts: np.ones(5), plan)
 
-    def test_from_array_rejects_wrong_length(self):
-        plan = grid.build_plan(params_smooth(), 2)
-        with pytest.raises(ValueError, match=f"has 3 entries; the plan has {plan.n_actual}"):
-            reconstruct([1.0, 2.0, 3.0], plan, (0, 0))
-
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
-    def test_from_array_names_non_finite_row(self, bad):
-        plan = grid.build_plan(params_smooth(), 2)
-        vals = np.zeros(plan.n_actual)
-        vals[[4, 7]] = bad
-        with pytest.raises(ValueError, match=r"at row 4 is not finite: evaluation failed at point 4 at"):
-            reconstruct(vals, plan, (0, 0))
-
     def test_points_are_the_plan_keys(self):
         plan = grid.build_plan(params_smooth(), 3)
         seen = []
@@ -139,6 +126,19 @@ class TestReconstruct:
             ValueError, match=f"has {plan2.n_actual} entries; the plan has {plan3.n_actual}"
         ):
             reconstruct(s, plan3, (0, 0))
+
+    def test_value_vector_of_wrong_length_rejected(self):
+        plan = grid.build_plan(params_smooth(), 2)
+        with pytest.raises(ValueError, match=f"has 3 entries; the plan has {plan.n_actual}"):
+            reconstruct([1.0, 2.0, 3.0], plan, (0, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_value_vector_names_non_finite_row(self, bad):
+        plan = grid.build_plan(params_smooth(), 2)
+        vals = np.zeros(plan.n_actual)
+        vals[[4, 7]] = bad
+        with pytest.raises(ValueError, match=r"at row 4 is not finite: evaluation failed at point 4 at"):
+            reconstruct(vals, plan, (0, 0))
 
     def test_deriv_beyond_degrees_rejected(self):
         plan = grid.build_plan(params_smooth(), 2)
@@ -398,16 +398,25 @@ class TestBlendingOffsets:
     def test_box_splines_sum_to_one(self, m):
         # Nonnegative translates summing to 1 over the box leave no mass for
         # a translate outside it, at interior points and at the right edge.
+        # Their derivatives sum to 0 there too; at x = 1 that holds for the
+        # left limit only, as the translate right of the box is missing.
         k = 3
         rng = np.random.default_rng(m)
         cells = rng.integers(0, 1 << k, 200)
         x = np.concatenate([(cells + rng.random(200)) / (1 << k), [1.0]])
-        entries = recovery._ChunkAxes(x[:, None], (m,)).axis(0, k)
+        entries = recovery._axis_basis(x, k, m)
         assert len(entries) == m + 1
         assert entries[-1][1][-1] == 1.0  # x = 1 sits at local coordinate 1
         if m:
-            # Factor s = 0 is comb(m, 0) 2**(k m) psi.
+            # Factor s is comb(m, s) 2**(k m) psi^(s).
             total = sum(factors[0] for _, _, factors in entries) / 2.0 ** (k * m)
+            for s in range(1, m + 1):
+                np.testing.assert_allclose(
+                    sum(factors[s] for _, _, factors in entries),
+                    0.0,
+                    rtol=0,
+                    atol=1e-13 * 2.0 ** (k * m),
+                )
         else:
             # No factor at order 0; the left limit at the edge by symmetry.
             t = entries[0][1]
@@ -448,11 +457,14 @@ class TestLqError:
         got = lq_error(one, zero, 2.0, Quadrature(d=2, cells_log2=2))
         assert got == pytest.approx(1.0, abs=1e-13)
 
-    def test_linear_l2_closed_form(self):
-        f = lambda pts: pts[:, 0]  # noqa: E731
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_linear_l2_closed_form(self, d):
+        # The L2 norm of x_1 ... x_d is 3**(-d/2); the weights are a d-fold
+        # outer product.
+        f = lambda pts: np.prod(pts, axis=1)  # noqa: E731
         zero = lambda pts: np.zeros(len(pts))  # noqa: E731
-        got = lq_error(f, zero, 2.0, Quadrature(d=1))
-        assert got == pytest.approx(1 / math.sqrt(3), abs=1e-10)
+        got = lq_error(f, zero, 2.0, Quadrature(d=d))
+        assert got == pytest.approx(3.0 ** (-d / 2), abs=1e-10)
 
     def test_sup_norm_of_constant_gap(self):
         f = lambda pts: np.full(len(pts), 2.5)  # noqa: E731
