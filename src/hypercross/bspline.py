@@ -8,11 +8,11 @@ Splines*)
 
     psi_m^(r)(x) = sum_i (-1)^i C(m+1, i) (x - i)_+^(m-r) / (m-r)!,
 
-expanded exactly in integers and rounded once per coefficient.  One evaluator,
-`bspline_derivative`, serves scalars and arrays alike: it looks up each
-point's row of a cached float table of derivative coefficients and reduces
-it with `interp.horner`, the Horner step every polynomial in the package
-goes through.
+expanded exactly in rationals (`piece_table`, which `recovery` blends with)
+and rounded once per coefficient.  One evaluator, `bspline_derivative`,
+serves scalars and arrays alike: it looks up each point's row of a cached
+float table of derivative coefficients and reduces it with `interp.horner`,
+the Horner step every polynomial in the package goes through.
 
 Pointwise values at knots follow the half-open convention: the defining
 polynomial piece on ``[k, k+1)`` also supplies the value at ``x = k``, so a
@@ -44,24 +44,29 @@ def _check_order(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _float_table(m: int, r: int) -> np.ndarray:
-    """Float coefficients of the r-th derivative of each piece, shape (m+1, m+1-r).
+def piece_table(m: int, r: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact coefficients of the r-th derivative of each piece, (m+1) rows of m+1-r.
 
     Row ``k`` holds ascending coefficients in the local variable ``u = x - k``,
     valid on ``[k, k+1)``.  There only the translates ``i <= k`` of the
     truncated-power form are active, and ``x - i = u + (k - i)``; each entry
-    is an exact integer divided once by ``(m-r)!``, which rounds correctly.
+    is an exact integer divided by ``(m-r)!``.
     """
     n = m - r
-    return np.array([
-        [
-            math.comb(n, j)
+    return tuple(
+        tuple(
+            Fraction(math.comb(n, j), math.factorial(n))
             * sum((-1) ** i * math.comb(m + 1, i) * (k - i) ** (n - j) for i in range(k + 1))
-            / math.factorial(n)
             for j in range(n + 1)
-        ]
+        )
         for k in range(m + 1)
-    ])
+    )
+
+
+@lru_cache(maxsize=None)
+def _float_table(m: int, r: int) -> np.ndarray:
+    """`piece_table` rounded once per entry, shape (m+1, m+1-r)."""
+    return np.array([[float(c) for c in row] for row in piece_table(m, r)])
 
 
 def bspline_derivative(m: int, r: int, x) -> np.ndarray:

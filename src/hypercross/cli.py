@@ -27,7 +27,7 @@ import numpy as np
 
 from . import diagnostics
 from .functions import get_function
-from .grid import RecoveryPlan, build_plan, choose_radius, derive_params, write_plan
+from .grid import RecoveryPlan, as_integer, build_plan, choose_radius, derive_params, write_plan
 from .recovery import Quadrature, lq_error, reconstruct, sample
 
 _TOP_KEYS = {
@@ -82,13 +82,6 @@ def _parse_extended(v, what: str) -> float:
     raise ValueError(f"{what}: expected a number, got {v!r}")
 
 
-def _integer(v, what: str) -> int:
-    """An integral JSON number; booleans and fractions are refused."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
-        raise ValueError(f"{what}: expected an integer, got {v!r}")
-    return int(v)
-
-
 def _array(v, what: str) -> list:
     if not isinstance(v, list):
         raise ValueError(f"{what}: expected a JSON array, got {v!r}")
@@ -112,10 +105,10 @@ def load_config(text: str) -> StudyConfig:
     for key in ("d", "alpha", "deriv", "p", "q", "theta", "test_fn", "budgets"):
         if key not in raw:
             raise ValueError(f"config missing required key {key!r}")
-    d = _integer(raw["d"], "d")
+    d = as_integer(raw["d"], "d")
     alpha = tuple(_finite(a, "alpha") for a in _array(raw["alpha"], "alpha"))
-    deriv = tuple(_integer(r, "deriv") for r in _array(raw["deriv"], "deriv"))
-    budgets = tuple(_integer(n, "budgets") for n in _array(raw["budgets"], "budgets"))
+    deriv = tuple(as_integer(r, "deriv") for r in _array(raw["deriv"], "deriv"))
+    budgets = tuple(as_integer(n, "budgets") for n in _array(raw["budgets"], "budgets"))
     if not budgets:
         raise ValueError("budgets must be nonempty")
     if any(b <= a for a, b in zip(budgets, budgets[1:])):
@@ -130,7 +123,7 @@ def load_config(text: str) -> StudyConfig:
         unknown = set(qraw) - _QUAD_KEYS
         if unknown:
             raise ValueError(f"unknown quadrature keys: {sorted(unknown)}")
-        quad = Quadrature(d=d, **{k: _integer(v, f"quadrature.{k}") for k, v in qraw.items()})
+        quad = Quadrature(d=d, **{k: as_integer(v, f"quadrature.{k}") for k, v in qraw.items()})
     cfg = StudyConfig(
         d=d,
         alpha=alpha,
@@ -140,7 +133,7 @@ def load_config(text: str) -> StudyConfig:
         theta=_parse_extended(raw["theta"], "theta"),
         test_fn=str(raw["test_fn"]),
         budgets=budgets,
-        seed=_integer(raw.get("seed", 0), "seed"),
+        seed=as_integer(raw.get("seed", 0), "seed"),
         quadrature=quad,
         out=str(raw["out"]) if "out" in raw else None,
     )

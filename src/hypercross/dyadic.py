@@ -140,9 +140,13 @@ class DyadicEvaluator:
         cell = _cell_of(level, x)
         # factors[j][s][i]: 2**(k_j s) psi^(s) at u_j = 2**k_j x_j - shift_j for
         # the i-th covering translate of axis j, shift_j = cell_j + i - m_j.
+        # Inside the cube u_j is held below the knot m_j - i + 1, onto which it
+        # rounds half an ulp below a cell's right end (reading the next piece).
         factors = []
         for k, m, r, c, xj in zip(level, self.order, deriv, cell, x):
             u = math.ldexp(xj, k) - np.arange(c - m, c + 1)
+            if xj < 1.0:
+                u = np.minimum(u, np.nextafter(np.arange(m + 1.0, 0.0, -1.0), 0.0))
             factors.append(
                 [
                     [2.0 ** (k * s) * v for v in _blend(m, s, u, xj == 1.0).tolist()]

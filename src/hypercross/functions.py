@@ -19,6 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .grid import derivative_orders
+
 Array = np.ndarray
 
 
@@ -46,10 +48,7 @@ class TestFunction:
 
     def deriv(self, deriv: Sequence[int], x) -> Array:
         """Analytic mixed derivative, valid away from the kink loci."""
-        lam = tuple(int(r) for r in deriv)
-        if len(lam) != self.d or any(r < 0 for r in lam):
-            raise ValueError(f"bad derivative index {lam}")
-        return self._deriv(lam, _as_points(x, self.d))
+        return self._deriv(derivative_orders(deriv, self.d), _as_points(x, self.d))
 
 
 # -- factor library ---------------------------------------------------------------
@@ -149,6 +148,10 @@ def get_function(fid: str, d: int = 2) -> TestFunction:
 # -- moduli of smoothness ----------------------------------------------------------
 
 
+# Anchor points per axis of the uniform grid each step vector is tried on.
+_GRID_POINTS = 16
+
+
 def modulus_estimate(
     f: Callable[[Array], Array],
     order: Sequence[int],
@@ -156,16 +159,16 @@ def modulus_estimate(
     axes: Sequence[int],
     p: float,
     step_lattice: int = 4,
-    grid_points: int = 16,
 ) -> float:
     """Lower estimate of the mixed modulus of smoothness at step bounds ``t``.
 
     Maximizes the discrete L_p norm of the mixed difference (order masked to
     ``axes``) over a finite lattice of positive step vectors ``h <= t`` and a
-    uniform anchor grid inside the admissible domain.  Being a finite search
-    it can only under-estimate the true supremum.  Raises ValueError if
-    ``t`` or ``axes`` does not fit the dimension ``len(order)``, or if every
-    step of the lattice takes the stencil out of the unit cube.
+    uniform grid of ``_GRID_POINTS`` anchors per axis inside the admissible
+    domain.  Being a finite search it can only under-estimate the true
+    supremum.  Raises ValueError if ``t`` or ``axes`` does not fit the
+    dimension ``len(order)``, or if every step of the lattice takes the
+    stencil out of the unit cube.
     """
     axes = tuple(sorted(set(int(a) for a in axes)))
     order = tuple(int(r) for r in order)
@@ -190,7 +193,7 @@ def modulus_estimate(
             continue
         # Anchor grid over the shrunken domain [0, 1 - order*h].
         axis_grids = [
-            np.linspace(0.0, 1.0 - s, grid_points) for s in span
+            np.linspace(0.0, 1.0 - s, _GRID_POINTS) for s in span
         ]
         mesh = np.meshgrid(*axis_grids, indexing="ij")
         anchors = np.stack([m.ravel() for m in mesh], axis=-1)

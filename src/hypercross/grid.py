@@ -65,6 +65,27 @@ def _axis_keys(k: int, deg: int) -> np.ndarray:
 # -- smoothness bookkeeping ------------------------------------------------------
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an int, never truncated: anything but an integral number
+    (booleans included) raises a ValueError naming ``name`` and the value."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
+def derivative_orders(deriv: Sequence, d: int) -> tuple[int, ...]:
+    """``deriv`` as d nonnegative ints; a ValueError names a bad order and its axis."""
+    if len(deriv) != d:
+        raise ValueError(f"derivative index {tuple(deriv)} needs {d} orders")
+    for j, r in enumerate(deriv):
+        if as_integer(r, f"axis {j}: derivative order") < 0:
+            raise ValueError(f"axis {j}: derivative order {r} is negative")
+    return tuple(int(r) for r in deriv)
+
+
 @dataclass(frozen=True)
 class SmoothnessParams:
     """Class parameters plus everything derived from them.
@@ -112,11 +133,9 @@ def derive_params(
     if d < 1:
         raise ValueError("dimension must be positive")
     alpha = tuple(float(a) for a in alpha)
-    deriv = tuple(int(r) for r in deriv)
-    if len(alpha) != d or len(deriv) != d:
-        raise ValueError("alpha and deriv must have length d")
-    if any(r < 0 for r in deriv):
-        raise ValueError("derivative orders must be nonnegative")
+    if len(alpha) != d:
+        raise ValueError("alpha must have length d")
+    deriv = derivative_orders(deriv, d)
     if not 1 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
     if not 1 <= q:
@@ -247,7 +266,7 @@ class RecoveryPlan:
 
 
 def _check_radius(radius: int) -> int:
-    radius = int(radius)
+    radius = as_integer(radius, "radius")
     if radius < 1:
         raise ValueError("radius must be a positive integer")
     if radius > MAX_RADIUS:

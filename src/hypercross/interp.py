@@ -8,11 +8,13 @@ used anywhere else.
 
 Node values become local monomial coefficients through the Lagrange basis
 products, multiplied out in exact rationals and cached per degree
-(`monomial_coeffs`); derivatives keep the coefficients from power r on,
-scaled by falling factorials (`differentiate`), and values come from
-Horner's rule one axis at a time (`horner`).  `TensorPoly` and the batched
-`Approximant` both evaluate through these three helpers, and
-`bspline.bspline_derivative` reduces its piece tables with `horner` too.
+(`monomial_coeffs`, applied along each axis by `transform`); derivatives
+keep the coefficients from power r on, scaled by falling factorials
+(`differentiate`), and values come from Horner's rule one axis at a time
+(`horner`).  `TensorPoly` evaluates through these helpers, the batched
+`Approximant` blends its derivative into its tables with `transform` and
+reduces them with `horner`, and `bspline.bspline_derivative` reduces its
+piece tables with `horner` too.
 `interpolate` is the one way to build a `TensorPoly` from a function.
 """
 
@@ -86,8 +88,13 @@ def monomial_coeffs(values: np.ndarray, degrees: Sequence[int]) -> np.ndarray:
     """
     c = values
     for axis, deg in enumerate(degrees):
-        c = np.moveaxis(np.tensordot(_monomial_matrix(deg), c, axes=([1], [axis])), 0, axis)
+        c = transform(c, _monomial_matrix(deg), axis)
     return c
+
+
+def transform(coeffs: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+    """Apply ``matrix`` to every vector along axis ``axis``; the other axes are carried along."""
+    return np.moveaxis(np.tensordot(matrix, coeffs, axes=([1], [axis])), 0, axis)
 
 
 def differentiate(coeffs: np.ndarray, axis: int, r: int) -> np.ndarray:

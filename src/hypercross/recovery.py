@@ -10,18 +10,17 @@ the linear approximant
 which, regrouped over the downward-closed level set, is a short weighted sum
 of level operators (the classic combination trick): the weight of level k is
 ``sum over masks e of (-1)**|e| [k + e in set]`` and vanishes for all levels
-away from the upper boundary of the set.  Each surviving level is evaluated
-as a full tensor grid: its local interpolants form one monomial coefficient
-table, built at construction from the level's contiguous run of sample
-values, which come in (cell, node) order.  Points are evaluated in
-fixed-size chunks; per level and blending offset a chunk gathers one block
-from the table and reduces it one axis at a time, and one per-axis basis
-(anchor cells, local coordinates, spline factors) is shared by all levels
-that agree on that axis.
+away from the upper boundary of the set.  On every cell of a surviving
+level, ``D^deriv`` of its spline blend of local interpolants is again a
+polynomial of the interpolation degrees (de Boor's B-form to pp-form
+conversion), so the derivative is blended into the level's monomial
+coefficient table once, at construction (`_blend`).  Points are evaluated in
+fixed-size chunks: per level one gather from the table, then Horner's rule
+one axis at a time.
 
 Points must lie in the closed unit cube.  Blending splines take right limits
-at interior knots; at the right edge ``x_j = 1`` they take the left limit,
-so the value there is the limit from inside the cube.
+at interior knots; at the right edge ``x_j = 1`` the last cell's polynomial,
+closed on the right, gives the limit from inside the cube.
 
 `lq_error` measures distances with composite tensor Gauss-Legendre quadrature
 on a dyadic cell partition (finite q) or on a dense interior lattice united
@@ -33,15 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bspline import bspline_derivative
-from .grid import RecoveryPlan
-from .interp import differentiate, horner, monomial_coeffs
+from .bspline import piece_table
+from .grid import RecoveryPlan, derivative_orders
+from .interp import horner, monomial_coeffs, transform
 
 Array = np.ndarray
 PointFn = Callable[[Array], Array]
@@ -111,89 +110,97 @@ def combination_weights(levels: Sequence[tuple[int, ...]]) -> dict[tuple[int, ..
 _CHUNK = 8_192
 
 
-def _axis_basis(x: Array, k: int, r: int) -> list[tuple[Array, Array, list[Array]]]:
-    """The basis of one axis at level ``k`` for the coordinates ``x``.
+@lru_cache(maxsize=None)
+def _blend_matrix(deg: int, r: int, shift: int) -> Array:
+    """Matrix taking a cell polynomial ``P`` to ``D^r (psi(t) P(t + shift))``.
 
-    Per blending offset ``o = -r..0``: the anchor cell whose polynomial the
-    translate at ``o`` carries, the coordinate relative to that cell, and for
-    ``s = 0..r`` the product-rule factor ``comb(r, s) 2**(k r) psi^(s)``
-    (none when ``r = 0``, where the order-0 spline is 1 on the closed cell).
-    It depends on a single axis's level only, so every combination level
-    sharing that axis level reuses it.
-
-    The right edge ``x = 1`` belongs to the last cell, at local coordinate 1.
-    Splines take right limits at interior knots; at the right edge the left
-    limit, through the symmetry ``psi(u) = psi(r+1-u)``.
+    Both are ascending coefficients of degree ``deg`` in the local coordinate
+    t; ``psi`` is piece ``shift`` of the degree-r B-spline, or 1 at ``r = 0``,
+    where the matrix is the Taylor shift by any integer ``shift``.  Exact
+    rationals rounded once, like `interp._monomial_matrix`.
     """
-    scaled = x * float(1 << k)
-    cell = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << k) - 1)
-    local = scaled - cell
-    edge = np.flatnonzero(x == 1.0)
-    basis = []
-    for o in range(-r, 1):
-        factors = []
-        for s in range(r + 1) if r else ():
-            psi = bspline_derivative(r, s, local - o)
-            if edge.size:
-                psi[edge] = (-1) ** s * bspline_derivative(r, s, r + 1 + o - local[edge])
-            factors.append((math.comb(r, s) * 2.0 ** (k * r)) * psi)
-        anchor = np.maximum(cell + o, 0)
-        basis.append((anchor, scaled - anchor, factors))
-    return basis
+    psi = piece_table(r, 0)[shift] if r else (1,)
+    cols = []
+    for p in range(deg + 1):
+        prod = [0] * (p + r + 1)
+        for i in range(p + 1):
+            for b, c in enumerate(psi):
+                prod[i + b] += math.comb(p, i) * shift ** (p - i) * c
+        deriv = [float(math.perm(i, r) * c) for i, c in enumerate(prod)][r:]
+        cols.append(deriv + [0.0] * (deg - p))
+    matrix = np.array(cols).T
+    matrix.setflags(write=False)  # cached: every caller shares it
+    return matrix
+
+
+def _blend(table: Array, j: int, k: int, r: int) -> Array:
+    """``D^r`` along axis j of the level-k spline blend of a coefficient table.
+
+    ``table`` has shape ``(*(degrees + 1), *cells)``.  On cell c the blend is
+    ``sum over o = -r..0 of psi(t - o) P_{c+o}(t - o)`` in the local
+    coordinate t, with the degree-r spline ``psi``; its ``D^r`` in x (hence
+    ``2**(k r)``) is again one polynomial per cell.  Translates left of the
+    cube carry cell 0's polynomial: r virtual cells, cell 0 Taylor-shifted by
+    ``-r..-1``, are prepended, so every tap is a plain slice of cells.
+    """
+    ax = table.ndim // 2 + j
+    deg, n = table.shape[j] - 1, table.shape[ax]
+    first = table.take([0], axis=ax)
+    virtual = [transform(first, _blend_matrix(deg, 0, s), j) for s in range(-r, 0)]
+    ext = np.concatenate(virtual + [table], axis=ax)
+    taps = (ext.take(range(i, i + n), axis=ax) for i in range(r + 1))
+    blended = sum(transform(c, _blend_matrix(deg, r, r - i), j) for i, c in enumerate(taps))
+    return 2.0 ** (k * r) * blended
 
 
 class Approximant:
     """The reconstructed derivative, evaluable anywhere in the closed unit cube.
 
-    Linear in the samples by construction.  Every surviving combination level
-    is evaluated as a full tensor grid: its local interpolants are one
-    monomial coefficient table, ``(degrees + 1)`` coefficients for each of
-    its cells, built at construction from the value vector (checked like
-    `sample`'s).  Points go through in chunks of ``_CHUNK``; per level and
-    blending offset a point costs one table gather and ``deriv[j] + 1``
-    Horner steps along each axis j, independent of the total sample count.
+    Linear in the samples by construction.  For every surviving combination
+    level, the derivative is blended into one monomial coefficient table at
+    construction: ``(degrees + 1)`` coefficients of ``D^deriv`` for each of
+    its cells, from the value vector (checked like `sample`'s).  Points go
+    through in chunks of ``_CHUNK``; per level a point costs one table gather
+    and one Horner step per axis, whatever ``deriv`` and the sample count.
     Points must be finite and lie in the closed unit cube.  Evaluation is
     deterministic and read-only.
     """
 
     def __init__(self, values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]):
         params = plan.params
-        deriv = tuple(int(r) for r in deriv)
-        if len(deriv) != params.d or any(r < 0 for r in deriv):
-            raise ValueError(f"bad derivative index {deriv}")
+        deriv = derivative_orders(deriv, params.d)
         if any(r > dg for r, dg in zip(deriv, params.degrees)):
             raise ValueError(
                 f"derivative {deriv} exceeds interpolation degrees {params.degrees}"
             )
         values = _checked(plan, values)
         self.plan = plan
-        self.deriv = deriv
-        self.degrees = params.degrees
         # One (level, weight, table) per surviving level, in sorted level
-        # order.  A table holds the monomial coefficients of every cell of its
-        # level, shape ``(*(degrees + 1), n_cells)``, cells in C order, so a
-        # gather of m cells yields one contiguous row of m values per
-        # coefficient.
+        # order.  A table holds the monomial coefficients of D^deriv on every
+        # cell of its level, shape ``(*(degrees + 1), n_cells)``, cells in C
+        # order, so a gather of m cells yields one contiguous row of m values
+        # per coefficient.
         weights = combination_weights(plan.levels)
-        nodes = tuple(dg + 1 for dg in self.degrees)
+        nodes = tuple(dg + 1 for dg in params.degrees)
         d = params.d
         self._levels = []
         for li, level in enumerate(plan.levels):
             if level not in weights:
                 continue
-            # (cell_0, ..., cell_{d-1}, node_0, ..., node_{d-1}) -> (node_0, ..., cell)
+            # (cell_0, ..., cell_{d-1}, node_0, ..., node_{d-1}) -> (node_0, ..., cell_0, ...)
             c = values[plan.bounds[li] : plan.bounds[li + 1]].reshape(
                 tuple(1 << k for k in level) + nodes
-            ).transpose(list(range(d, 2 * d)) + list(range(d))).reshape(nodes + (-1,))
-            table = np.ascontiguousarray(monomial_coeffs(c, self.degrees))
+            ).transpose(list(range(d, 2 * d)) + list(range(d)))
+            table = monomial_coeffs(c, params.degrees)
+            for j, (k, r) in enumerate(zip(level, deriv)):
+                if r:
+                    table = _blend(table, j, k, r)
+            table = np.ascontiguousarray(table).reshape(nodes + (-1,))
             self._levels.append((level, weights[level], table))
-        # The (axis, level) pairs whose basis a chunk needs.
+        # The (axis, level) pairs whose cells a chunk needs.
         self._axis_levels = sorted(
             {(j, k) for level, _, _ in self._levels for j, k in enumerate(level)}
         )
-        # Each axis blends with splines of order deriv[j], the smallest
-        # admissible; those covering a point sit at offsets -deriv[j]..0.
-        self._offsets = list(product(*[range(-r, 1) for r in deriv]))
 
     def __call__(self, x) -> Array:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -212,41 +219,23 @@ class Approximant:
         return out
 
     def _chunk(self, pts: Array) -> Array:
-        """The weighted level sum at one chunk's points; its bases die on return."""
-        bases = {(j, k): _axis_basis(pts[:, j], k, self.deriv[j]) for j, k in self._axis_levels}
+        """The weighted level sum at one chunk's points: per level, one gather
+        of the points' cells (the last closed at ``x = 1``), reduced by Horner's
+        rule from the last axis to the first."""
+        axes = {}
+        for j, k in self._axis_levels:
+            scaled = pts[:, j] * float(1 << k)
+            cell = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << k) - 1)
+            axes[j, k] = (cell, scaled - cell)
         acc = np.zeros(len(pts))
         for level, weight, table in self._levels:
-            axes = [bases[j, k] for j, k in enumerate(level)]
-            acc += weight * self._level_deriv(level, table, axes, len(pts))
+            cells, ts = zip(*(axes[j, k] for j, k in enumerate(level)))
+            index = np.ravel_multi_index(cells, tuple(1 << k for k in level))
+            block = np.take(table, index, axis=-1)
+            for j in reversed(range(len(level))):
+                block = horner(block, j, ts[j])
+            acc += weight * block
         return acc
-
-    def _level_deriv(self, level: tuple[int, ...], table: Array, axes: list, n: int) -> Array:
-        """``D^deriv`` of one level operator at ``n`` points, from their per-axis bases.
-
-        Per offset, the gathered block is reduced from the last axis to the
-        first: by a Horner step where ``r = deriv[j]`` is 0 (the order-0
-        spline is 1 on the closed cell), else by the product rule,
-        ``sum_s comb(r, s) 2**(k r) psi^(s) * horner(D^(r-s) block)``.
-        """
-        d = len(level)
-        dims = tuple(1 << k for k in level)
-        out = np.zeros(n)
-        for offset in self._offsets:
-            anchors, ts, factors = zip(
-                *(axes[j][o + self.deriv[j]] for j, o in enumerate(offset))
-            )
-            block = np.take(table, np.ravel_multi_index(anchors, dims), axis=-1)
-            for j in reversed(range(d)):
-                r = self.deriv[j]
-                if r == 0:
-                    block = horner(block, j, ts[j])
-                    continue
-                block = sum(
-                    factors[j][s] * horner(differentiate(block, j, r - s), j, ts[j])
-                    for s in range(r + 1)
-                )
-            out += block
-        return out
 
 
 def reconstruct(values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]) -> Approximant:

@@ -3,13 +3,14 @@
 import hashlib
 import io
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from hypercross import grid
+from hypercross import functions, grid, recovery
 from hypercross.interp import MAX_DEGREE, nodes_exact
 
 
@@ -462,3 +463,58 @@ class TestKeyRendering:
             float(f) for (f,) in key_fractions(plan)
         ]
         assert plan.floats()[3, 0] == 1 / 8
+
+
+def _plan_2d(deriv=(1, 0)):
+    return grid.build_plan(grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, 2.0, deriv), 2)
+
+
+class TestIntegralArguments:
+    """A non-integral derivative order or radius is refused, never truncated;
+    the message names the value, and the axis of a derivative order."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: recovery.reconstruct(np.zeros(_plan_2d().n_actual), _plan_2d(), (1.7, 0)),
+                "axis 0: derivative order: expected an integer, got 1.7",
+            ),
+            (
+                lambda: grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, 2.0, (0, 0.5)),
+                "axis 1: derivative order: expected an integer, got 0.5",
+            ),
+            (
+                lambda: functions.get_function("trig", 2).deriv((1.5, 0), [(0.5, 0.5)]),
+                "axis 0: derivative order: expected an integer, got 1.5",
+            ),
+            (
+                lambda: grid.build_plan(params_2d_smooth(), 3.9),
+                "radius: expected an integer, got 3.9",
+            ),
+            (
+                lambda: grid.build_plan(params_2d_smooth(), math.nan),
+                "radius: expected an integer, got nan",
+            ),
+            (
+                lambda: grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, 2.0, (True, 0)),
+                "axis 0: derivative order: expected an integer, got True",
+            ),
+            (
+                lambda: functions.get_function("trig", 2).deriv((0, -1), [(0.5, 0.5)]),
+                "axis 1: derivative order -1 is negative",
+            ),
+        ],
+        ids=[
+            "reconstruct", "derive_params", "function_deriv", "build_plan", "build_plan_nan",
+            "bool_order", "negative_order",
+        ],
+    )
+    def test_refused_with_value_and_axis(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+    def test_integral_floats_are_accepted(self):
+        plan = grid.build_plan(params_2d_smooth(), 3.0)
+        assert np.array_equal(plan.keys, grid.build_plan(params_2d_smooth(), 3).keys)
+        assert grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, 2.0, (1.0, 0)).deriv == (1, 0)

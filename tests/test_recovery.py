@@ -1,7 +1,6 @@
 """Tests for sampling, reconstruction, and error measurement."""
 
 import math
-from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hypercross import functions, grid, recovery
-from hypercross.bspline import bspline_derivative
 from hypercross.dyadic import DyadicEvaluator
 from hypercross.recovery import Quadrature, lq_error, reconstruct, sample
 
@@ -284,6 +282,23 @@ class TestRightEdge:
             scalar = sum(ev.surplus_deriv(lvl, deriv, edge) for lvl in plan.levels)
             assert scalar == pytest.approx(near, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("deriv", [(1, 0), (1, 1)])
+    def test_just_below_a_knot_is_the_left_limit(self, deriv):
+        # The largest float below a knot lies in the cell left of it; a
+        # spline argument rounded onto the knot would read the next piece
+        # (3.7% off at 0.25 for deriv (1, 0)).
+        f = functions.get_function("trig", 2)
+        params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
+        plan = grid.build_plan(params, 4)
+        approx = reconstruct(sample(f.value, plan), plan, deriv)
+        ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
+        for knot in (0.25, 0.5, 1.0):
+            below, inside = (np.nextafter(knot, 0.0), 0.3), (knot - 1e-12, 0.3)
+            near = approx([inside])[0]
+            assert approx([below])[0] == pytest.approx(near, rel=1e-9, abs=1e-9)
+            scalar = sum(ev.surplus_deriv(lvl, deriv, below) for lvl in plan.levels)
+            assert scalar == pytest.approx(near, rel=1e-9, abs=1e-9)
+
 
 @pytest.fixture(
     scope="module",
@@ -291,15 +306,15 @@ class TestRightEdge:
     ids=["deriv100", "deriv201"],
 )
 def batched_case(request):
-    # d=3 with anisotropic weights, several blending offsets and derivative
-    # splits: (1, 0, 0) is the benchmark's derivative study, (2, 0, 1) adds
-    # a binomial weight of 2 and a second derivative axis.
+    # d=3 with anisotropic weights and blended derivative axes: (1, 0, 0) is
+    # the benchmark's derivative study, (2, 0, 1) adds a second-order blend
+    # and a second derivative axis.
     alpha, deriv = request.param
     params = grid.derive_params(3, alpha, 2.0, 2.0, 2.0, deriv)
     plan = grid.build_plan(params, 3)
     f = functions.get_function("aniso", 3)
     approx = reconstruct(sample(f.value, plan), plan, deriv)
-    assert len(approx._offsets) == math.prod(r + 1 for r in deriv) > 1
+    assert any(deriv)
     ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
     return deriv, plan, approx, ev
 
@@ -392,42 +407,63 @@ def test_approximant_equals_surplus_sum(differential_case, data):
 
 
 class TestBlendingOffsets:
-    """The translates that carry a point are the offset box ``-m..0`` from its cell."""
+    """``D^r`` of the spline blend, taken once per level table by `_blend`."""
 
-    @pytest.mark.parametrize("m", range(5))
-    def test_box_splines_sum_to_one(self, m):
-        # Nonnegative translates summing to 1 over the box leave no mass for
-        # a translate outside it, at interior points and at the right edge.
-        # Their derivatives sum to 0 there too; at x = 1 that holds for the
-        # left limit only, as the translate right of the box is missing.
-        k = 3
-        rng = np.random.default_rng(m)
-        cells = rng.integers(0, 1 << k, 200)
-        x = np.concatenate([(cells + rng.random(200)) / (1 << k), [1.0]])
-        entries = recovery._axis_basis(x, k, m)
-        assert len(entries) == m + 1
-        assert entries[-1][1][-1] == 1.0  # x = 1 sits at local coordinate 1
-        if m:
-            # Factor s is comb(m, s) 2**(k m) psi^(s).
-            total = sum(factors[0] for _, _, factors in entries) / 2.0 ** (k * m)
-            for s in range(1, m + 1):
-                np.testing.assert_allclose(
-                    sum(factors[s] for _, _, factors in entries),
-                    0.0,
-                    rtol=0,
-                    atol=1e-13 * 2.0 ** (k * m),
-                )
-        else:
-            # No factor at order 0; the left limit at the edge by symmetry.
-            t = entries[0][1]
-            total = np.where(
-                x == 1.0, bspline_derivative(0, 0, 1.0 - t), bspline_derivative(0, 0, t)
+    @pytest.mark.parametrize("r", range(5))
+    def test_blend_reproduces_polynomial_derivative(self, r):
+        # The blend reproduces polynomials up to the interpolation degree, so
+        # a table whose cells all restrict one global polynomial P blends to
+        # the restrictions of D^r P, also in the cells next to x = 0 whose
+        # taps read the virtual cells left of the cube.  k = 0 and 1 have
+        # fewer cells than virtual cells.
+        deg = max(r, 2) + 1
+        rng = np.random.default_rng(r)
+        coeffs = rng.standard_normal(deg + 1)
+        for k in (0, 1, 3):
+            n = 1 << k
+            # Cell c in its local coordinate t: P((c + t) / n).
+            cells = np.stack([self.restrict(coeffs, c, n) for c in range(n)], axis=-1)
+            der = np.polynomial.polynomial.polyder(coeffs, r)
+            want = np.stack([self.restrict(der, c, n, deg) for c in range(n)], axis=-1)
+            scale = np.abs(want).max()
+            # Along axis 0 of a d=1 table, and along axis 1 of a d=2 table
+            # whose axis 0 is a constant of degree 1 with two cells.
+            got = recovery._blend(cells, 0, k, r)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+            other = np.array([1.0, 0.0])[:, None, None, None] * np.ones((1, 1, 2, 1))
+            got2 = recovery._blend(other * cells[None, :, None, :], 1, k, r)
+            np.testing.assert_allclose(
+                got2, other * want[None, :, None, :], rtol=0, atol=1e-12 * scale
             )
-        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-13)
+
+    @staticmethod
+    def restrict(coeffs, c, n, deg=None):
+        """Ascending coefficients in t of ``P((c + t) / n)``, padded to ``deg + 1``."""
+        out = np.zeros(len(coeffs) if deg is None else deg + 1)
+        for p, a in enumerate(coeffs):
+            for i in range(p + 1):
+                out[i] += a * math.comb(p, i) * c ** (p - i) / n**p
+        return out
 
     def test_approximant_offsets_are_the_box(self, differential_case):
-        deriv, approx = differential_case[1], differential_case[3]
-        assert approx._offsets == list(product(*[range(-r, 1) for r in deriv]))
+        # The translates that carry a point are the offset box -r..0 from its
+        # cell, so along an axis of order r the polynomial of cell c reaches
+        # the blended cells c..c+r and no other.
+        d, deriv, _, approx = differential_case[:4]
+        nodes = tuple(dg + 1 for dg in approx.plan.params.degrees)
+        rng = np.random.default_rng(0)
+        for level, _, _ in approx._levels:
+            dims = tuple(1 << k for k in level)
+            for j, (k, r) in enumerate(zip(level, deriv)):
+                for c in range(dims[j]) if r else ():
+                    table = np.zeros(nodes + dims)
+                    table[(slice(None),) * (d + j) + (c,)] = rng.standard_normal(
+                        nodes + dims[:j] + dims[j + 1 :]
+                    )
+                    other = tuple(a for a in range(2 * d) if a != d + j)
+                    reached = np.any(recovery._blend(table, j, k, r) != 0, axis=other)
+                    want = range(c, min(c + r + 1, dims[j]))
+                    assert np.flatnonzero(reached).tolist() == list(want)
 
     def test_levels_are_the_sorted_surviving_levels(self, differential_case):
         # The level sum runs in sorted level order, so float results do not
