@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import derivative_orders
+from .grid import as_integer, derivative_orders
 
 Array = np.ndarray
 
@@ -166,12 +166,13 @@ def modulus_estimate(
     ``axes``) over a finite lattice of positive step vectors ``h <= t`` and a
     uniform grid of ``_GRID_POINTS`` anchors per axis inside the admissible
     domain.  Being a finite search it can only under-estimate the true
-    supremum.  Raises ValueError if ``t`` or ``axes`` does not fit the
-    dimension ``len(order)``, or if every step of the lattice takes the
-    stencil out of the unit cube.
+    supremum.  Raises ValueError if an order or an axis is not an integer
+    (never truncated), if ``t`` or ``axes`` does not fit the dimension
+    ``len(order)``, or if every step of the lattice takes the stencil out of
+    the unit cube.
     """
-    axes = tuple(sorted(set(int(a) for a in axes)))
-    order = tuple(int(r) for r in order)
+    axes = tuple(sorted(set(as_integer(a, "modulus axis") for a in axes)))
+    order = tuple(as_integer(r, f"axis {j}: difference order") for j, r in enumerate(order))
     d = len(order)
     if not axes:
         raise ValueError("need at least one active axis")

@@ -16,16 +16,23 @@ polynomial of the interpolation degrees (de Boor's B-form to pp-form
 conversion), so the derivative is blended into the level's monomial
 coefficient table once, at construction (`_blend`).  Points are evaluated in
 fixed-size chunks: per level one gather from the table, then Horner's rule
-one axis at a time.
+one axis at a time.  On a tensor grid, `Approximant.grid` runs the same
+gathers and Horner steps, but shares each among all grid points that need
+it (sum factorization, every level being a tensor-product operator), in
+slabs of at most one chunk of points; its values equal the pointwise ones
+bit for bit.
 
 Points must lie in the closed unit cube.  Blending splines take right limits
 at interior knots; at the right edge ``x_j = 1`` the last cell's polynomial,
-closed on the right, gives the limit from inside the cube.
+closed on the right, gives the limit from inside the cube (`_cells`, the one
+cell rule of both routes).
 
 `lq_error` measures distances with composite tensor Gauss-Legendre quadrature
 on a dyadic cell partition (finite q) or on a dense interior lattice united
-with the quadrature nodes (q = infinity).  Rules beyond a fixed point count
-are refused before anything is allocated.
+with the quadrature nodes (q = infinity).  Both are tensor grids, so an
+`Approximant` is evaluated there through `Approximant.grid`; any other
+callable gets the grid's points.  Rules beyond a fixed point count are
+refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -159,11 +166,13 @@ class Approximant:
     Linear in the samples by construction.  For every surviving combination
     level, the derivative is blended into one monomial coefficient table at
     construction: ``(degrees + 1)`` coefficients of ``D^deriv`` for each of
-    its cells, from the value vector (checked like `sample`'s).  Points go
-    through in chunks of ``_CHUNK``; per level a point costs one table gather
-    and one Horner step per axis, whatever ``deriv`` and the sample count.
-    Points must be finite and lie in the closed unit cube.  Evaluation is
-    deterministic and read-only.
+    its cells, from the value vector (checked like `sample`'s).  Called on
+    an ``(n, d)`` array, points go through in chunks of ``_CHUNK``; per level
+    a point costs one table gather and one Horner step per axis, whatever
+    ``deriv`` and the sample count.  `grid` gives the same values on a
+    tensor grid, sharing those steps among the grid's points.  Points must
+    be finite and lie in the closed unit cube.  Evaluation is deterministic
+    and read-only.
     """
 
     def __init__(self, values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]):
@@ -220,13 +229,9 @@ class Approximant:
 
     def _chunk(self, pts: Array) -> Array:
         """The weighted level sum at one chunk's points: per level, one gather
-        of the points' cells (the last closed at ``x = 1``), reduced by Horner's
-        rule from the last axis to the first."""
-        axes = {}
-        for j, k in self._axis_levels:
-            scaled = pts[:, j] * float(1 << k)
-            cell = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << k) - 1)
-            axes[j, k] = (cell, scaled - cell)
+        of the points' cells, reduced by Horner's rule from the last axis to
+        the first."""
+        axes = {(j, k): _cells(pts[:, j], k) for j, k in self._axis_levels}
         acc = np.zeros(len(pts))
         for level, weight, table in self._levels:
             cells, ts = zip(*(axes[j, k] for j, k in enumerate(level)))
@@ -236,6 +241,68 @@ class Approximant:
                 block = horner(block, j, ts[j])
             acc += weight * block
         return acc
+
+    def grid(self, nodes) -> Array:
+        """Values on the tensor grid ``nodes^d``, shape ``(M,) * d`` in C order.
+
+        Bit for bit ``self(_grid(nodes, d))`` reshaped, at a fraction of the
+        cost: every grid point sees the same gathers and Horner steps, last
+        axis to first, as in `_chunk`, but each step is shared by all points
+        that agree on the axes still to be reduced (sum factorization).
+        Axis 0 runs in slabs of at most ``_CHUNK`` grid points (one row if a
+        row holds more), and each axis is first restricted to the distinct
+        cells its nodes hit, so no temporary exceeds one gather block of a
+        slab: ``(degrees + 1)`` coefficients per grid point of the slab.
+        ``nodes`` must be a 1-D array of values in ``[0, 1]``; a bad node
+        raises a ValueError naming it and its index.
+        """
+        axis = np.asarray(nodes, dtype=float)
+        if axis.ndim != 1:
+            raise ValueError(f"grid nodes must be a 1-D array, got shape {axis.shape}")
+        bad = np.flatnonzero(~((axis >= 0.0) & (axis <= 1.0)))
+        if bad.size:
+            raise ValueError(
+                f"grid node {axis[bad[0]]} (index {bad[0]}) is not finite or lies outside [0, 1]"
+            )
+        d, m = self.plan.params.d, len(axis)
+        ks = {k for _, k in self._axis_levels}
+        # Axes 1..d-1 see every node, axis 0 one slab of them.
+        whole = {k: _distinct_cells(axis, k) for k in ks}
+        rows = max(1, _CHUNK // max(m ** (d - 1), 1))
+        out = np.zeros((m,) * d)
+        for start in range(0, m, rows):
+            slab = slice(start, start + rows)
+            part = {k: _distinct_cells(axis[slab], k) for k in ks}
+            for level, weight, table in self._levels:
+                per_axis = [part[level[0]]] + [whole[k] for k in level[1:]]
+                table = table.reshape(table.shape[:d] + tuple(1 << k for k in level))
+                block = table[(Ellipsis,) + np.ix_(*(u for u, _, _ in per_axis))]
+                # Coefficient axes 0..j lead, so node axis j sits at 2j + 1.
+                for j in reversed(range(d)):
+                    _, inverse, t = per_axis[j]
+                    block = np.take(block, inverse, axis=2 * j + 1)
+                    block = horner(block, j, t.reshape((-1,) + (1,) * (d - 1 - j)))
+                out[slab] += weight * block
+        return out
+
+
+def _cells(x: Array, k: int) -> tuple[Array, Array]:
+    """The level-k cell of each coordinate and the local coordinate in it.
+
+    Cells are half open on the right, except the last, which is closed at
+    ``x = 1`` so the right edge reads the limit from inside the cube.
+    """
+    scaled = x * float(1 << k)
+    cell = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << k) - 1)
+    return cell, scaled - cell
+
+
+def _distinct_cells(x: Array, k: int) -> tuple[Array, Array, Array]:
+    """The distinct level-k cells of ``x``, the index of each coordinate's
+    cell among them, and the local coordinates."""
+    cell, t = _cells(x, k)
+    distinct, inverse = np.unique(cell, return_inverse=True)
+    return distinct, inverse, t
 
 
 def reconstruct(values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]) -> Approximant:
@@ -313,18 +380,23 @@ def _check_rule_size(d: int, count: int, field: str) -> None:
         )
 
 
-def _gap(g: PointFn, h: PointFn, pts: Array) -> Array:
-    """``|g - h|`` at the rows of ``pts``; each must give one value per row."""
-    vals = []
-    for name, fn in (("g", g), ("h", h)):
-        v = np.asarray(fn(pts), dtype=float)
-        if v.shape != (len(pts),):
-            raise ValueError(
-                f"lq_error: {name} returned shape {v.shape} for {len(pts)} points, "
-                f"expected ({len(pts)},)"
-            )
-        vals.append(v)
-    return np.abs(vals[0] - vals[1])
+def _values(name: str, fn: PointFn, axis: Array, d: int) -> Array:
+    """``fn`` on the tensor grid ``axis^d``, flattened in C order.
+
+    An `Approximant` goes through `Approximant.grid`, any other callable gets
+    the grid's points as rows; either must give one value per point.
+    """
+    count = len(axis) ** d
+    if isinstance(fn, Approximant):
+        v = fn.grid(axis).reshape(-1)
+    else:
+        v = np.asarray(fn(_grid(axis, d)), dtype=float)
+    if v.shape != (count,):
+        raise ValueError(
+            f"lq_error: {name} returned shape {v.shape} for {count} points, "
+            f"expected ({count},)"
+        )
+    return v
 
 
 def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
@@ -332,9 +404,12 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
 
     Finite q: composite Gauss-Legendre.  q = infinity: maximum of |g - h|
     over an interior midpoint lattice united with the quadrature nodes.
-    A rule or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
-    ValueError before anything is allocated, and so is a ``g`` or ``h`` that
-    does not return one value per point.
+    Both are tensor grids: an `Approximant` is evaluated on them through
+    `Approximant.grid`, any other callable on the grid's points as rows,
+    with the same result either way.  A rule or lattice beyond
+    ``_MAX_RULE_POINTS`` points is refused with a ValueError before anything
+    is allocated, and a ``g`` or ``h`` that does not return one value per
+    point raises one too.
     """
     if not q >= 1:
         raise ValueError(f"q must lie in [1, inf], got {q!r}")
@@ -343,10 +418,18 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     if math.isinf(q):
         _check_rule_size(quad.d, quad.resolved_sup_points() ** quad.d, "sup_points")
     nodes, weights = _axis_rule(quad.resolved_cells_log2(), quad.points_per_cell)
-    diff = _gap(g, h, _grid(nodes, quad.d))
+    axes = [nodes]
     if math.isinf(q):
         n = quad.resolved_sup_points()
-        dense = _gap(g, h, _grid((np.arange(n) + 0.5) / n, quad.d))
-        return float(max(diff.max(initial=0.0), dense.max(initial=0.0)))
+        axes.append((np.arange(n) + 0.5) / n)
+    # A pointwise callable goes first: its point rows and temporaries are
+    # freed before the other function's values are held.
+    order = sorted((("g", g), ("h", h)), key=lambda named: isinstance(named[1], Approximant))
+    diffs = []
+    for axis in axes:
+        vals = {name: _values(name, fn, axis, quad.d) for name, fn in order}
+        diffs.append(np.abs(vals["g"] - vals["h"]))
+    if math.isinf(q):
+        return float(max(diff.max(initial=0.0) for diff in diffs))
     w = reduce(np.multiply.outer, [weights] * quad.d).ravel()
-    return float(np.sum(w * diff**q) ** (1.0 / q))
+    return float(np.sum(w * diffs[0] ** q) ** (1.0 / q))

@@ -136,6 +136,25 @@ class TestModulusEstimate:
         with pytest.raises(ValueError, match=match):
             modulus_estimate(f, (2, 2), t, axes, 2.0)
 
+    @pytest.mark.parametrize(
+        "order, axes, match",
+        [
+            ((2.5, 2), (0, 1), r"axis 0: difference order: expected an integer, got 2\.5"),
+            ((2, 2), (0.9, 1), r"modulus axis: expected an integer, got 0\.9"),
+        ],
+        ids=["order", "axis"],
+    )
+    def test_fractional_order_or_axis_refused(self, order, axes, match):
+        # int() would truncate both to the (2, 2) / axes (0, 1) estimate.
+        entry = functions.get_function("trig", 2)
+        with pytest.raises(ValueError, match=match):
+            modulus_estimate(entry.value, order, (0.1, 0.1), axes, 2.0)
+
+    def test_integral_float_order_accepted(self):
+        entry = functions.get_function("trig", 2)
+        want = modulus_estimate(entry.value, (2, 2), (0.1, 0.1), (0, 1), 2.0)
+        assert modulus_estimate(entry.value, (2.0, 2), (0.1, 0.1), (0, 1.0), 2.0) == want
+
     def test_stencil_must_stay_inside(self):
         # Every step h in (0, 2] takes a second difference out of [0, 1].
         f = lambda pts: pts[:, 0] ** 2  # noqa: E731

@@ -1,6 +1,7 @@
 """Tests for sampling, reconstruction, and error measurement."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -395,15 +396,132 @@ _coordinate = st.one_of(
 )
 @given(data=st.data())
 def test_approximant_equals_surplus_sum(differential_case, data):
-    """``Approximant`` against the scalar oracle: the surpluses over the plan's levels."""
+    """``Approximant`` against the scalar oracle: the surpluses over the plan's
+    levels, at a few points and on the product grid of a few nodes per axis."""
     d, deriv, plan, approx, ev = differential_case
     pts = np.array(
         data.draw(st.lists(st.tuples(*[_coordinate] * d), min_size=1, max_size=5))
     )
-    direct = [sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels) for p in pts]
+    nodes = np.array(data.draw(st.lists(_coordinate, min_size=1, max_size=2)))
+    grid_pts = recovery._grid(nodes, d)
+    direct = [
+        sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels)
+        for p in np.concatenate([pts, grid_pts])
+    ]
     for chunk in (2, recovery._CHUNK):
         with mock.patch.object(recovery, "_CHUNK", chunk):
-            np.testing.assert_allclose(approx(pts), direct, rtol=1e-12, atol=1e-10)
+            np.testing.assert_allclose(approx(pts), direct[: len(pts)], rtol=1e-12, atol=1e-10)
+            np.testing.assert_allclose(
+                approx.grid(nodes).reshape(-1), direct[len(pts) :], rtol=1e-12, atol=1e-10
+            )
+
+
+# (d, function, alpha, deriv, radius) per grid case: every dimension up to 4,
+# a derivative along one axis, along two, and of second order.
+GRID_CASES = [
+    (1, "trig", (2.0,), (0,), 6),
+    (2, "trig", (2.0, 2.0), (0, 0), 5),
+    (2, "trig", (2.0, 2.0), (1, 0), 5),
+    (2, "trig", (2.0, 2.0), (1, 1), 5),
+    (3, "aniso", (2.0, 2.0, 1.5), (1, 0, 0), 4),
+    (3, "aniso", (3.0, 2.0, 1.5), (2, 0, 1), 3),
+    (4, "trig", (2.0, 2.0, 2.0, 2.0), (0, 0, 0, 0), 3),
+]
+
+
+@pytest.fixture(
+    scope="module", params=GRID_CASES, ids=lambda c: f"d{c[0]}-deriv{''.join(map(str, c[3]))}"
+)
+def grid_case(request):
+    d, fid, alpha, deriv, radius = request.param
+    params = grid.derive_params(d, alpha, 2.0, 2.0, 2.0, deriv)
+    plan = grid.build_plan(params, radius)
+    f = functions.get_function(fid, d)
+    return d, reconstruct(sample(f.value, plan), plan, deriv)
+
+
+def gauss_nodes(d):
+    # The composite Gauss rule of `lq_error`, four points on each of
+    # 2**(12 // d - 2) cells: 4096 grid points at every d = 1..4.
+    return recovery._axis_rule(12 // d - 2, 4)[0]
+
+
+def lattice_nodes(d):
+    # The sup-norm lattice of `lq_error`, 2**(12 // d) + 1 midpoints per axis.
+    n = (1 << (12 // d)) + 1
+    return (np.arange(n) + 0.5) / n
+
+
+def edge_nodes(d):
+    # 0, 1, dyadic knots, the largest float below the knot 1/4 (it lies in
+    # the cell left of it), a repeated node and interior points, unsorted.
+    return np.array([0.5, 0.0, np.nextafter(0.25, 0.0), 1.0, 0.25, 0.3, 0.125, 0.5, 0.96875])
+
+
+class TestGrid:
+    """`Approximant.grid` against the pointwise route on the same points."""
+
+    @pytest.mark.parametrize("chunk", [None, 2], ids=["default-chunk", "chunk2"])
+    @pytest.mark.parametrize("make_nodes", [gauss_nodes, lattice_nodes, edge_nodes])
+    def test_equals_pointwise_bit_for_bit(self, grid_case, make_nodes, chunk):
+        d, approx = grid_case
+        nodes = make_nodes(d)
+        want = approx(recovery._grid(nodes, d)).reshape((len(nodes),) * d)
+        with mock.patch.object(recovery, "_CHUNK", chunk or recovery._CHUNK):
+            got = approx.grid(nodes)
+        assert got.shape == (len(nodes),) * d
+        assert np.array_equal(got, want)
+
+    def test_empty_nodes(self, grid_case):
+        d, approx = grid_case
+        assert approx.grid(np.empty(0)).shape == (0,) * d
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            (math.nan, r"grid node nan \(index 2\)"),
+            (math.inf, r"grid node inf \(index 2\)"),
+            (1.5, r"grid node 1\.5 \(index 2\)"),
+            (-0.25, r"grid node -0\.25 \(index 2\)"),
+        ],
+    )
+    def test_node_outside_unit_interval_is_named(self, grid_case, bad, shown):
+        nodes = np.array([0.0, 0.5, bad, 2.0])  # only the first offending node is named
+        with pytest.raises(ValueError, match=shown + r" is not finite or lies outside \[0, 1\]"):
+            grid_case[1].grid(nodes)
+
+    def test_nodes_must_be_one_dimensional(self, grid_case):
+        with pytest.raises(ValueError, match=r"grid nodes must be a 1-D array, got shape \(2, 2\)"):
+            grid_case[1].grid(np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize(
+        "d, fid, alpha, deriv, budget",
+        [
+            (4, "trig", (2.0, 2.0, 2.0, 2.0), (0, 0, 0, 0), 8192),
+            (3, "aniso", (2.0, 2.0, 1.5), (1, 0, 0), 16384),
+        ],
+        ids=["d4-trig", "d3-aniso-deriv100"],
+    )
+    def test_memory_is_bounded_by_slabs(self, d, fid, alpha, deriv, budget):
+        # The default rules of the d = 4 study and of the d = 3 derivative
+        # study (1,048,576 and 262,144 points).  Beyond the output, the peak
+        # stays within two per-chunk gather blocks, (degrees + 1) coefficients
+        # of _CHUNK points; measured 0.62 and 0.80 blocks, and 6.3 and 21
+        # without slabs.
+        params = grid.derive_params(d, alpha, 2.0, 2.0, 2.0, deriv)
+        plan = grid.build_plan(params, grid.choose_radius(params, budget))
+        approx = reconstruct(sample(functions.get_function(fid, d).value, plan), plan, deriv)
+        quad = Quadrature(d=d)
+        nodes = recovery._axis_rule(quad.resolved_cells_log2(), quad.points_per_cell)[0]
+        block = math.prod(dg + 1 for dg in params.degrees) * recovery._CHUNK * 8
+        tracemalloc.start()
+        try:
+            out = approx.grid(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (len(nodes),) * d
+        assert peak <= out.nbytes + 2 * block
 
 
 class TestBlendingOffsets:
@@ -571,6 +689,34 @@ class TestLqError:
         quad = Quadrature(d=2, cells_log2=2, sup_points=16)
         with pytest.raises(ValueError, match=message + " for 256 points, expected"):
             lq_error(g, h, q, quad)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.5, math.inf])
+    @pytest.mark.parametrize(
+        "d, alpha, deriv",
+        [(2, (2.0, 2.0), (1, 0)), (3, (2.0, 2.0, 1.5), (1, 0, 0))],
+        ids=["d2-deriv10", "d3-deriv100"],
+    )
+    def test_grid_route_is_exact(self, d, alpha, deriv, q):
+        # An Approximant is evaluated on the grid, a plain callable pointwise;
+        # both routes give the same float, whichever side the Approximant is on.
+        params = grid.derive_params(d, alpha, 2.0, 2.0, 2.0, deriv)
+        plan = grid.build_plan(params, 4)
+        f = functions.get_function("aniso", d)
+        approx = reconstruct(sample(f.value, plan), plan, deriv)
+        truth = lambda pts: f.deriv(deriv, pts)  # noqa: E731
+        pointwise = lambda pts: approx(pts)  # noqa: E731
+        quad = Quadrature(d=d, cells_log2=12 // d - 2, sup_points=(1 << (12 // d)) + 1)
+        got = lq_error(approx, truth, q, quad)
+        assert got == lq_error(pointwise, truth, q, quad)
+        assert lq_error(truth, approx, q, quad) == lq_error(truth, pointwise, q, quad)
+        assert got > 0
+
+    def test_approximant_of_another_dimension_is_refused(self):
+        plan = grid.build_plan(params_smooth(), 2)
+        approx = reconstruct(np.zeros(plan.n_actual), plan, (0, 0))
+        one = lambda pts: np.ones(len(pts))  # noqa: E731
+        with pytest.raises(ValueError, match=r"h returned shape \(64,\) for 512 points"):
+            lq_error(one, approx, 2.0, Quadrature(d=3, cells_log2=1))
 
     def test_rule_size_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(recovery, "_MAX_RULE_POINTS", 64)
