@@ -341,8 +341,9 @@ def choose_radius(params: SmoothnessParams, budget: int) -> int:
 
     The scan stops at ``MAX_RADIUS`` and at the last radius whose point
     count is within ``_MAX_RAW_POINTS``: a larger budget gets that radius.
+    A budget that is not an integer raises a ValueError naming it.
     """
-    budget = int(budget)
+    budget = as_integer(budget, "budget")
     radius = 0
     while radius < MAX_RADIUS:
         levels = index_set(params.weights, radius + 1)

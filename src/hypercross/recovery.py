@@ -16,11 +16,10 @@ polynomial of the interpolation degrees (de Boor's B-form to pp-form
 conversion), so the derivative is blended into the level's monomial
 coefficient table once, at construction (`_blend`).  Points are evaluated in
 fixed-size chunks: per level one gather from the table, then Horner's rule
-one axis at a time.  On a tensor grid, `Approximant.grid` runs the same
-gathers and Horner steps, but shares each among all grid points that need
-it (sum factorization, every level being a tensor-product operator), in
-slabs of at most one chunk of points; its values equal the pointwise ones
-bit for bit.
+one axis at a time.  On a tensor grid, the private kernel
+`Approximant._slab` runs the same gathers and Horner steps, but shares each
+among all grid points that need it (sum factorization, every level being a
+tensor-product operator); its values equal the pointwise ones bit for bit.
 
 Points must lie in the closed unit cube.  Blending splines take right limits
 at interior knots; at the right edge ``x_j = 1`` the last cell's polynomial,
@@ -29,10 +28,11 @@ cell rule of both routes).
 
 `lq_error` measures distances with composite tensor Gauss-Legendre quadrature
 on a dyadic cell partition (finite q) or on a dense interior lattice united
-with the quadrature nodes (q = infinity).  Both are tensor grids, so an
-`Approximant` is evaluated there through `Approximant.grid`; any other
-callable gets the grid's points.  Rules beyond a fixed point count are
-refused before anything is allocated.
+with the quadrature nodes (q = infinity).  Both are tensor grids, streamed
+in slabs of axis-0 rows of at most one chunk of points: on each slab an
+`Approximant` is evaluated through `_slab`, any other callable at the slab's
+points.  Rules beyond a fixed point count are refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -169,10 +169,8 @@ class Approximant:
     its cells, from the value vector (checked like `sample`'s).  Called on
     an ``(n, d)`` array, points go through in chunks of ``_CHUNK``; per level
     a point costs one table gather and one Horner step per axis, whatever
-    ``deriv`` and the sample count.  `grid` gives the same values on a
-    tensor grid, sharing those steps among the grid's points.  Points must
-    be finite and lie in the closed unit cube.  Evaluation is deterministic
-    and read-only.
+    ``deriv`` and the sample count.  Points must be finite and lie in the
+    closed unit cube.  Evaluation is deterministic and read-only.
     """
 
     def __init__(self, values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]):
@@ -242,47 +240,34 @@ class Approximant:
             acc += weight * block
         return acc
 
-    def grid(self, nodes) -> Array:
-        """Values on the tensor grid ``nodes^d``, shape ``(M,) * d`` in C order.
+    def _slab(self, head: Array, nodes: Array) -> Array:
+        """Values on the tensor grid ``head x nodes^(d-1)``, shape
+        ``(len(head),) + (len(nodes),) * (d - 1)`` in C order.
 
-        Bit for bit ``self(_grid(nodes, d))`` reshaped, at a fraction of the
-        cost: every grid point sees the same gathers and Horner steps, last
-        axis to first, as in `_chunk`, but each step is shared by all points
-        that agree on the axes still to be reduced (sum factorization).
-        Axis 0 runs in slabs of at most ``_CHUNK`` grid points (one row if a
-        row holds more), and each axis is first restricted to the distinct
-        cells its nodes hit, so no temporary exceeds one gather block of a
-        slab: ``(degrees + 1)`` coefficients per grid point of the slab.
-        ``nodes`` must be a 1-D array of values in ``[0, 1]``; a bad node
-        raises a ValueError naming it and its index.
+        Bit for bit ``self(_grid(head, nodes, d))`` reshaped, at a fraction
+        of the cost: every grid point sees the same gathers and Horner
+        steps, last axis to first, as in `_chunk`, but each step is shared by
+        all points that agree on the axes still to be reduced (sum
+        factorization).  Each axis is first restricted to the distinct cells
+        its nodes hit, so no temporary exceeds one gather block: ``(degrees +
+        1)`` coefficients per grid point.  The nodes must lie in ``[0, 1]``.
         """
-        axis = np.asarray(nodes, dtype=float)
-        if axis.ndim != 1:
-            raise ValueError(f"grid nodes must be a 1-D array, got shape {axis.shape}")
-        bad = np.flatnonzero(~((axis >= 0.0) & (axis <= 1.0)))
-        if bad.size:
-            raise ValueError(
-                f"grid node {axis[bad[0]]} (index {bad[0]}) is not finite or lies outside [0, 1]"
-            )
-        d, m = self.plan.params.d, len(axis)
+        d = self.plan.params.d
         ks = {k for _, k in self._axis_levels}
-        # Axes 1..d-1 see every node, axis 0 one slab of them.
-        whole = {k: _distinct_cells(axis, k) for k in ks}
-        rows = max(1, _CHUNK // max(m ** (d - 1), 1))
-        out = np.zeros((m,) * d)
-        for start in range(0, m, rows):
-            slab = slice(start, start + rows)
-            part = {k: _distinct_cells(axis[slab], k) for k in ks}
-            for level, weight, table in self._levels:
-                per_axis = [part[level[0]]] + [whole[k] for k in level[1:]]
-                table = table.reshape(table.shape[:d] + tuple(1 << k for k in level))
-                block = table[(Ellipsis,) + np.ix_(*(u for u, _, _ in per_axis))]
-                # Coefficient axes 0..j lead, so node axis j sits at 2j + 1.
-                for j in reversed(range(d)):
-                    _, inverse, t = per_axis[j]
-                    block = np.take(block, inverse, axis=2 * j + 1)
-                    block = horner(block, j, t.reshape((-1,) + (1,) * (d - 1 - j)))
-                out[slab] += weight * block
+        # Axis 0 sees the head, axes 1..d-1 the nodes.
+        first = {k: _distinct_cells(head, k) for k in ks}
+        rest = {k: _distinct_cells(nodes, k) for k in ks}
+        out = np.zeros((len(head),) + (len(nodes),) * (d - 1))
+        for level, weight, table in self._levels:
+            per_axis = [first[level[0]]] + [rest[k] for k in level[1:]]
+            table = table.reshape(table.shape[:d] + tuple(1 << k for k in level))
+            block = table[(Ellipsis,) + np.ix_(*(u for u, _, _ in per_axis))]
+            # Coefficient axes 0..j lead, so node axis j sits at 2j + 1.
+            for j in reversed(range(d)):
+                _, inverse, t = per_axis[j]
+                block = np.take(block, inverse, axis=2 * j + 1)
+                block = horner(block, j, t.reshape((-1,) + (1,) * (d - 1 - j)))
+            out += weight * block
         return out
 
 
@@ -360,15 +345,19 @@ def _axis_rule(cells_log2: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _grid(axis: Array, d: int) -> Array:
-    """The tensor grid ``axis^d``, one point per row, in C order."""
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+def _grid(head: Array, nodes: Array, d: int) -> Array:
+    """The tensor grid ``head x nodes^(d-1)``, one point per row, in C order."""
+    axes = [head] + [nodes] * (d - 1)
+    pts = np.empty(tuple(map(len, axes)) + (d,))
+    for j, axis in enumerate(axes):
+        pts[..., j] = axis.reshape((-1,) + (1,) * (d - 1 - j))
+    return pts.reshape(-1, d)
 
 
-# Most points one rule or sup-norm lattice of `lq_error` may have.  Each
-# point costs d coordinates and a value of both functions at once; the rules
-# in use have at most about 1.05M points (d=4 default rule, d=2 lattice).
+# Most points one rule or sup-norm lattice of `lq_error` may have.  The rule
+# runs in slabs, so beyond one slab a point costs one float of the term
+# vector (finite q); the rules in use have at most about 1.05M points (d=4
+# default rule, d=2 lattice).
 _MAX_RULE_POINTS = 1 << 21
 
 
@@ -380,17 +369,17 @@ def _check_rule_size(d: int, count: int, field: str) -> None:
         )
 
 
-def _values(name: str, fn: PointFn, axis: Array, d: int) -> Array:
-    """``fn`` on the tensor grid ``axis^d``, flattened in C order.
+def _values(name: str, fn: PointFn, head: Array, nodes: Array, d: int) -> Array:
+    """``fn`` on the tensor grid ``head x nodes^(d-1)``, flattened in C order.
 
-    An `Approximant` goes through `Approximant.grid`, any other callable gets
-    the grid's points as rows; either must give one value per point.
+    An `Approximant` goes through `Approximant._slab`, any other callable
+    gets the grid's points as rows; either must give one value per point.
     """
-    count = len(axis) ** d
+    count = len(head) * len(nodes) ** (d - 1)
     if isinstance(fn, Approximant):
-        v = fn.grid(axis).reshape(-1)
+        v = fn._slab(head, nodes).reshape(-1)
     else:
-        v = np.asarray(fn(_grid(axis, d)), dtype=float)
+        v = np.asarray(fn(_grid(head, nodes, d)), dtype=float)
     if v.shape != (count,):
         raise ValueError(
             f"lq_error: {name} returned shape {v.shape} for {count} points, "
@@ -404,32 +393,39 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
 
     Finite q: composite Gauss-Legendre.  q = infinity: maximum of |g - h|
     over an interior midpoint lattice united with the quadrature nodes.
-    Both are tensor grids: an `Approximant` is evaluated on them through
-    `Approximant.grid`, any other callable on the grid's points as rows,
-    with the same result either way.  A rule or lattice beyond
-    ``_MAX_RULE_POINTS`` points is refused with a ValueError before anything
-    is allocated, and a ``g`` or ``h`` that does not return one value per
-    point raises one too.
+    Both are tensor grids, walked in slabs of axis-0 rows (at most
+    ``_CHUNK`` points, or one row if a row holds more).  On each slab an
+    `Approximant` is evaluated through `Approximant._slab`, any other
+    callable at the slab's points as rows, with the same result either way
+    and for any slab size.  Finite q stores one weighted term per rule
+    point and sums them once; q = infinity keeps a running maximum.  A rule
+    or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
+    ValueError before anything is allocated, and a ``g`` or ``h`` that does
+    not return one value per point raises one too.
     """
     if not q >= 1:
         raise ValueError(f"q must lie in [1, inf], got {q!r}")
+    d = quad.d
     per_axis = quad.points_per_cell << quad.resolved_cells_log2()
-    _check_rule_size(quad.d, per_axis**quad.d, "cells_log2")
+    _check_rule_size(d, per_axis**d, "cells_log2")
     if math.isinf(q):
-        _check_rule_size(quad.d, quad.resolved_sup_points() ** quad.d, "sup_points")
+        _check_rule_size(d, quad.resolved_sup_points() ** d, "sup_points")
     nodes, weights = _axis_rule(quad.resolved_cells_log2(), quad.points_per_cell)
-    axes = [nodes]
     if math.isinf(q):
         n = quad.resolved_sup_points()
-        axes.append((np.arange(n) + 0.5) / n)
-    # A pointwise callable goes first: its point rows and temporaries are
-    # freed before the other function's values are held.
-    order = sorted((("g", g), ("h", h)), key=lambda named: isinstance(named[1], Approximant))
-    diffs = []
-    for axis in axes:
-        vals = {name: _values(name, fn, axis, quad.d) for name, fn in order}
-        diffs.append(np.abs(vals["g"] - vals["h"]))
-    if math.isinf(q):
-        return float(max(diff.max(initial=0.0) for diff in diffs))
-    w = reduce(np.multiply.outer, [weights] * quad.d).ravel()
-    return float(np.sum(w * diffs[0] ** q) ** (1.0 / q))
+        grids = [nodes, (np.arange(n) + 0.5) / n]
+    else:
+        grids, terms = [nodes], np.empty(per_axis**d)
+    err = 0.0
+    for axis in grids:
+        span = len(axis) ** (d - 1)
+        rows = max(1, _CHUNK // span)
+        for start in range(0, len(axis), rows):
+            cut = slice(start, start + rows)
+            gap = np.abs(_values("g", g, axis[cut], axis, d) - _values("h", h, axis[cut], axis, d))
+            if math.isinf(q):
+                err = np.maximum(err, gap.max(initial=0.0))
+            else:
+                w = reduce(np.multiply.outer, [weights[cut]] + [weights] * (d - 1)).ravel()
+                terms[start * span : start * span + gap.size] = w * gap**q
+    return float(err if math.isinf(q) else np.sum(terms) ** (1.0 / q))

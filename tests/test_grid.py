@@ -504,10 +504,27 @@ class TestIntegralArguments:
                 lambda: functions.get_function("trig", 2).deriv((0, -1), [(0.5, 0.5)]),
                 "axis 1: derivative order -1 is negative",
             ),
+            (
+                lambda: grid.choose_radius(params_2d_smooth(), 1024.5),
+                "budget: expected an integer, got 1024.5",
+            ),
+            (
+                lambda: grid.choose_radius(params_2d_smooth(), math.nan),
+                "budget: expected an integer, got nan",
+            ),
+            (
+                lambda: grid.choose_radius(params_2d_smooth(), math.inf),
+                "budget: expected an integer, got inf",
+            ),
+            (
+                lambda: grid.choose_radius(params_2d_smooth(), True),
+                "budget: expected an integer, got True",
+            ),
         ],
         ids=[
             "reconstruct", "derive_params", "function_deriv", "build_plan", "build_plan_nan",
-            "bool_order", "negative_order",
+            "bool_order", "negative_order", "budget_fraction", "budget_nan", "budget_inf",
+            "budget_bool",
         ],
     )
     def test_refused_with_value_and_axis(self, call, message):

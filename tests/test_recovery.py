@@ -403,7 +403,7 @@ def test_approximant_equals_surplus_sum(differential_case, data):
         data.draw(st.lists(st.tuples(*[_coordinate] * d), min_size=1, max_size=5))
     )
     nodes = np.array(data.draw(st.lists(_coordinate, min_size=1, max_size=2)))
-    grid_pts = recovery._grid(nodes, d)
+    grid_pts = recovery._grid(nodes, nodes, d)
     direct = [
         sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels)
         for p in np.concatenate([pts, grid_pts])
@@ -411,9 +411,9 @@ def test_approximant_equals_surplus_sum(differential_case, data):
     for chunk in (2, recovery._CHUNK):
         with mock.patch.object(recovery, "_CHUNK", chunk):
             np.testing.assert_allclose(approx(pts), direct[: len(pts)], rtol=1e-12, atol=1e-10)
-            np.testing.assert_allclose(
-                approx.grid(nodes).reshape(-1), direct[len(pts) :], rtol=1e-12, atol=1e-10
-            )
+    np.testing.assert_allclose(
+        approx._slab(nodes, nodes).reshape(-1), direct[len(pts) :], rtol=1e-12, atol=1e-10
+    )
 
 
 # (d, function, alpha, deriv, radius) per grid case: every dimension up to 4,
@@ -459,69 +459,26 @@ def edge_nodes(d):
 
 
 class TestGrid:
-    """`Approximant.grid` against the pointwise route on the same points."""
+    """`Approximant._slab` against the pointwise route on the same points."""
 
     @pytest.mark.parametrize("chunk", [None, 2], ids=["default-chunk", "chunk2"])
     @pytest.mark.parametrize("make_nodes", [gauss_nodes, lattice_nodes, edge_nodes])
     def test_equals_pointwise_bit_for_bit(self, grid_case, make_nodes, chunk):
+        # The kernel is called on slabs of axis-0 rows as `lq_error` cuts
+        # them; at _CHUNK = 2 every d >= 2 slab is one row.
         d, approx = grid_case
         nodes = make_nodes(d)
-        want = approx(recovery._grid(nodes, d)).reshape((len(nodes),) * d)
-        with mock.patch.object(recovery, "_CHUNK", chunk or recovery._CHUNK):
-            got = approx.grid(nodes)
+        want = approx(recovery._grid(nodes, nodes, d)).reshape((len(nodes),) * d)
+        rows = max(1, (chunk or recovery._CHUNK) // len(nodes) ** (d - 1))
+        got = np.concatenate(
+            [approx._slab(nodes[i : i + rows], nodes) for i in range(0, len(nodes), rows)]
+        )
         assert got.shape == (len(nodes),) * d
         assert np.array_equal(got, want)
 
     def test_empty_nodes(self, grid_case):
         d, approx = grid_case
-        assert approx.grid(np.empty(0)).shape == (0,) * d
-
-    @pytest.mark.parametrize(
-        "bad, shown",
-        [
-            (math.nan, r"grid node nan \(index 2\)"),
-            (math.inf, r"grid node inf \(index 2\)"),
-            (1.5, r"grid node 1\.5 \(index 2\)"),
-            (-0.25, r"grid node -0\.25 \(index 2\)"),
-        ],
-    )
-    def test_node_outside_unit_interval_is_named(self, grid_case, bad, shown):
-        nodes = np.array([0.0, 0.5, bad, 2.0])  # only the first offending node is named
-        with pytest.raises(ValueError, match=shown + r" is not finite or lies outside \[0, 1\]"):
-            grid_case[1].grid(nodes)
-
-    def test_nodes_must_be_one_dimensional(self, grid_case):
-        with pytest.raises(ValueError, match=r"grid nodes must be a 1-D array, got shape \(2, 2\)"):
-            grid_case[1].grid(np.full((2, 2), 0.5))
-
-    @pytest.mark.parametrize(
-        "d, fid, alpha, deriv, budget",
-        [
-            (4, "trig", (2.0, 2.0, 2.0, 2.0), (0, 0, 0, 0), 8192),
-            (3, "aniso", (2.0, 2.0, 1.5), (1, 0, 0), 16384),
-        ],
-        ids=["d4-trig", "d3-aniso-deriv100"],
-    )
-    def test_memory_is_bounded_by_slabs(self, d, fid, alpha, deriv, budget):
-        # The default rules of the d = 4 study and of the d = 3 derivative
-        # study (1,048,576 and 262,144 points).  Beyond the output, the peak
-        # stays within two per-chunk gather blocks, (degrees + 1) coefficients
-        # of _CHUNK points; measured 0.62 and 0.80 blocks, and 6.3 and 21
-        # without slabs.
-        params = grid.derive_params(d, alpha, 2.0, 2.0, 2.0, deriv)
-        plan = grid.build_plan(params, grid.choose_radius(params, budget))
-        approx = reconstruct(sample(functions.get_function(fid, d).value, plan), plan, deriv)
-        quad = Quadrature(d=d)
-        nodes = recovery._axis_rule(quad.resolved_cells_log2(), quad.points_per_cell)[0]
-        block = math.prod(dg + 1 for dg in params.degrees) * recovery._CHUNK * 8
-        tracemalloc.start()
-        try:
-            out = approx.grid(nodes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (len(nodes),) * d
-        assert peak <= out.nbytes + 2 * block
+        assert approx._slab(np.empty(0), np.empty(0)).shape == (0,) * d
 
 
 class TestBlendingOffsets:
@@ -696,9 +653,10 @@ class TestLqError:
         [(2, (2.0, 2.0), (1, 0)), (3, (2.0, 2.0, 1.5), (1, 0, 0))],
         ids=["d2-deriv10", "d3-deriv100"],
     )
-    def test_grid_route_is_exact(self, d, alpha, deriv, q):
+    def test_grid_route_is_exact(self, d, alpha, deriv, q, monkeypatch):
         # An Approximant is evaluated on the grid, a plain callable pointwise;
-        # both routes give the same float, whichever side the Approximant is on.
+        # both routes give the same float, whichever side the Approximant is
+        # on, and so do slabs of one row (_CHUNK = 2).
         params = grid.derive_params(d, alpha, 2.0, 2.0, 2.0, deriv)
         plan = grid.build_plan(params, 4)
         f = functions.get_function("aniso", d)
@@ -707,9 +665,47 @@ class TestLqError:
         pointwise = lambda pts: approx(pts)  # noqa: E731
         quad = Quadrature(d=d, cells_log2=12 // d - 2, sup_points=(1 << (12 // d)) + 1)
         got = lq_error(approx, truth, q, quad)
-        assert got == lq_error(pointwise, truth, q, quad)
-        assert lq_error(truth, approx, q, quad) == lq_error(truth, pointwise, q, quad)
+        flipped = lq_error(truth, approx, q, quad)
         assert got > 0
+        for chunk in (recovery._CHUNK, 2):
+            monkeypatch.setattr(recovery, "_CHUNK", chunk)
+            assert lq_error(approx, truth, q, quad) == got
+            assert lq_error(pointwise, truth, q, quad) == got
+            assert lq_error(truth, approx, q, quad) == flipped
+            assert lq_error(truth, pointwise, q, quad) == flipped
+
+    @pytest.mark.parametrize(
+        "d, fid, alpha, deriv, budget, q",
+        [
+            (4, "trig", (2.0, 2.0, 2.0, 2.0), (0, 0, 0, 0), 8192, 2.0),
+            (3, "aniso", (2.0, 2.0, 1.5), (1, 0, 0), 16384, 2.0),
+            (2, "trig", (2.0, 2.0), (0, 0), 16384, math.inf),
+        ],
+        ids=["d4-trig", "d3-aniso-deriv100", "d2-trig-qinf"],
+    )
+    def test_memory_is_bounded_by_slabs(self, d, fid, alpha, deriv, budget, q):
+        # Studies on their default rules: 1,048,576 and 262,144 Gauss
+        # points, and at q = inf 65,536 Gauss points plus a 1025^2 lattice.
+        # Beyond one weighted term per Gauss point (finite q), the peak stays
+        # within two gather blocks, (degrees + 1) coefficients of _CHUNK
+        # points; measured 0.90, 0.97 and 1.25 blocks, and 11.2, 10.7 and
+        # 74.0 with the whole rule held at once.
+        params = grid.derive_params(d, alpha, 2.0, q, 2.0, deriv)
+        plan = grid.build_plan(params, grid.choose_radius(params, budget))
+        f = functions.get_function(fid, d)
+        approx = reconstruct(sample(f.value, plan), plan, deriv)
+        truth = lambda pts: f.deriv(deriv, pts)  # noqa: E731
+        quad = Quadrature(d=d)
+        n = (quad.points_per_cell << quad.resolved_cells_log2()) ** d
+        block = math.prod(dg + 1 for dg in params.degrees) * recovery._CHUNK * 8
+        tracemalloc.start()
+        try:
+            err = lq_error(approx, truth, q, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err > 0
+        assert peak <= (0 if math.isinf(q) else 8 * n) + 2 * block
 
     def test_approximant_of_another_dimension_is_refused(self):
         plan = grid.build_plan(params_smooth(), 2)
