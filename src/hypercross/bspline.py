@@ -28,19 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interp import horner
+from .interp import check_range, horner
 
 # Largest per-axis spline order kept in the precomputed tables.  The recovery
 # construction only ever needs the order of the requested derivative, so this
 # is generous.
 MAX_ORDER = 10
-
-
-def _check_order(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"spline order must be a nonnegative integer, got {m!r}")
-    if m > MAX_ORDER:
-        raise ValueError(f"spline order {m} exceeds supported maximum {MAX_ORDER}")
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +71,7 @@ def bspline_derivative(m: int, r: int, x) -> np.ndarray:
     ValueError naming the first such entry.  Orders ``r > m`` leave the
     bounded-derivative range and are rejected.
     """
-    _check_order(m)
+    check_range(m, "spline order", MAX_ORDER)
     if not 0 <= r <= m:
         raise ValueError(f"derivative order {r} not in [0, {m}]")
     x = np.asarray(x, dtype=float)
@@ -99,5 +92,5 @@ def refinement_coeffs(m: int) -> tuple[Fraction, ...]:
 
     The m+2 coefficients are ``2**-m * binomial(m+1, mu)``.
     """
-    _check_order(m)
+    check_range(m, "spline order", MAX_ORDER)
     return tuple(Fraction(math.comb(m + 1, mu), 2**m) for mu in range(m + 2))

@@ -3,9 +3,10 @@
 Verbs:
   study    --config cfg.json --out table.csv   sweep point budgets, fit rates
   plan     --config cfg.json --out points.txt  emit the sample-point layout
+                                               of the largest budget
   diagnose --suite  name                       run property checks
 
-Exit codes: 0 success, 1 validation error, 2 property failure.
+Exit codes: 0 success, 1 validation or usage error, 2 property failure.
 
 Study CSV columns: n_budget, r, n_actual, q, error, wall_ms.  The file is
 byte-identical across runs of the same config, which is why wall_ms is
@@ -27,12 +28,12 @@ import numpy as np
 
 from . import diagnostics
 from .functions import get_function
-from .grid import RecoveryPlan, as_integer, build_plan, choose_radius, derive_params, write_plan
+from .grid import as_integer, build_plan, choose_radius, derive_params, write_plan
 from .recovery import Quadrature, lq_error, reconstruct, sample
 
 _TOP_KEYS = {
     "d", "alpha", "deriv", "p", "q", "theta", "test_fn", "budgets", "seed",
-    "quadrature", "out",
+    "quadrature",
 }
 _QUAD_KEYS = {"cells_log2", "points_per_cell", "sup_points"}
 
@@ -49,7 +50,6 @@ class StudyConfig:
     budgets: tuple[int, ...]
     seed: int = 0
     quadrature: Quadrature | None = None
-    out: str | None = None
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ def load_config(text: str) -> StudyConfig:
         budgets=budgets,
         seed=as_integer(raw.get("seed", 0), "seed"),
         quadrature=quad,
-        out=str(raw["out"]) if "out" in raw else None,
     )
     # Fail early on inconsistent class parameters or unknown functions.
     derive_params(cfg.d, cfg.alpha, cfg.p, cfg.q, cfg.theta, cfg.deriv)
@@ -155,15 +154,11 @@ def run_study(cfg: StudyConfig, log=None) -> StudyResult:
     fn = get_function(cfg.test_fn, cfg.d)
     quad = cfg.quadrature or Quadrature(d=cfg.d)
     reference = lambda pts: fn.deriv(cfg.deriv, pts)  # noqa: E731
-    plans: dict[int, RecoveryPlan] = {}
     rows = []
     for budget in cfg.budgets:
         t0 = time.perf_counter()
         radius = choose_radius(params, budget)
-        plan = plans.get(radius)
-        if plan is None:
-            plan = build_plan(params, radius)
-            plans[radius] = plan
+        plan = build_plan(params, radius)
         approx = reconstruct(sample(fn.value, plan), plan, cfg.deriv)
         err = lq_error(approx, reference, cfg.q, quad)
         wall = (time.perf_counter() - t0) * 1000.0
@@ -185,12 +180,13 @@ def run_study(cfg: StudyConfig, log=None) -> StudyResult:
             )
     ln = np.log([r.n_actual for r in rows])
     le = np.log([r.error for r in rows])
-    if len(set(round(v, 12) for v in ln)) >= 2:
+    distinct = len(set(round(v, 12) for v in ln))
+    if distinct >= 2:
         slope, intercept = np.polyfit(ln, le, 1)
     else:
         slope, intercept = math.nan, math.nan
     slope_lc, loglog = math.nan, math.nan
-    if len(rows) >= 3 and len(set(round(v, 12) for v in ln)) >= 3:
+    if distinct >= 3:
         A = np.stack([np.ones_like(ln), ln, np.log(np.maximum(ln, 1e-9))], axis=1)
         coef, *_ = np.linalg.lstsq(A, le, rcond=None)
         slope_lc, loglog = float(coef[1]), float(coef[2])
@@ -224,22 +220,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_study = sub.add_parser("study", help="run a budget sweep and emit CSV")
     p_study.add_argument("--config", required=True)
-    p_study.add_argument(
-        "--out", default=None, help="CSV path (default: the config's 'out' key)"
-    )
+    p_study.add_argument("--out", required=True)
 
-    p_plan = sub.add_parser("plan", help="emit the sample-point layout")
+    p_plan = sub.add_parser("plan", help="emit the sample-point layout of the largest budget")
     p_plan.add_argument("--config", required=True)
     p_plan.add_argument("--out", required=True)
-    p_plan.add_argument(
-        "--budget", type=int, default=None,
-        help="point budget (default: the largest config budget)",
-    )
 
     p_diag = sub.add_parser("diagnose", help="run property checks")
     p_diag.add_argument("--suite", default="all")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
 
     if args.verb == "diagnose":
         try:
@@ -260,9 +253,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.verb == "plan":
         params = derive_params(cfg.d, cfg.alpha, cfg.p, cfg.q, cfg.theta, cfg.deriv)
-        budget = args.budget if args.budget is not None else cfg.budgets[-1]
         try:
-            radius = choose_radius(params, budget)
+            radius = choose_radius(params, cfg.budgets[-1])
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
@@ -272,16 +264,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"r={radius} n_actual={plan.n_actual} -> {args.out}")
         return 0
 
-    out_path = args.out or cfg.out
-    if out_path is None:
-        print("config error: no output path (--out or config 'out')", file=sys.stderr)
-        return 1
     try:
         result = run_study(cfg, log=sys.stderr)
     except ValueError as exc:
         print(f"study error: {exc}", file=sys.stderr)
         return 1
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_csv(result))
     print(f"slope={result.slope:.4f} intercept={result.intercept:.4f}")
     if not math.isnan(result.slope_logcorr):

@@ -33,17 +33,19 @@ MAX_DEGREE = 12
 NODE_BITS = 40
 
 
-def _check_degree(deg: int) -> None:
-    if not isinstance(deg, (int, np.integer)) or deg < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {deg!r}")
-    if deg > MAX_DEGREE:
-        raise ValueError(f"degree {deg} exceeds supported maximum {MAX_DEGREE}")
+def check_range(value: int, name: str, maximum: int) -> None:
+    """Refuse anything but an integer (not a bool) in ``[0, maximum]``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    if value > maximum:
+        raise ValueError(f"{name} {value} exceeds supported maximum {maximum}")
 
 
-@lru_cache(maxsize=None)
+# Typed, so True misses an entry cached for np.int64(1), which compares equal.
+@lru_cache(maxsize=None, typed=True)
 def nodes_exact(deg: int) -> tuple[Fraction, ...]:
     """deg+1 strictly increasing dyadic rationals in the open unit interval."""
-    _check_degree(deg)
+    check_range(deg, "degree", MAX_DEGREE)
     out = []
     scale = 1 << NODE_BITS
     for i in range(deg + 1):

@@ -2,8 +2,8 @@
 
 `sample` evaluates the target function once per plan point, at the plan's
 exact keys converted to floats, and returns the checked value vector: one
-float per point, aligned with the plan's key array.  `reconstruct` builds
-the linear approximant
+float per point, aligned with the plan's key array.  `reconstruct`, another
+name of `Approximant`, builds from it the linear approximant
 
     x  ->  sum over plan levels of  D^deriv (surplus at level k) (x),
 
@@ -290,14 +290,7 @@ def _distinct_cells(x: Array, k: int) -> tuple[Array, Array, Array]:
     return distinct, inverse, t
 
 
-def reconstruct(values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]) -> Approximant:
-    """Build the linear approximant of ``D^deriv f`` from the plan's value vector.
-
-    ``values[i]`` belongs to ``plan.keys[i]``, as `sample` returns it; a
-    vector of the wrong length or with a non-finite entry raises the same
-    ValueError as in `sample`.
-    """
-    return Approximant(values, plan, deriv)
+reconstruct = Approximant
 
 
 # -- error measurement ----------------------------------------------------------------
@@ -373,7 +366,8 @@ def _values(name: str, fn: PointFn, head: Array, nodes: Array, d: int) -> Array:
     """``fn`` on the tensor grid ``head x nodes^(d-1)``, flattened in C order.
 
     An `Approximant` goes through `Approximant._slab`, any other callable
-    gets the grid's points as rows; either must give one value per point.
+    gets the grid's points as rows; either must give one finite value per
+    point, or a ValueError names the function and the first point at fault.
     """
     count = len(head) * len(nodes) ** (d - 1)
     if isinstance(fn, Approximant):
@@ -385,6 +379,11 @@ def _values(name: str, fn: PointFn, head: Array, nodes: Array, d: int) -> Array:
             f"lq_error: {name} returned shape {v.shape} for {count} points, "
             f"expected ({count},)"
         )
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        at = np.unravel_index(bad[0], (len(head),) + (len(nodes),) * (d - 1))
+        point = [float(head[at[0]])] + [float(nodes[i]) for i in at[1:]]
+        raise ValueError(f"lq_error: {name} returned {v[bad[0]]} at {point}")
     return v
 
 
@@ -401,7 +400,8 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     point and sums them once; q = infinity keeps a running maximum.  A rule
     or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
     ValueError before anything is allocated, and a ``g`` or ``h`` that does
-    not return one value per point raises one too.
+    not return one finite value per point raises one too, naming the
+    function and, for a non-finite value, the point.
     """
     if not q >= 1:
         raise ValueError(f"q must lie in [1, inf], got {q!r}")

@@ -38,6 +38,8 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             cli.load_config(make_cfg(extra=1))
+        with pytest.raises(ValueError, match=r"unknown config keys: \['out'\]"):
+            cli.load_config(make_cfg(out="table.csv"))
         raw = dict(BASE_CFG)
         raw["quadrature"] = {"cells_log2": 4, "bogus": 2}
         with pytest.raises(ValueError, match="unknown quadrature keys"):
@@ -128,6 +130,13 @@ class TestStudy:
         assert len(mantissa) >= 12  # at least 12 significant digits
         assert "." in err_field and "e" in err_field
 
+    def test_repeated_radius_gives_equal_rows(self):
+        # Budgets 64 and 128 both get radius 1 (45 points) here.
+        cfg = cli.load_config(make_cfg(budgets=[64, 128]))
+        first, second = cli.run_study(cfg).rows
+        assert first.radius == second.radius == 1
+        assert (first.n_actual, first.q, first.error) == (second.n_actual, second.q, second.error)
+
     def test_byte_identical_reruns(self):
         cfg = cli.load_config(make_cfg(budgets=[128, 512]))
         a = cli.render_csv(cli.run_study(cfg))
@@ -144,31 +153,31 @@ class TestMain:
         assert rc == 0
         assert out.read_text().startswith("n_budget,")
 
-    def test_plan_verb(self, tmp_path):
+    def test_plan_verb(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(make_cfg())
         out = tmp_path / "plan.txt"
-        rc = cli.main(
-            ["plan", "--config", str(cfg_path), "--out", str(out), "--budget", "200"]
-        )
+        rc = cli.main(["plan", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0
+        # The plan of the largest budget, 2048.
+        assert capsys.readouterr().out == f"r=4 n_actual=1161 -> {out}\n"
         lines = out.read_text().strip().split("\n")
+        assert len(lines) == 1161
         assert all(len(line.split("\t")) == 4 for line in lines)
 
-    def test_out_key_in_config(self, tmp_path):
-        out = tmp_path / "from_config.csv"
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(make_cfg(budgets=[128], out=str(out)))
-        assert cli.main(["study", "--config", str(cfg_path)]) == 0
-        assert out.read_text().startswith("n_budget,")
-        override = tmp_path / "override.csv"
-        assert (
-            cli.main(
-                ["study", "--config", str(cfg_path), "--out", str(override)]
-            )
-            == 0
-        )
-        assert override.exists()
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--config", "x"], ["study"], [], ["diagnose", "--suite"]],
+        ids=["plan-no-out", "study-no-args", "no-verb", "suite-no-value"],
+    )
+    def test_usage_error_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["study", "--help"]])
+    def test_help_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: hypercross")
 
     def test_missing_out_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

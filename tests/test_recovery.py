@@ -1,6 +1,7 @@
 """Tests for sampling, reconstruction, and error measurement."""
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -645,6 +646,20 @@ class TestLqError:
         # An (n, 1) column would broadcast against an (n,) vector to (n, n).
         quad = Quadrature(d=2, cells_log2=2, sup_points=16)
         with pytest.raises(ValueError, match=message + " for 256 points, expected"):
+            lq_error(g, h, q, quad)
+
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    @pytest.mark.parametrize("side", ["g", "h"])
+    def test_non_finite_value_is_named(self, side, q):
+        # NaN at one Gauss point, which the q = inf lattice includes too.
+        quad = Quadrature(d=2, cells_log2=2, sup_points=65)
+        nodes, _ = recovery._axis_rule(2, quad.points_per_cell)
+        x0, x1 = nodes[3], nodes[5]
+        bad = lambda p: np.where((p[:, 0] == x0) & (p[:, 1] == x1), np.nan, 0.0)  # noqa: E731
+        zero = lambda p: np.zeros(len(p))  # noqa: E731
+        g, h = (bad, zero) if side == "g" else (zero, bad)
+        message = f"lq_error: {side} returned nan at {[float(x0), float(x1)]}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             lq_error(g, h, q, quad)
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.5, math.inf])
