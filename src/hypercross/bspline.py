@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interp import check_range, horner
+from .interp import as_integer, horner
 
 # Largest per-axis spline order kept in the precomputed tables.  The recovery
 # construction only ever needs the order of the requested derivative, so this
@@ -71,9 +71,8 @@ def bspline_derivative(m: int, r: int, x) -> np.ndarray:
     ValueError naming the first such entry.  Orders ``r > m`` leave the
     bounded-derivative range and are rejected.
     """
-    check_range(m, "spline order", MAX_ORDER)
-    if not 0 <= r <= m:
-        raise ValueError(f"derivative order {r} not in [0, {m}]")
+    m = as_integer(m, "spline order", 0, MAX_ORDER)
+    r = as_integer(r, "derivative order", 0, m)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         at = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
@@ -92,5 +91,5 @@ def refinement_coeffs(m: int) -> tuple[Fraction, ...]:
 
     The m+2 coefficients are ``2**-m * binomial(m+1, mu)``.
     """
-    check_range(m, "spline order", MAX_ORDER)
+    m = as_integer(m, "spline order", 0, MAX_ORDER)
     return tuple(Fraction(math.comb(m + 1, mu), 2**m) for mu in range(m + 2))

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import diagnostics
 from .functions import get_function
-from .grid import as_integer, build_plan, choose_radius, derive_params, write_plan
+from .grid import build_plan, choose_radius, derive_params, write_plan
+from .interp import as_integer
 from .recovery import Quadrature, lq_error, reconstruct, sample
 
 _TOP_KEYS = {
@@ -108,13 +109,11 @@ def load_config(text: str) -> StudyConfig:
     d = as_integer(raw["d"], "d")
     alpha = tuple(_finite(a, "alpha") for a in _array(raw["alpha"], "alpha"))
     deriv = tuple(as_integer(r, "deriv") for r in _array(raw["deriv"], "deriv"))
-    budgets = tuple(as_integer(n, "budgets") for n in _array(raw["budgets"], "budgets"))
+    budgets = tuple(as_integer(n, "budgets", 1) for n in _array(raw["budgets"], "budgets"))
     if not budgets:
         raise ValueError("budgets must be nonempty")
     if any(b <= a for a, b in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
-    if any(n <= 0 for n in budgets):
-        raise ValueError("budgets must be positive")
     quad = None
     if "quadrature" in raw:
         qraw = raw["quadrature"]
@@ -123,7 +122,8 @@ def load_config(text: str) -> StudyConfig:
         unknown = set(qraw) - _QUAD_KEYS
         if unknown:
             raise ValueError(f"unknown quadrature keys: {sorted(unknown)}")
-        quad = Quadrature(d=d, **{k: as_integer(v, f"quadrature.{k}") for k, v in qraw.items()})
+        # Quadrature reads None as its default; in a config, null is no integer.
+        quad = Quadrature(d=d, **{k: "null" if v is None else v for k, v in qraw.items()})
     cfg = StudyConfig(
         d=d,
         alpha=alpha,
@@ -227,7 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_plan.add_argument("--out", required=True)
 
     p_diag = sub.add_parser("diagnose", help="run property checks")
-    p_diag.add_argument("--suite", default="all")
+    p_diag.add_argument("--suite", default="all", choices=[*diagnostics.SUITES, "all"])
 
     try:
         args = parser.parse_args(argv)
@@ -235,11 +235,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1 if exc.code else 0
 
     if args.verb == "diagnose":
-        try:
-            results = diagnostics.run_suite(args.suite)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 1
+        results = diagnostics.run_suite(args.suite)
         for res in results:
             print(res.line())
         return 0 if all(r.passed for r in results) else 2

@@ -368,11 +368,5 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 
 def run_suite(selector: str) -> list[CheckResult]:
     """Run one named suite, or every suite for selector "all"."""
-    if selector == "all":
-        results = []
-        for name in SUITES:
-            results.extend(SUITES[name]())
-        return results
-    if selector not in SUITES:
-        raise KeyError(f"unknown suite {selector!r} (known: {', '.join(SUITES)}, all)")
-    return SUITES[selector]()
+    names = SUITES if selector == "all" else [selector]
+    return [res for name in names for res in SUITES[name]()]

@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bspline import bspline_derivative, refinement_coeffs
-from .interp import TensorPoly, interpolate
+from .bspline import MAX_ORDER, bspline_derivative, refinement_coeffs
+from .interp import MAX_DEGREE, TensorPoly, as_integer, interpolate
 
 Vector = tuple[int, ...]
 
@@ -70,7 +70,9 @@ class DyadicEvaluator:
 
     ``degrees`` bounds the per-axis polynomial degree of the local
     interpolants and ``order`` is the per-axis B-spline order of the blending
-    partition.  Function values come from ``f``, called with a float point.
+    partition, each checked against the bounds of `interp.nodes_exact` and
+    `bspline.bspline_derivative`.  Function values come from ``f``, called
+    with a float point.
     """
 
     def __init__(
@@ -79,8 +81,8 @@ class DyadicEvaluator:
         order: Sequence[int],
         f: Callable[[tuple[float, ...]], float],
     ):
-        self.degrees = tuple(int(d) for d in degrees)
-        self.order = tuple(int(m) for m in order)
+        self.degrees = tuple(as_integer(d, "degree", 0, MAX_DEGREE) for d in degrees)
+        self.order = tuple(as_integer(m, "spline order", 0, MAX_ORDER) for m in order)
         if len(self.degrees) != len(self.order):
             raise ValueError("degrees and order must share one dimension")
         self.dim = len(self.degrees)

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import as_integer, derivative_orders
+from .grid import derivative_orders
+from .interp import as_integer
 
 Array = np.ndarray
 
@@ -96,8 +97,7 @@ def registry(d: int = 2) -> list[TestFunction]:
     every axis except the last, plain absolute-value kink there, off the
     dyadic lattice at 1/3).
     """
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    d = as_integer(d, "d", 1)
     entries = []
 
     entries.append(
@@ -166,18 +166,26 @@ def modulus_estimate(
     ``axes``) over a finite lattice of positive step vectors ``h <= t`` and a
     uniform grid of ``_GRID_POINTS`` anchors per axis inside the admissible
     domain.  Being a finite search it can only under-estimate the true
-    supremum.  Raises ValueError if an order or an axis is not an integer
-    (never truncated), if ``t`` or ``axes`` does not fit the dimension
-    ``len(order)``, or if every step of the lattice takes the stencil out of
-    the unit cube.
+    supremum.  Raises ValueError if an order, an axis or ``step_lattice`` is
+    not an integer (never truncated), if an order is negative or
+    ``step_lattice`` below 1, if ``p`` lies outside ``[1, inf]``, if ``t``
+    or ``axes`` does not fit the dimension ``len(order)``, if an entry of
+    ``t`` is not finite and > 0, or if every step of the lattice takes the
+    stencil out of the unit cube.
     """
     axes = tuple(sorted(set(as_integer(a, "modulus axis") for a in axes)))
-    order = tuple(as_integer(r, f"axis {j}: difference order") for j, r in enumerate(order))
+    order = tuple(as_integer(r, f"axis {j}: difference order", 0) for j, r in enumerate(order))
+    step_lattice = as_integer(step_lattice, "step_lattice", 1)
     d = len(order)
+    if not p >= 1:
+        raise ValueError(f"p must lie in [1, inf], got {p!r}")
     if not axes:
         raise ValueError("need at least one active axis")
     if len(t) != d:
         raise ValueError(f"t={tuple(t)} has {len(t)} entries; order has {d}")
+    for j, tj in enumerate(t):
+        if not 0 < tj < math.inf:
+            raise ValueError(f"t[{j}]={tj!r} must be finite and > 0")
     if not 0 <= axes[0] <= axes[-1] < d:
         raise ValueError(f"axes={axes} must lie in 0..{d - 1}")
     eff = tuple(r if j in axes else 0 for j, r in enumerate(order))

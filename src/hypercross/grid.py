@@ -16,6 +16,10 @@ Smoothness bookkeeping turns the class parameters into the quantities the
 construction needs: the per-axis effective exponents, their minimum (the
 expected convergence rate), its multiplicity, and the level weights that
 shape the anisotropic cross.
+
+Integer inputs (the dimension, derivative orders, budgets, and radii in
+``[1, MAX_RADIUS]``) go through `interp.as_integer`; the radius and weights
+of a level set are real and must be finite.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .interp import NODE_BITS, nodes_exact
+from .interp import NODE_BITS, as_integer, nodes_exact
 
 _TIE_REL = 1e-9
 # Levels beyond this would overflow the int64 keys below (and make per-axis
@@ -65,25 +69,11 @@ def _axis_keys(k: int, deg: int) -> np.ndarray:
 # -- smoothness bookkeeping ------------------------------------------------------
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as an int, never truncated: anything but an integral number
-    (booleans included) raises a ValueError naming ``name`` and the value."""
-    try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name}: expected an integer, got {value!r}")
-
-
 def derivative_orders(deriv: Sequence, d: int) -> tuple[int, ...]:
     """``deriv`` as d nonnegative ints; a ValueError names a bad order and its axis."""
     if len(deriv) != d:
         raise ValueError(f"derivative index {tuple(deriv)} needs {d} orders")
-    for j, r in enumerate(deriv):
-        if as_integer(r, f"axis {j}: derivative order") < 0:
-            raise ValueError(f"axis {j}: derivative order {r} is negative")
-    return tuple(int(r) for r in deriv)
+    return tuple(as_integer(r, f"axis {j}: derivative order", 0) for j, r in enumerate(deriv))
 
 
 @dataclass(frozen=True)
@@ -130,8 +120,7 @@ def derive_params(
     positivity condition ``alpha_j - deriv_j - (1/p - 1/q)_+ > 0`` is
     violated.
     """
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    d = as_integer(d, "d", 1)
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != d:
         raise ValueError("alpha must have length d")
@@ -185,14 +174,15 @@ def index_set(weights: Sequence[float], radius: float) -> list[tuple[int, ...]]:
     """All nonnegative integer vectors with ``sum(weights * k) <= radius``, sorted.
 
     Enumerated axis by axis with budget pruning, each prefix extended in
-    increasing order, so the list comes out sorted; weights must be >= 1 so
-    the set is finite with per-axis range bounded by the radius.
+    increasing order, so the list comes out sorted; weights must be finite
+    and >= 1 so the set is finite with per-axis range bounded by the
+    radius, and the radius finite and >= 0 (NaN fails both checks).
     """
     weights = tuple(float(w) for w in weights)
-    if any(w < 1.0 for w in weights):
-        raise ValueError("level weights must be >= 1")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not all(1.0 <= w < math.inf for w in weights):
+        raise ValueError(f"level weights must be finite and >= 1, got {weights}")
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
     # (prefix, budget left for the remaining axes)
     front: list[tuple[tuple[int, ...], float]] = [((), float(radius))]
     for w in weights:
@@ -219,8 +209,8 @@ def tail_sum(exponents: Sequence[float], weights: Sequence[float], radius: float
     series) minus the finite head, so there is no truncation error.
     """
     exponents = tuple(float(a) for a in exponents)
-    if any(a <= 0 for a in exponents):
-        raise ValueError("tail exponents must be positive")
+    if not all(0 < a < math.inf for a in exponents):
+        raise ValueError(f"tail exponents must be finite and > 0, got {exponents}")
     total = math.prod(1.0 / (1.0 - 2.0**-a) for a in exponents)
     return total - weighted_sum([-a for a in exponents], weights, radius)
 
@@ -265,15 +255,6 @@ class RecoveryPlan:
         )
 
 
-def _check_radius(radius: int) -> int:
-    radius = as_integer(radius, "radius")
-    if radius < 1:
-        raise ValueError("radius must be a positive integer")
-    if radius > MAX_RADIUS:
-        raise ValueError(f"radius {radius} exceeds supported maximum {MAX_RADIUS}")
-    return radius
-
-
 def _level_shape(params: SmoothnessParams, level: Sequence[int]) -> tuple[int, ...]:
     return tuple(1 << k for k in level) + tuple(dg + 1 for dg in params.degrees)
 
@@ -300,7 +281,7 @@ def _raw_keys(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> np
 
 def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
     """Enumerate all sample points for the given radius."""
-    radius = _check_radius(radius)
+    radius = as_integer(radius, "radius", 1, MAX_RADIUS)
     levels = index_set(params.weights, radius)
     _guard_raw_size(params, levels)
     return RecoveryPlan(
@@ -332,7 +313,7 @@ def count_profile(params: SmoothnessParams, r_max: int) -> list[int]:
     Every level of a plan brings all of its points, so a radius's count is
     the summed size of its level set, by the rule `choose_radius` uses.
     """
-    r_max = _check_radius(r_max)
+    r_max = as_integer(r_max, "radius", 1, MAX_RADIUS)
     return [_raw_count(params, index_set(params.weights, r)) for r in range(1, r_max + 1)]
 
 

@@ -16,6 +16,12 @@ keep the coefficients from power r on, scaled by falling factorials
 reduces them with `horner`, and `bspline.bspline_derivative` reduces its
 piece tables with `horner` too.
 `interpolate` is the one way to build a `TensorPoly` from a function.
+
+`as_integer` is the package's one integer check.  Degrees, spline and
+derivative orders, dimensions, radii, budgets, `Quadrature` fields and the
+other integer inputs all go through it, with their bounds: an integral
+number is accepted as an int, and a bool, a fraction or a value out of
+bounds raises a ValueError naming the input.
 """
 
 from __future__ import annotations
@@ -33,19 +39,29 @@ MAX_DEGREE = 12
 NODE_BITS = 40
 
 
-def check_range(value: int, name: str, maximum: int) -> None:
-    """Refuse anything but an integer (not a bool) in ``[0, maximum]``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    if value > maximum:
-        raise ValueError(f"{name} {value} exceeds supported maximum {maximum}")
+def as_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int in ``[low, high]``, never truncated: ``2.0`` and
+    ``np.int64(2)`` give 2, and a bool (Python or numpy), a fraction, a
+    non-number or a value out of bounds raises a ValueError naming ``name``."""
+    try:
+        n = int(value)
+        integral = n == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if low is not None and n < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and n > high:
+        raise ValueError(f"{name} {value} exceeds supported maximum {high}")
+    return n
 
 
 # Typed, so True misses an entry cached for np.int64(1), which compares equal.
 @lru_cache(maxsize=None, typed=True)
 def nodes_exact(deg: int) -> tuple[Fraction, ...]:
     """deg+1 strictly increasing dyadic rationals in the open unit interval."""
-    check_range(deg, "degree", MAX_DEGREE)
+    deg = as_integer(deg, "degree", 0, MAX_DEGREE)
     out = []
     scale = 1 << NODE_BITS
     for i in range(deg + 1):

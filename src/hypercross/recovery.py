@@ -47,7 +47,7 @@ import numpy as np
 
 from .bspline import piece_table
 from .grid import RecoveryPlan, derivative_orders
-from .interp import horner, monomial_coeffs, transform
+from .interp import as_integer, horner, monomial_coeffs, transform
 
 Array = np.ndarray
 PointFn = Callable[[Array], Array]
@@ -302,7 +302,10 @@ class Quadrature:
 
     ``cells_log2`` dyadic splits per axis (default scales down with the
     dimension), ``points_per_cell`` Gauss points per axis per cell, and
-    ``sup_points`` lattice points per axis for sup-norm estimation.
+    ``sup_points`` lattice points per axis for sup-norm estimation.  Every
+    field given goes through `interp.as_integer` with its lower bound
+    (``d >= 1``, ``cells_log2 >= 0``, the others ``>= 1``) and is stored as
+    an int.
     """
 
     d: int
@@ -315,8 +318,7 @@ class Quadrature:
             value = getattr(self, name)
             if value is None and name in ("cells_log2", "sup_points"):
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"Quadrature.{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, as_integer(value, f"Quadrature.{name}", low))
 
     def resolved_cells_log2(self) -> int:
         if self.cells_log2 is not None:

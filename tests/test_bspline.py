@@ -48,7 +48,7 @@ class TestEval:
             bspline.bspline_derivative(-1, 0, 0.5)
         with pytest.raises(ValueError):
             bspline.bspline_derivative(bspline.MAX_ORDER + 1, 0, 0.5)
-        message = "^spline order must be a nonnegative integer, got True$"
+        message = "^spline order: expected an integer, got True$"
         with pytest.raises(ValueError, match=message):
             bspline.bspline_derivative(True, 0, 0.5)
         with pytest.raises(ValueError, match=message):

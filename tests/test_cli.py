@@ -83,10 +83,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("cells_log2", 2.5, "quadrature.cells_log2: expected an integer"),
-            ("points_per_cell", True, "quadrature.points_per_cell: expected an integer"),
+            ("cells_log2", 2.5, r"Quadrature\.cells_log2: expected an integer"),
+            ("points_per_cell", True, r"Quadrature\.points_per_cell: expected an integer"),
             ("cells_log2", -1, r"Quadrature\.cells_log2 must be an integer >= 0"),
             ("sup_points", 0, r"Quadrature\.sup_points must be an integer >= 1"),
+            ("sup_points", None, r"Quadrature\.sup_points: expected an integer, got 'null'"),
         ],
     )
     def test_quadrature_fields_are_strict(self, field, value, match):

@@ -155,6 +155,21 @@ class TestModulusEstimate:
         want = modulus_estimate(entry.value, (2, 2), (0.1, 0.1), (0, 1), 2.0)
         assert modulus_estimate(entry.value, (2.0, 2), (0.1, 0.1), (0, 1.0), 2.0) == want
 
+    @pytest.mark.parametrize("p", [0.5, -1.0, 0.0, math.nan, -math.inf])
+    def test_p_outside_contract_refused(self, p):
+        f = lambda pts: pts[:, 0] ** 2  # noqa: E731
+        with pytest.raises(ValueError, match=r"^p must lie in \[1, inf\], got "):
+            modulus_estimate(f, (2,), (0.1,), (0,), p)
+
+    @pytest.mark.parametrize("t", [0.0, -0.1, math.nan, math.inf])
+    def test_t_entry_must_be_finite_and_positive(self, t):
+        # A negative step would put the anchors, and f's arguments, off the cube.
+        calls = []
+        f = lambda pts: calls.append(pts) or pts[:, 0] ** 2  # noqa: E731
+        with pytest.raises(ValueError, match=rf"^t\[1\]={t!r} must be finite and > 0$"):
+            modulus_estimate(f, (2, 2), (0.1, t), (0, 1), 2.0)
+        assert not calls
+
     def test_stencil_must_stay_inside(self):
         # Every step h in (0, 2] takes a second difference out of [0, 1].
         f = lambda pts: pts[:, 0] ** 2  # noqa: E731

@@ -50,7 +50,7 @@ class TestDeriveParams:
             grid.derive_params(2, (2.0, value), 2.0, 2.0, math.inf, (0, 0))
 
     def test_rejects_zero_dimension(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got 0$"):
             grid.derive_params(0, (), 2.0, 2.0, math.inf, ())
 
     def test_weight_admissibility(self):
@@ -86,6 +86,28 @@ class TestIndexSet:
         with pytest.raises(ValueError):
             grid.index_set((0.5, 1.0), 3)
 
+    @pytest.mark.parametrize(
+        "weights, radius, match",
+        [
+            ((1.0, 1.0), math.nan, r"^radius must be finite and >= 0, got nan$"),
+            ((1.0, 1.0), math.inf, r"^radius must be finite and >= 0, got inf$"),
+            ((1.0, 1.0), -1, r"^radius must be finite and >= 0, got -1$"),
+            ((1.0, math.nan), 3, r"^level weights must be finite and >= 1, got \(1\.0, nan\)$"),
+            ((math.inf, 1.0), 3, r"^level weights must be finite and >= 1, got \(inf, 1\.0\)$"),
+        ],
+        ids=["radius-nan", "radius-inf", "radius-negative", "weight-nan", "weight-inf"],
+    )
+    def test_non_finite_input_named(self, weights, radius, match):
+        # NaN fails every comparison, so each check is written to fail on it;
+        # weighted_sum and tail_sum enumerate through index_set.
+        for call in (
+            lambda: grid.index_set(weights, radius),
+            lambda: grid.weighted_sum((1.0, 1.0), weights, radius),
+            lambda: grid.tail_sum((1.0, 1.0), weights, radius),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
+
     def test_weighted_sum_growth_law(self):
         # sum of 2**|k| over the simplex grows like 2**r * r for d=2.
         ref = grid.weighted_sum((1.0, 1.0), (1.0, 1.0), 6) / (2.0**6 * 6)
@@ -118,6 +140,11 @@ class TestTailSum:
     def test_positive_exponents_required(self):
         with pytest.raises(ValueError):
             grid.tail_sum((0.0, 1.0), (1.0, 1.0), 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_exponents_refused(self, bad):
+        with pytest.raises(ValueError, match=r"^tail exponents must be finite and > 0, got "):
+            grid.tail_sum((bad, 1.0), (1.0, 1.0), 3)
 
 
 def params_1d_midpoints():
@@ -502,7 +529,7 @@ class TestIntegralArguments:
             ),
             (
                 lambda: functions.get_function("trig", 2).deriv((0, -1), [(0.5, 0.5)]),
-                "axis 1: derivative order -1 is negative",
+                "axis 1: derivative order must be an integer >= 0, got -1",
             ),
             (
                 lambda: grid.choose_radius(params_2d_smooth(), 1024.5),

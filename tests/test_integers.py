@@ -1,0 +1,170 @@
+"""One integer policy: every integer input goes through `interp.as_integer`.
+
+An integral number is accepted and used as an int; a bool (Python or
+numpy), a fraction, and a value outside the input's bounds are refused with
+a ValueError whose message names the input.
+"""
+
+import ast
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hypercross import bspline, cli, dyadic, functions, grid, interp, recovery
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hypercross"
+
+_PARAMS = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, 2.0, (0, 0))
+
+
+def _square(pts):
+    return pts[:, 0] ** 2
+
+
+def _config(**overrides):
+    raw = {
+        "d": 2, "alpha": [2.0, 2.0], "deriv": [0, 0], "p": 2, "q": 2,
+        "theta": "inf", "test_fn": "trig", "budgets": [128, 512],
+    }
+    raw.update(overrides)
+    return cli.load_config(json.dumps(raw))
+
+
+# id: (call taking the integer and returning what it made of it, the name
+# its messages give, lower bound, upper bound, an accepted value)
+ENTRY_POINTS = {
+    "nodes_exact": (interp.nodes_exact, "degree", 0, interp.MAX_DEGREE, 2),
+    "bspline_order": (
+        lambda v: bspline.bspline_derivative(v, 0, 0.5),
+        "spline order", 0, bspline.MAX_ORDER, 2,
+    ),
+    "bspline_derivative": (
+        lambda v: bspline.bspline_derivative(2, v, 0.5), "derivative order", 0, 2, 1,
+    ),
+    "refinement_coeffs": (bspline.refinement_coeffs, "spline order", 0, bspline.MAX_ORDER, 2),
+    "evaluator_degree": (
+        lambda v: dyadic.DyadicEvaluator((v,), (1,), float).degrees[0],
+        "degree", 0, interp.MAX_DEGREE, 2,
+    ),
+    "evaluator_order": (
+        lambda v: dyadic.DyadicEvaluator((1,), (v,), float).order[0],
+        "spline order", 0, bspline.MAX_ORDER, 2,
+    ),
+    "quadrature_d": (lambda v: recovery.Quadrature(d=v).d, "Quadrature.d", 1, None, 2),
+    "quadrature_cells_log2": (
+        lambda v: recovery.Quadrature(d=2, cells_log2=v).cells_log2,
+        "Quadrature.cells_log2", 0, None, 2,
+    ),
+    "quadrature_points_per_cell": (
+        lambda v: recovery.Quadrature(d=2, points_per_cell=v).points_per_cell,
+        "Quadrature.points_per_cell", 1, None, 2,
+    ),
+    "quadrature_sup_points": (
+        lambda v: recovery.Quadrature(d=2, sup_points=v).sup_points,
+        "Quadrature.sup_points", 1, None, 2,
+    ),
+    "build_plan": (
+        lambda v: grid.build_plan(_PARAMS, v).levels, "radius", 1, grid.MAX_RADIUS, 2,
+    ),
+    "count_profile": (
+        lambda v: grid.count_profile(_PARAMS, v), "radius", 1, grid.MAX_RADIUS, 2,
+    ),
+    "choose_radius": (lambda v: grid.choose_radius(_PARAMS, v), "budget", None, None, 4096),
+    "derivative_orders": (
+        lambda v: grid.derivative_orders((v, 0), 2)[0], "axis 0: derivative order", 0, None, 2,
+    ),
+    "derive_params": (
+        lambda v: grid.derive_params(v, (2.0, 2.0), 2.0, 2.0, 2.0, (0, 0)).d, "d", 1, None, 2,
+    ),
+    "registry": (lambda v: functions.registry(v)[0].d, "d", 1, None, 2),
+    "modulus_order": (
+        lambda v: functions.modulus_estimate(_square, (v,), (0.1,), (0,), 2.0),
+        "axis 0: difference order", 0, None, 2,
+    ),
+    "modulus_axis": (
+        lambda v: functions.modulus_estimate(_square, (2, 2, 2), (0.1,) * 3, (v,), 2.0),
+        "modulus axis", None, None, 2,
+    ),
+    "modulus_step_lattice": (
+        lambda v: functions.modulus_estimate(_square, (2,), (0.1,), (0,), 2.0, step_lattice=v),
+        "step_lattice", 1, None, 2,
+    ),
+    "config_d": (lambda v: _config(d=v).d, "d", 1, None, 2),
+    "config_budgets": (lambda v: _config(budgets=[v, 4096]).budgets[0], "budgets", 1, None, 64),
+}
+
+
+def _refusals():
+    for key, (_, name, low, high, _) in ENTRY_POINTS.items():
+        # A config is JSON, which has no numpy bool.
+        for value in (True, 2.5) if key.startswith("config_") else (True, np.True_, 2.5):
+            message = f"{name}: expected an integer, got {value!r}"
+            yield pytest.param(key, value, message, id=f"{key}-{value!r}")
+        if low is not None:
+            message = f"{name} must be an integer >= {low}, got {low - 1}"
+            yield pytest.param(key, low - 1, message, id=f"{key}-below")
+        if high is not None:
+            message = f"{name} {high + 1} exceeds supported maximum {high}"
+            yield pytest.param(key, high + 1, message, id=f"{key}-above")
+
+
+@pytest.mark.parametrize("key, value, message", _refusals())
+def test_refused_with_its_name(key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[key][0](value)
+
+
+@pytest.mark.parametrize("key", ENTRY_POINTS)
+def test_integral_float_accepted_as_int(key):
+    call, *_, good = ENTRY_POINTS[key]
+    got, want = call(float(good)), call(good)
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+
+
+def _bool_in_isinstance(path: Path) -> set[str]:
+    """``module.function`` for every function of ``path`` whose `isinstance`
+    calls name ``bool`` or ``np.bool_``."""
+    module = path.stem
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(
+                (isinstance(n, ast.Name) and n.id == "bool")
+                or (isinstance(n, ast.Attribute) and n.attr == "bool_")
+                for arg in node.args[1:]
+                for n in ast.walk(arg)
+            )
+        ):
+            found.add(".".join((module,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_one_integer_policy():
+    # Only `as_integer` decides what an integer is.  The CLI's two
+    # real-number parsers test for bool too, to refuse a JSON `true` where a
+    # number belongs.
+    found = set().union(*map(_bool_in_isinstance, sorted(SRC.glob("*.py"))))
+    assert found == {"interp.as_integer", "cli._parse_extended", "cli._finite"}
+
+
+def test_bounds_are_inclusive_and_numpy_integers_accepted():
+    assert interp.as_integer(np.int64(3), "n", 3, 3) == 3
+    assert type(interp.as_integer(np.float64(3.0), "n")) is int
+    for value in (math.nan, math.inf, "3", None):
+        with pytest.raises(ValueError, match=r"^n: expected an integer, got "):
+            interp.as_integer(value, "n")

@@ -57,7 +57,7 @@ class TestNodes:
             interp.nodes(interp.MAX_DEGREE + 1)
         # np.int64(1) == True, so an untyped cache entry would answer for True.
         assert interp.nodes(np.int64(1)) == interp.nodes(1)
-        with pytest.raises(ValueError, match="^degree must be a nonnegative integer, got True$"):
+        with pytest.raises(ValueError, match="^degree: expected an integer, got True$"):
             interp.nodes(True)
 
 

@@ -596,20 +596,24 @@ class TestLqError:
             ("d", 0),
             ("d", True),
             ("cells_log2", -1),
-            ("cells_log2", 2.0),
+            ("cells_log2", 2.5),
             ("points_per_cell", 0),
             ("sup_points", 0),
         ],
     )
     def test_quadrature_fields_validated(self, field, value):
         fields = {"d": 2, field: value}
-        with pytest.raises(ValueError, match=rf"Quadrature\.{field} must be an integer"):
+        with pytest.raises(ValueError, match=rf"^Quadrature\.{field}(: expected| must be) an integer"):
             Quadrature(**fields)
 
     def test_quadrature_optional_fields(self):
         quad = Quadrature(d=np.int64(3), cells_log2=0, points_per_cell=1, sup_points=1)
         assert (quad.resolved_cells_log2(), quad.resolved_sup_points()) == (0, 1)
         assert Quadrature(d=3).resolved_cells_log2() == 4
+        # Integral floats are integers, as in a config.
+        quad = Quadrature(d=2.0, cells_log2=2.0, points_per_cell=3.0, sup_points=5.0)
+        assert quad == Quadrature(d=2, cells_log2=2, points_per_cell=3, sup_points=5)
+        assert all(type(v) is int for v in vars(quad).values())
 
     @staticmethod
     def never(pts):
