@@ -17,13 +17,22 @@ so surpluses over any downward-closed level set telescope back to level
 operators.  Derivatives of either operator follow from the product rule
 applied to each polynomial-times-spline term.
 
-`DyadicEvaluator` memoizes the local interpolants per (level, cell), so
-repeated evaluations reuse every function value instead of resampling it.
+`DyadicEvaluator` memoizes the local interpolants per (level, cell) and the
+surplus polynomials per (level, shift), so repeated evaluations reuse every
+function value instead of resampling it.
+Its operators take one point (and return a float) or an ``(n, d)`` array of
+points (and return ``(n,)``) through one code path, in which each point sees
+the same float operations: a single point is the case ``n = 1``.  Every
+public method checks its input once per call: levels, cells, shifts and
+derivative orders go through `interp.as_integer` with their bounds, one per
+axis, and points must be finite and lie in the closed unit cube; anything
+else raises a ValueError naming the input, the point and its row.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import product
 from typing import Callable, Sequence
 
@@ -40,14 +49,11 @@ def decrement_masks(level: Sequence[int]) -> list[Vector]:
     return list(product(*[(0, 1) if k > 0 else (0,) for k in level]))
 
 
-def _blend(m: int, r: int, u: np.ndarray, right_edge: bool) -> np.ndarray:
-    """r-th derivative of the order-m blending spline at each ``u``: the right
-    limit at interior knots, the left limit (by the symmetry
-    ``psi(u) = psi(m+1-u)``) at the cube's right edge, so that ``x = 1`` is the
-    limit from inside."""
-    if right_edge:
-        return (-1) ** r * bspline_derivative(m, r, m + 1 - u)
-    return bspline_derivative(m, r, u)
+
+
+# Largest level per axis: up to it, cell indices and spline arguments are
+# exact in float64.
+MAX_LEVEL = 52
 
 
 def _cell_box(level: Vector, cell: Vector) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -55,13 +61,6 @@ def _cell_box(level: Vector, cell: Vector) -> tuple[tuple[float, ...], tuple[flo
     return (
         tuple(math.ldexp(c, -k) for k, c in zip(level, cell)),
         tuple(math.ldexp(1.0, -k) for k in level),
-    )
-
-
-def _cell_of(level: Vector, x: Sequence[float]) -> Vector:
-    # Right edge of the cube folds into the last cell.
-    return tuple(
-        min(math.floor(math.ldexp(xj, k)), 2**k - 1) for k, xj in zip(level, x)
     )
 
 
@@ -73,6 +72,14 @@ class DyadicEvaluator:
     partition, each checked against the bounds of `interp.nodes_exact` and
     `bspline.bspline_derivative`.  Function values come from ``f``, called
     with a float point.
+
+    The operators take one point ``x`` (and return a float) or an ``(n, d)``
+    array of points (and return ``(n,)``).  Each public method checks its
+    input once per call, one integer per axis: levels in ``[0, MAX_LEVEL]``,
+    cells in ``[0, 2**k - 1]``, shifts in ``[-order, 2**k - 1]`` and
+    derivative orders in ``[0, order]``; points must be finite and lie in
+    the closed unit cube.  Anything else raises a ValueError naming the
+    input (and a point's row).
     """
 
     def __init__(
@@ -88,107 +95,178 @@ class DyadicEvaluator:
         self.dim = len(self.degrees)
         self._f = f
         self._polys: dict[tuple[Vector, Vector], TensorPoly] = {}
+        self._surplus_polys: dict[tuple[Vector, Vector], TensorPoly] = {}
+        # Per axis, the largest floats below the knots m + 1 - i that bound
+        # the argument of the i-th covering translate (see `_blended`).
+        self._caps = [np.nextafter(np.arange(m + 1.0, 0.0, -1.0), 0.0) for m in self.order]
+
+    # -- input contract ------------------------------------------------------
+
+    def _integers(
+        self, values: Sequence[int], name: str, low: Sequence[int], high: Sequence[int]
+    ) -> Vector:
+        """One int per axis, the j-th in ``[low[j], high[j]]`` (see `as_integer`)."""
+        values = tuple(values)
+        if len(values) != self.dim:
+            raise ValueError(f"{name} {values} must have {self.dim} entries, one per axis")
+        return tuple(
+            as_integer(v, f"axis {j}: {name}", lo, hi)
+            for j, (v, lo, hi) in enumerate(zip(values, low, high))
+        )
+
+    def _level(self, level: Sequence[int]) -> Vector:
+        return self._integers(level, "level", [0] * self.dim, [MAX_LEVEL] * self.dim)
+
+    def _evaluate(self, operator, level, deriv, x) -> float | np.ndarray:
+        """``operator(level, deriv, points)`` on checked input: a float for
+        one point, an ``(n,)`` array for an ``(n, d)`` array of points."""
+        level = self._level(level)
+        deriv = self._integers(deriv, "derivative order", [0] * self.dim, self.order)
+        pts = np.asarray(x, dtype=float)
+        single = pts.ndim == 1
+        if single:
+            pts = pts[None]
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            shown = f"point {pts[0].tolist()}" if single else f"points of shape {pts.shape}"
+            raise ValueError(f"{shown}: expected {self.dim} coordinates per point")
+        bad = np.flatnonzero(~np.all((pts >= 0.0) & (pts <= 1.0), axis=1))
+        if bad.size:
+            raise ValueError(
+                f"point {pts[bad[0]].tolist()} (row {bad[0]}) is not finite or lies "
+                f"outside [0, 1]^{self.dim}"
+            )
+        out = operator(level, deriv, pts)
+        return float(out[0]) if single else out
 
     # -- local interpolation -------------------------------------------------
 
     def local_interp(self, level: Sequence[int], cell: Sequence[int]) -> TensorPoly:
         """Tensor interpolant of the function on one dyadic cell (memoized)."""
-        level = tuple(int(k) for k in level)
-        cell = tuple(int(c) for c in cell)
-        for k, c in zip(level, cell):
-            if k < 0 or not 0 <= c <= 2**k - 1:
-                raise ValueError(f"cell {cell} invalid at level {level}")
-        key = (level, cell)
-        poly = self._polys.get(key)
+        level = self._level(level)
+        cell = self._integers(cell, "cell", [0] * self.dim, [2**k - 1 for k in level])
+        return self._local(level, cell)
+
+    def _local(self, level: Vector, cell: Vector) -> TensorPoly:
+        poly = self._polys.get((level, cell))
         if poly is None:
             box = _cell_box(level, cell)
-            poly = self._polys[key] = interpolate(self._f, self.degrees, *box)
+            poly = self._polys[level, cell] = interpolate(self._f, self.degrees, *box)
         return poly
 
     # -- level operator -------------------------------------------------------
 
     def quasi_interp_deriv(
-        self, level: Sequence[int], deriv: Sequence[int], x: Sequence[float]
-    ) -> float:
-        """Mixed derivative of the level operator at a point.
+        self, level: Sequence[int], deriv: Sequence[int], x
+    ) -> float | np.ndarray:
+        """Mixed derivative of the level operator at a point, or at each row of an array.
 
-        Only the translates covering ``x`` contribute, at most
+        Only the translates covering a point contribute, at most
         ``prod (order_j + 1)`` of them; each contributes by the product rule
         over the splits of ``deriv`` between polynomial and spline factor.
         """
-        level = tuple(int(k) for k in level)
-        deriv = tuple(int(r) for r in deriv)
-        for r, m in zip(deriv, self.order):
-            if not 0 <= r <= m:
-                raise ValueError(f"derivative order {deriv} not within spline order {self.order}")
+        return self._evaluate(self._quasi, level, deriv, x)
+
+    def _quasi(self, level: Vector, deriv: Vector, pts: np.ndarray) -> np.ndarray:
         return self._blended(
-            level, deriv, x, lambda shift: self.local_interp(level, tuple(max(s, 0) for s in shift))
+            level, deriv, pts, lambda shift: self._local(level, tuple(max(s, 0) for s in shift))
         )
 
     def _blended(
         self,
         level: Vector,
         deriv: Vector,
-        x: Sequence[float],
+        pts: np.ndarray,
         poly_at: Callable[[Vector], TensorPoly],
-    ) -> float:
-        """``D^deriv sum_shift poly_at(shift) * g[level, shift]`` at ``x``.
+    ) -> np.ndarray:
+        """``D^deriv sum_shift poly_at(shift) * g[level, shift]`` at each row of ``pts``.
 
-        The sum runs over the translates covering ``x``, each by the product
-        rule over the splits of ``deriv`` between polynomial and spline
-        factor; a translate's polynomial is built only once one of its
-        spline factors is nonzero.
+        For each point the sum runs over the translates covering it, offset
+        by offset, each by the product rule over the splits of ``deriv``
+        between polynomial and spline factor; a zero spline factor is
+        skipped, and a translate's polynomial is built only once one of its
+        spline factors is nonzero.  The spline factors take one
+        `bspline_derivative` call per axis and split order; per offset the
+        points are grouped by cell (hence by shift), and each group takes one
+        ``poly_at`` call and one `TensorPoly.deriv_eval` call per split.
         """
-        cell = _cell_of(level, x)
-        # factors[j][s][i]: 2**(k_j s) psi^(s) at u_j = 2**k_j x_j - shift_j for
-        # the i-th covering translate of axis j, shift_j = cell_j + i - m_j.
+        # The right edge of the cube folds into the last cell.
+        cells = np.minimum(
+            np.floor(np.ldexp(pts, level)).astype(np.int64), [2**k - 1 for k in level]
+        )
+        # factors[j][s][p, i]: 2**(k_j s) psi^(s) at u_j = 2**k_j x_j - shift_j for
+        # the i-th covering translate of axis j at point p, shift_j = cell_j + i - m_j.
         # Inside the cube u_j is held below the knot m_j - i + 1, onto which it
         # rounds half an ulp below a cell's right end (reading the next piece).
+        # At x_j = 1 the spline is read through its symmetry psi(u) = psi(m+1-u),
+        # so that x = 1 is the limit from inside.
         factors = []
-        for k, m, r, c, xj in zip(level, self.order, deriv, cell, x):
-            u = math.ldexp(xj, k) - np.arange(c - m, c + 1)
-            if xj < 1.0:
-                u = np.minimum(u, np.nextafter(np.arange(m + 1.0, 0.0, -1.0), 0.0))
-            factors.append(
-                [
-                    [2.0 ** (k * s) * v for v in _blend(m, s, u, xj == 1.0).tolist()]
-                    for s in range(r + 1)
-                ]
+        for j, (k, m, r) in enumerate(zip(level, self.order, deriv)):
+            xj = pts[:, j, None]
+            u = np.ldexp(xj, k) - (cells[:, j, None] + np.arange(-m, 1))
+            u = np.where(xj < 1.0, np.minimum(u, self._caps[j]), u)
+            edge = xj == 1.0
+            u = np.where(edge, m + 1 - u, u)
+            axis = []
+            for s in range(r + 1):
+                v = bspline_derivative(m, s, u)
+                axis.append(2.0 ** (k * s) * (np.where(edge, -v, v) if s % 2 else v))
+            factors.append(axis)
+        # (split, the polynomial's share of deriv, the binomial weight)
+        splits = [
+            (
+                split,
+                tuple(r - s for r, s in zip(deriv, split)),
+                math.prod(math.comb(r, s) for r, s in zip(deriv, split)),
             )
-        total = 0.0
+            for split in product(*[range(r + 1) for r in deriv])
+        ]
+        # Runs of points sharing a cell, in a stable sort.
+        by_cell = np.lexsort(cells.T[::-1])
+        ends = np.flatnonzero(np.diff(cells[by_cell], axis=0).any(axis=1)) + 1
+        runs = [by_cell[a:b] for a, b in zip([0, *ends.tolist()], [*ends.tolist(), len(pts)])]
+        total = np.zeros(len(pts))
+        terms = np.empty((len(splits), len(pts)))
         for idx in product(*[range(m + 1) for m in self.order]):
-            poly = None
-            for split in product(*[range(r + 1) for r in deriv]):
-                spline = 1.0
-                for j in range(self.dim):
-                    spline *= factors[j][split[j]][idx[j]]
-                if spline == 0.0:
-                    continue
-                if poly is None:
-                    poly = poly_at(tuple(c + i - m for c, i, m in zip(cell, idx, self.order)))
-                rest = tuple(r - s for r, s in zip(deriv, split))
-                binom = math.prod(math.comb(r, s) for r, s in zip(deriv, split))
-                total += binom * spline * poly.deriv_eval(rest, x)
+            splines = [
+                reduce(np.multiply, [f[s][:, i] for f, s, i in zip(factors, split, idx)])
+                for split, _, _ in splits
+            ]
+            live = reduce(np.logical_or, [spline != 0.0 for spline in splines])
+            offset = np.subtract(idx, self.order)
+            for run in runs:
+                run = run[live[run]]
+                if run.size:
+                    poly = poly_at(tuple((cells[run[0]] + offset).tolist()))
+                    at = pts[run]
+                    for term, (_, rest, _) in zip(terms, splits):
+                        term[run] = poly.deriv_eval(rest, at)
+            # A point takes the terms of its nonzero spline factors, split by split.
+            for term, spline, (_, _, binom) in zip(terms, splines, splits):
+                add = spline != 0.0
+                total[add] += binom * spline[add] * term[add]
         return total
 
     # -- surplus operator -----------------------------------------------------
 
     def surplus_deriv(
-        self, level: Sequence[int], deriv: Sequence[int], x: Sequence[float]
-    ) -> float:
-        """Mixed derivative of the surplus (signed level difference) at a point."""
-        level = tuple(int(k) for k in level)
+        self, level: Sequence[int], deriv: Sequence[int], x
+    ) -> float | np.ndarray:
+        """Mixed derivative of the surplus (signed level difference) at a point,
+        or at each row of an array."""
+        return self._evaluate(self._surplus, level, deriv, x)
+
+    def _surplus(self, level: Vector, deriv: Vector, pts: np.ndarray) -> np.ndarray:
         total = 0.0
         for mask in decrement_masks(level):
             sign = -1.0 if sum(mask) % 2 else 1.0
             lower = tuple(k - e for k, e in zip(level, mask))
-            total += sign * self.quasi_interp_deriv(lower, deriv, x)
+            total += sign * self._quasi(lower, deriv, pts)
         return total
 
     def surplus_local_poly(
         self, level: Sequence[int], shift: Sequence[int]
     ) -> TensorPoly:
-        """Polynomial factor multiplying one translate in the surplus expansion.
+        """Polynomial factor multiplying one translate in the surplus expansion (memoized).
 
         The surplus equals ``sum_shift g[level, shift] * U[level, shift]``;
         ``U`` combines coarse-level interpolants through the two-scale
@@ -196,11 +274,16 @@ class DyadicEvaluator:
         coarse cells per decremented axis are those whose doubled index
         lands within refinement range of ``shift``.
         """
-        level = tuple(int(k) for k in level)
-        shift = tuple(int(s) for s in shift)
-        for m, k, s in zip(self.order, level, shift):
-            if not -m <= s <= 2**k - 1:
-                raise ValueError(f"shift {shift} not active at level {level}")
+        level = self._level(level)
+        shift = self._integers(
+            shift, "shift", [-m for m in self.order], [2**k - 1 for k in level]
+        )
+        return self._surplus_poly(level, shift)
+
+    def _surplus_poly(self, level: Vector, shift: Vector) -> TensorPoly:
+        poly = self._surplus_polys.get((level, shift))
+        if poly is not None:
+            return poly
         coeff_tables = [
             [float(a) for a in refinement_coeffs(m)] for m in self.order
         ]
@@ -222,23 +305,23 @@ class DyadicEvaluator:
                 coarse = tuple(c for c, _ in combo)
                 weight = sign * math.prod(w for _, w in combo)
                 anchor = tuple(max(c, 0) for c in coarse)
-                terms.append((weight, self.local_interp(lower, anchor)))
+                terms.append((weight, self._local(lower, anchor)))
         # The signed combination is again a polynomial of the same coordinate
         # degree; re-read it at the nodes of the anchor cell of ``shift``.
         anchor = tuple(max(s, 0) for s in shift)
         combined = lambda pt: sum(w * p.eval(pt) for w, p in terms)  # noqa: E731
-        return interpolate(combined, self.degrees, *_cell_box(level, anchor))
+        box = _cell_box(level, anchor)
+        poly = self._surplus_polys[level, shift] = interpolate(combined, self.degrees, *box)
+        return poly
 
     def surplus_via_translates(
-        self, level: Sequence[int], deriv: Sequence[int], x: Sequence[float]
-    ) -> float:
+        self, level: Sequence[int], deriv: Sequence[int], x
+    ) -> float | np.ndarray:
         """Surplus derivative assembled from the per-translate polynomials.
 
         Independent route to `surplus_deriv`; the two must agree.
         """
-        level = tuple(int(k) for k in level)
-        deriv = tuple(int(r) for r in deriv)
-        return self._blended(
-            level, deriv, x, lambda shift: self.surplus_local_poly(level, shift)
-        )
+        return self._evaluate(self._via_translates, level, deriv, x)
 
+    def _via_translates(self, level: Vector, deriv: Vector, pts: np.ndarray) -> np.ndarray:
+        return self._blended(level, deriv, pts, lambda shift: self._surplus_poly(level, shift))

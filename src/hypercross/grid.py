@@ -195,7 +195,15 @@ def index_set(weights: Sequence[float], radius: float) -> list[tuple[int, ...]]:
 
 
 def weighted_sum(exponents: Sequence[float], weights: Sequence[float], radius: float) -> float:
-    """``sum over the level set of 2**(k, exponents)`` (growth-law diagnostic)."""
+    """``sum over the level set of 2**(k, exponents)`` (growth-law diagnostic).
+
+    ``exponents`` must hold one finite value per weight.
+    """
+    exponents = tuple(float(a) for a in exponents)
+    if len(exponents) != len(weights) or not all(map(math.isfinite, exponents)):
+        raise ValueError(
+            f"exponents must hold {len(weights)} finite values, one per weight, got {exponents}"
+        )
     return math.fsum(
         2.0 ** sum(k * a for k, a in zip(lvl, exponents))
         for lvl in index_set(weights, radius)

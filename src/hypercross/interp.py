@@ -186,30 +186,42 @@ class TensorPoly:
     def dim(self) -> int:
         return len(self.degrees)
 
-    def eval(self, x: Sequence[float]) -> float:
+    def eval(self, x):
         return self.deriv_eval((0,) * self.dim, x)
 
-    def deriv_eval(self, deriv: Sequence[int], x: Sequence[float]) -> float:
-        """Mixed derivative of the polynomial at a point (zero past the degree).
+    def deriv_eval(self, deriv: Sequence[int], x):
+        """Mixed derivative of the polynomial at a point (a float), or at each
+        row of an ``(n, d)`` array (an ``(n,)`` array); zero past the degree.
 
-        The point may lie outside the box; a non-finite coordinate raises a
-        ValueError naming the point.
+        The points may lie outside the box; a non-finite coordinate raises a
+        ValueError naming the point (and its row, for an array), and so does
+        an order that is not an integer ``>= 0`` (see `as_integer`).  One
+        point is the case ``n = 1``: Horner's rule runs along a trailing
+        point axis, with the same float operations per point.
         """
-        if len(deriv) != self.dim or len(x) != self.dim:
+        pts = np.asarray(x, dtype=float)
+        if len(deriv) != self.dim or pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
             raise ValueError("dimension mismatch")
-        if any(r < 0 for r in deriv):
-            raise ValueError("derivative orders must be nonnegative")
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"point {tuple(x)} is not finite")
+        deriv = tuple(as_integer(r, "derivative order", 0) for r in deriv)
+        rows = pts.reshape(-1, self.dim)
+        if not np.isfinite(rows).all():
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+            row = f" (row {bad})" if pts.ndim == 2 else ""
+            raise ValueError(f"point {tuple(rows[bad].tolist())}{row} is not finite")
+        n = len(rows)
         if any(r > d for r, d in zip(deriv, self.degrees)):
-            return 0.0
+            return 0.0 if pts.ndim == 1 else np.zeros(n)
         c = self._coeffs
         for axis, (r, dl) in enumerate(zip(deriv, self.delta)):
             if r:
                 c = differentiate(c, axis, r) / dl**r
-        for axis in range(self.dim - 1, -1, -1):
-            c = horner(c, axis, (x[axis] - self.x0[axis]) / self.delta[axis])
-        return float(c)
+        if c.size == 1:  # a constant takes no Horner step over the points
+            out = np.full(n, c.flat[0])
+        else:
+            out = c[..., None]
+            for axis in range(self.dim - 1, -1, -1):
+                out = horner(out, axis, (rows[:, axis] - self.x0[axis]) / self.delta[axis])
+        return float(out[0]) if pts.ndim == 1 else out
 
 
 def interpolate(

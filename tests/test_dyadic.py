@@ -1,6 +1,7 @@
 """Tests for dyadic level operators and multilevel surpluses."""
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -52,9 +53,9 @@ class TestQuasiInterp:
         f, scale = random_poly(rng, (2, 2))
         ev = DyadicEvaluator((2, 2), (1, 1), f=f)
         for level in [(0, 0), (1, 2), (3, 0)]:
-            for pt in rng.uniform(0.01, 0.99, (25, 2)):
-                got = ev.quasi_interp_deriv(level, (0, 0), pt)
-                assert abs(got - f(pt)) <= 1e-10 * max(scale, 1)
+            pts = rng.uniform(0.01, 0.99, (25, 2))
+            got = ev.quasi_interp_deriv(level, (0, 0), pts)
+            assert np.all(np.abs(got - [f(pt) for pt in pts]) <= 1e-10 * max(scale, 1))
 
     def test_indicator_partition_single_cell(self):
         # order 0: the value inside a cell is the local interpolant alone.
@@ -121,21 +122,20 @@ class TestSurplus:
         f, scale = random_poly(rng, (2, 2))
         ev = DyadicEvaluator((2, 2), (1, 1), f=f)
         for level in [(1, 0), (0, 1), (2, 2), (1, 3), (3, 1)]:
-            for pt in rng.uniform(0.01, 0.99, (25, 2)):
-                got = ev.surplus_deriv(level, (0, 0), pt)
-                assert abs(got) <= 1e-9 * max(scale, 1)
+            got = ev.surplus_deriv(level, (0, 0), rng.uniform(0.01, 0.99, (25, 2)))
+            assert np.all(np.abs(got) <= 1e-9 * max(scale, 1))
 
     def test_telescoping_to_level_operator(self):
         rng = np.random.default_rng(3)
         ev = DyadicEvaluator((2, 2), (1, 1), f=smooth2)
         for top in [(2, 1), (3, 3)]:
-            for pt in rng.uniform(0.01, 0.99, (10, 2)):
-                tele = sum(
-                    ev.surplus_deriv(lvl, (0, 0), pt)
-                    for lvl in product(range(top[0] + 1), range(top[1] + 1))
-                )
-                want = ev.quasi_interp_deriv(top, (0, 0), pt)
-                assert tele == pytest.approx(want, abs=1e-9)
+            pts = rng.uniform(0.01, 0.99, (10, 2))
+            tele = sum(
+                ev.surplus_deriv(lvl, (0, 0), pts)
+                for lvl in product(range(top[0] + 1), range(top[1] + 1))
+            )
+            want = ev.quasi_interp_deriv(top, (0, 0), pts)
+            np.testing.assert_allclose(tele, want, rtol=0, atol=1e-9)
 
     def test_level_convergence_on_diagonal(self):
         # L2 error of the level operator decreases along the diagonal.
@@ -146,9 +146,7 @@ class TestSurplus:
         errs = []
         ev = DyadicEvaluator((2, 2), (1, 1), f=smooth2)
         for s in range(1, 7):
-            approx = lambda pts, s=s: np.array(  # noqa: E731
-                [ev.quasi_interp_deriv((s, s), (0, 0), p) for p in pts]
-            )
+            approx = lambda pts, s=s: ev.quasi_interp_deriv((s, s), (0, 0), pts)  # noqa: E731
             errs.append(lq_error(approx, target, 2.0, quad))
         for a, b in zip(errs, errs[1:]):
             assert b <= a * 1.01
@@ -185,20 +183,20 @@ class TestTranslateRepresentation:
         ev = DyadicEvaluator((2, 2), (1, 1), f=smooth2)
         worst = 0.0
         for level in [(1, 1), (2, 0), (0, 2), (3, 2)]:
-            for pt in rng.uniform(0.01, 0.99, (25, 2)):
-                direct = ev.surplus_deriv(level, (0, 0), pt)
-                via = ev.surplus_via_translates(level, (0, 0), pt)
-                worst = max(worst, abs(direct - via))
+            pts = rng.uniform(0.01, 0.99, (25, 2))
+            direct = ev.surplus_deriv(level, (0, 0), pts)
+            via = ev.surplus_via_translates(level, (0, 0), pts)
+            worst = max(worst, float(np.max(np.abs(direct - via))))
         assert worst <= 1e-9
 
     def test_agreement_including_derivatives(self):
         rng = np.random.default_rng(5)
         ev = DyadicEvaluator((2, 2), (1, 1), f=smooth2)
         for level in [(1, 1), (2, 2)]:
-            for pt in rng.uniform(0.01, 0.99, (10, 2)):
-                direct = ev.surplus_deriv(level, (1, 1), pt)
-                via = ev.surplus_via_translates(level, (1, 1), pt)
-                assert via == pytest.approx(direct, abs=1e-9 * max(1.0, abs(direct)))
+            pts = rng.uniform(0.01, 0.99, (10, 2))
+            direct = ev.surplus_deriv(level, (1, 1), pts)
+            via = ev.surplus_via_translates(level, (1, 1), pts)
+            assert np.all(np.abs(via - direct) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
 
 
 class TestMemoization:
@@ -211,7 +209,152 @@ class TestMemoization:
 
         ev = DyadicEvaluator((1, 1), (1, 1), f=probe)
         rng = np.random.default_rng(6)
-        for pt in rng.uniform(0.01, 0.99, (40, 2)):
-            ev.surplus_deriv((2, 2), (0, 0), pt)
-            ev.surplus_deriv((2, 1), (0, 0), pt)
+        pts = rng.uniform(0.01, 0.99, (40, 2))
+        # A single point, then the rest as an array: later calls reuse the memo.
+        for part in (pts[0], pts[1:20], pts[20:]):
+            ev.surplus_deriv((2, 2), (0, 0), part)
+            ev.surplus_deriv((2, 1), (0, 0), part)
         assert seen and max(seen.values()) == 1
+
+
+def affine(p):
+    return 1.0 + p[0] + p[1]
+
+
+class TestInputContract:
+    """Each public method checks its input once, naming what it refuses."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda ev: ev.quasi_interp_deriv((1.5, 2), (0, 0), (0.3, 0.4)),
+                "axis 0: level: expected an integer, got 1.5",
+            ),
+            (
+                lambda ev: ev.quasi_interp_deriv((1, 2), (0.9, 0), (0.3, 0.4)),
+                "axis 0: derivative order: expected an integer, got 0.9",
+            ),
+            (
+                lambda ev: ev.local_interp((2.0, 1), (1.7, 0)),
+                "axis 0: cell: expected an integer, got 1.7",
+            ),
+            (
+                lambda ev: ev.surplus_deriv((True, 1), (0, 0), (0.3, 0.4)),
+                "axis 0: level: expected an integer, got True",
+            ),
+            (
+                lambda ev: ev.surplus_via_translates((1, 1), (0, 2), (0.3, 0.4)),
+                "axis 1: derivative order 2 exceeds supported maximum 1",
+            ),
+            (
+                lambda ev: ev.surplus_local_poly((1, 1), (-2, 0)),
+                "axis 0: shift must be an integer >= -1, got -2",
+            ),
+            (
+                lambda ev: ev.local_interp((1, 1), (0, 2)),
+                "axis 1: cell 2 exceeds supported maximum 1",
+            ),
+            (
+                lambda ev: ev.quasi_interp_deriv((1, -1), (0, 0), (0.3, 0.4)),
+                "axis 1: level must be an integer >= 0, got -1",
+            ),
+            (
+                lambda ev: ev.quasi_interp_deriv((1,), (0, 0), (0.3, 0.4)),
+                "level (1,) must have 2 entries, one per axis",
+            ),
+            (
+                lambda ev: ev.surplus_deriv((1, 1), (0, 0), (0.5,)),
+                "point [0.5]: expected 2 coordinates per point",
+            ),
+            (
+                lambda ev: ev.surplus_deriv((1, 1), (0, 0), np.full((3, 1), 0.5)),
+                "points of shape (3, 1): expected 2 coordinates per point",
+            ),
+            (
+                lambda ev: ev.quasi_interp_deriv((1, 1), (0, 0), (1.5, 0.5)),
+                "point [1.5, 0.5] (row 0) is not finite or lies outside [0, 1]^2",
+            ),
+            (
+                lambda ev: ev.quasi_interp_deriv((1, 1), (0, 0), (math.nan, 0.5)),
+                "point [nan, 0.5] (row 0) is not finite or lies outside [0, 1]^2",
+            ),
+            (
+                lambda ev: ev.surplus_deriv((1, 1), (0, 0), [(0.2, 0.3), (0.5, -1e-300)]),
+                "point [0.5, -1e-300] (row 1) is not finite or lies outside [0, 1]^2",
+            ),
+        ],
+        ids=[
+            "fractional-level", "fractional-order", "fractional-cell", "bool-level",
+            "order-above-spline", "shift-below", "cell-above", "negative-level",
+            "short-level", "short-point", "narrow-array", "point-outside", "nan-point",
+            "array-row",
+        ],
+    )
+    def test_refused_with_its_name(self, call, message):
+        # Refused by name: never truncated, read off the cube (a silent 0.0
+        # for an affine function) or left to fail deeper.
+        ev = DyadicEvaluator((1, 1), (1, 1), f=affine)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(ev)
+
+    def test_integral_floats_accepted(self):
+        ev = DyadicEvaluator((1, 1), (1, 1), f=affine)
+        assert ev.local_interp((2.0, 1), (1.0, 0)) is ev.local_interp((2, 1), (1, 0))
+        got = ev.quasi_interp_deriv((1.0, np.int64(2)), (1.0, 0), (0.3, 1.0))
+        assert got == ev.quasi_interp_deriv((1, 2), (1, 0), (0.3, 1.0)) == pytest.approx(1.0)
+
+    def test_empty_array_gives_empty_result(self):
+        ev = DyadicEvaluator((1, 1), (1, 1), f=affine)
+        assert ev.surplus_deriv((1, 1), (1, 0), np.empty((0, 2))).shape == (0,)
+
+
+# (degrees, order, derivative) per case: d = 1, 2 and 3, orders up to
+# (2, 1, 1) and derivatives up to (2, 1).
+ARRAY_CASES = [
+    ((2,), (0,), (0,)),
+    ((2,), (2,), (2,)),
+    ((2, 2), (1, 1), (1, 0)),
+    ((2, 1), (2, 1), (2, 1)),
+    ((1, 1, 2), (2, 1, 1), (1, 0, 1)),
+]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestArrayEqualsPointwise:
+    """An array call gives, bit for bit, the per-point calls' floats."""
+
+    @staticmethod
+    def points(d, seed):
+        # Random points, dyadic knots (and the float just below some), 0 and 1.
+        rng = np.random.default_rng(seed)
+        knots = np.array([0.0, 1.0, 0.5, 0.25, 0.75, np.nextafter(0.5, 0.0), 0.125])
+        mixed = np.where(rng.random((6, d)) < 0.5, rng.choice(knots, (6, d)), rng.random((6, d)))
+        return np.concatenate([rng.random((2, d)), mixed, np.zeros((1, d)), np.ones((1, d))])
+
+    @pytest.mark.parametrize("degrees, order, deriv", ARRAY_CASES)
+    @pytest.mark.parametrize(
+        "method", ["quasi_interp_deriv", "surplus_deriv", "surplus_via_translates"]
+    )
+    def test_bitwise_equal(self, degrees, order, deriv, method):
+        d = len(degrees)
+        pts = self.points(d, len(ARRAY_CASES) * d + sum(order))
+        for level in [(0,) * d, (1,) * d, (2,) + (0,) * (d - 1)]:
+            ev = DyadicEvaluator(degrees, order, f=lambda p: smooth2((p[0], p[-1])))
+            call = getattr(ev, method)
+            got = call(level, deriv, pts)
+            each = [call(level, deriv, p) for p in pts]
+            assert got.shape == (len(pts),) and all(type(v) is float for v in each)
+            assert np.array_equal(bits(got), bits(each))
+
+    def test_tensor_poly_rows(self):
+        rng = np.random.default_rng(8)
+        poly = DyadicEvaluator((2, 1, 2), (0, 0, 0), f=smooth2).local_interp((1, 0, 2), (1, 0, 3))
+        pts = np.concatenate([rng.uniform(-0.5, 1.5, (20, 3)), np.zeros((1, 3)), np.ones((1, 3))])
+        for deriv in product(range(4), range(3), range(2)):
+            got = poly.deriv_eval(deriv, pts)
+            each = [poly.deriv_eval(deriv, p) for p in pts]
+            assert np.array_equal(bits(got), bits(each))

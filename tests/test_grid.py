@@ -108,6 +108,21 @@ class TestIndexSet:
             with pytest.raises(ValueError, match=match):
                 call()
 
+    @pytest.mark.parametrize(
+        "exponents, shown",
+        [
+            ((math.nan, 1.0), r"\(nan, 1\.0\)"),
+            ((math.inf, 1.0), r"\(inf, 1\.0\)"),
+            ((1.0,), r"\(1\.0,\)"),
+        ],
+        ids=["nan", "inf", "too-few"],
+    )
+    def test_weighted_sum_exponents_named(self, exponents, shown):
+        # Named, instead of a nan sum or a sum that zip cut short.
+        message = rf"^exponents must hold 2 finite values, one per weight, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            grid.weighted_sum(exponents, (1.0, 1.0), 3)
+
     def test_weighted_sum_growth_law(self):
         # sum of 2**|k| over the simplex grows like 2**r * r for d=2.
         ref = grid.weighted_sum((1.0, 1.0), (1.0, 1.0), 6) / (2.0**6 * 6)

@@ -25,6 +25,10 @@ def _square(pts):
     return pts[:, 0] ** 2
 
 
+def _first(pt):
+    return pt[0]
+
+
 def _config(**overrides):
     raw = {
         "d": 2, "alpha": [2.0, 2.0], "deriv": [0, 0], "p": 2, "q": 2,
@@ -53,6 +57,26 @@ ENTRY_POINTS = {
     "evaluator_order": (
         lambda v: dyadic.DyadicEvaluator((1,), (v,), float).order[0],
         "spline order", 0, bspline.MAX_ORDER, 2,
+    ),
+    "evaluator_level": (
+        lambda v: dyadic.DyadicEvaluator((1,), (1,), _first).quasi_interp_deriv((v,), (0,), (0.3,)),
+        "axis 0: level", 0, dyadic.MAX_LEVEL, 2,
+    ),
+    "evaluator_derivative_order": (
+        lambda v: dyadic.DyadicEvaluator((2,), (2,), _first).surplus_deriv((1,), (v,), (0.3,)),
+        "axis 0: derivative order", 0, 2, 1,
+    ),
+    "evaluator_cell": (
+        lambda v: dyadic.DyadicEvaluator((1,), (1,), _first).local_interp((2,), (v,)).x0,
+        "axis 0: cell", 0, 3, 2,
+    ),
+    "evaluator_shift": (
+        lambda v: dyadic.DyadicEvaluator((1,), (1,), _first).surplus_local_poly((2,), (v,)).x0,
+        "axis 0: shift", -1, 3, 2,
+    ),
+    "tensor_poly_derivative_order": (
+        lambda v: interp.interpolate(_first, (2,), (0.0,), (1.0,)).deriv_eval((v,), (0.3,)),
+        "derivative order", 0, None, 1,
     ),
     "quadrature_d": (lambda v: recovery.Quadrature(d=v).d, "Quadrature.d", 1, None, 2),
     "quadrature_cells_log2": (

@@ -221,6 +221,29 @@ class TestDerivEval:
         with pytest.raises(ValueError, match="not finite"):
             poly.eval((0.5, bad))
 
+    @pytest.mark.parametrize("order", [True, np.True_, 0.5, -1])
+    def test_order_goes_through_as_integer(self, order):
+        # A bool is not read as the first derivative, nor a fraction passed
+        # on to math.perm.
+        poly = interp.interpolate(lambda pt: pt[0] * pt[1], (1, 1), (0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="^derivative order"):
+            poly.deriv_eval((order, 0), (0.3, 0.4))
+        assert poly.deriv_eval((1.0, 0), (0.3, 0.4)) == pytest.approx(0.4)
+
+    def test_rows_in_rows_out(self):
+        poly = interp.interpolate(lambda pt: pt[0] * pt[1], (1, 1), (0.0, 0.0), (1.0, 1.0))
+        pts = np.array([[0.3, 0.4], [2.0, -1.0], [0.0, 1.0]])
+        np.testing.assert_allclose(poly.eval(pts), [0.12, -2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(poly.deriv_eval((0, 1), pts), [0.3, 2.0, 0.0], atol=1e-12)
+        assert poly.deriv_eval((2, 0), pts).tolist() == [0.0] * 3
+        assert poly.eval(np.empty((0, 2))).shape == (0,)
+        const = interp.interpolate(lambda pt: 2.5, (0, 0), (0.0, 0.0), (1.0, 1.0))
+        assert const.eval(pts).tolist() == [2.5] * 3
+        with pytest.raises(ValueError, match=r"^point \(0\.5, nan\) \(row 1\) is not finite$"):
+            poly.eval([[0.3, 0.4], [0.5, math.nan]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            poly.eval(np.zeros((2, 3)))
+
     @pytest.mark.parametrize("degrees", [(2, 3), (2, 1, 2)])
     def test_mixed_derivatives_match_numpy(self, degrees):
         # Random polynomials in global coordinates on a scaled, shifted box;

@@ -16,7 +16,7 @@ from hypercross.recovery import Quadrature, lq_error, reconstruct, sample
 
 
 def pointwise(f):
-    """A registry function as the scalar evaluator takes it: point in, float out."""
+    """A registry function as the oracle takes it: point in, float out."""
     return lambda p: float(f.value([p])[0])
 
 
@@ -148,28 +148,26 @@ class TestReconstruct:
 
     def test_matches_scalar_surplus_sum(self):
         # The vectorized combination evaluation equals the direct sum of
-        # surpluses computed by the scalar evaluator.
+        # surpluses computed by the oracle.
         f = functions.get_function("trig", 2)
         plan = grid.build_plan(params_smooth(), 3)
         approx = reconstruct(sample(f.value, plan), plan, (0, 0))
         ev = DyadicEvaluator(plan.params.degrees, (0, 0), f=pointwise(f))
         pts = np.random.default_rng(4).uniform(0.01, 0.99, (25, 2))
-        direct = [
-            sum(ev.surplus_deriv(lvl, (0, 0), p) for lvl in plan.levels) for p in pts
-        ]
+        direct = sum(ev.surplus_deriv(lvl, (0, 0), pts) for lvl in plan.levels)
         np.testing.assert_allclose(approx(pts), direct, atol=1e-12)
 
     def test_matches_scalar_surplus_sum_at_cell_boundaries(self):
-        # The half-open knot convention must act identically in the scalar
+        # The half-open knot convention must act identically in the oracle
         # and the vectorized path, including at dyadic cell edges.
         f = functions.get_function("trig", 2)
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (1, 1))
         plan = grid.build_plan(params, 3)
         approx = reconstruct(sample(f.value, plan), plan, (1, 1))
         ev = DyadicEvaluator(params.degrees, (1, 1), f=pointwise(f))
-        for p in [(0.5, 0.25), (0.0, 0.5), (0.125, 0.0), (0.0, 0.0), (1.0, 0.3)]:
-            direct = sum(ev.surplus_deriv(lvl, (1, 1), p) for lvl in plan.levels)
-            assert approx([p])[0] == pytest.approx(direct, abs=1e-10)
+        pts = np.array([(0.5, 0.25), (0.0, 0.5), (0.125, 0.0), (0.0, 0.0), (1.0, 0.3)])
+        direct = sum(ev.surplus_deriv(lvl, (1, 1), pts) for lvl in plan.levels)
+        np.testing.assert_allclose(approx(pts), direct, rtol=0, atol=1e-10)
 
     def test_matches_scalar_surplus_sum_with_derivative(self):
         f = functions.get_function("trig", 2)
@@ -178,9 +176,7 @@ class TestReconstruct:
         approx = reconstruct(sample(f.value, plan), plan, (1, 0))
         ev = DyadicEvaluator(plan.params.degrees, (1, 0), f=pointwise(f))
         pts = np.random.default_rng(5).uniform(0.01, 0.99, (20, 2))
-        direct = [
-            sum(ev.surplus_deriv(lvl, (1, 0), p) for lvl in plan.levels) for p in pts
-        ]
+        direct = sum(ev.surplus_deriv(lvl, (1, 0), pts) for lvl in plan.levels)
         np.testing.assert_allclose(approx(pts), direct, atol=1e-11)
 
     def test_error_decreases_with_radius(self):
@@ -267,7 +263,7 @@ class TestRightEdge:
         ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
         pts = np.array([(a, b) for a in self.COORDS for b in self.COORDS])
         got = approx(pts)
-        direct = [sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels) for p in pts]
+        direct = sum(ev.surplus_deriv(lvl, deriv, pts) for lvl in plan.levels)
         np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-11)
         np.testing.assert_allclose(got, f.deriv(deriv, pts), atol=tol)
 
@@ -278,11 +274,11 @@ class TestRightEdge:
         plan = grid.build_plan(params, 5)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
         ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
-        for edge, inside in [((1.0, 0.5), (1 - 1e-12, 0.5)), ((1.0, 1.0), (1 - 1e-12, 1 - 1e-12))]:
-            near = approx([inside])[0]
-            assert approx([edge])[0] == pytest.approx(near, rel=1e-9, abs=1e-9)
-            scalar = sum(ev.surplus_deriv(lvl, deriv, edge) for lvl in plan.levels)
-            assert scalar == pytest.approx(near, rel=1e-9, abs=1e-9)
+        edges = np.array([(1.0, 0.5), (1.0, 1.0)])
+        near = approx([(1 - 1e-12, 0.5), (1 - 1e-12, 1 - 1e-12)])
+        oracle = sum(ev.surplus_deriv(lvl, deriv, edges) for lvl in plan.levels)
+        for got in (approx(edges), oracle):
+            assert np.all(np.abs(got - near) <= np.maximum(1e-9 * np.abs(near), 1e-9))
 
     @pytest.mark.parametrize("deriv", [(1, 0), (1, 1)])
     def test_just_below_a_knot_is_the_left_limit(self, deriv):
@@ -294,12 +290,12 @@ class TestRightEdge:
         plan = grid.build_plan(params, 4)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
         ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
-        for knot in (0.25, 0.5, 1.0):
-            below, inside = (np.nextafter(knot, 0.0), 0.3), (knot - 1e-12, 0.3)
-            near = approx([inside])[0]
-            assert approx([below])[0] == pytest.approx(near, rel=1e-9, abs=1e-9)
-            scalar = sum(ev.surplus_deriv(lvl, deriv, below) for lvl in plan.levels)
-            assert scalar == pytest.approx(near, rel=1e-9, abs=1e-9)
+        knots = np.array([0.25, 0.5, 1.0])
+        below = np.stack([np.nextafter(knots, 0.0), np.full(3, 0.3)], axis=1)
+        near = approx(np.stack([knots - 1e-12, np.full(3, 0.3)], axis=1))
+        oracle = sum(ev.surplus_deriv(lvl, deriv, below) for lvl in plan.levels)
+        for got in (approx(below), oracle):
+            assert np.all(np.abs(got - near) <= np.maximum(1e-9 * np.abs(near), 1e-9))
 
 
 @pytest.fixture(
@@ -322,7 +318,7 @@ def batched_case(request):
 
 
 class TestBatchedEvaluation:
-    """The chunked table evaluation against the scalar surplus sum."""
+    """The chunked table evaluation against the oracle's surplus sum."""
 
     @staticmethod
     def points(n, seed):
@@ -337,7 +333,7 @@ class TestBatchedEvaluation:
         deriv, plan, approx, ev = batched_case
         monkeypatch.setattr(recovery, "_CHUNK", 16)
         pts = self.points(41, 6)  # three chunks, the last one partial
-        direct = [sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels) for p in pts]
+        direct = sum(ev.surplus_deriv(lvl, deriv, pts) for lvl in plan.levels)
         np.testing.assert_allclose(approx(pts), direct, atol=1e-10)
 
     def test_result_does_not_depend_on_chunking(self, batched_case, monkeypatch):
@@ -388,7 +384,7 @@ _coordinate = st.one_of(
 )
 
 
-# No shrink phase: each shrink step reruns the scalar oracle over every plan
+# No shrink phase: each shrink step reruns the oracle over every plan
 # level, so shrinking a failure would take a minute or more.
 @settings(
     max_examples=12,
@@ -397,7 +393,7 @@ _coordinate = st.one_of(
 )
 @given(data=st.data())
 def test_approximant_equals_surplus_sum(differential_case, data):
-    """``Approximant`` against the scalar oracle: the surpluses over the plan's
+    """``Approximant`` against the oracle: the surpluses over the plan's
     levels, at a few points and on the product grid of a few nodes per axis."""
     d, deriv, plan, approx, ev = differential_case
     pts = np.array(
@@ -405,10 +401,8 @@ def test_approximant_equals_surplus_sum(differential_case, data):
     )
     nodes = np.array(data.draw(st.lists(_coordinate, min_size=1, max_size=2)))
     grid_pts = recovery._grid(nodes, nodes, d)
-    direct = [
-        sum(ev.surplus_deriv(lvl, deriv, p) for lvl in plan.levels)
-        for p in np.concatenate([pts, grid_pts])
-    ]
+    both = np.concatenate([pts, grid_pts])
+    direct = sum(ev.surplus_deriv(lvl, deriv, both) for lvl in plan.levels)
     for chunk in (2, recovery._CHUNK):
         with mock.patch.object(recovery, "_CHUNK", chunk):
             np.testing.assert_allclose(approx(pts), direct[: len(pts)], rtol=1e-12, atol=1e-10)
