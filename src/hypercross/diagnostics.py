@@ -116,7 +116,6 @@ def _random_poly(rng, degrees):
     coeffs = rng.uniform(-1, 1, size=tuple(d + 1 for d in degrees))
 
     def f(x):
-        x = np.atleast_2d(x)
         out = np.zeros(len(x))
         for idx in product(*[range(d + 1) for d in degrees]):
             term = coeffs[idx] * np.ones(len(x))
@@ -137,11 +136,9 @@ def interp_checks() -> list[CheckResult]:
         d = len(degrees)
         for _ in range(10):
             f = _random_poly(rng, degrees)
-            poly = interp.interpolate(
-                lambda pt: float(f(np.array([pt]))[0]), degrees, (0.2,) * d, (0.5,) * d
-            )
+            poly = interp.interpolate(f, degrees, (0.2,) * d, (0.5,) * d)
             pts = rng.uniform(0.2, 0.7, size=(40, d))
-            err = np.max(np.abs([poly.eval(p) for p in pts] - f(pts)))
+            err = np.max(np.abs(poly.eval(pts) - f(pts)))
             worst = max(worst, float(err))
     out.append(_check("interp.reproduction", worst, 1e-9))
 
@@ -161,7 +158,7 @@ def interp_checks() -> list[CheckResult]:
     degrees = (2, 3)
     f = _random_poly(rng, degrees)
     x0, delta = (0.25, 0.5), (0.5, 0.25)
-    poly = interp.interpolate(lambda pt: float(f(np.array([pt]))[0]), degrees, x0, delta)
+    poly = interp.interpolate(f, degrees, x0, delta)
     # Axis-by-axis interpolation must reproduce the tensor result: each row of
     # node values along axis 1 is a 1-D interpolant, and their values at the
     # point are interpolated along axis 0.
@@ -185,17 +182,16 @@ def dyadic_checks() -> list[CheckResult]:
     degrees, order = (2, 2), (1, 1)
 
     poly_f = _random_poly(rng, degrees)
-    fn = lambda p: float(poly_f(np.array([p]))[0])  # noqa: E731
 
     worst = 0.0
-    ev = dyadic.DyadicEvaluator(degrees, order, f=fn)
+    ev = dyadic.DyadicEvaluator(degrees, order, f=poly_f)
     scale = np.max(np.abs(poly_f(rng.uniform(0, 1, size=(50, 2)))))
     for level in [(1, 0), (0, 2), (2, 1)]:
         pts = rng.uniform(0.02, 0.98, size=(30, 2))
         worst = max(worst, float(np.max(np.abs(ev.surplus_deriv(level, (0, 0), pts)) / scale)))
     out.append(_check("dyadic.polynomial_annihilation", worst, 1e-9))
 
-    smooth = lambda p: math.sin(2.1 * p[0] + 0.4) * math.cos(1.7 * p[1])  # noqa: E731
+    smooth = lambda p: np.sin(2.1 * p[:, 0] + 0.4) * np.cos(1.7 * p[:, 1])  # noqa: E731
     ev = dyadic.DyadicEvaluator(degrees, order, f=smooth)
     worst = 0.0
     for top in [(2, 2), (3, 1)]:
@@ -219,8 +215,7 @@ def dyadic_checks() -> list[CheckResult]:
     for s in range(1, 5):
         ev_s = dyadic.DyadicEvaluator(degrees, order, f=smooth)
         approx = lambda pts: ev_s.quasi_interp_deriv((s, s), (0, 0), pts)  # noqa: E731
-        target = lambda pts: np.array([smooth(p) for p in pts])  # noqa: E731
-        errs.append(recovery.lq_error(approx, target, 2.0, quad))
+        errs.append(recovery.lq_error(approx, smooth, 2.0, quad))
     ratio = max(errs[i + 1] / errs[i] for i in range(len(errs) - 1))
     out.append(_check("dyadic.level_convergence", ratio, 1.01))
     return out

@@ -19,14 +19,17 @@ applied to each polynomial-times-spline term.
 
 `DyadicEvaluator` memoizes the local interpolants per (level, cell) and the
 surplus polynomials per (level, shift), so repeated evaluations reuse every
-function value instead of resampling it.
+function value instead of resampling it.  Like every function the package
+takes, the target is called on an ``(n, d)`` array of points, here once per
+cell on the cell's interpolation nodes (`interp.interpolate`), and a surplus
+polynomial evaluates each coarse interpolant once on its anchor cell's nodes.
 Its operators take one point (and return a float) or an ``(n, d)`` array of
 points (and return ``(n,)``) through one code path, in which each point sees
 the same float operations: a single point is the case ``n = 1``.  Every
 public method checks its input once per call: levels, cells, shifts and
 derivative orders go through `interp.as_integer` with their bounds, one per
-axis, and points must be finite and lie in the closed unit cube; anything
-else raises a ValueError naming the input, the point and its row.
+axis, and points through `interp.as_points` (finite, in the closed unit
+cube); anything else raises a ValueError naming the input.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import MAX_ORDER, bspline_derivative, refinement_coeffs
-from .interp import MAX_DEGREE, TensorPoly, as_integer, interpolate
+from .interp import MAX_DEGREE, TensorPoly, as_integer, as_points, interpolate
 
 Vector = tuple[int, ...]
 
@@ -47,8 +50,6 @@ Vector = tuple[int, ...]
 def decrement_masks(level: Sequence[int]) -> list[Vector]:
     """All 0/1 masks supported on the positive axes of ``level``."""
     return list(product(*[(0, 1) if k > 0 else (0,) for k in level]))
-
-
 
 
 # Largest level per axis: up to it, cell indices and spline arguments are
@@ -71,7 +72,8 @@ class DyadicEvaluator:
     interpolants and ``order`` is the per-axis B-spline order of the blending
     partition, each checked against the bounds of `interp.nodes_exact` and
     `bspline.bspline_derivative`.  Function values come from ``f``, called
-    with a float point.
+    on the ``(n, d)`` array of one cell's nodes, which must return ``n``
+    finite values.
 
     The operators take one point ``x`` (and return a float) or an ``(n, d)``
     array of points (and return ``(n,)``).  Each public method checks its
@@ -86,7 +88,7 @@ class DyadicEvaluator:
         self,
         degrees: Sequence[int],
         order: Sequence[int],
-        f: Callable[[tuple[float, ...]], float],
+        f: Callable[[np.ndarray], np.ndarray],
     ):
         self.degrees = tuple(as_integer(d, "degree", 0, MAX_DEGREE) for d in degrees)
         self.order = tuple(as_integer(m, "spline order", 0, MAX_ORDER) for m in order)
@@ -122,21 +124,9 @@ class DyadicEvaluator:
         one point, an ``(n,)`` array for an ``(n, d)`` array of points."""
         level = self._level(level)
         deriv = self._integers(deriv, "derivative order", [0] * self.dim, self.order)
-        pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None]
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            shown = f"point {pts[0].tolist()}" if single else f"points of shape {pts.shape}"
-            raise ValueError(f"{shown}: expected {self.dim} coordinates per point")
-        bad = np.flatnonzero(~np.all((pts >= 0.0) & (pts <= 1.0), axis=1))
-        if bad.size:
-            raise ValueError(
-                f"point {pts[bad[0]].tolist()} (row {bad[0]}) is not finite or lies "
-                f"outside [0, 1]^{self.dim}"
-            )
-        out = operator(level, deriv, pts)
-        return float(out[0]) if single else out
+        pts = as_points(x, self.dim, 0.0, 1.0)
+        out = operator(level, deriv, pts.reshape(-1, self.dim))
+        return float(out[0]) if pts.ndim == 1 else out
 
     # -- local interpolation -------------------------------------------------
 
@@ -309,7 +299,7 @@ class DyadicEvaluator:
         # The signed combination is again a polynomial of the same coordinate
         # degree; re-read it at the nodes of the anchor cell of ``shift``.
         anchor = tuple(max(s, 0) for s in shift)
-        combined = lambda pt: sum(w * p.eval(pt) for w, p in terms)  # noqa: E731
+        combined = lambda pts: sum(w * p.eval(pts) for w, p in terms)  # noqa: E731
         box = _cell_box(level, anchor)
         poly = self._surplus_polys[level, shift] = interpolate(combined, self.degrees, *box)
         return poly

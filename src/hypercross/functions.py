@@ -8,6 +8,12 @@ integrability index; smooth factors satisfy any finite declaration.
 `modulus_estimate` is a diagnostic built on the mixed-difference stencil:
 the modulus is a supremum over all step vectors, so a finite lattice only
 ever produces a lower estimate.  It is never used as recovery ground truth.
+
+Functions here follow the package's one calling convention: a registry
+entry evaluates one point ``(d,)`` or an ``(n, d)`` array of finite points
+(`interp.as_points`) and returns ``(n,)`` values, ``(1,)`` for one point;
+`modulus_estimate` calls its ``f`` on ``(n, d)`` arrays of anchors and
+refuses anything but ``n`` finite values (`interp.as_values`).
 """
 
 from __future__ import annotations
@@ -20,16 +26,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import derivative_orders
-from .interp import as_integer
+from .interp import as_integer, as_points, as_values, tensor_grid
 
 Array = np.ndarray
-
-
-def _as_points(x, d: int) -> Array:
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[-1] != d:
-        raise ValueError(f"expected points with {d} coordinates, got shape {pts.shape}")
-    return pts
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,12 @@ class TestFunction:
     _deriv: Callable[[tuple[int, ...], Array], Array] = field(repr=False)
 
     def value(self, x) -> Array:
-        return self._deriv((0,) * self.d, _as_points(x, self.d))
+        return self._deriv((0,) * self.d, as_points(x, self.d).reshape(-1, self.d))
 
     def deriv(self, deriv: Sequence[int], x) -> Array:
         """Analytic mixed derivative, valid away from the kink loci."""
-        return self._deriv(derivative_orders(deriv, self.d), _as_points(x, self.d))
+        deriv = derivative_orders(deriv, self.d)
+        return self._deriv(deriv, as_points(x, self.d).reshape(-1, self.d))
 
 
 # -- factor library ---------------------------------------------------------------
@@ -170,8 +170,9 @@ def modulus_estimate(
     not an integer (never truncated), if an order is negative or
     ``step_lattice`` below 1, if ``p`` lies outside ``[1, inf]``, if ``t``
     or ``axes`` does not fit the dimension ``len(order)``, if an entry of
-    ``t`` is not finite and > 0, or if every step of the lattice takes the
-    stencil out of the unit cube.
+    ``t`` is not finite and > 0, if every step of the lattice takes the
+    stencil out of the unit cube, or if ``f`` does not return one finite
+    value per point.
     """
     axes = tuple(sorted(set(as_integer(a, "modulus axis") for a in axes)))
     order = tuple(as_integer(r, f"axis {j}: difference order", 0) for j, r in enumerate(order))
@@ -201,17 +202,16 @@ def modulus_estimate(
         if any(s >= 1.0 for s in span):
             continue
         # Anchor grid over the shrunken domain [0, 1 - order*h].
-        axis_grids = [
-            np.linspace(0.0, 1.0 - s, _GRID_POINTS) for s in span
-        ]
-        mesh = np.meshgrid(*axis_grids, indexing="ij")
-        anchors = np.stack([m.ravel() for m in mesh], axis=-1)
+        anchors = tensor_grid([np.linspace(0.0, 1.0 - s, _GRID_POINTS) for s in span])
         diffs = np.zeros(len(anchors))
         for k in product(*[range(r + 1) for r in eff]):
             c = math.prod(math.comb(r, kj) for r, kj in zip(eff, k))
             s = (-1) ** (sum(eff) - sum(k))
             shifted = anchors + np.array([kj * hj for kj, hj in zip(k, h)])
-            diffs += s * c * f(shifted)
+            diffs += s * c * as_values(
+                f(shifted), "modulus_estimate(f)", len(shifted),
+                lambda i: f"point {shifted[i].tolist()}",
+            )
         vol = math.prod(1.0 - s for s in span)
         if math.isinf(p):
             norm = float(np.max(np.abs(diffs)))

@@ -17,11 +17,18 @@ reduces them with `horner`, and `bspline.bspline_derivative` reduces its
 piece tables with `horner` too.
 `interpolate` is the one way to build a `TensorPoly` from a function.
 
-`as_integer` is the package's one integer check.  Degrees, spline and
-derivative orders, dimensions, radii, budgets, `Quadrature` fields and the
-other integer inputs all go through it, with their bounds: an integral
-number is accepted as an int, and a bool, a fraction or a value out of
-bounds raises a ValueError naming the input.
+Every function the package takes is called on an ``(n, d)`` float array of
+points, one per row, and must return ``n`` finite values.  This module holds
+the input checks every other module shares, each raising a ValueError that
+names the input:
+- `as_integer` decides every integer input (degrees, spline and derivative
+  orders, dimensions, radii, budgets, `Quadrature` fields, ...): an integral
+  number is accepted as an int, a bool, a fraction or a value out of
+  bounds is refused;
+- `as_points` checks one point ``(d,)`` or an ``(n, d)`` array: the shape,
+  finiteness and, where given, the bounds of every coordinate;
+- `as_values` checks what a function returned: one finite value per point.
+`tensor_grid` is the one builder of tensor grids of points.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +63,53 @@ def as_integer(value, name: str, low: int | None = None, high: int | None = None
     return n
 
 
+def as_points(x, d: int, low: float | None = None, high: float | None = None) -> np.ndarray:
+    """``x`` as a float array of one point, shape ``(d,)``, or of ``n`` points
+    as rows, shape ``(n, d)``; ``n = 0`` is accepted.
+
+    Any other shape, a non-finite coordinate or one outside ``[low, high]``
+    raises a ValueError naming the point (and its row, for an array).
+    """
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != d:
+        shown = f"point {pts.tolist()}" if pts.ndim == 1 else f"points of shape {pts.shape}"
+        raise ValueError(f"{shown}: expected one point of {d} coordinates or an (n, {d}) array")
+    rows = pts.reshape(-1, d)
+    # Finite bounds refuse a NaN or an infinity too.
+    ok = np.isfinite(rows) if low is None else (rows >= low) & (rows <= high)
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok.all(axis=1))[0])
+        row = f" (row {bad})" if pts.ndim == 2 else ""
+        cube = "" if low is None else f" or lies outside [{low:g}, {high:g}]^{d}"
+        raise ValueError(f"point {rows[bad].tolist()}{row} is not finite{cube}")
+    return pts
+
+
+def as_values(values, name: str, n: int, where: Callable[[int], str]) -> np.ndarray:
+    """``values`` as a float array of ``n`` finite values, one per point; a
+    float array is checked in place, not copied.
+
+    ``where(i)`` describes the point of value ``i``.  A ValueError names
+    ``name`` and the shape, or the first non-finite value and its point.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name}: values of shape {v.shape} for {n} points, expected ({n},)")
+    if not np.isfinite(v).all():
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"{name}: value {v[i]} is not finite: evaluation failed at {where(i)}")
+    return v
+
+
+def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The tensor grid of per-axis coordinate vectors, one point per row, in C order."""
+    d = len(axes)
+    pts = np.empty(tuple(map(len, axes)) + (d,))
+    for j, axis in enumerate(axes):
+        pts[..., j] = np.reshape(axis, (-1,) + (1,) * (d - 1 - j))
+    return pts.reshape(-1, d)
+
+
 # Typed, so True misses an entry cached for np.int64(1), which compares equal.
 @lru_cache(maxsize=None, typed=True)
 def nodes_exact(deg: int) -> tuple[Fraction, ...]:
@@ -72,6 +125,7 @@ def nodes_exact(deg: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None, typed=True)  # typed, like `nodes_exact`
 def nodes(deg: int) -> tuple[float, ...]:
     """Interpolation nodes for one axis as floats (exact images of `nodes_exact`)."""
     return tuple(float(v) for v in nodes_exact(deg))
@@ -193,21 +247,16 @@ class TensorPoly:
         """Mixed derivative of the polynomial at a point (a float), or at each
         row of an ``(n, d)`` array (an ``(n,)`` array); zero past the degree.
 
-        The points may lie outside the box; a non-finite coordinate raises a
-        ValueError naming the point (and its row, for an array), and so does
-        an order that is not an integer ``>= 0`` (see `as_integer`).  One
-        point is the case ``n = 1``: Horner's rule runs along a trailing
-        point axis, with the same float operations per point.
+        The points may lie outside the box but must be finite (see
+        `as_points`); an order must be an integer ``>= 0`` (see
+        `as_integer`).  One point is the case ``n = 1``: Horner's rule runs
+        along a trailing point axis, with the same float operations per point.
         """
-        pts = np.asarray(x, dtype=float)
-        if len(deriv) != self.dim or pts.ndim not in (1, 2) or pts.shape[-1] != self.dim:
+        if len(deriv) != self.dim:
             raise ValueError("dimension mismatch")
+        pts = as_points(x, self.dim)
         deriv = tuple(as_integer(r, "derivative order", 0) for r in deriv)
         rows = pts.reshape(-1, self.dim)
-        if not np.isfinite(rows).all():
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
-            row = f" (row {bad})" if pts.ndim == 2 else ""
-            raise ValueError(f"point {tuple(rows[bad].tolist())}{row} is not finite")
         n = len(rows)
         if any(r > d for r, d in zip(deriv, self.degrees)):
             return 0.0 if pts.ndim == 1 else np.zeros(n)
@@ -225,19 +274,20 @@ class TensorPoly:
 
 
 def interpolate(
-    f: Callable[[tuple[float, ...]], float],
+    f: Callable[[np.ndarray], np.ndarray],
     degrees: Sequence[int],
     x0: Sequence[float],
     delta: Sequence[float],
 ) -> TensorPoly:
     """Tensor interpolant of ``f`` at the nodes of the box ``x0 + delta * [0,1]^d``.
 
-    ``f`` is called once per node, with the node as a tuple of floats, after
-    the box has been checked.
+    After the box has been checked, ``f`` is called once, on the ``(n, d)``
+    array of the nodes ``x0 + delta * node`` in C order, and must return
+    their ``n`` finite values (see `as_values`).
     """
     _check_box(len(degrees), x0, delta)
-    axis_nodes = [nodes(d) for d in degrees]
-    vals = np.empty(tuple(d + 1 for d in degrees))
-    for idx in product(*[range(d + 1) for d in degrees]):
-        vals[idx] = f(tuple(a + w * ns[i] for a, w, ns, i in zip(x0, delta, axis_nodes, idx)))
-    return TensorPoly(tuple(degrees), tuple(x0), tuple(delta), vals)
+    pts = tensor_grid([a + w * np.array(nodes(g)) for a, w, g in zip(x0, delta, degrees)])
+    vals = as_values(f(pts), "interpolate(f)", len(pts), lambda i: f"point {pts[i].tolist()}")
+    return TensorPoly(
+        tuple(degrees), tuple(x0), tuple(delta), vals.reshape([g + 1 for g in degrees])
+    )

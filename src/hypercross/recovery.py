@@ -1,9 +1,10 @@
 """Assembling and measuring the recovery operator.
 
-`sample` evaluates the target function once per plan point, at the plan's
-exact keys converted to floats, and returns the checked value vector: one
-float per point, aligned with the plan's key array.  `reconstruct`, another
-name of `Approximant`, builds from it the linear approximant
+`sample` evaluates the target function once, on the ``(n, d)`` array of the
+plan's exact keys converted to floats, and returns the checked value vector
+(`interp.as_values`): one finite float per point, aligned with the plan's
+key array.  `reconstruct`, another name of `Approximant`, builds from it the
+linear approximant
 
     x  ->  sum over plan levels of  D^deriv (surplus at level k) (x),
 
@@ -21,17 +22,18 @@ one axis at a time.  On a tensor grid, the private kernel
 among all grid points that need it (sum factorization, every level being a
 tensor-product operator); its values equal the pointwise ones bit for bit.
 
-Points must lie in the closed unit cube.  Blending splines take right limits
-at interior knots; at the right edge ``x_j = 1`` the last cell's polynomial,
-closed on the right, gives the limit from inside the cube (`_cells`, the one
-cell rule of both routes).
+Points must lie in the closed unit cube (`interp.as_points`).  Blending
+splines take right limits at interior knots; at the right edge ``x_j = 1``
+the last cell's polynomial, closed on the right, gives the limit from inside
+the cube (`_cells`, the one cell rule of both routes).
 
 `lq_error` measures distances with composite tensor Gauss-Legendre quadrature
 on a dyadic cell partition (finite q) or on a dense interior lattice united
 with the quadrature nodes (q = infinity).  Both are tensor grids, streamed
 in slabs of axis-0 rows of at most one chunk of points: on each slab an
-`Approximant` is evaluated through `_slab`, any other callable at the slab's
-points.  Rules beyond a fixed point count are refused before anything is
+`Approximant` is evaluated through `_slab`, any other callable on the slab's
+points as rows (`interp.tensor_grid`), and either must give one finite value
+per point.  Rules beyond a fixed point count are refused before anything is
 allocated.
 """
 
@@ -47,7 +49,9 @@ import numpy as np
 
 from .bspline import piece_table
 from .grid import RecoveryPlan, derivative_orders
-from .interp import as_integer, horner, monomial_coeffs, transform
+from .interp import (
+    as_integer, as_points, as_values, horner, monomial_coeffs, tensor_grid, transform,
+)
 
 Array = np.ndarray
 PointFn = Callable[[Array], Array]
@@ -56,35 +60,16 @@ PointFn = Callable[[Array], Array]
 # -- sampling ----------------------------------------------------------------------
 
 
-def _checked(plan: RecoveryPlan, values: Sequence[float]) -> Array:
-    """A float copy of a value vector aligned with the plan's points.
-
-    Raises ValueError on a vector of the wrong length, or naming the first
-    row, with its point, whose value is not finite.
-    """
-    vals = np.array(values, dtype=float).reshape(-1)
-    if len(vals) != plan.n_actual:
-        raise ValueError(
-            f"value vector has {len(vals)} entries; the plan has {plan.n_actual} points"
-        )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise ValueError(
-            f"value {vals[bad[0]]} at row {bad[0]} is not finite: "
-            f"evaluation failed at {plan.describe(bad[0])}"
-        )
-    return vals
-
-
 def sample(f: PointFn, plan: RecoveryPlan) -> Array:
     """Evaluate ``f`` once per plan point; ``values[i]`` belongs to ``plan.keys[i]``.
 
     ``f`` receives a single (n, d) array, so an instrumented callable sees
-    exactly ``plan.n_actual`` rows.  A wrong value count aborts, and so does
-    a non-finite value, naming the offending point with its coordinates and
-    provenance.
+    exactly ``plan.n_actual`` rows.  Values of the wrong shape abort, and so
+    does a non-finite value, naming the offending point with its coordinates
+    and provenance.
     """
-    return _checked(plan, f(plan.floats()))
+    values = np.array(f(plan.floats()), dtype=float)
+    return as_values(values, "sample(f)", plan.n_actual, plan.describe)
 
 
 # -- combination weights -------------------------------------------------------------
@@ -180,7 +165,7 @@ class Approximant:
             raise ValueError(
                 f"derivative {deriv} exceeds interpolation degrees {params.degrees}"
             )
-        values = _checked(plan, values)
+        values = as_values(values, "reconstruct(values)", plan.n_actual, plan.describe)
         self.plan = plan
         # One (level, weight, table) per surviving level, in sorted level
         # order.  A table holds the monomial coefficients of D^deriv on every
@@ -210,16 +195,8 @@ class Approximant:
         )
 
     def __call__(self, x) -> Array:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
         d = self.plan.params.d
-        if pts.ndim != 2 or pts.shape[1] != d:
-            raise ValueError("point dimension mismatch")
-        bad = np.flatnonzero(~np.all((pts >= 0.0) & (pts <= 1.0), axis=1))
-        if bad.size:
-            raise ValueError(
-                f"evaluation point {pts[bad[0]].tolist()} (row {bad[0]}) is not "
-                f"finite or lies outside [0, 1]^{d}"
-            )
+        pts = as_points(x, d, 0.0, 1.0).reshape(-1, d)
         out = np.empty(len(pts))
         for start in range(0, len(pts), _CHUNK):
             out[start : start + _CHUNK] = self._chunk(pts[start : start + _CHUNK])
@@ -244,11 +221,11 @@ class Approximant:
         """Values on the tensor grid ``head x nodes^(d-1)``, shape
         ``(len(head),) + (len(nodes),) * (d - 1)`` in C order.
 
-        Bit for bit ``self(_grid(head, nodes, d))`` reshaped, at a fraction
-        of the cost: every grid point sees the same gathers and Horner
-        steps, last axis to first, as in `_chunk`, but each step is shared by
-        all points that agree on the axes still to be reduced (sum
-        factorization).  Each axis is first restricted to the distinct cells
+        Bit for bit ``self(tensor_grid([head] + [nodes] * (d - 1)))``
+        reshaped, at a fraction of the cost: every grid point sees the same
+        gathers and Horner steps, last axis to first, as in `_chunk`, but
+        each step is shared by all points that agree on the axes still to be
+        reduced (sum factorization).  Each axis is first restricted to the distinct cells
         its nodes hit, so no temporary exceeds one gather block: ``(degrees +
         1)`` coefficients per grid point.  The nodes must lie in ``[0, 1]``.
         """
@@ -340,15 +317,6 @@ def _axis_rule(cells_log2: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _grid(head: Array, nodes: Array, d: int) -> Array:
-    """The tensor grid ``head x nodes^(d-1)``, one point per row, in C order."""
-    axes = [head] + [nodes] * (d - 1)
-    pts = np.empty(tuple(map(len, axes)) + (d,))
-    for j, axis in enumerate(axes):
-        pts[..., j] = axis.reshape((-1,) + (1,) * (d - 1 - j))
-    return pts.reshape(-1, d)
-
-
 # Most points one rule or sup-norm lattice of `lq_error` may have.  The rule
 # runs in slabs, so beyond one slab a point costs one float of the term
 # vector (finite q); the rules in use have at most about 1.05M points (d=4
@@ -369,24 +337,17 @@ def _values(name: str, fn: PointFn, head: Array, nodes: Array, d: int) -> Array:
 
     An `Approximant` goes through `Approximant._slab`, any other callable
     gets the grid's points as rows; either must give one finite value per
-    point, or a ValueError names the function and the first point at fault.
+    point (see `interp.as_values`).
     """
-    count = len(head) * len(nodes) ** (d - 1)
+    axes = [head] + [nodes] * (d - 1)
     if isinstance(fn, Approximant):
         v = fn._slab(head, nodes).reshape(-1)
     else:
-        v = np.asarray(fn(_grid(head, nodes, d)), dtype=float)
-    if v.shape != (count,):
-        raise ValueError(
-            f"lq_error: {name} returned shape {v.shape} for {count} points, "
-            f"expected ({count},)"
-        )
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        at = np.unravel_index(bad[0], (len(head),) + (len(nodes),) * (d - 1))
-        point = [float(head[at[0]])] + [float(nodes[i]) for i in at[1:]]
-        raise ValueError(f"lq_error: {name} returned {v[bad[0]]} at {point}")
-    return v
+        v = fn(tensor_grid(axes))
+    return as_values(
+        v, f"lq_error({name})", math.prod(map(len, axes)),
+        lambda i: f"point {tensor_grid(axes)[i].tolist()}",
+    )
 
 
 def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:

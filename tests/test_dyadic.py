@@ -14,7 +14,12 @@ from test_interp import random_poly
 
 
 def smooth2(p):
-    return math.sin(2.3 * p[0] + 0.4) * math.cos(1.1 * p[1] + 0.2) + p[0] * p[1]
+    x, y = p[:, 0], p[:, 1]
+    return np.sin(2.3 * x + 0.4) * np.cos(1.1 * y + 0.2) + x * y
+
+
+def const(value):
+    return lambda p: np.full(len(p), value)
 
 
 class TestLocalInterp:
@@ -22,22 +27,21 @@ class TestLocalInterp:
         rng = np.random.default_rng(0)
         f, scale = random_poly(rng, (2, 2))
         poly = DyadicEvaluator((2, 2), (0, 0), f=f).local_interp((2, 1), (1, 0))
-        for pt in rng.uniform(0, 1, (30, 2)):
-            cellpt = (0.25 + 0.25 * pt[0], 0.5 * pt[1])
-            assert abs(poly.eval(cellpt) - f(cellpt)) <= 1e-10 * max(scale, 1)
+        cellpts = (0.25, 0.0) + (0.25, 0.5) * rng.uniform(0, 1, (30, 2))
+        assert np.all(np.abs(poly.eval(cellpts) - f(cellpts)) <= 1e-10 * max(scale, 1))
 
     def test_zero_function(self):
-        poly = DyadicEvaluator((1, 1), (0, 0), f=lambda p: 0.0).local_interp((1, 1), (0, 1))
+        poly = DyadicEvaluator((1, 1), (0, 0), f=const(0.0)).local_interp((1, 1), (0, 1))
         assert poly.eval((0.3, 0.8)) == 0.0
 
     def test_midpoint_rule_cell(self):
         # Degree 0 on cell [1/2, 1): the interpolant is f at the cell midpoint-ish node.
-        poly = DyadicEvaluator((0,), (0,), f=lambda p: p[0]).local_interp((1,), (1,))
+        poly = DyadicEvaluator((0,), (0,), f=lambda p: p[:, 0]).local_interp((1,), (1,))
         assert poly.eval((0.6,)) == pytest.approx(0.75, abs=1e-12)
 
     def test_invalid_cell(self):
         with pytest.raises(ValueError):
-            DyadicEvaluator((0,), (0,), f=lambda p: 0.0).local_interp((1,), (2,))
+            DyadicEvaluator((0,), (0,), f=const(0.0)).local_interp((1,), (2,))
 
     def test_function_failure_propagates(self):
         def bad(p):
@@ -55,11 +59,11 @@ class TestQuasiInterp:
         for level in [(0, 0), (1, 2), (3, 0)]:
             pts = rng.uniform(0.01, 0.99, (25, 2))
             got = ev.quasi_interp_deriv(level, (0, 0), pts)
-            assert np.all(np.abs(got - [f(pt) for pt in pts]) <= 1e-10 * max(scale, 1))
+            assert np.all(np.abs(got - f(pts)) <= 1e-10 * max(scale, 1))
 
     def test_indicator_partition_single_cell(self):
         # order 0: the value inside a cell is the local interpolant alone.
-        ev = DyadicEvaluator((2,), (0,), f=lambda p: smooth2((p[0], 0.3)))
+        ev = DyadicEvaluator((2,), (0,), f=lambda p: smooth2(np.insert(p, 1, 0.3, axis=1)))
         x = (0.3,)
         got = ev.quasi_interp_deriv((2,), (0,), x)
         cell = (int(x[0] * 4),)
@@ -67,7 +71,7 @@ class TestQuasiInterp:
         assert got == want
 
     def test_constant_derivative_vanishes(self):
-        ev = DyadicEvaluator((2, 2), (1, 1), f=lambda p: 4.25)
+        ev = DyadicEvaluator((2, 2), (1, 1), f=const(4.25))
         for level in [(1, 1), (2, 0)]:
             assert ev.quasi_interp_deriv(level, (1, 0), (0.37, 0.61)) == pytest.approx(
                 0.0, abs=1e-11
@@ -82,7 +86,7 @@ class TestQuasiInterp:
         calls = []
 
         def probe(p):
-            calls.append(p)
+            calls.extend(map(tuple, p))
             return smooth2(p)
 
         ev = DyadicEvaluator((1, 1), (1, 1), f=probe)
@@ -142,12 +146,11 @@ class TestSurplus:
         from hypercross.recovery import Quadrature, lq_error
 
         quad = Quadrature(d=2, cells_log2=3)
-        target = lambda pts: np.array([smooth2(p) for p in pts])  # noqa: E731
         errs = []
         ev = DyadicEvaluator((2, 2), (1, 1), f=smooth2)
         for s in range(1, 7):
             approx = lambda pts, s=s: ev.quasi_interp_deriv((s, s), (0, 0), pts)  # noqa: E731
-            errs.append(lq_error(approx, target, 2.0, quad))
+            errs.append(lq_error(approx, smooth2, 2.0, quad))
         for a, b in zip(errs, errs[1:]):
             assert b <= a * 1.01
 
@@ -204,7 +207,8 @@ class TestMemoization:
         seen: dict[tuple, int] = {}
 
         def probe(p):
-            seen[p] = seen.get(p, 0) + 1
+            for node in map(tuple, p):
+                seen[node] = seen.get(node, 0) + 1
             return smooth2(p)
 
         ev = DyadicEvaluator((1, 1), (1, 1), f=probe)
@@ -218,7 +222,7 @@ class TestMemoization:
 
 
 def affine(p):
-    return 1.0 + p[0] + p[1]
+    return 1.0 + p[:, 0] + p[:, 1]
 
 
 class TestInputContract:
@@ -265,30 +269,45 @@ class TestInputContract:
             ),
             (
                 lambda ev: ev.surplus_deriv((1, 1), (0, 0), (0.5,)),
-                "point [0.5]: expected 2 coordinates per point",
+                "point [0.5]: expected one point of 2 coordinates or an (n, 2) array",
             ),
             (
                 lambda ev: ev.surplus_deriv((1, 1), (0, 0), np.full((3, 1), 0.5)),
-                "points of shape (3, 1): expected 2 coordinates per point",
+                "points of shape (3, 1): expected one point of 2 coordinates or an (n, 2) array",
             ),
             (
                 lambda ev: ev.quasi_interp_deriv((1, 1), (0, 0), (1.5, 0.5)),
-                "point [1.5, 0.5] (row 0) is not finite or lies outside [0, 1]^2",
+                "point [1.5, 0.5] is not finite or lies outside [0, 1]^2",
             ),
             (
                 lambda ev: ev.quasi_interp_deriv((1, 1), (0, 0), (math.nan, 0.5)),
-                "point [nan, 0.5] (row 0) is not finite or lies outside [0, 1]^2",
+                "point [nan, 0.5] is not finite or lies outside [0, 1]^2",
             ),
             (
                 lambda ev: ev.surplus_deriv((1, 1), (0, 0), [(0.2, 0.3), (0.5, -1e-300)]),
                 "point [0.5, -1e-300] (row 1) is not finite or lies outside [0, 1]^2",
+            ),
+            (
+                # f is NaN right of x = 1/2: the first cell built there, (1, 0) at
+                # level (1, 1), names its first node (a silent nan before).
+                lambda ev: DyadicEvaluator(
+                    (1, 1), (1, 1), f=lambda p: np.where(p[:, 0] > 0.5, np.nan, affine(p))
+                ).quasi_interp_deriv((1, 1), (0, 0), (0.7, 0.4)),
+                "interpolate(f): value nan is not finite: evaluation failed at "
+                "point [0.5732233047033333, 0.07322330470333327]",
+            ),
+            (
+                lambda ev: DyadicEvaluator((1, 1), (1, 1), f=lambda p: p).surplus_deriv(
+                    (1, 1), (0, 0), (0.7, 0.4)
+                ),
+                "interpolate(f): values of shape (4, 2) for 4 points, expected (4,)",
             ),
         ],
         ids=[
             "fractional-level", "fractional-order", "fractional-cell", "bool-level",
             "order-above-spline", "shift-below", "cell-above", "negative-level",
             "short-level", "short-point", "narrow-array", "point-outside", "nan-point",
-            "array-row",
+            "array-row", "nan-value", "values-per-row",
         ],
     )
     def test_refused_with_its_name(self, call, message):
@@ -343,7 +362,7 @@ class TestArrayEqualsPointwise:
         d = len(degrees)
         pts = self.points(d, len(ARRAY_CASES) * d + sum(order))
         for level in [(0,) * d, (1,) * d, (2,) + (0,) * (d - 1)]:
-            ev = DyadicEvaluator(degrees, order, f=lambda p: smooth2((p[0], p[-1])))
+            ev = DyadicEvaluator(degrees, order, f=lambda p: smooth2(p[:, [0, -1]]))
             call = getattr(ev, method)
             got = call(level, deriv, pts)
             each = [call(level, deriv, p) for p in pts]

@@ -1,6 +1,7 @@
 """Tests for the test-function registry and smoothness diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,33 @@ class TestRegistry:
                 e[axis] = h
                 fd = (entry.value(pts + e) - entry.value(pts - e)) / (2 * h)
                 np.testing.assert_allclose(fd, entry.deriv(lam, pts), atol=1e-5)
+
+    def test_one_point_or_rows(self):
+        f = functions.get_function("trig", 2)
+        rows = np.array([[0.2, 0.7], [0.9, 0.1]])
+        assert f.value(rows[1]).shape == (1,) and f.value(rows[1])[0] == f.value(rows)[1]
+        assert f.deriv((1, 0), np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([math.nan, 0.5], "point [nan, 0.5] is not finite"),
+            ([[0.5, 0.5], [0.2, math.inf]], "point [0.2, inf] (row 1) is not finite"),
+            (
+                np.zeros((2, 3, 2)),
+                "points of shape (2, 3, 2): expected one point of 2 coordinates or an (n, 2) array",
+            ),
+            ([0.5], "point [0.5]: expected one point of 2 coordinates or an (n, 2) array"),
+        ],
+        ids=["nan", "inf-row", "three-axes", "short"],
+    )
+    def test_points_refused_with_the_point(self, x, message):
+        # A NaN gave [nan], and a three-axis array numpy's unnamed
+        # "non-broadcastable output operand".
+        f = functions.get_function("trig", 2)
+        for call in (f.value, lambda x: f.deriv((1, 0), x)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(x)
 
     def test_bad_derivative_index(self):
         f = functions.get_function("trig", 2)
@@ -169,6 +197,26 @@ class TestModulusEstimate:
         with pytest.raises(ValueError, match=rf"^t\[1\]={t!r} must be finite and > 0$"):
             modulus_estimate(f, (2, 2), (0.1, t), (0, 1), 2.0)
         assert not calls
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            (
+                lambda pts: np.where(pts[:, 0] < 0.5, np.nan, pts[:, 0]),
+                "modulus_estimate(f): value nan is not finite: "
+                "evaluation failed at point [0.0, 0.0]",
+            ),
+            (
+                lambda pts: pts[:, :1],
+                "modulus_estimate(f): values of shape (256, 1) for 256 points, expected (256,)",
+            ),
+        ],
+        ids=["nan-half-cube", "column"],
+    )
+    def test_values_must_be_finite_one_per_point(self, f, message):
+        # The NaN gave nan, the column numpy's unnamed broadcast error.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            modulus_estimate(f, (1, 1), (0.1, 0.1), (0, 1), 2.0)
 
     def test_stencil_must_stay_inside(self):
         # Every step h in (0, 2] takes a second difference out of [0, 1].

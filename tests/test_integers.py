@@ -25,10 +25,6 @@ def _square(pts):
     return pts[:, 0] ** 2
 
 
-def _first(pt):
-    return pt[0]
-
-
 def _config(**overrides):
     raw = {
         "d": 2, "alpha": [2.0, 2.0], "deriv": [0, 0], "p": 2, "q": 2,
@@ -42,6 +38,7 @@ def _config(**overrides):
 # its messages give, lower bound, upper bound, an accepted value)
 ENTRY_POINTS = {
     "nodes_exact": (interp.nodes_exact, "degree", 0, interp.MAX_DEGREE, 2),
+    "nodes": (interp.nodes, "degree", 0, interp.MAX_DEGREE, 2),
     "bspline_order": (
         lambda v: bspline.bspline_derivative(v, 0, 0.5),
         "spline order", 0, bspline.MAX_ORDER, 2,
@@ -51,31 +48,33 @@ ENTRY_POINTS = {
     ),
     "refinement_coeffs": (bspline.refinement_coeffs, "spline order", 0, bspline.MAX_ORDER, 2),
     "evaluator_degree": (
-        lambda v: dyadic.DyadicEvaluator((v,), (1,), float).degrees[0],
+        lambda v: dyadic.DyadicEvaluator((v,), (1,), _square).degrees[0],
         "degree", 0, interp.MAX_DEGREE, 2,
     ),
     "evaluator_order": (
-        lambda v: dyadic.DyadicEvaluator((1,), (v,), float).order[0],
+        lambda v: dyadic.DyadicEvaluator((1,), (v,), _square).order[0],
         "spline order", 0, bspline.MAX_ORDER, 2,
     ),
     "evaluator_level": (
-        lambda v: dyadic.DyadicEvaluator((1,), (1,), _first).quasi_interp_deriv((v,), (0,), (0.3,)),
+        lambda v: dyadic.DyadicEvaluator((1,), (1,), _square).quasi_interp_deriv(
+            (v,), (0,), (0.3,)
+        ),
         "axis 0: level", 0, dyadic.MAX_LEVEL, 2,
     ),
     "evaluator_derivative_order": (
-        lambda v: dyadic.DyadicEvaluator((2,), (2,), _first).surplus_deriv((1,), (v,), (0.3,)),
+        lambda v: dyadic.DyadicEvaluator((2,), (2,), _square).surplus_deriv((1,), (v,), (0.3,)),
         "axis 0: derivative order", 0, 2, 1,
     ),
     "evaluator_cell": (
-        lambda v: dyadic.DyadicEvaluator((1,), (1,), _first).local_interp((2,), (v,)).x0,
+        lambda v: dyadic.DyadicEvaluator((1,), (1,), _square).local_interp((2,), (v,)).x0,
         "axis 0: cell", 0, 3, 2,
     ),
     "evaluator_shift": (
-        lambda v: dyadic.DyadicEvaluator((1,), (1,), _first).surplus_local_poly((2,), (v,)).x0,
+        lambda v: dyadic.DyadicEvaluator((1,), (1,), _square).surplus_local_poly((2,), (v,)).x0,
         "axis 0: shift", -1, 3, 2,
     ),
     "tensor_poly_derivative_order": (
-        lambda v: interp.interpolate(_first, (2,), (0.0,), (1.0,)).deriv_eval((v,), (0.3,)),
+        lambda v: interp.interpolate(_square, (2,), (0.0,), (1.0,)).deriv_eval((v,), (0.3,)),
         "derivative order", 0, None, 1,
     ),
     "quadrature_d": (lambda v: recovery.Quadrature(d=v).d, "Quadrature.d", 1, None, 2),
@@ -184,6 +183,15 @@ def test_one_integer_policy():
     # number belongs.
     found = set().union(*map(_bool_in_isinstance, sorted(SRC.glob("*.py"))))
     assert found == {"interp.as_integer", "cli._parse_extended", "cli._finite"}
+
+
+def test_cached_degree_does_not_answer_for_a_bool():
+    # The node caches are typed: True == np.int64(1), so an untyped cache
+    # would hand out the entry of degree np.int64(1) for True.
+    for fn in (interp.nodes, interp.nodes_exact):
+        assert len(fn(1)) == len(fn(np.int64(1))) == 2
+        with pytest.raises(ValueError, match="^degree: expected an integer, got True$"):
+            fn(True)
 
 
 def test_bounds_are_inclusive_and_numpy_integers_accepted():

@@ -1,7 +1,10 @@
-"""Tests for tensor-product Lagrange interpolation."""
+"""Tests for tensor-product Lagrange interpolation and the shared input checks."""
 
+import ast
 import math
+import re
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from hypercross import interp
 
 P = np.polynomial.polynomial
+SRC = Path(__file__).resolve().parents[1] / "src" / "hypercross"
 
 
 def numpy_polyval(coeffs, pts):
@@ -19,13 +23,14 @@ def numpy_polyval(coeffs, pts):
 
 
 def random_poly(rng, degrees):
-    """Random polynomial with the given coordinate degrees, plus its coeff scale."""
+    """Random polynomial with the given coordinate degrees, taking (n, d)
+    points, plus its coeff scale."""
     coeffs = rng.uniform(-1, 1, size=tuple(d + 1 for d in degrees))
 
-    def f(pt):
-        out = 0.0
+    def f(pts):
+        out = np.zeros(len(pts))
         for idx in product(*[range(d + 1) for d in degrees]):
-            out += coeffs[idx] * math.prod(x**e for x, e in zip(pt, idx))
+            out += coeffs[idx] * np.prod(pts ** np.array(idx), axis=1)
         return out
 
     return f, float(np.abs(coeffs).max())
@@ -89,12 +94,12 @@ class TestLagrangeBasis:
 
 class TestTensorInterpolate:
     def test_constant(self):
-        poly = interp.interpolate(lambda pt: 3.25, (1, 2), (0, 0), (1, 1))
+        poly = interp.interpolate(lambda pts: np.full(len(pts), 3.25), (1, 2), (0, 0), (1, 1))
         for pt in [(0.1, 0.9), (0.5, 0.5)]:
             assert poly.eval(pt) == pytest.approx(3.25, abs=1e-13)
 
     def test_bilinear_product(self):
-        poly = interp.interpolate(lambda pt: pt[0] * pt[1], (1, 1), (0, 0), (1, 1))
+        poly = interp.interpolate(bilinear, (1, 1), (0, 0), (1, 1))
         rng = np.random.default_rng(1)
         for pt in rng.uniform(0, 1, (50, 2)):
             assert poly.eval(pt) == pytest.approx(pt[0] * pt[1], abs=1e-12)
@@ -107,8 +112,8 @@ class TestTensorInterpolate:
             for _ in range(5):
                 f, scale = random_poly(rng, degrees)
                 poly = interp.interpolate(f, degrees, *box)
-                for pt in rng.uniform(0, 1, (20, d)):
-                    assert abs(poly.eval(pt) - f(pt)) <= 1e-9 * max(scale, 1.0)
+                pts = rng.uniform(0, 1, (20, d))
+                assert np.all(np.abs(poly.eval(pts) - f(pts)) <= 1e-9 * max(scale, 1.0))
 
     def test_bad_fields_rejected(self):
         # Each error names the field at fault, before any evaluation.
@@ -134,9 +139,9 @@ class TestTensorInterpolate:
             with pytest.raises(ValueError, match=name):
                 interp.TensorPoly(**fields)
             if name != "values":
-                # interpolate checks the box before it calls f at a node.
+                # interpolate checks the box before it calls f on the nodes.
                 with pytest.raises(ValueError, match=name):
-                    interp.interpolate(lambda pt: pt[1], (1, 2), fields["x0"], fields["delta"])
+                    interp.interpolate(lambda pts: pts[:, 1], (1, 2), fields["x0"], fields["delta"])
         poly = interp.TensorPoly(**good, values=np.ones((2, 3)))
         assert poly.eval((0.3, 0.7)) == pytest.approx(1.0, abs=1e-13)
 
@@ -155,12 +160,48 @@ class TestTensorInterpolate:
         x0, delta = (0.25, 0.5), (0.25, 0.125)
         p_local = interp.interpolate(f, degrees, x0, delta)
         p_unit = interp.interpolate(
-            lambda pt: f((x0[0] + delta[0] * pt[0], x0[1] + delta[1] * pt[1])),
-            degrees, (0, 0), (1, 1),
+            lambda pts: f(np.array(x0) + np.array(delta) * pts), degrees, (0, 0), (1, 1)
         )
         for pt in rng.uniform(0, 1, (30, 2)):
             x = (x0[0] + delta[0] * pt[0], x0[1] + delta[1] * pt[1])
             assert p_local.eval(x) == pytest.approx(p_unit.eval(pt), abs=1e-12)
+
+    def test_f_takes_the_nodes_once_as_rows(self):
+        # One call, the nodes x0 + delta * node in C order, the same floats as
+        # the per-axis sums.
+        calls = []
+
+        def probe(pts):
+            calls.append(pts.copy())
+            return pts[:, 0] - pts[:, 1]
+
+        x0, delta = (0.25, 0.5), (0.5, 0.125)
+        poly = interp.interpolate(probe, (1, 2), x0, delta)
+        (pts,) = calls
+        assert pts.tolist() == [
+            [x0[0] + delta[0] * a, x0[1] + delta[1] * b]
+            for a in interp.nodes(1)
+            for b in interp.nodes(2)
+        ]
+        assert np.array_equal(poly.values.ravel(), pts[:, 0] - pts[:, 1])
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            (lambda p: math.inf, "interpolate(f): values of shape () for 2 points, expected (2,)"),
+            (lambda p: p, "interpolate(f): values of shape (2, 1) for 2 points, expected (2,)"),
+            (
+                lambda p: np.where(p[:, 0] > 0.5, math.inf, 0.0),
+                "interpolate(f): value inf is not finite: evaluation failed at "
+                "point [0.8535533905933335]",
+            ),
+        ],
+        ids=["scalar", "column", "inf"],
+    )
+    def test_values_checked(self, f, message):
+        # Each gave a polynomial whose every value was nan.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interp.interpolate(f, (1,), (0.0,), (1.0,))
 
     def test_axiswise_equals_tensor(self):
         # Interpolating one axis at a time gives the full tensor interpolant:
@@ -180,8 +221,12 @@ class TestTensorInterpolate:
             assert nodes0[0] > 0.0  # axis order irrelevant; sanity anchor
 
 
-def square(pt):
-    return pt[0] ** 2
+def square(pts):
+    return pts[:, 0] ** 2
+
+
+def bilinear(pts):
+    return pts[:, 0] * pts[:, 1]
 
 
 class TestDerivEval:
@@ -207,16 +252,16 @@ class TestDerivEval:
         assert poly.deriv_eval((2,), (0.6,)) == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_derivative_vanishes(self):
-        poly = interp.interpolate(lambda pt: 1.0, (1,), (0,), (1,))
+        poly = interp.interpolate(lambda pts: np.ones(len(pts)), (1,), (0,), (1,))
         assert poly.deriv_eval((1,), (0.4,)) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, bad):
         # Points outside the box are legal; a non-finite one is named.
-        poly = interp.interpolate(lambda pt: pt[0] * pt[1], (1, 1), (0.0, 0.0), (1.0, 1.0))
+        poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
         assert poly.eval((2.0, -1.0)) == pytest.approx(-2.0, abs=1e-12)
         for deriv in [(0, 0), (1, 0), (2, 0)]:
-            with pytest.raises(ValueError, match=rf"point \({bad}, 0\.5\) is not finite"):
+            with pytest.raises(ValueError, match=rf"^point \[{bad}, 0\.5\] is not finite$"):
                 poly.deriv_eval(deriv, (bad, 0.5))
         with pytest.raises(ValueError, match="not finite"):
             poly.eval((0.5, bad))
@@ -225,23 +270,25 @@ class TestDerivEval:
     def test_order_goes_through_as_integer(self, order):
         # A bool is not read as the first derivative, nor a fraction passed
         # on to math.perm.
-        poly = interp.interpolate(lambda pt: pt[0] * pt[1], (1, 1), (0.0, 0.0), (1.0, 1.0))
+        poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError, match="^derivative order"):
             poly.deriv_eval((order, 0), (0.3, 0.4))
         assert poly.deriv_eval((1.0, 0), (0.3, 0.4)) == pytest.approx(0.4)
 
     def test_rows_in_rows_out(self):
-        poly = interp.interpolate(lambda pt: pt[0] * pt[1], (1, 1), (0.0, 0.0), (1.0, 1.0))
+        poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
         pts = np.array([[0.3, 0.4], [2.0, -1.0], [0.0, 1.0]])
         np.testing.assert_allclose(poly.eval(pts), [0.12, -2.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(poly.deriv_eval((0, 1), pts), [0.3, 2.0, 0.0], atol=1e-12)
         assert poly.deriv_eval((2, 0), pts).tolist() == [0.0] * 3
         assert poly.eval(np.empty((0, 2))).shape == (0,)
-        const = interp.interpolate(lambda pt: 2.5, (0, 0), (0.0, 0.0), (1.0, 1.0))
+        const = interp.interpolate(
+            lambda pts: np.full(len(pts), 2.5), (0, 0), (0.0, 0.0), (1.0, 1.0)
+        )
         assert const.eval(pts).tolist() == [2.5] * 3
-        with pytest.raises(ValueError, match=r"^point \(0\.5, nan\) \(row 1\) is not finite$"):
+        with pytest.raises(ValueError, match=r"^point \[0\.5, nan\] \(row 1\) is not finite$"):
             poly.eval([[0.3, 0.4], [0.5, math.nan]])
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match=r"^points of shape \(2, 3\): expected one point"):
             poly.eval(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("degrees", [(2, 3), (2, 1, 2)])
@@ -252,9 +299,7 @@ class TestDerivEval:
         d = len(degrees)
         x0, delta = (0.25, 0.5, 0.125)[:d], (0.25, 0.125, 0.5)[:d]
         coeffs = rng.uniform(-1, 1, size=tuple(g + 1 for g in degrees))
-        poly = interp.interpolate(
-            lambda pt: numpy_polyval(coeffs, np.array([pt]))[0], degrees, x0, delta
-        )
+        poly = interp.interpolate(lambda pts: numpy_polyval(coeffs, pts), degrees, x0, delta)
         pts = np.array(x0) + np.array(delta) * rng.uniform(0, 1, size=(10, d))
         for deriv in product(*[range(g + 2) for g in degrees]):
             dc = coeffs
@@ -309,3 +354,84 @@ class TestPolynomialHelpers:
         assert float(interp.horner(coeffs[:, 0, 0], 0, 0.3)) == pytest.approx(
             P.polyval(0.3, coeffs[:, 0, 0]), abs=1e-14
         )
+
+
+class TestInputChecks:
+    """`as_points`, `as_values` and `tensor_grid`, the checks and the grid
+    builder every module shares."""
+
+    def test_points_keep_their_shape(self):
+        assert interp.as_points((0.5, 1), 2).tolist() == [0.5, 1.0]
+        rows = interp.as_points([[0.0, 1.0], [1.0, 0.0]], 2, 0.0, 1.0)
+        assert rows.shape == (2, 2) and rows.dtype == float
+        assert interp.as_points(np.empty((0, 3)), 3, 0.0, 1.0).shape == (0, 3)
+        assert interp.as_points([[-5.0, 1e300]], 2).shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "x, bounds, message",
+        [
+            (0.5, (), "points of shape (): expected one point of 1 coordinates or an (n, 1) array"),
+            (
+                np.zeros((2, 1, 1)), (),
+                "points of shape (2, 1, 1): expected one point of 1 coordinates or an (n, 1) array",
+            ),
+            (
+                [0.5, 0.5], (),
+                "point [0.5, 0.5]: expected one point of 1 coordinates or an (n, 1) array",
+            ),
+            ([math.nan], (), "point [nan] is not finite"),
+            ([[0.5], [-math.inf]], (), "point [-inf] (row 1) is not finite"),
+            (
+                [[0.5], [1.5]], (0.0, 1.0),
+                "point [1.5] (row 1) is not finite or lies outside [0, 1]^1",
+            ),
+            ([math.nan], (0.0, 1.0), "point [nan] is not finite or lies outside [0, 1]^1"),
+        ],
+        ids=["scalar", "three-axes", "too-long", "nan", "row", "outside", "nan-in-cube"],
+    )
+    def test_points_refused_with_the_point(self, x, bounds, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interp.as_points(x, 1, *bounds)
+
+    def test_values_are_floats_checked_in_place(self):
+        got = interp.as_values(np.arange(3), "f", 3, str)
+        assert got.dtype == float and got.tolist() == [0.0, 1.0, 2.0]
+        assert interp.as_values(got, "f", 3, str) is got
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.ones((3, 1)), "f: values of shape (3, 1) for 3 points, expected (3,)"),
+            (np.ones(2), "f: values of shape (2,) for 3 points, expected (3,)"),
+            (
+                [0.0, math.nan, math.inf],
+                "f: value nan is not finite: evaluation failed at node 1",
+            ),
+            (
+                [0.0, 0.0, -math.inf],
+                "f: value -inf is not finite: evaluation failed at node 2",
+            ),
+        ],
+        ids=["column", "short", "nan", "inf"],
+    )
+    def test_values_refused_with_the_point(self, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interp.as_values(values, "f", 3, lambda i: f"node {i}")
+
+    def test_tensor_grid_is_c_order(self):
+        axes = [np.array([0.0, 0.5]), np.array([1.0]), np.array([0.1, 0.2, 0.3])]
+        got = interp.tensor_grid(axes)
+        assert got.tolist() == [list(p) for p in product(*(a.tolist() for a in axes))]
+        assert interp.tensor_grid([np.empty(0), np.ones(2)]).shape == (0, 2)
+
+
+def test_one_grid_builder_and_point_check():
+    # Points are checked by `as_points` and grids built by `tensor_grid`; a
+    # second point reshaper or grid builder elsewhere would show up here.
+    found = {
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("meshgrid", "atleast_2d")
+    }
+    assert found <= {"interp"}

@@ -12,12 +12,8 @@ from hypothesis import strategies as st
 
 from hypercross import functions, grid, recovery
 from hypercross.dyadic import DyadicEvaluator
+from hypercross.interp import tensor_grid
 from hypercross.recovery import Quadrature, lq_error, reconstruct, sample
-
-
-def pointwise(f):
-    """A registry function as the oracle takes it: point in, float out."""
-    return lambda p: float(f.value([p])[0])
 
 
 def params_smooth(deriv=(0, 0)):
@@ -71,8 +67,26 @@ class TestSample:
 
     def test_wrong_value_count(self):
         plan = grid.build_plan(params_smooth(), 2)
-        with pytest.raises(ValueError, match=f"has 5 entries; the plan has {plan.n_actual}"):
+        message = rf"^sample\(f\): values of shape \(5,\) for {plan.n_actual} points"
+        with pytest.raises(ValueError, match=message):
             sample(lambda pts: np.ones(5), plan)
+
+    @pytest.mark.parametrize(
+        "f, shape",
+        [
+            (lambda pts: np.ones((len(pts), 1)), lambda n: (n, 1)),
+            (lambda pts: 1.0, lambda n: ()),
+            (lambda pts: np.ones(len(pts) + 1), lambda n: (n + 1,)),
+        ],
+        ids=["column", "scalar", "long"],
+    )
+    def test_values_must_be_one_per_point(self, f, shape):
+        # The column was flattened and accepted, where lq_error refuses it.
+        plan = grid.build_plan(params_smooth(), 2)
+        n = plan.n_actual
+        message = f"sample(f): values of shape {shape(n)} for {n} points, expected ({n},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample(f, plan)
 
     def test_points_are_the_plan_keys(self):
         plan = grid.build_plan(params_smooth(), 3)
@@ -123,13 +137,17 @@ class TestReconstruct:
         plan3 = grid.build_plan(params_smooth(), 3)
         s = sample(lambda pts: np.ones(len(pts)), plan2)
         with pytest.raises(
-            ValueError, match=f"has {plan2.n_actual} entries; the plan has {plan3.n_actual}"
+            ValueError,
+            match=re.escape(
+                f"reconstruct(values): values of shape ({plan2.n_actual},) for "
+                f"{plan3.n_actual} points, expected ({plan3.n_actual},)"
+            ),
         ):
             reconstruct(s, plan3, (0, 0))
 
     def test_value_vector_of_wrong_length_rejected(self):
         plan = grid.build_plan(params_smooth(), 2)
-        with pytest.raises(ValueError, match=f"has 3 entries; the plan has {plan.n_actual}"):
+        with pytest.raises(ValueError, match=rf"values of shape \(3,\) for {plan.n_actual} points"):
             reconstruct([1.0, 2.0, 3.0], plan, (0, 0))
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
@@ -137,7 +155,7 @@ class TestReconstruct:
         plan = grid.build_plan(params_smooth(), 2)
         vals = np.zeros(plan.n_actual)
         vals[[4, 7]] = bad
-        with pytest.raises(ValueError, match=r"at row 4 is not finite: evaluation failed at point 4 at"):
+        with pytest.raises(ValueError, match=r"^reconstruct\(values\): value \S+ is not finite: evaluation failed at point 4 at"):
             reconstruct(vals, plan, (0, 0))
 
     def test_deriv_beyond_degrees_rejected(self):
@@ -152,7 +170,7 @@ class TestReconstruct:
         f = functions.get_function("trig", 2)
         plan = grid.build_plan(params_smooth(), 3)
         approx = reconstruct(sample(f.value, plan), plan, (0, 0))
-        ev = DyadicEvaluator(plan.params.degrees, (0, 0), f=pointwise(f))
+        ev = DyadicEvaluator(plan.params.degrees, (0, 0), f=f.value)
         pts = np.random.default_rng(4).uniform(0.01, 0.99, (25, 2))
         direct = sum(ev.surplus_deriv(lvl, (0, 0), pts) for lvl in plan.levels)
         np.testing.assert_allclose(approx(pts), direct, atol=1e-12)
@@ -164,7 +182,7 @@ class TestReconstruct:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (1, 1))
         plan = grid.build_plan(params, 3)
         approx = reconstruct(sample(f.value, plan), plan, (1, 1))
-        ev = DyadicEvaluator(params.degrees, (1, 1), f=pointwise(f))
+        ev = DyadicEvaluator(params.degrees, (1, 1), f=f.value)
         pts = np.array([(0.5, 0.25), (0.0, 0.5), (0.125, 0.0), (0.0, 0.0), (1.0, 0.3)])
         direct = sum(ev.surplus_deriv(lvl, (1, 1), pts) for lvl in plan.levels)
         np.testing.assert_allclose(approx(pts), direct, rtol=0, atol=1e-10)
@@ -174,7 +192,7 @@ class TestReconstruct:
         params = grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
         plan = grid.build_plan(params, 3)
         approx = reconstruct(sample(f.value, plan), plan, (1, 0))
-        ev = DyadicEvaluator(plan.params.degrees, (1, 0), f=pointwise(f))
+        ev = DyadicEvaluator(plan.params.degrees, (1, 0), f=f.value)
         pts = np.random.default_rng(5).uniform(0.01, 0.99, (20, 2))
         direct = sum(ev.surplus_deriv(lvl, (1, 0), pts) for lvl in plan.levels)
         np.testing.assert_allclose(approx(pts), direct, atol=1e-11)
@@ -260,7 +278,7 @@ class TestRightEdge:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
         plan = grid.build_plan(params, 5)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
-        ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
+        ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
         pts = np.array([(a, b) for a in self.COORDS for b in self.COORDS])
         got = approx(pts)
         direct = sum(ev.surplus_deriv(lvl, deriv, pts) for lvl in plan.levels)
@@ -273,7 +291,7 @@ class TestRightEdge:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
         plan = grid.build_plan(params, 5)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
-        ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
+        ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
         edges = np.array([(1.0, 0.5), (1.0, 1.0)])
         near = approx([(1 - 1e-12, 0.5), (1 - 1e-12, 1 - 1e-12)])
         oracle = sum(ev.surplus_deriv(lvl, deriv, edges) for lvl in plan.levels)
@@ -289,7 +307,7 @@ class TestRightEdge:
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
         plan = grid.build_plan(params, 4)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
-        ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
+        ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
         knots = np.array([0.25, 0.5, 1.0])
         below = np.stack([np.nextafter(knots, 0.0), np.full(3, 0.3)], axis=1)
         near = approx(np.stack([knots - 1e-12, np.full(3, 0.3)], axis=1))
@@ -313,7 +331,7 @@ def batched_case(request):
     f = functions.get_function("aniso", 3)
     approx = reconstruct(sample(f.value, plan), plan, deriv)
     assert any(deriv)
-    ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
+    ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
     return deriv, plan, approx, ev
 
 
@@ -372,7 +390,7 @@ def differential_case(request):
     plan = grid.build_plan(params, radius)
     f = functions.get_function(fid, d)
     approx = reconstruct(sample(f.value, plan), plan, deriv)
-    ev = DyadicEvaluator(params.degrees, deriv, f=pointwise(f))
+    ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
     return d, deriv, plan, approx, ev
 
 
@@ -400,7 +418,7 @@ def test_approximant_equals_surplus_sum(differential_case, data):
         data.draw(st.lists(st.tuples(*[_coordinate] * d), min_size=1, max_size=5))
     )
     nodes = np.array(data.draw(st.lists(_coordinate, min_size=1, max_size=2)))
-    grid_pts = recovery._grid(nodes, nodes, d)
+    grid_pts = tensor_grid([nodes] * d)
     both = np.concatenate([pts, grid_pts])
     direct = sum(ev.surplus_deriv(lvl, deriv, both) for lvl in plan.levels)
     for chunk in (2, recovery._CHUNK):
@@ -463,7 +481,7 @@ class TestGrid:
         # them; at _CHUNK = 2 every d >= 2 slab is one row.
         d, approx = grid_case
         nodes = make_nodes(d)
-        want = approx(recovery._grid(nodes, nodes, d)).reshape((len(nodes),) * d)
+        want = approx(tensor_grid([nodes] * d)).reshape((len(nodes),) * d)
         rows = max(1, (chunk or recovery._CHUNK) // len(nodes) ** (d - 1))
         got = np.concatenate(
             [approx._slab(nodes[i : i + rows], nodes) for i in range(0, len(nodes), rows)]
@@ -633,10 +651,10 @@ class TestLqError:
     @pytest.mark.parametrize(
         "g, h, message",
         [
-            (lambda p: p[:, :1], lambda p: p[:, 0], r"g returned shape \(256, 1\)"),
-            (lambda p: p[:, 0], lambda p: p[:, :1], r"h returned shape \(256, 1\)"),
-            (lambda p: p[:, :1], lambda p: p[:, :1], r"g returned shape \(256, 1\)"),
-            (lambda p: 0.0, lambda p: p[:, 0], r"g returned shape \(\)"),
+            (lambda p: p[:, :1], lambda p: p[:, 0], r"\(g\): values of shape \(256, 1\)"),
+            (lambda p: p[:, 0], lambda p: p[:, :1], r"\(h\): values of shape \(256, 1\)"),
+            (lambda p: p[:, :1], lambda p: p[:, :1], r"\(g\): values of shape \(256, 1\)"),
+            (lambda p: 0.0, lambda p: p[:, 0], r"\(g\): values of shape \(\)"),
         ],
         ids=["g-column", "h-column", "both-column", "g-scalar"],
     )
@@ -648,16 +666,24 @@ class TestLqError:
 
     @pytest.mark.parametrize("q", [2.0, math.inf])
     @pytest.mark.parametrize("side", ["g", "h"])
-    def test_non_finite_value_is_named(self, side, q):
-        # NaN at one Gauss point, which the q = inf lattice includes too.
+    def test_non_finite_value_is_named(self, side, q, monkeypatch):
+        # NaN at one Gauss point, which the q = inf lattice includes too.  At
+        # _CHUNK = 16 each slab is one axis-0 row of 16 Gauss points, so the
+        # NaN lies in the fourth slab, at row 5 of it: the message names the
+        # point, which does not depend on the slab.
+        monkeypatch.setattr(recovery, "_CHUNK", 16)
         quad = Quadrature(d=2, cells_log2=2, sup_points=65)
         nodes, _ = recovery._axis_rule(2, quad.points_per_cell)
         x0, x1 = nodes[3], nodes[5]
         bad = lambda p: np.where((p[:, 0] == x0) & (p[:, 1] == x1), np.nan, 0.0)  # noqa: E731
         zero = lambda p: np.zeros(len(p))  # noqa: E731
         g, h = (bad, zero) if side == "g" else (zero, bad)
-        message = f"lq_error: {side} returned nan at {[float(x0), float(x1)]}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        assert len(nodes) == 16
+        message = (
+            f"lq_error({side}): value nan is not finite: "
+            f"evaluation failed at point {[float(x0), float(x1)]}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lq_error(g, h, q, quad)
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.5, math.inf])
@@ -724,7 +750,8 @@ class TestLqError:
         plan = grid.build_plan(params_smooth(), 2)
         approx = reconstruct(np.zeros(plan.n_actual), plan, (0, 0))
         one = lambda pts: np.ones(len(pts))  # noqa: E731
-        with pytest.raises(ValueError, match=r"h returned shape \(64,\) for 512 points"):
+        message = r"^lq_error\(h\): values of shape \(64,\) for 512 points"
+        with pytest.raises(ValueError, match=message):
             lq_error(one, approx, 2.0, Quadrature(d=3, cells_log2=1))
 
     def test_rule_size_limit_is_inclusive(self, monkeypatch):
