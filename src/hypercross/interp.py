@@ -182,21 +182,29 @@ def differentiate(coeffs: np.ndarray, axis: int, r: int) -> np.ndarray:
     return coeffs[lead + (slice(r, None),)] * fac.reshape((-1,) + (1,) * (coeffs.ndim - axis - 1))
 
 
-def horner(coeffs: np.ndarray, axis: int, t) -> np.ndarray:
+def horner(coeffs: np.ndarray, axis: int, t, index=None, at: int = 0) -> np.ndarray:
     """Reduce coefficient axis ``axis`` by Horner's rule at ``t``.
 
     ``t`` is a scalar, or holds one coordinate per entry of the last axis of
     a ``(q_0, ..., q_{n-1}, m)`` block of m points; the result lacks ``axis``.
+    With ``index``, each coefficient slice is first taken at ``index`` along
+    its axis ``at``: the float steps of ``horner(np.take(coeffs, index,
+    axis=...), axis, t)``, holding one taken slice at a time.
     """
     lead = (slice(None),) * axis
+
+    def coeff(i: int) -> np.ndarray:
+        c = coeffs[lead + (i,)]
+        return c if index is None else np.take(c, index, axis=at)
+
     q = coeffs.shape[axis]
     if q == 1:
-        return coeffs[lead + (0,)]
-    acc = coeffs[lead + (q - 1,)] * t
-    acc += coeffs[lead + (q - 2,)]
+        return coeff(0)
+    acc = coeff(q - 1) * t
+    acc += coeff(q - 2)
     for i in range(q - 3, -1, -1):
         acc *= t
-        acc += coeffs[lead + (i,)]
+        acc += coeff(i)
     return acc
 
 
@@ -252,8 +260,11 @@ class TensorPoly:
         `as_integer`).  One point is the case ``n = 1``: Horner's rule runs
         along a trailing point axis, with the same float operations per point.
         """
+        deriv = tuple(deriv)
         if len(deriv) != self.dim:
-            raise ValueError("dimension mismatch")
+            raise ValueError(
+                f"derivative order {deriv} must have {self.dim} entries, one per axis"
+            )
         pts = as_points(x, self.dim)
         deriv = tuple(as_integer(r, "derivative order", 0) for r in deriv)
         rows = pts.reshape(-1, self.dim)

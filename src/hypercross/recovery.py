@@ -17,10 +17,12 @@ polynomial of the interpolation degrees (de Boor's B-form to pp-form
 conversion), so the derivative is blended into the level's monomial
 coefficient table once, at construction (`_blend`).  Points are evaluated in
 fixed-size chunks: per level one gather from the table, then Horner's rule
-one axis at a time.  On a tensor grid, the private kernel
-`Approximant._slab` runs the same gathers and Horner steps, but shares each
-among all grid points that need it (sum factorization, every level being a
-tensor-product operator); its values equal the pointwise ones bit for bit.
+one axis at a time.  On a tensor grid, the private kernel `Approximant._grid`
+runs the same gathers and Horner steps, but shares each among all grid
+points that need it (sum factorization, every level being a tensor-product
+operator): it walks the levels outside and slabs of axis-0 rows inside, and
+keeps a level's reduction along axes d-1..1 while consecutive slabs hit the
+same axis-0 cells.  Its values equal the pointwise ones bit for bit.
 
 Points must lie in the closed unit cube (`interp.as_points`).  Blending
 splines take right limits at interior knots; at the right edge ``x_j = 1``
@@ -29,12 +31,14 @@ the cube (`_cells`, the one cell rule of both routes).
 
 `lq_error` measures distances with composite tensor Gauss-Legendre quadrature
 on a dyadic cell partition (finite q) or on a dense interior lattice united
-with the quadrature nodes (q = infinity).  Both are tensor grids, streamed
-in slabs of axis-0 rows of at most one chunk of points: on each slab an
-`Approximant` is evaluated through `_slab`, any other callable on the slab's
-points as rows (`interp.tensor_grid`), and either must give one finite value
-per point.  Rules beyond a fixed point count are refused before anything is
-allocated.
+with the quadrature nodes (q = infinity).  Both are tensor grids, walked in
+blocks of axis-0 rows that fill one buffer of the rule's size, the finite-q
+term vector: an `Approximant` fills a block through `_grid`, and the other
+function is evaluated on each slab of at most one chunk of points (any
+callable but an `Approximant` on the slab's points as rows,
+`interp.tensor_grid`); either must give one finite value per point.  Memory
+is that buffer plus the temporaries of one partial and one slab.  Rules
+beyond a fixed point count are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -217,34 +221,46 @@ class Approximant:
             acc += weight * block
         return acc
 
-    def _slab(self, head: Array, nodes: Array) -> Array:
-        """Values on the tensor grid ``head x nodes^(d-1)``, shape
-        ``(len(head),) + (len(nodes),) * (d - 1)`` in C order.
+    def _grid(self, head: Array, nodes: Array, out: Array) -> Array:
+        """Write the values on the tensor grid ``head x nodes^(d-1)`` into the
+        flat float array ``out`` in C order, and return it.
 
-        Bit for bit ``self(tensor_grid([head] + [nodes] * (d - 1)))``
-        reshaped, at a fraction of the cost: every grid point sees the same
-        gathers and Horner steps, last axis to first, as in `_chunk`, but
-        each step is shared by all points that agree on the axes still to be
-        reduced (sum factorization).  Each axis is first restricted to the distinct cells
-        its nodes hit, so no temporary exceeds one gather block: ``(degrees +
-        1)`` coefficients per grid point.  The nodes must lie in ``[0, 1]``.
+        Bit for bit ``self(tensor_grid([head] + [nodes] * (d - 1)))``, at a
+        fraction of the cost: every grid point sees the same gathers and
+        Horner steps, last axis to first, as in `_chunk`, but each step is
+        shared by all points that agree on the axes still to be reduced (sum
+        factorization).  Levels are walked outside, slabs of axis-0 rows (at
+        most ``_CHUNK`` points, or one row) inside.  Per level, the table is
+        gathered at the distinct cells a slab hits and reduced along axes
+        d-1..1, and that partial is kept while the next slab hits the same
+        axis-0 cells; each slab then runs only the axis-0 step.  ``out``
+        starts from zeros and gains ``weight * value`` level by level in
+        sorted order, as ``acc`` does in `_chunk`.  No temporary exceeds one
+        gather block, ``(degrees + 1)`` coefficients per slab point.  The
+        nodes must lie in ``[0, 1]``.
         """
         d = self.plan.params.d
-        ks = {k for _, k in self._axis_levels}
-        # Axis 0 sees the head, axes 1..d-1 the nodes.
-        first = {k: _distinct_cells(head, k) for k in ks}
-        rest = {k: _distinct_cells(nodes, k) for k in ks}
-        out = np.zeros((len(head),) + (len(nodes),) * (d - 1))
+        span = len(nodes) ** (d - 1)
+        rows = max(1, _CHUNK // max(span, 1))
+        grid = out.reshape(len(head), span)
+        grid[...] = 0.0
+        # Axis 0 sees the head, in slabs, axes 1..d-1 the nodes.
+        first = {k: _slabs(head, k, rows) for j, k in self._axis_levels if j == 0}
+        rest = {k: _distinct_cells(nodes, k) for k in {k for j, k in self._axis_levels if j}}
         for level, weight, table in self._levels:
-            per_axis = [first[level[0]]] + [rest[k] for k in level[1:]]
             table = table.reshape(table.shape[:d] + tuple(1 << k for k in level))
-            block = table[(Ellipsis,) + np.ix_(*(u for u, _, _ in per_axis))]
-            # Coefficient axes 0..j lead, so node axis j sits at 2j + 1.
-            for j in reversed(range(d)):
-                _, inverse, t = per_axis[j]
-                block = np.take(block, inverse, axis=2 * j + 1)
-                block = horner(block, j, t.reshape((-1,) + (1,) * (d - 1 - j)))
-            out += weight * block
+            for cut, distinct, inverse, t, fresh in first[level[0]]:
+                if fresh:
+                    cells = np.ix_(distinct, *(rest[k][0] for k in level[1:]))
+                    partial = table[(Ellipsis,) + cells]
+                    # Coefficient axes 0..j lead, so node axis j sits at 2j + 1,
+                    # at 2j in one coefficient slice.
+                    for j in reversed(range(1, d)):
+                        _, inv, tj = rest[level[j]]
+                        tj = tj.reshape((-1,) + (1,) * (d - 1 - j))
+                        partial = horner(partial, j, tj, inv, 2 * j)
+                block = horner(partial, 0, t.reshape((-1,) + (1,) * (d - 1)), inverse)
+                grid[cut] += weight * block.reshape(len(t), span)
         return out
 
 
@@ -265,6 +281,18 @@ def _distinct_cells(x: Array, k: int) -> tuple[Array, Array, Array]:
     cell, t = _cells(x, k)
     distinct, inverse = np.unique(cell, return_inverse=True)
     return distinct, inverse, t
+
+
+def _slabs(head: Array, k: int, rows: int) -> list[tuple[slice, Array, Array, Array, bool]]:
+    """Per slab of ``rows`` entries of ``head``: its slice, `_distinct_cells`
+    of its entries, and whether those cells differ from the previous slab's."""
+    slabs, prev = [], None
+    for start in range(0, len(head), rows):
+        distinct, inverse, t = _distinct_cells(head[start : start + rows], k)
+        fresh = prev is None or not np.array_equal(distinct, prev)
+        slabs.append((slice(start, start + rows), distinct, inverse, t, fresh))
+        prev = distinct
+    return slabs
 
 
 reconstruct = Approximant
@@ -317,10 +345,10 @@ def _axis_rule(cells_log2: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-# Most points one rule or sup-norm lattice of `lq_error` may have.  The rule
-# runs in slabs, so beyond one slab a point costs one float of the term
-# vector (finite q); the rules in use have at most about 1.05M points (d=4
-# default rule, d=2 lattice).
+# Most points one rule or sup-norm lattice of `lq_error` may have.  Beyond
+# one slab, a rule point costs one float of the buffer the blocks fill; the
+# rules in use have at most about 1.05M points (d=4 default rule, d=2
+# lattice).
 _MAX_RULE_POINTS = 1 << 21
 
 
@@ -332,21 +360,28 @@ def _check_rule_size(d: int, count: int, field: str) -> None:
         )
 
 
-def _values(name: str, fn: PointFn, head: Array, nodes: Array, d: int) -> Array:
+def _values(
+    name: str, fn: PointFn, head: Array, nodes: Array, d: int, out: Array | None = None
+) -> Array:
     """``fn`` on the tensor grid ``head x nodes^(d-1)``, flattened in C order.
 
-    An `Approximant` goes through `Approximant._slab`, any other callable
-    gets the grid's points as rows; either must give one finite value per
-    point (see `interp.as_values`).
+    An `Approximant` goes through `Approximant._grid`, into ``out`` if given
+    (and of the grid's size), any other callable gets the grid's points as
+    rows; either must give one finite value per point (see
+    `interp.as_values`).
     """
     axes = [head] + [nodes] * (d - 1)
+    n = math.prod(map(len, axes))
     if isinstance(fn, Approximant):
-        v = fn._slab(head, nodes).reshape(-1)
+        # An approximant of another dimension fills a grid of another size.
+        own = len(head) * len(nodes) ** (fn.plan.params.d - 1)
+        if out is None or own != n:
+            out = np.empty(own)
+        v = fn._grid(head, nodes, out)
     else:
         v = fn(tensor_grid(axes))
     return as_values(
-        v, f"lq_error({name})", math.prod(map(len, axes)),
-        lambda i: f"point {tensor_grid(axes)[i].tolist()}",
+        v, f"lq_error({name})", n, lambda i: f"point {tensor_grid(axes)[i].tolist()}"
     )
 
 
@@ -355,13 +390,16 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
 
     Finite q: composite Gauss-Legendre.  q = infinity: maximum of |g - h|
     over an interior midpoint lattice united with the quadrature nodes.
-    Both are tensor grids, walked in slabs of axis-0 rows (at most
-    ``_CHUNK`` points, or one row if a row holds more).  On each slab an
-    `Approximant` is evaluated through `Approximant._slab`, any other
-    callable at the slab's points as rows, with the same result either way
-    and for any slab size.  Finite q stores one weighted term per rule
-    point and sums them once; q = infinity keeps a running maximum.  A rule
-    or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
+    Both are tensor grids, walked in blocks of axis-0 rows that fill one
+    buffer of the rule's size: at finite q the term vector, one block,
+    summed once; at q = infinity blocks of lattice rows reuse it for a
+    running maximum.  An `Approximant` on either side fills each block
+    (`Approximant._grid`); the other side is evaluated per slab of at most
+    ``_CHUNK`` points (or one row), any callable but an `Approximant` at the
+    slab's points as rows, and turns the slab's entries into terms.  The
+    float is the same for either side and route and any slab size.  Beyond
+    the buffer, memory holds the temporaries of one partial and one slab.  A
+    rule or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
     ValueError before anything is allocated, and a ``g`` or ``h`` that does
     not return one finite value per point raises one too, naming the
     function and, for a non-finite value, the point.
@@ -374,21 +412,35 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     if math.isinf(q):
         _check_rule_size(d, quad.resolved_sup_points() ** d, "sup_points")
     nodes, weights = _axis_rule(quad.resolved_cells_log2(), quad.points_per_cell)
+    grids = [nodes]
     if math.isinf(q):
         n = quad.resolved_sup_points()
-        grids = [nodes, (np.arange(n) + 0.5) / n]
-    else:
-        grids, terms = [nodes], np.empty(per_axis**d)
+        grids.append((np.arange(n) + 0.5) / n)
+    # One row of a lattice finer than the rule may exceed the rule.
+    terms = np.empty(max(per_axis**d, len(grids[-1]) ** (d - 1)))
+    (a_name, a), (b_name, b) = sorted(
+        (("g", g), ("h", h)), key=lambda side: not isinstance(side[1], Approximant)
+    )
+    prefill = isinstance(a, Approximant)
     err = 0.0
     for axis in grids:
         span = len(axis) ** (d - 1)
-        rows = max(1, _CHUNK // span)
-        for start in range(0, len(axis), rows):
-            cut = slice(start, start + rows)
-            gap = np.abs(_values("g", g, axis[cut], axis, d) - _values("h", h, axis[cut], axis, d))
-            if math.isinf(q):
-                err = np.maximum(err, gap.max(initial=0.0))
-            else:
-                w = reduce(np.multiply.outer, [weights[cut]] + [weights] * (d - 1)).ravel()
-                terms[start * span : start * span + gap.size] = w * gap**q
+        rows, step = max(1, _CHUNK // span), len(terms) // span
+        for top in range(0, len(axis), step):
+            head = axis[top : top + step]
+            block = terms[: len(head) * span]
+            if prefill:
+                _values(a_name, a, head, axis, d, block)
+            for start in range(0, len(head), rows):
+                slab = head[start : start + rows]
+                part = block[start * span : (start + len(slab)) * span]
+                if not prefill:
+                    part[...] = _values(a_name, a, slab, axis, d)
+                gap = np.abs(part - _values(b_name, b, slab, axis, d))
+                if math.isinf(q):
+                    err = np.maximum(err, gap.max(initial=0.0))
+                else:
+                    cut = slice(top + start, top + start + len(slab))
+                    w = reduce(np.multiply.outer, [weights[cut]] + [weights] * (d - 1)).ravel()
+                    part[...] = w * gap**q
     return float(err if math.isinf(q) else np.sum(terms) ** (1.0 / q))

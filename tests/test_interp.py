@@ -275,6 +275,16 @@ class TestDerivEval:
             poly.deriv_eval((order, 0), (0.3, 0.4))
         assert poly.deriv_eval((1.0, 0), (0.3, 0.4)) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("deriv", [(0,), (0, 0, 0)])
+    def test_order_of_wrong_length_is_named(self, deriv):
+        # Worded like the oracle's check of its derivative orders.
+        poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
+        message = f"derivative order {deriv} must have 2 entries, one per axis"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            poly.deriv_eval(deriv, (0.3, 0.4))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            poly.deriv_eval(list(deriv), np.zeros((3, 2)))
+
     def test_rows_in_rows_out(self):
         poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
         pts = np.array([[0.3, 0.4], [2.0, -1.0], [0.0, 1.0]])

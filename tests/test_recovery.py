@@ -425,7 +425,8 @@ def test_approximant_equals_surplus_sum(differential_case, data):
         with mock.patch.object(recovery, "_CHUNK", chunk):
             np.testing.assert_allclose(approx(pts), direct[: len(pts)], rtol=1e-12, atol=1e-10)
     np.testing.assert_allclose(
-        approx._slab(nodes, nodes).reshape(-1), direct[len(pts) :], rtol=1e-12, atol=1e-10
+        approx._grid(nodes, nodes, np.empty(len(grid_pts))), direct[len(pts) :],
+        rtol=1e-12, atol=1e-10,
     )
 
 
@@ -472,26 +473,31 @@ def edge_nodes(d):
 
 
 class TestGrid:
-    """`Approximant._slab` against the pointwise route on the same points."""
+    """`Approximant._grid` against the pointwise route on the same points."""
 
     @pytest.mark.parametrize("chunk", [None, 2], ids=["default-chunk", "chunk2"])
     @pytest.mark.parametrize("make_nodes", [gauss_nodes, lattice_nodes, edge_nodes])
-    def test_equals_pointwise_bit_for_bit(self, grid_case, make_nodes, chunk):
-        # The kernel is called on slabs of axis-0 rows as `lq_error` cuts
-        # them; at _CHUNK = 2 every d >= 2 slab is one row.
+    def test_equals_pointwise_bit_for_bit(self, grid_case, make_nodes, chunk, monkeypatch):
+        # The kernel walks its grid in slabs of axis-0 rows; at _CHUNK = 2
+        # every d >= 2 slab is one row.  It is called on the whole grid and,
+        # as `lq_error` does with a q = inf lattice, on blocks of a few rows.
         d, approx = grid_case
         nodes = make_nodes(d)
-        want = approx(tensor_grid([nodes] * d)).reshape((len(nodes),) * d)
-        rows = max(1, (chunk or recovery._CHUNK) // len(nodes) ** (d - 1))
-        got = np.concatenate(
-            [approx._slab(nodes[i : i + rows], nodes) for i in range(0, len(nodes), rows)]
+        want = approx(tensor_grid([nodes] * d))
+        if chunk:
+            monkeypatch.setattr(recovery, "_CHUNK", chunk)
+        span = len(nodes) ** (d - 1)
+        whole = approx._grid(nodes, nodes, np.full(len(want), np.nan))
+        heads = [nodes[i : i + 3] for i in range(0, len(nodes), 3)]
+        blocks = np.concatenate(
+            [approx._grid(head, nodes, np.full(len(head) * span, np.nan)) for head in heads]
         )
-        assert got.shape == (len(nodes),) * d
-        assert np.array_equal(got, want)
+        assert np.array_equal(whole, want)
+        assert np.array_equal(blocks, want)
 
     def test_empty_nodes(self, grid_case):
-        d, approx = grid_case
-        assert approx._slab(np.empty(0), np.empty(0)).shape == (0,) * d
+        _, approx = grid_case
+        assert approx._grid(np.empty(0), np.empty(0), np.empty(0)).shape == (0,)
 
 
 class TestBlendingOffsets:
@@ -595,6 +601,9 @@ class TestLqError:
         g = lambda pts: np.full(len(pts), 1.25)  # noqa: E731
         got = lq_error(f, g, math.inf, Quadrature(d=2, cells_log2=2, sup_points=65))
         assert got == pytest.approx(1.25, abs=1e-13)
+        # One lattice row, 65 points, outgrows this one-point rule.
+        coarse = Quadrature(d=2, cells_log2=0, points_per_cell=1, sup_points=65)
+        assert lq_error(f, g, math.inf, coarse) == pytest.approx(1.25, abs=1e-13)
 
     def test_q_validation(self):
         f = lambda pts: np.zeros(len(pts))  # noqa: E731
@@ -702,33 +711,31 @@ class TestLqError:
         approx = reconstruct(sample(f.value, plan), plan, deriv)
         truth = lambda pts: f.deriv(deriv, pts)  # noqa: E731
         pointwise = lambda pts: approx(pts)  # noqa: E731
+        # A second Approximant, of a coarser plan, on the other side.
+        coarse = grid.build_plan(params, 3)
+        other = reconstruct(sample(f.value, coarse), coarse, deriv)
+        other_pointwise = lambda pts: other(pts)  # noqa: E731
         quad = Quadrature(d=d, cells_log2=12 // d - 2, sup_points=(1 << (12 // d)) + 1)
         got = lq_error(approx, truth, q, quad)
         flipped = lq_error(truth, approx, q, quad)
+        pair = lq_error(pointwise, other_pointwise, q, quad)
         assert got > 0
+        assert pair > 0
         for chunk in (recovery._CHUNK, 2):
             monkeypatch.setattr(recovery, "_CHUNK", chunk)
             assert lq_error(approx, truth, q, quad) == got
             assert lq_error(pointwise, truth, q, quad) == got
             assert lq_error(truth, approx, q, quad) == flipped
             assert lq_error(truth, pointwise, q, quad) == flipped
+            assert lq_error(approx, other, q, quad) == pair
+            assert lq_error(other, approx, q, quad) == pair
+            assert lq_error(pointwise, other_pointwise, q, quad) == pair
 
-    @pytest.mark.parametrize(
-        "d, fid, alpha, deriv, budget, q",
-        [
-            (4, "trig", (2.0, 2.0, 2.0, 2.0), (0, 0, 0, 0), 8192, 2.0),
-            (3, "aniso", (2.0, 2.0, 1.5), (1, 0, 0), 16384, 2.0),
-            (2, "trig", (2.0, 2.0), (0, 0), 16384, math.inf),
-        ],
-        ids=["d4-trig", "d3-aniso-deriv100", "d2-trig-qinf"],
-    )
-    def test_memory_is_bounded_by_slabs(self, d, fid, alpha, deriv, budget, q):
-        # Studies on their default rules: 1,048,576 and 262,144 Gauss
-        # points, and at q = inf 65,536 Gauss points plus a 1025^2 lattice.
-        # Beyond one weighted term per Gauss point (finite q), the peak stays
-        # within two gather blocks, (degrees + 1) coefficients of _CHUNK
-        # points; measured 0.90, 0.97 and 1.25 blocks, and 11.2, 10.7 and
-        # 74.0 with the whole rule held at once.
+    @staticmethod
+    def traced_peak(d, fid, alpha, deriv, budget, q):
+        """``lq_error`` of a study's approximant on its default rule: the
+        error, the peak traced allocation, the rule size and one gather
+        block, (degrees + 1) coefficients of _CHUNK points, in bytes."""
         params = grid.derive_params(d, alpha, 2.0, q, 2.0, deriv)
         plan = grid.build_plan(params, grid.choose_radius(params, budget))
         f = functions.get_function(fid, d)
@@ -743,8 +750,39 @@ class TestLqError:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return err, peak, n, block
+
+    @pytest.mark.parametrize(
+        "d, fid, alpha, deriv, budget, q",
+        [
+            (4, "trig", (2.0, 2.0, 2.0, 2.0), (0, 0, 0, 0), 8192, 2.0),
+            (3, "aniso", (2.0, 2.0, 1.5), (1, 0, 0), 16384, 2.0),
+            (2, "trig", (2.0, 2.0), (0, 0), 16384, math.inf),
+        ],
+        ids=["d4-trig", "d3-aniso-deriv100", "d2-trig-qinf"],
+    )
+    def test_memory_is_bounded_by_slabs(self, d, fid, alpha, deriv, budget, q):
+        # Studies on their default rules: 1,048,576 and 262,144 Gauss
+        # points, and at q = inf 65,536 Gauss points plus a 1025^2 lattice.
+        # Beyond one weighted term per Gauss point (finite q), the peak stays
+        # within two gather blocks; at q = inf these hold the buffer of
+        # 65,536 values that lattice blocks reuse (0.89 blocks).  Measured
+        # 0.58, 0.56 and 1.88 blocks, and 11.2, 10.7 and 74.0 with the whole
+        # rule held at once.
+        err, peak, n, block = self.traced_peak(d, fid, alpha, deriv, budget, q)
         assert err > 0
         assert peak <= (0 if math.isinf(q) else 8 * n) + 2 * block
+
+    def test_no_second_rule_sized_array(self):
+        # The deriv-3d study at budget 16384 on its default rule, 262,144
+        # Gauss points.  Beyond the 2 MiB term vector the peak stays within
+        # one gather block (1.125 MiB): a second rule-sized array would not.
+        # Measured 0.96 blocks when each slab of the approximant was
+        # evaluated on its own, 0.56 with the levels walked outside.
+        err, peak, n, block = self.traced_peak(3, "aniso", (2.0, 2.0, 1.5), (1, 0, 0), 16384, 2.0)
+        assert err > 0
+        assert n == 262_144
+        assert peak <= 8 * n + block
 
     def test_approximant_of_another_dimension_is_refused(self):
         plan = grid.build_plan(params_smooth(), 2)
