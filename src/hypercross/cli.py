@@ -6,7 +6,7 @@ Verbs:
                                                of the largest budget
   diagnose --suite  name                       run property checks
 
-Exit codes: 0 success, 1 validation or usage error, 2 property failure.
+Exit codes: 0 success, 1 validation, usage or output error, 2 property failure.
 
 Study CSV columns: n_budget, r, n_actual, q, error, wall_ms.  The file is
 byte-identical across runs of the same config, which is why wall_ms is
@@ -255,8 +255,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
         plan = build_plan(params, radius)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_plan(plan, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write_plan(plan, fh)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 1
         print(f"r={radius} n_actual={plan.n_actual} -> {args.out}")
         return 0
 
@@ -265,8 +269,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"study error: {exc}", file=sys.stderr)
         return 1
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(result))
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(render_csv(result))
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     print(f"slope={result.slope:.4f} intercept={result.intercept:.4f}")
     if not math.isnan(result.slope_logcorr):
         print(

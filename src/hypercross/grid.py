@@ -346,6 +346,26 @@ def choose_radius(params: SmoothnessParams, budget: int) -> int:
     return radius
 
 
+# Bytes of plan text assembled per write.  A block is a run of indices along
+# one axis of a level, at least one line, so memory stays bounded whatever the
+# plan size.
+_BLOCK = 1 << 18
+
+
+def _ascii(strs: Sequence[str]) -> np.ndarray:
+    """ASCII strings as a ``uint8`` matrix, one row each, padded with zeros."""
+    table = np.array(strs, dtype=bytes)
+    return table.view(np.uint8).reshape(len(table), table.itemsize)
+
+
+def _coord_table(k: int, deg: int) -> np.ndarray:
+    """Axis coordinates at level ``k`` as reduced fractions, shape ``(2**k, deg+1, width)``."""
+    keys = _axis_keys(k, deg).ravel()
+    zeros = np.frexp(keys & -keys)[1] - 1
+    nums, dens = (keys >> zeros).tolist(), (np.int64(1) << (KEY_BITS - zeros)).tolist()
+    return _ascii([f"{n}/{q}" for n, q in zip(nums, dens)]).reshape(1 << k, deg + 1, -1)
+
+
 def write_plan(plan: RecoveryPlan, stream: TextIO) -> None:
     """Serialize a plan, one point per line.
 
@@ -353,28 +373,59 @@ def write_plan(plan: RecoveryPlan, stream: TextIO) -> None:
     exact coordinates as reduced ``numerator/denominator`` fractions (the
     denominator a power of two); vectors and coordinate lists are
     comma-joined.
+
+    A level's lines are assembled as bytes and written one block at a time:
+    each field is copied from a zero-padded table of its distinct values
+    (cell and node names, and each axis's coordinates, rendered once per
+    call), and the padding is dropped before the write.  A block is a run
+    of indices along the outermost axis whose one index holds at most
+    ``_BLOCK`` bytes of lines, or a single line, so besides those tables
+    memory is one bounded block, whatever the plan size.
     """
-    d = plan.params.d
-    columns = "\t".join([",".join(["%s"] * d)] * 3) + "\n"
-    for li, lvl in enumerate(plan.levels):
-        shape = _level_shape(plan.params, lvl)
-        tags = np.unravel_index(np.arange(plan.bounds[li + 1] - plan.bounds[li]), shape)
-        cells, nodes, coords = [], [], []
-        for j, (k, dg) in enumerate(zip(lvl, plan.params.degrees)):
-            # The distinct coordinates of this axis at this level, rendered
-            # once: keys reduced by their common power of two.
-            keys = _axis_keys(k, dg).ravel()
-            zeros = np.frexp(keys & -keys)[1] - 1
-            text = [
-                f"{n}/{q}"
-                for n, q in zip(
-                    (keys >> zeros).tolist(), (np.int64(1) << (KEY_BITS - zeros)).tolist()
-                )
-            ]
-            cell_j, node_j = tags[j], tags[d + j]
-            names = [str(i) for i in range(max(1 << k, dg + 1))]
-            cells.append(list(map(names.__getitem__, cell_j.tolist())))
-            nodes.append(list(map(names.__getitem__, node_j.tolist())))
-            coords.append(list(map(text.__getitem__, (cell_j * (dg + 1) + node_j).tolist())))
-        row = ",".join(map(str, lvl)) + "\t" + columns
-        stream.write("".join([row % t for t in zip(*cells, *nodes, *coords)]))
+    params, d = plan.params, plan.params.d
+    top = max(max(1 << k for lvl in plan.levels for k in lvl), max(params.degrees) + 1)
+    names = _ascii([str(i) for i in range(top)])
+    coords: dict[tuple[int, int], np.ndarray] = {}
+    # The byte after each field: commas within a vector, a tab or newline after it.
+    seps = (("," * (d - 1) + "\t") * 2 + "," * (d - 1) + "\n").encode()
+    for lvl in plan.levels:
+        shape = _level_shape(params, lvl)
+        # (table, the axes of `shape` its leading dimensions run along)
+        fields = [(names[: 1 << k, : len(str((1 << k) - 1))], (j,)) for j, k in enumerate(lvl)]
+        fields += [
+            (names[: dg + 1, : len(str(dg))], (d + j,)) for j, dg in enumerate(params.degrees)
+        ]
+        for j, (k, dg) in enumerate(zip(lvl, params.degrees)):
+            if (k, dg) not in coords:
+                coords[k, dg] = _coord_table(k, dg)
+            fields.append((coords[k, dg], (j, d + j)))
+        # Each table broadcast over the whole level, so that any block of it
+        # is one index away.
+        full = []
+        for table, axes in fields:
+            view = [1] * (2 * d) + [table.shape[-1]]
+            for x, n in zip(axes, table.shape):
+                view[x] = n
+            full.append(np.broadcast_to(table.reshape(view), (*shape, table.shape[-1])))
+        prefix = np.frombuffer((",".join(map(str, lvl)) + "\t").encode(), np.uint8)
+        width = len(prefix) + sum(field.shape[-1] + 1 for field in full)
+        # Blocks run along axis `a`, the outermost whose one index spans at
+        # most `_BLOCK` bytes of lines, at one index of each axis before it.
+        a, span = len(shape) - 1, width
+        while a > 0 and span * shape[a] <= _BLOCK:
+            span *= shape[a]
+            a -= 1
+        step = max(1, _BLOCK // span)
+        buf = np.empty((min(step, shape[a]), *shape[a + 1 :], width), dtype=np.uint8)
+        buf[..., : len(prefix)] = prefix
+        for outer in np.ndindex(*shape[:a]):
+            for start in range(0, shape[a], step):
+                block = buf[: min(step, shape[a] - start)]
+                at = (*outer, slice(start, start + len(block)))
+                col = len(prefix)
+                for field, sep in zip(full, seps):
+                    block[..., col : col + field.shape[-1]] = field[at]
+                    col += field.shape[-1]
+                    block[..., col] = sep
+                    col += 1
+                stream.write(block[block != 0].tobytes().decode("ascii"))

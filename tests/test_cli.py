@@ -185,6 +185,20 @@ class TestMain:
         cfg_path.write_text(make_cfg(budgets=[128]))
         assert cli.main(["study", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("verb", ["plan", "study"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_cfg(budgets=[128]))
+        out = tmp_path / "missing" / "out.txt"
+        assert cli.main([verb, "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        # study logs each budget to stderr before it writes the table.
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("output error: [Errno 2] No such file or directory")
+        assert str(out) in last
+        assert captured.out == ""
+        assert not out.parent.exists()
+
     def test_single_budget_has_no_fit(self):
         cfg = cli.load_config(make_cfg(budgets=[128]))
         result = cli.run_study(cfg)

@@ -177,6 +177,11 @@ def params_3d():
     return grid.derive_params(3, (2.0, 2.0, 1.5), 2.0, 2.0, 2.0, (1, 0, 0))
 
 
+def params_4d():
+    # Degrees (1, 2, 1, 2) with four distinct weights.
+    return grid.derive_params(4, (1.5, 2.2, 1.8, 2.6), 2.0, 2.0, math.inf, (0, 0, 0, 0))
+
+
 def params_2d_smooth():
     return grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (0, 0))
 
@@ -476,18 +481,42 @@ class TestSerialization:
 
     def test_lines_match_oracle(self):
         # Every line: provenance, then the exact coordinates as reduced fractions.
-        params = params_3d()
-        levels, seen = oracle_plan(params, 2)
-        buf = io.StringIO()
-        grid.write_plan(grid.build_plan(params, 2), buf)
-        lines = buf.getvalue().split("\n")
-        assert lines.pop() == ""
-        for line, (pt, (li, cell, idx)) in zip(lines, seen.items(), strict=True):
-            lvl_s, cell_s, idx_s, coords = line.split("\t")
-            assert lvl_s == ",".join(map(str, levels[li]))
-            assert cell_s == ",".join(map(str, cell))
-            assert idx_s == ",".join(map(str, idx))
-            assert coords == ",".join(f"{c.numerator}/{c.denominator}" for c in pt)
+        # At d=4 each field is placed along axes j and d + j of an 8-axis
+        # level; radius 3 brings levels refined along two axes at once.
+        for params, radius in ((params_3d(), 2), (params_4d(), 3)):
+            levels, seen = oracle_plan(params, radius)
+            buf = io.StringIO()
+            grid.write_plan(grid.build_plan(params, radius), buf)
+            lines = buf.getvalue().split("\n")
+            assert lines.pop() == ""
+            for line, (pt, (li, cell, idx)) in zip(lines, seen.items(), strict=True):
+                lvl_s, cell_s, idx_s, coords = line.split("\t")
+                assert lvl_s == ",".join(map(str, levels[li]))
+                assert cell_s == ",".join(map(str, cell))
+                assert idx_s == ",".join(map(str, idx))
+                assert coords == ",".join(f"{c.numerator}/{c.denominator}" for c in pt)
+
+    @pytest.mark.parametrize("block", [1, 300, 4096, grid._BLOCK])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+    def test_block_split_keeps_bytes(self, monkeypatch, name, block):
+        # Blocks of one line, of a few cells along an inner axis, of whole
+        # axis-0 cells, and of whole levels all give the pinned bytes, and no
+        # write is longer than a block (or one line, where a line is longer).
+        monkeypatch.setattr(grid, "_BLOCK", block)
+        radius, n, size, digest = GOLDEN_PLANS[name]
+
+        class Writes(list):
+            write = list.append
+
+        writes = Writes()
+        grid.write_plan(grid.build_plan(PARAM_SETS[name](), radius), writes)
+        data = "".join(writes).encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+        longest = max(len(line) + 1 for line in data.decode().split("\n")[:-1])
+        assert max(map(len, writes)) <= max(block, longest)
+        if block == 1:
+            assert len(writes) == n
 
 
 class TestKeyRendering:
