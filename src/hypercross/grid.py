@@ -267,24 +267,24 @@ def _level_shape(params: SmoothnessParams, level: Sequence[int]) -> tuple[int, .
     return tuple(1 << k for k in level) + tuple(dg + 1 for dg in params.degrees)
 
 
-def _raw_keys(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> np.ndarray:
+def _raw_keys(
+    params: SmoothnessParams, levels: Sequence[tuple[int, ...]], bounds: np.ndarray
+) -> np.ndarray:
     """Keys of every (level, cell, node) triple, as one ``(n, d)`` array.
 
-    Levels in the given order; within a level cells in C order outside,
-    node indices in C order inside.
+    Level ``l`` fills rows ``bounds[l]:bounds[l + 1]`` of the one array,
+    cells in C order outside, node indices in C order inside.
     """
     d = params.d
-    blocks = []
-    for lvl in levels:
-        shape = _level_shape(params, lvl)
-        block = np.empty(shape + (d,), dtype=np.int64)
+    keys = np.empty((bounds[-1], d), dtype=np.int64)
+    for lvl, start, stop in zip(levels, bounds, bounds[1:]):
+        block = keys[start:stop].reshape(_level_shape(params, lvl) + (d,))
         for j, (k, dg) in enumerate(zip(lvl, params.degrees)):
             axis_shape = [1] * (2 * d)
             axis_shape[j] = 1 << k
             axis_shape[d + j] = dg + 1
             block[..., j] = _axis_keys(k, dg).reshape(axis_shape)
-        blocks.append(block.reshape(-1, d))
-    return np.concatenate(blocks)
+    return keys
 
 
 def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
@@ -292,11 +292,12 @@ def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
     radius = as_integer(radius, "radius", 1, MAX_RADIUS)
     levels = index_set(params.weights, radius)
     _guard_raw_size(params, levels)
+    bounds = np.cumsum([0] + [math.prod(_level_shape(params, lvl)) for lvl in levels])
     return RecoveryPlan(
         params=params,
         levels=tuple(levels),
-        keys=_raw_keys(params, levels),
-        bounds=np.cumsum([0] + [math.prod(_level_shape(params, lvl)) for lvl in levels]),
+        keys=_raw_keys(params, levels, bounds),
+        bounds=bounds,
     )
 
 

@@ -182,14 +182,15 @@ def differentiate(coeffs: np.ndarray, axis: int, r: int) -> np.ndarray:
     return coeffs[lead + (slice(r, None),)] * fac.reshape((-1,) + (1,) * (coeffs.ndim - axis - 1))
 
 
-def horner(coeffs: np.ndarray, axis: int, t, index=None, at: int = 0) -> np.ndarray:
+def horner(coeffs: np.ndarray, axis: int, t, index=None, at: int = 0, out=None) -> np.ndarray:
     """Reduce coefficient axis ``axis`` by Horner's rule at ``t``.
 
     ``t`` is a scalar, or holds one coordinate per entry of the last axis of
     a ``(q_0, ..., q_{n-1}, m)`` block of m points; the result lacks ``axis``.
     With ``index``, each coefficient slice is first taken at ``index`` along
     its axis ``at``: the float steps of ``horner(np.take(coeffs, index,
-    axis=...), axis, t)``, holding one taken slice at a time.
+    axis=...), axis, t)``, holding one taken slice at a time.  With ``out``,
+    the result is written there, broadcast to its shape, and returned.
     """
     lead = (slice(None),) * axis
 
@@ -199,8 +200,11 @@ def horner(coeffs: np.ndarray, axis: int, t, index=None, at: int = 0) -> np.ndar
 
     q = coeffs.shape[axis]
     if q == 1:
-        return coeff(0)
-    acc = coeff(q - 1) * t
+        if out is None:
+            return coeff(0)
+        out[...] = coeff(0)
+        return out
+    acc = np.multiply(coeff(q - 1), t, out=out)
     acc += coeff(q - 2)
     for i in range(q - 3, -1, -1):
         acc *= t

@@ -16,13 +16,14 @@ level, ``D^deriv`` of its spline blend of local interpolants is again a
 polynomial of the interpolation degrees (de Boor's B-form to pp-form
 conversion), so the derivative is blended into the level's monomial
 coefficient table once, at construction (`_blend`).  Points are evaluated in
-fixed-size chunks: per level one gather from the table, then Horner's rule
-one axis at a time.  On a tensor grid, the private kernel `Approximant._grid`
-runs the same gathers and Horner steps, but shares each among all grid
-points that need it (sum factorization, every level being a tensor-product
-operator): it walks the levels outside and slabs of axis-0 rows inside, and
-keeps a level's reduction along axes d-1..1 while consecutive slabs hit the
-same axis-0 cells.  Its values equal the pointwise ones bit for bit.
+chunks: per level one gather from the table, then Horner's rule one axis at
+a time.  On a tensor grid, the private kernel `Approximant._grid` runs the
+same float steps, but shares each among all grid points that need it (sum
+factorization, every level being a tensor-product operator): it walks the
+levels outside and slabs of axis-0 rows inside, keeps a level's reduction
+along axes d-1..1 while consecutive slabs hit the same axis-0 cells, and
+broadcasts the coefficients of a slab inside one cell instead of gathering
+them.  Its values equal the pointwise ones bit for bit.
 
 Points must lie in the closed unit cube (`interp.as_points`).  Blending
 splines take right limits at interior knots; at the right edge ``x_j = 1``
@@ -34,11 +35,11 @@ on a dyadic cell partition (finite q) or on a dense interior lattice united
 with the quadrature nodes (q = infinity).  Both are tensor grids, walked in
 blocks of axis-0 rows that fill one buffer of the rule's size, the finite-q
 term vector: an `Approximant` fills a block through `_grid`, and the other
-function is evaluated on each slab of at most one chunk of points (any
-callable but an `Approximant` on the slab's points as rows,
-`interp.tensor_grid`); either must give one finite value per point.  Memory
-is that buffer plus the temporaries of one partial and one slab.  Rules
-beyond a fixed point count are refused before anything is allocated.
+function is evaluated per slab of axis-0 rows (any callable but an
+`Approximant` on the slab's points as rows, `interp.tensor_grid`); either
+must give one finite value per point.  Memory is that buffer plus one
+slab's temporaries (`_SLAB_BYTES`).  Rules beyond a fixed point count are
+refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -100,10 +101,19 @@ def combination_weights(levels: Sequence[tuple[int, ...]]) -> dict[tuple[int, ..
 # -- the approximant -----------------------------------------------------------------
 
 
-# Points evaluated per batch.  Every temporary of an evaluation is a few
-# arrays of this length (times the coefficient count of one cell), so memory
-# stays bounded whatever the number of points.
-_CHUNK = 8_192
+# Bytes of float temporaries one evaluation step may hold: a step takes the
+# most points (whole rows on a grid, at least one) that fit at the floats
+# each point holds at once, so memory stays bounded whatever the number of
+# points.
+_SLAB_BYTES = 1 << 19
+# Floats a point of a callable's slab holds: its points, its values and the
+# callable's own temporaries.
+_CALL_FLOATS = 8
+
+
+def _slab_rows(floats: int, span: int = 1) -> int:
+    """Rows of ``span`` points in one slab, at ``floats`` floats a point."""
+    return max(1, _SLAB_BYTES // (8 * floats * max(span, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -156,10 +166,10 @@ class Approximant:
     level, the derivative is blended into one monomial coefficient table at
     construction: ``(degrees + 1)`` coefficients of ``D^deriv`` for each of
     its cells, from the value vector (checked like `sample`'s).  Called on
-    an ``(n, d)`` array, points go through in chunks of ``_CHUNK``; per level
-    a point costs one table gather and one Horner step per axis, whatever
-    ``deriv`` and the sample count.  Points must be finite and lie in the
-    closed unit cube.  Evaluation is deterministic and read-only.
+    an ``(n, d)`` array, points go through in chunks of a callable's slab in
+    `lq_error`; per level a point costs one table gather and one Horner step
+    per axis, whatever ``deriv`` and the sample count.  Points must be
+    finite and lie in the closed unit cube.  Evaluation is deterministic and read-only.
     """
 
     def __init__(self, values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]):
@@ -202,8 +212,11 @@ class Approximant:
         d = self.plan.params.d
         pts = as_points(x, d, 0.0, 1.0).reshape(-1, d)
         out = np.empty(len(pts))
-        for start in range(0, len(pts), _CHUNK):
-            out[start : start + _CHUNK] = self._chunk(pts[start : start + _CHUNK])
+        # A chunk is a callable's slab; its gather block, (degrees + 1)
+        # coefficients a point, comes on top.
+        n = _slab_rows(_CALL_FLOATS)
+        for start in range(0, len(pts), n):
+            out[start : start + n] = self._chunk(pts[start : start + n])
         return out
 
     def _chunk(self, pts: Array) -> Array:
@@ -218,7 +231,7 @@ class Approximant:
             block = np.take(table, index, axis=-1)
             for j in reversed(range(len(level))):
                 block = horner(block, j, ts[j])
-            acc += weight * block
+            _add(acc, weight, block)
         return acc
 
     def _grid(self, head: Array, nodes: Array, out: Array) -> Array:
@@ -226,26 +239,31 @@ class Approximant:
         flat float array ``out`` in C order, and return it.
 
         Bit for bit ``self(tensor_grid([head] + [nodes] * (d - 1)))``, at a
-        fraction of the cost: every grid point sees the same gathers and
-        Horner steps, last axis to first, as in `_chunk`, but each step is
-        shared by all points that agree on the axes still to be reduced (sum
-        factorization).  Levels are walked outside, slabs of axis-0 rows (at
-        most ``_CHUNK`` points, or one row) inside.  Per level, the table is
-        gathered at the distinct cells a slab hits and reduced along axes
-        d-1..1, and that partial is kept while the next slab hits the same
-        axis-0 cells; each slab then runs only the axis-0 step.  ``out``
+        fraction of the cost: every grid point sees the same float steps,
+        last axis to first, as in `_chunk`, but each step is shared by all
+        points that agree on the axes still to be reduced (sum
+        factorization).  Levels are walked outside, slabs of axis-0 rows
+        inside.  Per level, the table is taken at the distinct cells a slab
+        hits and reduced along axes d-1..1, and that partial is kept while
+        the next slab hits the same axis-0 cells; each slab then runs only
+        the axis-0 step, into one reused buffer.  The coefficients of one
+        cell are broadcast, of several gathered (`_distinct`).  ``out``
         starts from zeros and gains ``weight * value`` level by level in
-        sorted order, as ``acc`` does in `_chunk`.  No temporary exceeds one
-        gather block, ``(degrees + 1)`` coefficients per slab point.  The
+        sorted order, as ``acc`` does in `_chunk`.  Per point, a slab in one
+        axis-0 cell holds 1 + q0 floats (buffer and partial, q0 =
+        degrees[0] + 1), a slab across cells 2 + 2 q0 (also a taken slice
+        and the partial's build): 4 and 2 rows on the default d=3 rule.  The
         nodes must lie in ``[0, 1]``.
         """
         d = self.plan.params.d
+        q0 = self.plan.params.degrees[0] + 1
         span = len(nodes) ** (d - 1)
-        rows = max(1, _CHUNK // max(span, 1))
-        grid = out.reshape(len(head), span)
+        grid = out.reshape((len(head),) + (len(nodes),) * (d - 1))
         grid[...] = 0.0
+        rows, across = _slab_rows(1 + q0, span), _slab_rows(2 + 2 * q0, span)
+        buffer = np.empty((min(rows, len(head)),) + grid.shape[1:])
         # Axis 0 sees the head, in slabs, axes 1..d-1 the nodes.
-        first = {k: _slabs(head, k, rows) for j, k in self._axis_levels if j == 0}
+        first = {k: _slabs(head, k, rows, across) for j, k in self._axis_levels if j == 0}
         rest = {k: _distinct_cells(nodes, k) for k in {k for j, k in self._axis_levels if j}}
         for level, weight, table in self._levels:
             table = table.reshape(table.shape[:d] + tuple(1 << k for k in level))
@@ -259,9 +277,23 @@ class Approximant:
                         _, inv, tj = rest[level[j]]
                         tj = tj.reshape((-1,) + (1,) * (d - 1 - j))
                         partial = horner(partial, j, tj, inv, 2 * j)
-                block = horner(partial, 0, t.reshape((-1,) + (1,) * (d - 1)), inverse)
-                grid[cut] += weight * block.reshape(len(t), span)
+                t = t.reshape((-1,) + (1,) * (d - 1))
+                block = horner(partial, 0, t, inverse, out=buffer[: len(t)])
+                _add(grid[cut], weight, block)
         return out
+
+
+def _add(acc: Array, weight: int, block: Array) -> None:
+    """``acc += weight * block``, without the product at weight 1 or -1:
+    ``x * -1`` is exact and ``a - b`` is ``a + (-b)``, signed zeros too.
+    Sums start from zeros: a first block written as is would keep the -0.0
+    that ``0.0 + -0.0`` drops."""
+    if weight == 1:
+        acc += block
+    elif weight == -1:
+        acc -= block
+    else:
+        acc += weight * block
 
 
 def _cells(x: Array, k: int) -> tuple[Array, Array]:
@@ -275,23 +307,40 @@ def _cells(x: Array, k: int) -> tuple[Array, Array]:
     return cell, scaled - cell
 
 
-def _distinct_cells(x: Array, k: int) -> tuple[Array, Array, Array]:
-    """The distinct level-k cells of ``x``, the index of each coordinate's
-    cell among them, and the local coordinates."""
+def _distinct(cell: Array) -> tuple[Array, Array | None]:
+    """The distinct entries of ``cell`` and each entry's index among them,
+    None when all are one cell: Horner's rule then broadcasts that cell's
+    coefficients, the floats of a gather without its copy."""
+    if len(cell) and (cell == cell[0]).all():
+        return cell[:1], None
+    return np.unique(cell, return_inverse=True)
+
+
+def _distinct_cells(x: Array, k: int) -> tuple[Array, Array | None, Array]:
+    """The distinct level-k cells of ``x``, `_distinct`'s index of each
+    coordinate's cell among them, and the local coordinates."""
     cell, t = _cells(x, k)
-    distinct, inverse = np.unique(cell, return_inverse=True)
-    return distinct, inverse, t
+    return *_distinct(cell), t
 
 
-def _slabs(head: Array, k: int, rows: int) -> list[tuple[slice, Array, Array, Array, bool]]:
-    """Per slab of ``rows`` entries of ``head``: its slice, `_distinct_cells`
-    of its entries, and whether those cells differ from the previous slab's."""
+def _slabs(
+    head: Array, k: int, rows: int, across: int
+) -> list[tuple[slice, Array, Array | None, Array, bool]]:
+    """``head`` cut into slabs of ``rows`` entries, a slab whose entries lie
+    in more than one level-k cell into slabs of ``across`` entries.  Per
+    slab: its slice, `_distinct` of its entries' cells, the local
+    coordinates, and whether its cells differ from the previous slab's."""
+    cell, t = _cells(head, k)
     slabs, prev = [], None
-    for start in range(0, len(head), rows):
-        distinct, inverse, t = _distinct_cells(head[start : start + rows], k)
-        fresh = prev is None or not np.array_equal(distinct, prev)
-        slabs.append((slice(start, start + rows), distinct, inverse, t, fresh))
-        prev = distinct
+    for top in range(0, len(head), rows):
+        stop = min(top + rows, len(head))
+        size = rows if (cell[top:stop] == cell[top]).all() else across
+        for start in range(top, stop, size):
+            cut = slice(start, min(start + size, stop))
+            distinct, inverse = _distinct(cell[cut])
+            fresh = prev is None or not np.array_equal(distinct, prev)
+            slabs.append((cut, distinct, inverse, t[cut], fresh))
+            prev = distinct
     return slabs
 
 
@@ -394,15 +443,16 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     buffer of the rule's size: at finite q the term vector, one block,
     summed once; at q = infinity blocks of lattice rows reuse it for a
     running maximum.  An `Approximant` on either side fills each block
-    (`Approximant._grid`); the other side is evaluated per slab of at most
-    ``_CHUNK`` points (or one row), any callable but an `Approximant` at the
-    slab's points as rows, and turns the slab's entries into terms.  The
+    (`Approximant._grid`); the other side is evaluated per slab of axis-0
+    rows, any callable but an `Approximant` at the slab's points as rows,
+    and the slab's entries become gaps, then terms, in place.  A slab holds
+    the rows that fit ``_SLAB_BYTES`` at ``_CALL_FLOATS`` a point.  The
     float is the same for either side and route and any slab size.  Beyond
-    the buffer, memory holds the temporaries of one partial and one slab.  A
-    rule or lattice beyond ``_MAX_RULE_POINTS`` points is refused with a
-    ValueError before anything is allocated, and a ``g`` or ``h`` that does
-    not return one finite value per point raises one too, naming the
-    function and, for a non-finite value, the point.
+    the buffer, memory holds one slab's temporaries.  A rule or lattice
+    beyond ``_MAX_RULE_POINTS`` points is refused with a ValueError before
+    anything is allocated, and a ``g`` or ``h`` that does not return one
+    finite value per point raises one too, naming the function and, for a
+    non-finite value, the point.
     """
     if not q >= 1:
         raise ValueError(f"q must lie in [1, inf], got {q!r}")
@@ -425,7 +475,7 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     err = 0.0
     for axis in grids:
         span = len(axis) ** (d - 1)
-        rows, step = max(1, _CHUNK // span), len(terms) // span
+        rows, step = _slab_rows(_CALL_FLOATS, span), len(terms) // span
         for top in range(0, len(axis), step):
             head = axis[top : top + step]
             block = terms[: len(head) * span]
@@ -436,11 +486,13 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
                 part = block[start * span : (start + len(slab)) * span]
                 if not prefill:
                     part[...] = _values(a_name, a, slab, axis, d)
-                gap = np.abs(part - _values(b_name, b, slab, axis, d))
+                # The gap, then the term, in place of the values.
+                part -= _values(b_name, b, slab, axis, d)
+                np.abs(part, out=part)
                 if math.isinf(q):
-                    err = np.maximum(err, gap.max(initial=0.0))
+                    err = np.maximum(err, part.max(initial=0.0))
                 else:
                     cut = slice(top + start, top + start + len(slab))
-                    w = reduce(np.multiply.outer, [weights[cut]] + [weights] * (d - 1)).ravel()
-                    part[...] = w * gap**q
+                    part **= q
+                    part *= reduce(np.multiply.outer, [weights[cut]] + [weights] * (d - 1)).ravel()
     return float(err if math.isinf(q) else np.sum(terms) ** (1.0 / q))

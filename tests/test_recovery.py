@@ -20,6 +20,12 @@ def params_smooth(deriv=(0, 0)):
     return grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
 
 
+def chunk_bytes(points):
+    """The `recovery._SLAB_BYTES` at which an approximant is evaluated
+    pointwise in chunks of ``points``."""
+    return 8 * recovery._CALL_FLOATS * points
+
+
 class TestSample:
     def test_zero_function(self):
         plan = grid.build_plan(params_smooth(), 2)
@@ -349,19 +355,20 @@ class TestBatchedEvaluation:
 
     def test_matches_scalar_surplus_sum(self, batched_case, monkeypatch):
         deriv, plan, approx, ev = batched_case
-        monkeypatch.setattr(recovery, "_CHUNK", 16)
+        monkeypatch.setattr(recovery, "_SLAB_BYTES", chunk_bytes(16))
         pts = self.points(41, 6)  # three chunks, the last one partial
         direct = sum(ev.surplus_deriv(lvl, deriv, pts) for lvl in plan.levels)
         np.testing.assert_allclose(approx(pts), direct, atol=1e-10)
 
     def test_result_does_not_depend_on_chunking(self, batched_case, monkeypatch):
         approx = batched_case[2]
-        n = recovery._CHUNK + 1000
+        chunk = recovery._SLAB_BYTES // chunk_bytes(1)
+        n = chunk + 1000
         pts = self.points(n, 7)
         whole = approx(pts)
-        cuts = [0, 5, recovery._CHUNK + 3, n]
+        cuts = [0, 5, chunk + 3, n]
         pieces = np.concatenate([approx(pts[a:b]) for a, b in zip(cuts, cuts[1:])])
-        monkeypatch.setattr(recovery, "_CHUNK", 999)
+        monkeypatch.setattr(recovery, "_SLAB_BYTES", chunk_bytes(999))
         small = approx(pts)
         assert np.array_equal(whole, pieces)
         assert np.array_equal(whole, small)
@@ -421,8 +428,8 @@ def test_approximant_equals_surplus_sum(differential_case, data):
     grid_pts = tensor_grid([nodes] * d)
     both = np.concatenate([pts, grid_pts])
     direct = sum(ev.surplus_deriv(lvl, deriv, both) for lvl in plan.levels)
-    for chunk in (2, recovery._CHUNK):
-        with mock.patch.object(recovery, "_CHUNK", chunk):
+    for size in (chunk_bytes(2), recovery._SLAB_BYTES):
+        with mock.patch.object(recovery, "_SLAB_BYTES", size):
             np.testing.assert_allclose(approx(pts), direct[: len(pts)], rtol=1e-12, atol=1e-10)
     np.testing.assert_allclose(
         approx._grid(nodes, nodes, np.empty(len(grid_pts))), direct[len(pts) :],
@@ -431,9 +438,11 @@ def test_approximant_equals_surplus_sum(differential_case, data):
 
 
 # (d, function, alpha, deriv, radius) per grid case: every dimension up to 4,
-# a derivative along one axis, along two, and of second order.
+# a derivative along one axis, along two, and of second order, and degree 0
+# (one coefficient per cell along each axis).
 GRID_CASES = [
     (1, "trig", (2.0,), (0,), 6),
+    (2, "trig", (0.9, 0.9), (0, 0), 5),
     (2, "trig", (2.0, 2.0), (0, 0), 5),
     (2, "trig", (2.0, 2.0), (1, 0), 5),
     (2, "trig", (2.0, 2.0), (1, 1), 5),
@@ -444,7 +453,9 @@ GRID_CASES = [
 
 
 @pytest.fixture(
-    scope="module", params=GRID_CASES, ids=lambda c: f"d{c[0]}-deriv{''.join(map(str, c[3]))}"
+    scope="module",
+    params=GRID_CASES,
+    ids=lambda c: f"d{c[0]}-deriv{''.join(map(str, c[3]))}{'-degree0' if max(c[2]) < 1 else ''}",
 )
 def grid_case(request):
     d, fid, alpha, deriv, radius = request.param
@@ -472,26 +483,59 @@ def edge_nodes(d):
     return np.array([0.5, 0.0, np.nextafter(0.25, 0.0), 1.0, 0.25, 0.3, 0.125, 0.5, 0.96875])
 
 
+# Slab cases of `Approximant._grid`: the `_SLAB_BYTES` for q0 coefficients
+# along axis 0 and rows of ``span`` points, and what every slab walked (`seen`)
+# must show.  "chunk2" is one row per slab.  At "one-cell" a slab holds 2
+# rows, and one whose rows lie in two cells is cut into rows, so every slab
+# sits in one axis-0 cell.  "default-chunk" is the default size, at which
+# some slab spans cells.  The first two ids date from slabs counted in
+# points, and are kept so the suite's test ids stay stable.
+SLAB_CASES = {
+    "default-chunk": (
+        lambda q0, span: recovery._SLAB_BYTES,
+        lambda seen: any(len(distinct) > 1 for _, distinct, _, _, _ in seen),
+    ),
+    "chunk2": (
+        lambda q0, span: 0,
+        lambda seen: all(len(t) == 1 for _, _, _, t, _ in seen),
+    ),
+    "one-cell": (
+        lambda q0, span: 16 * (1 + q0) * span,
+        lambda seen: all(len(distinct) == 1 for _, distinct, _, _, _ in seen),
+    ),
+}
+
+
 class TestGrid:
     """`Approximant._grid` against the pointwise route on the same points."""
 
-    @pytest.mark.parametrize("chunk", [None, 2], ids=["default-chunk", "chunk2"])
+    @pytest.mark.parametrize("case", list(SLAB_CASES))
     @pytest.mark.parametrize("make_nodes", [gauss_nodes, lattice_nodes, edge_nodes])
-    def test_equals_pointwise_bit_for_bit(self, grid_case, make_nodes, chunk, monkeypatch):
-        # The kernel walks its grid in slabs of axis-0 rows; at _CHUNK = 2
-        # every d >= 2 slab is one row.  It is called on the whole grid and,
-        # as `lq_error` does with a q = inf lattice, on blocks of a few rows.
+    def test_equals_pointwise_bit_for_bit(self, grid_case, make_nodes, case, monkeypatch):
+        # The kernel walks its grid in slabs of axis-0 rows: a slab in one
+        # cell broadcasts the cell's coefficients, a slab across cells
+        # gathers them.  It is called on the whole grid and, as `lq_error`
+        # does with a q = inf lattice, on blocks of a few rows.
         d, approx = grid_case
         nodes = make_nodes(d)
         want = approx(tensor_grid([nodes] * d))
-        if chunk:
-            monkeypatch.setattr(recovery, "_CHUNK", chunk)
         span = len(nodes) ** (d - 1)
+        size, check = SLAB_CASES[case]
+        monkeypatch.setattr(recovery, "_SLAB_BYTES", size(approx.plan.params.degrees[0] + 1, span))
+        seen, slabs = [], recovery._slabs
+
+        def spy(*args):
+            out = slabs(*args)
+            seen.extend(out)
+            return out
+
+        monkeypatch.setattr(recovery, "_slabs", spy)
         whole = approx._grid(nodes, nodes, np.full(len(want), np.nan))
         heads = [nodes[i : i + 3] for i in range(0, len(nodes), 3)]
         blocks = np.concatenate(
             [approx._grid(head, nodes, np.full(len(head) * span, np.nan)) for head in heads]
         )
+        assert seen and check(seen)
         assert np.array_equal(whole, want)
         assert np.array_equal(blocks, want)
 
@@ -677,10 +721,10 @@ class TestLqError:
     @pytest.mark.parametrize("side", ["g", "h"])
     def test_non_finite_value_is_named(self, side, q, monkeypatch):
         # NaN at one Gauss point, which the q = inf lattice includes too.  At
-        # _CHUNK = 16 each slab is one axis-0 row of 16 Gauss points, so the
-        # NaN lies in the fourth slab, at row 5 of it: the message names the
-        # point, which does not depend on the slab.
-        monkeypatch.setattr(recovery, "_CHUNK", 16)
+        # _SLAB_BYTES = 0 each slab is one axis-0 row of 16 Gauss points, so
+        # the NaN lies in the fourth slab, at row 5 of it: the message names
+        # the point, which does not depend on the slab.
+        monkeypatch.setattr(recovery, "_SLAB_BYTES", 0)
         quad = Quadrature(d=2, cells_log2=2, sup_points=65)
         nodes, _ = recovery._axis_rule(2, quad.points_per_cell)
         x0, x1 = nodes[3], nodes[5]
@@ -704,7 +748,8 @@ class TestLqError:
     def test_grid_route_is_exact(self, d, alpha, deriv, q, monkeypatch):
         # An Approximant is evaluated on the grid, a plain callable pointwise;
         # both routes give the same float, whichever side the Approximant is
-        # on, and so do slabs of one row (_CHUNK = 2).
+        # on, and so do slabs of one row, at which pointwise chunks hold 2
+        # points.
         params = grid.derive_params(d, alpha, 2.0, 2.0, 2.0, deriv)
         plan = grid.build_plan(params, 4)
         f = functions.get_function("aniso", d)
@@ -721,8 +766,8 @@ class TestLqError:
         pair = lq_error(pointwise, other_pointwise, q, quad)
         assert got > 0
         assert pair > 0
-        for chunk in (recovery._CHUNK, 2):
-            monkeypatch.setattr(recovery, "_CHUNK", chunk)
+        for size in (recovery._SLAB_BYTES, chunk_bytes(2)):
+            monkeypatch.setattr(recovery, "_SLAB_BYTES", size)
             assert lq_error(approx, truth, q, quad) == got
             assert lq_error(pointwise, truth, q, quad) == got
             assert lq_error(truth, approx, q, quad) == flipped
@@ -732,10 +777,12 @@ class TestLqError:
             assert lq_error(pointwise, other_pointwise, q, quad) == pair
 
     @staticmethod
-    def traced_peak(d, fid, alpha, deriv, budget, q):
+    def traced_peak(d, fid, alpha, deriv, budget, q, warm=False):
         """``lq_error`` of a study's approximant on its default rule: the
-        error, the peak traced allocation, the rule size and one gather
-        block, (degrees + 1) coefficients of _CHUNK points, in bytes."""
+        error, the peak traced allocation, the rule size and the unit of the
+        bounds below, a gather block of 8,192 points ((degrees + 1)
+        coefficients each), in bytes.  ``warm`` makes one untraced call
+        first, so allocations numpy makes once per process are not counted."""
         params = grid.derive_params(d, alpha, 2.0, q, 2.0, deriv)
         plan = grid.build_plan(params, grid.choose_radius(params, budget))
         f = functions.get_function(fid, d)
@@ -743,7 +790,9 @@ class TestLqError:
         truth = lambda pts: f.deriv(deriv, pts)  # noqa: E731
         quad = Quadrature(d=d)
         n = (quad.points_per_cell << quad.resolved_cells_log2()) ** d
-        block = math.prod(dg + 1 for dg in params.degrees) * recovery._CHUNK * 8
+        block = math.prod(dg + 1 for dg in params.degrees) * 8192 * 8
+        if warm:
+            lq_error(approx, truth, q, quad)
         tracemalloc.start()
         try:
             err = lq_error(approx, truth, q, quad)
@@ -767,8 +816,9 @@ class TestLqError:
         # Beyond one weighted term per Gauss point (finite q), the peak stays
         # within two gather blocks; at q = inf these hold the buffer of
         # 65,536 values that lattice blocks reuse (0.89 blocks).  Measured
-        # 0.58, 0.56 and 1.88 blocks, and 11.2, 10.7 and 74.0 with the whole
-        # rule held at once.
+        # 0.56, 0.45 and 1.77 blocks; 0.58, 0.57 and 1.89 with slabs of 8,192
+        # points at every step, and 11.2, 10.7 and 74.0 with the whole rule
+        # held at once.
         err, peak, n, block = self.traced_peak(d, fid, alpha, deriv, budget, q)
         assert err > 0
         assert peak <= (0 if math.isinf(q) else 8 * n) + 2 * block
@@ -783,6 +833,17 @@ class TestLqError:
         assert err > 0
         assert n == 262_144
         assert peak <= 8 * n + block
+
+    def test_slabs_do_not_buy_time_with_memory(self):
+        # The same study, warm.  Beyond the 2 MiB term vector the peak stays
+        # within 0.64 MiB, the margin of slabs of 8,192 points at every step
+        # (measured 0.625 MiB): slabs sized in bytes hold 4 axis-0 rows of
+        # the approximant, but fewer temporaries.  Measured 0.51 MiB.
+        err, peak, n, _ = self.traced_peak(
+            3, "aniso", (2.0, 2.0, 1.5), (1, 0, 0), 16384, 2.0, warm=True
+        )
+        assert err > 0
+        assert peak <= 8 * n + 0.64 * 2**20
 
     def test_approximant_of_another_dimension_is_refused(self):
         plan = grid.build_plan(params_smooth(), 2)
