@@ -27,7 +27,7 @@ Its operators take one point (and return a float) or an ``(n, d)`` array of
 points (and return ``(n,)``) through one code path, in which each point sees
 the same float operations: a single point is the case ``n = 1``.  Every
 public method checks its input once per call: levels, cells, shifts and
-derivative orders go through `interp.as_integer` with their bounds, one per
+derivative orders go through `interp.as_integers` with their bounds, one per
 axis, and points through `interp.as_points` (finite, in the closed unit
 cube); anything else raises a ValueError naming the input.
 """
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import MAX_ORDER, bspline_derivative, refinement_coeffs
-from .interp import MAX_DEGREE, TensorPoly, as_integer, as_points, interpolate
+from .interp import MAX_DEGREE, TensorPoly, as_integer, as_integers, as_points, interpolate
 
 Vector = tuple[int, ...]
 
@@ -104,26 +104,14 @@ class DyadicEvaluator:
 
     # -- input contract ------------------------------------------------------
 
-    def _integers(
-        self, values: Sequence[int], name: str, low: Sequence[int], high: Sequence[int]
-    ) -> Vector:
-        """One int per axis, the j-th in ``[low[j], high[j]]`` (see `as_integer`)."""
-        values = tuple(values)
-        if len(values) != self.dim:
-            raise ValueError(f"{name} {values} must have {self.dim} entries, one per axis")
-        return tuple(
-            as_integer(v, f"axis {j}: {name}", lo, hi)
-            for j, (v, lo, hi) in enumerate(zip(values, low, high))
-        )
-
     def _level(self, level: Sequence[int]) -> Vector:
-        return self._integers(level, "level", [0] * self.dim, [MAX_LEVEL] * self.dim)
+        return as_integers(level, "level", self.dim, 0, MAX_LEVEL)
 
     def _evaluate(self, operator, level, deriv, x) -> float | np.ndarray:
         """``operator(level, deriv, points)`` on checked input: a float for
         one point, an ``(n,)`` array for an ``(n, d)`` array of points."""
         level = self._level(level)
-        deriv = self._integers(deriv, "derivative order", [0] * self.dim, self.order)
+        deriv = as_integers(deriv, "derivative order", self.dim, 0, self.order)
         pts = as_points(x, self.dim, 0.0, 1.0)
         out = operator(level, deriv, pts.reshape(-1, self.dim))
         return float(out[0]) if pts.ndim == 1 else out
@@ -133,7 +121,7 @@ class DyadicEvaluator:
     def local_interp(self, level: Sequence[int], cell: Sequence[int]) -> TensorPoly:
         """Tensor interpolant of the function on one dyadic cell (memoized)."""
         level = self._level(level)
-        cell = self._integers(cell, "cell", [0] * self.dim, [2**k - 1 for k in level])
+        cell = as_integers(cell, "cell", self.dim, 0, [2**k - 1 for k in level])
         return self._local(level, cell)
 
     def _local(self, level: Vector, cell: Vector) -> TensorPoly:
@@ -265,8 +253,8 @@ class DyadicEvaluator:
         lands within refinement range of ``shift``.
         """
         level = self._level(level)
-        shift = self._integers(
-            shift, "shift", [-m for m in self.order], [2**k - 1 for k in level]
+        shift = as_integers(
+            shift, "shift", self.dim, [-m for m in self.order], [2**k - 1 for k in level]
         )
         return self._surplus_poly(level, shift)
 

@@ -2,8 +2,8 @@
 
 Registry entries carry an analytic value, analytic mixed derivatives (valid
 away from declared kink loci), and the smoothness they are declared to have.
-Declared exponents are what the entry is *known* to satisfy for the stated
-integrability index; smooth factors satisfy any finite declaration.
+Declared exponents are what the entry is *known* to satisfy at
+integrability index p = 2; smooth factors satisfy any finite declaration.
 
 `modulus_estimate` is a diagnostic built on the mixed-difference stencil:
 the modulus is a supremum over all step vectors, so a finite lattice only
@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import derivative_orders
-from .interp import as_integer, as_points, as_values, tensor_grid
+from .interp import as_integer, as_integers, as_points, as_values, tensor_grid
 
 Array = np.ndarray
 
@@ -38,8 +37,6 @@ class TestFunction:
     fid: str
     d: int
     alpha: tuple[float, ...]
-    p: float
-    theta: float
     kink_loci: tuple[tuple[float, ...], ...]  # per axis, positions to avoid
     _deriv: Callable[[tuple[int, ...], Array], Array] = field(repr=False)
 
@@ -48,7 +45,7 @@ class TestFunction:
 
     def deriv(self, deriv: Sequence[int], x) -> Array:
         """Analytic mixed derivative, valid away from the kink loci."""
-        deriv = derivative_orders(deriv, self.d)
+        deriv = as_integers(deriv, "derivative order", self.d, 0)
         return self._deriv(deriv, as_points(x, self.d).reshape(-1, self.d))
 
 
@@ -102,7 +99,7 @@ def registry(d: int = 2) -> list[TestFunction]:
 
     entries.append(
         TestFunction(
-            fid="trig", d=d, alpha=(2.0,) * d, p=2.0, theta=math.inf,
+            fid="trig", d=d, alpha=(2.0,) * d,
             kink_loci=((),) * d, _deriv=_tensor([_sin_factor] * d),
         )
     )
@@ -110,7 +107,7 @@ def registry(d: int = 2) -> list[TestFunction]:
     kink_expo = 0.75
     entries.append(
         TestFunction(
-            fid="kink", d=d, alpha=(kink_expo,) * d, p=2.0, theta=math.inf,
+            fid="kink", d=d, alpha=(kink_expo,) * d,
             kink_loci=((0.5,),) * d,
             _deriv=_tensor([lambda c, r, e=kink_expo: _abs_factor(c, 0.5, e, r)] * d),
         )
@@ -118,7 +115,7 @@ def registry(d: int = 2) -> list[TestFunction]:
 
     entries.append(
         TestFunction(
-            fid="poly", d=d, alpha=(2.5,) * d, p=2.0, theta=math.inf,
+            fid="poly", d=d, alpha=(2.5,) * d,
             kink_loci=((),) * d, _deriv=_tensor([_sq_factor] * d),
         )
     )
@@ -129,7 +126,7 @@ def registry(d: int = 2) -> list[TestFunction]:
         ]
         entries.append(
             TestFunction(
-                fid="aniso", d=d, alpha=(2.0,) * (d - 1) + (1.5,), p=2.0, theta=2.0,
+                fid="aniso", d=d, alpha=(2.0,) * (d - 1) + (1.5,),
                 kink_loci=((),) * (d - 1) + ((1.0 / 3.0,),),
                 _deriv=_tensor(factors),
             )
@@ -175,7 +172,7 @@ def modulus_estimate(
     value per point.
     """
     axes = tuple(sorted(set(as_integer(a, "modulus axis") for a in axes)))
-    order = tuple(as_integer(r, f"axis {j}: difference order", 0) for j, r in enumerate(order))
+    order = as_integers(order, "difference order", len(order), 0)
     step_lattice = as_integer(step_lattice, "step_lattice", 1)
     d = len(order)
     if not p >= 1:

@@ -17,9 +17,10 @@ construction needs: the per-axis effective exponents, their minimum (the
 expected convergence rate), its multiplicity, and the level weights that
 shape the anisotropic cross.
 
-Integer inputs (the dimension, derivative orders, budgets, and radii in
-``[1, MAX_RADIUS]``) go through `interp.as_integer`; the radius and weights
-of a level set are real and must be finite.
+Integer inputs (the dimension, budgets, and radii in ``[1, MAX_RADIUS]``)
+go through `interp.as_integer`, derivative orders through
+`interp.as_integers`, one per axis; the radius and weights of a level set
+are real and must be finite.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .interp import NODE_BITS, as_integer, nodes_exact
+from .interp import NODE_BITS, as_integer, as_integers, nodes_exact
 
 _TIE_REL = 1e-9
 # Levels beyond this would overflow the int64 keys below (and make per-axis
@@ -67,13 +68,6 @@ def _axis_keys(k: int, deg: int) -> np.ndarray:
 
 
 # -- smoothness bookkeeping ------------------------------------------------------
-
-
-def derivative_orders(deriv: Sequence, d: int) -> tuple[int, ...]:
-    """``deriv`` as d nonnegative ints; a ValueError names a bad order and its axis."""
-    if len(deriv) != d:
-        raise ValueError(f"derivative index {tuple(deriv)} needs {d} orders")
-    return tuple(as_integer(r, f"axis {j}: derivative order", 0) for j, r in enumerate(deriv))
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,7 @@ def derive_params(
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != d:
         raise ValueError("alpha must have length d")
-    deriv = derivative_orders(deriv, d)
+    deriv = as_integers(deriv, "derivative order", d, 0)
     if not 1 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
     if not 1 <= q:

@@ -24,7 +24,7 @@ names the input:
 - `as_integer` decides every integer input (degrees, spline and derivative
   orders, dimensions, radii, budgets, `Quadrature` fields, ...): an integral
   number is accepted as an int, a bool, a fraction or a value out of
-  bounds is refused;
+  bounds is refused; `as_integers` checks one per axis, naming the axis;
 - `as_points` checks one point ``(d,)`` or an ``(n, d)`` array: the shape,
   finiteness and, where given, the bounds of every coordinate;
 - `as_values` checks what a function returned: one finite value per point.
@@ -61,6 +61,20 @@ def as_integer(value, name: str, low: int | None = None, high: int | None = None
     if high is not None and n > high:
         raise ValueError(f"{name} {value} exceeds supported maximum {high}")
     return n
+
+
+def as_integers(values, name: str, d: int, low=None, high=None) -> tuple[int, ...]:
+    """``values`` as d ints, one per axis, entry j checked by `as_integer`
+    as ``axis j: name``.  A bound is one int (or None) for every axis, or a
+    sequence of one per axis; a ValueError names a count other than d."""
+    values = tuple(values)
+    if len(values) != d:
+        raise ValueError(f"{name} {values} must have {d} entries, one per axis")
+    low, high = (b if isinstance(b, Sequence) else (b,) * d for b in (low, high))
+    return tuple(
+        as_integer(v, f"axis {j}: {name}", lo, hi)
+        for j, (v, lo, hi) in enumerate(zip(values, low, high))
+    )
 
 
 def as_points(x, d: int, low: float | None = None, high: float | None = None) -> np.ndarray:
@@ -260,17 +274,12 @@ class TensorPoly:
         row of an ``(n, d)`` array (an ``(n,)`` array); zero past the degree.
 
         The points may lie outside the box but must be finite (see
-        `as_points`); an order must be an integer ``>= 0`` (see
-        `as_integer`).  One point is the case ``n = 1``: Horner's rule runs
+        `as_points`); an order must be an integer ``>= 0``, one per axis (see
+        `as_integers`).  One point is the case ``n = 1``: Horner's rule runs
         along a trailing point axis, with the same float operations per point.
         """
-        deriv = tuple(deriv)
-        if len(deriv) != self.dim:
-            raise ValueError(
-                f"derivative order {deriv} must have {self.dim} entries, one per axis"
-            )
+        deriv = as_integers(deriv, "derivative order", self.dim, 0)
         pts = as_points(x, self.dim)
-        deriv = tuple(as_integer(r, "derivative order", 0) for r in deriv)
         rows = pts.reshape(-1, self.dim)
         n = len(rows)
         if any(r > d for r, d in zip(deriv, self.degrees)):

@@ -34,12 +34,13 @@ the cube (`_cells`, the one cell rule of both routes).
 on a dyadic cell partition (finite q) or on a dense interior lattice united
 with the quadrature nodes (q = infinity).  Both are tensor grids, walked in
 blocks of axis-0 rows that fill one buffer of the rule's size, the finite-q
-term vector: an `Approximant` fills a block through `_grid`, and the other
-function is evaluated per slab of axis-0 rows (any callable but an
-`Approximant` on the slab's points as rows, `interp.tensor_grid`); either
+term vector: g fills a block, an `Approximant` through `_grid`, and h is
+subtracted from it per slab of axis-0 rows (`_fill`; any callable but an
+`Approximant` on a slab's points as rows, `interp.tensor_grid`); either
 must give one finite value per point.  Memory is that buffer plus one
-slab's temporaries (`_SLAB_BYTES`).  Rules beyond a fixed point count are
-refused before anything is allocated.
+slab's temporaries (`_SLAB_BYTES`).  Rules beyond a fixed point count, and
+an `Approximant` of another dimension, are refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import piece_table
-from .grid import RecoveryPlan, derivative_orders
+from .grid import RecoveryPlan
 from .interp import (
-    as_integer, as_points, as_values, horner, monomial_coeffs, tensor_grid, transform,
+    as_integer, as_integers, as_points, as_values, horner, monomial_coeffs, tensor_grid,
+    transform,
 )
 
 Array = np.ndarray
@@ -174,7 +176,7 @@ class Approximant:
 
     def __init__(self, values: Sequence[float], plan: RecoveryPlan, deriv: Sequence[int]):
         params = plan.params
-        deriv = derivative_orders(deriv, params.d)
+        deriv = as_integers(deriv, "derivative order", params.d, 0)
         if any(r > dg for r, dg in zip(deriv, params.degrees)):
             raise ValueError(
                 f"derivative {deriv} exceeds interpolation degrees {params.degrees}"
@@ -409,29 +411,27 @@ def _check_rule_size(d: int, count: int, field: str) -> None:
         )
 
 
-def _values(
-    name: str, fn: PointFn, head: Array, nodes: Array, d: int, out: Array | None = None
-) -> Array:
-    """``fn`` on the tensor grid ``head x nodes^(d-1)``, flattened in C order.
+def _fill(name: str, fn: PointFn, head: Array, nodes: Array, d: int, out: Array) -> Array:
+    """Write ``fn`` on the tensor grid ``head x nodes^(d-1)`` into the flat
+    float array ``out`` in C order, and return it.
 
-    An `Approximant` goes through `Approximant._grid`, into ``out`` if given
-    (and of the grid's size), any other callable gets the grid's points as
-    rows; either must give one finite value per point (see
+    An `Approximant` fills it with one `Approximant._grid` call, any other
+    callable is called once per slab of axis-0 rows, on the slab's points
+    as rows; either must give one finite value per point (see
     `interp.as_values`).
     """
-    axes = [head] + [nodes] * (d - 1)
-    n = math.prod(map(len, axes))
-    if isinstance(fn, Approximant):
-        # An approximant of another dimension fills a grid of another size.
-        own = len(head) * len(nodes) ** (fn.plan.params.d - 1)
-        if out is None or own != n:
-            out = np.empty(own)
-        v = fn._grid(head, nodes, out)
-    else:
-        v = fn(tensor_grid(axes))
-    return as_values(
-        v, f"lq_error({name})", n, lambda i: f"point {tensor_grid(axes)[i].tolist()}"
-    )
+    span = len(nodes) ** (d - 1)
+    whole = isinstance(fn, Approximant)
+    rows = max(len(head), 1) if whole else _slab_rows(_CALL_FLOATS, span)
+    for start in range(0, len(head), rows):
+        axes = [head[start : start + rows]] + [nodes] * (d - 1)
+        part = out[start * span : (start + len(axes[0])) * span]
+        v = fn._grid(axes[0], nodes, part) if whole else fn(tensor_grid(axes))
+        # A no-op when _grid wrote the values in place.
+        part[...] = as_values(
+            v, f"lq_error({name})", len(part), lambda i: f"point {tensor_grid(axes)[i].tolist()}"
+        )
+    return out
 
 
 def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
@@ -442,21 +442,27 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     Both are tensor grids, walked in blocks of axis-0 rows that fill one
     buffer of the rule's size: at finite q the term vector, one block,
     summed once; at q = infinity blocks of lattice rows reuse it for a
-    running maximum.  An `Approximant` on either side fills each block
-    (`Approximant._grid`); the other side is evaluated per slab of axis-0
-    rows, any callable but an `Approximant` at the slab's points as rows,
-    and the slab's entries become gaps, then terms, in place.  A slab holds
-    the rows that fit ``_SLAB_BYTES`` at ``_CALL_FLOATS`` a point.  The
-    float is the same for either side and route and any slab size.  Beyond
-    the buffer, memory holds one slab's temporaries.  A rule or lattice
-    beyond ``_MAX_RULE_POINTS`` points is refused with a ValueError before
-    anything is allocated, and a ``g`` or ``h`` that does not return one
-    finite value per point raises one too, naming the function and, for a
-    non-finite value, the point.
+    running maximum.  ``g`` fills each block and ``h`` is subtracted from it
+    per slab of axis-0 rows (`_fill`); the slab's entries become gaps, then
+    terms, in place.  Pass an approximant as ``g``: as ``h`` it gives the
+    same float, evaluated slab by slab.  A slab holds the rows that fit
+    ``_SLAB_BYTES`` at ``_CALL_FLOATS`` a point, and the float is the same
+    for any slab size.  Beyond the buffer, memory holds one slab's
+    temporaries.  An `Approximant` whose dimension is not ``quad.d``, and a
+    rule or lattice beyond ``_MAX_RULE_POINTS`` points, are refused with a
+    ValueError before anything is evaluated or allocated, and a ``g`` or
+    ``h`` that does not return one finite value per point raises one too,
+    naming the function and, for a non-finite value, the point.
     """
     if not q >= 1:
         raise ValueError(f"q must lie in [1, inf], got {q!r}")
     d = quad.d
+    for name, fn in (("g", g), ("h", h)):
+        if isinstance(fn, Approximant) and fn.plan.params.d != d:
+            raise ValueError(
+                f"lq_error({name}): an approximant of dimension {fn.plan.params.d} "
+                f"on a quadrature of dimension {d}"
+            )
     per_axis = quad.points_per_cell << quad.resolved_cells_log2()
     _check_rule_size(d, per_axis**d, "cells_log2")
     if math.isinf(q):
@@ -468,26 +474,18 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
         grids.append((np.arange(n) + 0.5) / n)
     # One row of a lattice finer than the rule may exceed the rule.
     terms = np.empty(max(per_axis**d, len(grids[-1]) ** (d - 1)))
-    (a_name, a), (b_name, b) = sorted(
-        (("g", g), ("h", h)), key=lambda side: not isinstance(side[1], Approximant)
-    )
-    prefill = isinstance(a, Approximant)
     err = 0.0
     for axis in grids:
         span = len(axis) ** (d - 1)
         rows, step = _slab_rows(_CALL_FLOATS, span), len(terms) // span
         for top in range(0, len(axis), step):
             head = axis[top : top + step]
-            block = terms[: len(head) * span]
-            if prefill:
-                _values(a_name, a, head, axis, d, block)
+            block = _fill("g", g, head, axis, d, terms[: len(head) * span])
             for start in range(0, len(head), rows):
                 slab = head[start : start + rows]
                 part = block[start * span : (start + len(slab)) * span]
-                if not prefill:
-                    part[...] = _values(a_name, a, slab, axis, d)
                 # The gap, then the term, in place of the values.
-                part -= _values(b_name, b, slab, axis, d)
+                part -= _fill("h", h, slab, axis, d, np.empty(len(part)))
                 np.abs(part, out=part)
                 if math.isinf(q):
                     err = np.maximum(err, part.max(initial=0.0))

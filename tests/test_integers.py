@@ -75,7 +75,7 @@ ENTRY_POINTS = {
     ),
     "tensor_poly_derivative_order": (
         lambda v: interp.interpolate(_square, (2,), (0.0,), (1.0,)).deriv_eval((v,), (0.3,)),
-        "derivative order", 0, None, 1,
+        "axis 0: derivative order", 0, None, 1,
     ),
     "quadrature_d": (lambda v: recovery.Quadrature(d=v).d, "Quadrature.d", 1, None, 2),
     "quadrature_cells_log2": (
@@ -98,7 +98,8 @@ ENTRY_POINTS = {
     ),
     "choose_radius": (lambda v: grid.choose_radius(_PARAMS, v), "budget", None, None, 4096),
     "derivative_orders": (
-        lambda v: grid.derivative_orders((v, 0), 2)[0], "axis 0: derivative order", 0, None, 2,
+        lambda v: functions.get_function("poly", 2).deriv((v, 0), (0.5, 0.5)),
+        "axis 0: derivative order", 0, None, 2,
     ),
     "derive_params": (
         lambda v: grid.derive_params(v, (2.0, 2.0), 2.0, 2.0, 2.0, (0, 0)).d, "d", 1, None, 2,
@@ -149,26 +150,16 @@ def test_integral_float_accepted_as_int(key):
     assert np.array_equal(got, want)
 
 
-def _bool_in_isinstance(path: Path) -> set[str]:
-    """``module.function`` for every function of ``path`` whose `isinstance`
-    calls name ``bool`` or ``np.bool_``."""
+def _calling(path: Path, match) -> set[str]:
+    """``module.function`` for every function of ``path`` that makes a call
+    ``match`` accepts."""
     module = path.stem
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and any(
-                (isinstance(n, ast.Name) and n.id == "bool")
-                or (isinstance(n, ast.Attribute) and n.attr == "bool_")
-                for arg in node.args[1:]
-                for n in ast.walk(arg)
-            )
-        ):
+        if isinstance(node, ast.Call) and match(node):
             found.add(".".join((module,) + scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -177,12 +168,48 @@ def _bool_in_isinstance(path: Path) -> set[str]:
     return found
 
 
+def _isinstance_of_bool(call: ast.Call) -> bool:
+    """An `isinstance` call that names ``bool`` or ``np.bool_``."""
+    return (
+        isinstance(call.func, ast.Name)
+        and call.func.id == "isinstance"
+        and any(
+            (isinstance(n, ast.Name) and n.id == "bool")
+            or (isinstance(n, ast.Attribute) and n.attr == "bool_")
+            for arg in call.args[1:]
+            for n in ast.walk(arg)
+        )
+    )
+
+
+def _as_integer_of_an_axis(call: ast.Call) -> bool:
+    """An `as_integer` call whose name is an f-string starting with ``axis ``."""
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    names = call.args[1:2] + [k.value for k in call.keywords if k.arg == "name"]
+    return called == "as_integer" and any(
+        isinstance(name, ast.JoinedStr)
+        and isinstance(name.values[0], ast.Constant)
+        and name.values[0].value.startswith("axis ")
+        for name in names
+    )
+
+
+def _scan(match) -> set[str]:
+    return set().union(*(_calling(path, match) for path in sorted(SRC.glob("*.py"))))
+
+
 def test_one_integer_policy():
     # Only `as_integer` decides what an integer is.  The CLI's two
     # real-number parsers test for bool too, to refuse a JSON `true` where a
     # number belongs.
-    found = set().union(*map(_bool_in_isinstance, sorted(SRC.glob("*.py"))))
-    assert found == {"interp.as_integer", "cli._parse_extended", "cli._finite"}
+    assert _scan(_isinstance_of_bool) == {"interp.as_integer", "cli._parse_extended", "cli._finite"}
+
+
+def test_one_per_axis_check():
+    # Only `as_integers` checks a vector of one integer per axis, so every
+    # such message names the axis the same way.
+    assert _scan(_as_integer_of_an_axis) == {"interp.as_integers"}
 
 
 def test_cached_degree_does_not_answer_for_a_bool():

@@ -271,13 +271,13 @@ class TestDerivEval:
         # A bool is not read as the first derivative, nor a fraction passed
         # on to math.perm.
         poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ValueError, match="^derivative order"):
+        with pytest.raises(ValueError, match="^axis 0: derivative order"):
             poly.deriv_eval((order, 0), (0.3, 0.4))
         assert poly.deriv_eval((1.0, 0), (0.3, 0.4)) == pytest.approx(0.4)
 
     @pytest.mark.parametrize("deriv", [(0,), (0, 0, 0)])
     def test_order_of_wrong_length_is_named(self, deriv):
-        # Worded like the oracle's check of its derivative orders.
+        # The one per-axis check, `interp.as_integers`, shared with the oracle.
         poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
         message = f"derivative order {deriv} must have 2 entries, one per axis"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -368,10 +368,10 @@ class TestBatchedEvaluation:
         whole = approx(pts)
         cuts = [0, 5, chunk + 3, n]
         pieces = np.concatenate([approx(pts[a:b]) for a, b in zip(cuts, cuts[1:])])
-        monkeypatch.setattr(recovery, "_SLAB_BYTES", chunk_bytes(999))
-        small = approx(pts)
         assert np.array_equal(whole, pieces)
-        assert np.array_equal(whole, small)
+        for size in (chunk_bytes(999), chunk_bytes(2)):
+            monkeypatch.setattr(recovery, "_SLAB_BYTES", size)
+            assert np.array_equal(whole, approx(pts))
 
 
 # (d, function, alpha, q, radius, deriv): d=2 smooth at every derivative
@@ -682,7 +682,7 @@ class TestLqError:
 
     @staticmethod
     def never(pts):
-        raise AssertionError("the refused rule must not be evaluated")
+        raise AssertionError("a refused input must not be evaluated")
 
     @pytest.mark.parametrize(
         "quad, q, count, field",
@@ -748,18 +748,28 @@ class TestLqError:
     def test_grid_route_is_exact(self, d, alpha, deriv, q, monkeypatch):
         # An Approximant is evaluated on the grid, a plain callable pointwise;
         # both routes give the same float, whichever side the Approximant is
-        # on, and so do slabs of one row, at which pointwise chunks hold 2
-        # points.
+        # on, and so do slabs of one row.  The pointwise callables chunk their
+        # points at the default slab size whatever lq_error's: 2-point chunks
+        # are bit-checked in TestBatchedEvaluation.
         params = grid.derive_params(d, alpha, 2.0, 2.0, 2.0, deriv)
         plan = grid.build_plan(params, 4)
         f = functions.get_function("aniso", d)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
         truth = lambda pts: f.deriv(deriv, pts)  # noqa: E731
-        pointwise = lambda pts: approx(pts)  # noqa: E731
+        default = recovery._SLAB_BYTES
+
+        def at_default_slabs(fn):
+            def call(pts):
+                with mock.patch.object(recovery, "_SLAB_BYTES", default):
+                    return fn(pts)
+
+            return call
+
+        pointwise = at_default_slabs(approx)
         # A second Approximant, of a coarser plan, on the other side.
         coarse = grid.build_plan(params, 3)
         other = reconstruct(sample(f.value, coarse), coarse, deriv)
-        other_pointwise = lambda pts: other(pts)  # noqa: E731
+        other_pointwise = at_default_slabs(other)
         quad = Quadrature(d=d, cells_log2=12 // d - 2, sup_points=(1 << (12 // d)) + 1)
         got = lq_error(approx, truth, q, quad)
         flipped = lq_error(truth, approx, q, quad)
@@ -845,13 +855,15 @@ class TestLqError:
         assert err > 0
         assert peak <= 8 * n + 0.64 * 2**20
 
-    def test_approximant_of_another_dimension_is_refused(self):
+    @pytest.mark.parametrize("side", ["g", "h"])
+    def test_approximant_of_another_dimension_is_refused(self, side):
+        # Refused before anything is evaluated: the other side raises if called.
         plan = grid.build_plan(params_smooth(), 2)
         approx = reconstruct(np.zeros(plan.n_actual), plan, (0, 0))
-        one = lambda pts: np.ones(len(pts))  # noqa: E731
-        message = r"^lq_error\(h\): values of shape \(64,\) for 512 points"
-        with pytest.raises(ValueError, match=message):
-            lq_error(one, approx, 2.0, Quadrature(d=3, cells_log2=1))
+        g, h = (approx, self.never) if side == "g" else (self.never, approx)
+        message = f"lq_error({side}): an approximant of dimension 2 on a quadrature of dimension 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lq_error(g, h, 2.0, Quadrature(d=3, cells_log2=1))
 
     def test_rule_size_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(recovery, "_MAX_RULE_POINTS", 64)
