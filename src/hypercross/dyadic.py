@@ -26,10 +26,10 @@ polynomial evaluates each coarse interpolant once on its anchor cell's nodes.
 Its operators take one point (and return a float) or an ``(n, d)`` array of
 points (and return ``(n,)``) through one code path, in which each point sees
 the same float operations: a single point is the case ``n = 1``.  Every
-public method checks its input once per call: levels, cells, shifts and
-derivative orders go through `interp.as_integers` with their bounds, one per
-axis, and points through `interp.as_points` (finite, in the closed unit
-cube); anything else raises a ValueError naming the input.
+public method checks its input once per call: levels and derivative orders
+go through `interp.as_integers` with their bounds, one per axis, and points
+through `interp.as_points` (finite, in the closed unit cube); anything else
+raises a ValueError naming the input.
 """
 
 from __future__ import annotations
@@ -77,10 +77,9 @@ class DyadicEvaluator:
 
     The operators take one point ``x`` (and return a float) or an ``(n, d)``
     array of points (and return ``(n,)``).  Each public method checks its
-    input once per call, one integer per axis: levels in ``[0, MAX_LEVEL]``,
-    cells in ``[0, 2**k - 1]``, shifts in ``[-order, 2**k - 1]`` and
-    derivative orders in ``[0, order]``; points must be finite and lie in
-    the closed unit cube.  Anything else raises a ValueError naming the
+    input once per call, one integer per axis: levels in ``[0, MAX_LEVEL]``
+    and derivative orders in ``[0, order]``; points must be finite and lie
+    in the closed unit cube.  Anything else raises a ValueError naming the
     input (and a point's row).
     """
 
@@ -104,13 +103,10 @@ class DyadicEvaluator:
 
     # -- input contract ------------------------------------------------------
 
-    def _level(self, level: Sequence[int]) -> Vector:
-        return as_integers(level, "level", self.dim, 0, MAX_LEVEL)
-
     def _evaluate(self, operator, level, deriv, x) -> float | np.ndarray:
         """``operator(level, deriv, points)`` on checked input: a float for
         one point, an ``(n,)`` array for an ``(n, d)`` array of points."""
-        level = self._level(level)
+        level = as_integers(level, "level", self.dim, 0, MAX_LEVEL)
         deriv = as_integers(deriv, "derivative order", self.dim, 0, self.order)
         pts = as_points(x, self.dim, 0.0, 1.0)
         out = operator(level, deriv, pts.reshape(-1, self.dim))
@@ -118,13 +114,8 @@ class DyadicEvaluator:
 
     # -- local interpolation -------------------------------------------------
 
-    def local_interp(self, level: Sequence[int], cell: Sequence[int]) -> TensorPoly:
-        """Tensor interpolant of the function on one dyadic cell (memoized)."""
-        level = self._level(level)
-        cell = as_integers(cell, "cell", self.dim, 0, [2**k - 1 for k in level])
-        return self._local(level, cell)
-
     def _local(self, level: Vector, cell: Vector) -> TensorPoly:
+        """Tensor interpolant of the function on one dyadic cell (memoized)."""
         poly = self._polys.get((level, cell))
         if poly is None:
             box = _cell_box(level, cell)
@@ -241,9 +232,7 @@ class DyadicEvaluator:
             total += sign * self._quasi(lower, deriv, pts)
         return total
 
-    def surplus_local_poly(
-        self, level: Sequence[int], shift: Sequence[int]
-    ) -> TensorPoly:
+    def _surplus_poly(self, level: Vector, shift: Vector) -> TensorPoly:
         """Polynomial factor multiplying one translate in the surplus expansion (memoized).
 
         The surplus equals ``sum_shift g[level, shift] * U[level, shift]``;
@@ -252,13 +241,6 @@ class DyadicEvaluator:
         coarse cells per decremented axis are those whose doubled index
         lands within refinement range of ``shift``.
         """
-        level = self._level(level)
-        shift = as_integers(
-            shift, "shift", self.dim, [-m for m in self.order], [2**k - 1 for k in level]
-        )
-        return self._surplus_poly(level, shift)
-
-    def _surplus_poly(self, level: Vector, shift: Vector) -> TensorPoly:
         poly = self._surplus_polys.get((level, shift))
         if poly is not None:
             return poly

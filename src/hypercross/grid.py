@@ -6,11 +6,12 @@ node ``i`` of cell ``c`` at level ``k`` sits at ``(c * 2**40 + n_i) / 2**(k+40)`
 (nodes are snapped to ``2**-40``, see `hypercross.interp`) with
 ``k <= MAX_RADIUS = 22``.  At the common denominator ``2**62`` its numerator
 ``(c * 2**40 + n_i) << (22 - k)`` fits an int64, so one such key per axis
-names a point exactly: plans are int64 key arrays.  No two (level, cell,
-node) triples name the same point, which the node family checks once per
-degree, so a plan is its triples in enumeration order, the rows of one level
-are one contiguous run, and the point count of a radius is a sum of level
-sizes.
+names a point exactly.  No two (level, cell, node) triples name the same
+point, which the node family checks once per degree, so a plan is its
+triples in enumeration order, the rows of one level are one contiguous run,
+and the point count of a radius is a sum of level sizes.  A plan therefore
+stores only its level set, with each level's first row and combination
+weight, and builds its int64 key array on access.
 
 Smoothness bookkeeping turns the class parameters into the quantities the
 construction needs: the per-axis effective exponents, their minimum (the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -217,29 +219,68 @@ def tail_sum(exponents: Sequence[float], weights: Sequence[float], radius: float
     return total - weighted_sum([-a for a in exponents], weights, radius)
 
 
+def combination_weights(levels: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Per-level weights that turn a sum of surpluses into a sum of level operators.
+
+    Level k weighs ``sum over masks e of (-1)**|e| [k + e in the set]``.
+    Only levels near the upper boundary of the (downward-closed) set survive.
+    """
+    lset = set(levels)
+    d = len(next(iter(lset)))
+    out: dict[tuple[int, ...], int] = {}
+    for lvl in lset:
+        w = 0
+        for mask in product((0, 1), repeat=d):
+            if tuple(k + e for k, e in zip(lvl, mask)) in lset:
+                w += (-1) ** sum(mask)
+        if w:
+            out[lvl] = w
+    return out
+
+
 # -- plans -------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class RecoveryPlan:
-    """Sample layout for one level set, as arrays.
+    """Sample layout for one level set.
 
-    ``levels`` is the sorted level set.  Row ``i`` of ``keys`` (shape
-    ``(n_actual, d)``, int64) names point ``i`` exactly: its coordinates are
-    ``keys[i] / 2**KEY_BITS``.  Points come in enumeration order: levels
+    ``levels`` is the sorted level set and ``combination[l]`` the
+    combination weight of ``levels[l]`` (`combination_weights`, 0 off the
+    upper boundary of the set).  Points come in enumeration order: levels
     sorted, and rows ``bounds[l]:bounds[l + 1]`` hold the cells of
     ``levels[l]`` in C order, node indices in C order within a cell, so that
-    they reshape to ``(*2**levels[l], *(degrees + 1))``.
+    they reshape to ``(*2**levels[l], *(degrees + 1))``.  No per-point
+    array is stored: `keys` builds one on each access.
     """
 
     params: SmoothnessParams
     levels: tuple[tuple[int, ...], ...]
-    keys: np.ndarray
     bounds: np.ndarray
+    combination: tuple[int, ...]
 
     @property
     def n_actual(self) -> int:
-        return len(self.keys)
+        return int(self.bounds[-1])
+
+    @property
+    def keys(self) -> np.ndarray:
+        """A new ``(n_actual, d)`` int64 array; row ``i`` names point ``i``
+        exactly, its coordinates being ``keys[i] / 2**KEY_BITS``.
+
+        Level ``l`` fills rows ``bounds[l]:bounds[l + 1]`` of the one array,
+        cells in C order outside, node indices in C order inside.
+        """
+        params, d = self.params, self.params.d
+        keys = np.empty((self.n_actual, d), dtype=np.int64)
+        for lvl, start, stop in zip(self.levels, self.bounds, self.bounds[1:]):
+            block = keys[start:stop].reshape(_level_shape(params, lvl) + (d,))
+            for j, (k, dg) in enumerate(zip(lvl, params.degrees)):
+                axis_shape = [1] * (2 * d)
+                axis_shape[j] = 1 << k
+                axis_shape[d + j] = dg + 1
+                block[..., j] = _axis_keys(k, dg).reshape(axis_shape)
+        return keys
 
     def floats(self) -> np.ndarray:
         """Point coordinates as an ``(n_actual, d)`` float array, correctly rounded."""
@@ -251,47 +292,29 @@ class RecoveryPlan:
         lvl, d = self.levels[li], self.params.d
         shape = _level_shape(self.params, lvl)
         tag = [int(t) for t in np.unravel_index(i - self.bounds[li], shape)]
-        return (
-            f"point {i} at {(self.keys[i] * 2.0**-KEY_BITS).tolist()} "
-            f"(level {lvl}, cell {tuple(tag[:d])}, node {tuple(tag[d:])})"
-        )
+        cell, node = tuple(tag[:d]), tuple(tag[d:])
+        at = [
+            (((c << NODE_BITS) + _node_numerators(dg)[n]) << (MAX_RADIUS - k)) * 2.0**-KEY_BITS
+            for k, c, n, dg in zip(lvl, cell, node, self.params.degrees)
+        ]
+        return f"point {i} at {at} (level {lvl}, cell {cell}, node {node})"
 
 
 def _level_shape(params: SmoothnessParams, level: Sequence[int]) -> tuple[int, ...]:
     return tuple(1 << k for k in level) + tuple(dg + 1 for dg in params.degrees)
 
 
-def _raw_keys(
-    params: SmoothnessParams, levels: Sequence[tuple[int, ...]], bounds: np.ndarray
-) -> np.ndarray:
-    """Keys of every (level, cell, node) triple, as one ``(n, d)`` array.
-
-    Level ``l`` fills rows ``bounds[l]:bounds[l + 1]`` of the one array,
-    cells in C order outside, node indices in C order inside.
-    """
-    d = params.d
-    keys = np.empty((bounds[-1], d), dtype=np.int64)
-    for lvl, start, stop in zip(levels, bounds, bounds[1:]):
-        block = keys[start:stop].reshape(_level_shape(params, lvl) + (d,))
-        for j, (k, dg) in enumerate(zip(lvl, params.degrees)):
-            axis_shape = [1] * (2 * d)
-            axis_shape[j] = 1 << k
-            axis_shape[d + j] = dg + 1
-            block[..., j] = _axis_keys(k, dg).reshape(axis_shape)
-    return keys
-
-
 def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
-    """Enumerate all sample points for the given radius."""
+    """The plan of all sample points for the given radius."""
     radius = as_integer(radius, "radius", 1, MAX_RADIUS)
     levels = index_set(params.weights, radius)
     _guard_raw_size(params, levels)
-    bounds = np.cumsum([0] + [math.prod(_level_shape(params, lvl)) for lvl in levels])
+    weights = combination_weights(levels)
     return RecoveryPlan(
         params=params,
         levels=tuple(levels),
-        keys=_raw_keys(params, levels, bounds),
-        bounds=bounds,
+        bounds=np.cumsum([0] + [math.prod(_level_shape(params, lvl)) for lvl in levels]),
+        combination=tuple(weights.get(lvl, 0) for lvl in levels),
     )
 
 

@@ -2,28 +2,28 @@
 
 `sample` evaluates the target function once, on the ``(n, d)`` array of the
 plan's exact keys converted to floats, and returns the checked value vector
-(`interp.as_values`): one finite float per point, aligned with the plan's
-key array.  `reconstruct`, another name of `Approximant`, builds from it the
-linear approximant
+(`interp.as_values`): one finite float per point, in the plan's row order.
+`reconstruct`, another name of `Approximant`, builds from it the linear
+approximant
 
     x  ->  sum over plan levels of  D^deriv (surplus at level k) (x),
 
 which, regrouped over the downward-closed level set, is a short weighted sum
-of level operators (the classic combination trick): the weight of level k is
-``sum over masks e of (-1)**|e| [k + e in set]`` and vanishes for all levels
-away from the upper boundary of the set.  On every cell of a surviving
-level, ``D^deriv`` of its spline blend of local interpolants is again a
-polynomial of the interpolation degrees (de Boor's B-form to pp-form
-conversion), so the derivative is blended into the level's monomial
-coefficient table once, at construction (`_blend`).  Points are evaluated in
-chunks: per level one gather from the table, then Horner's rule one axis at
-a time.  On a tensor grid, the private kernel `Approximant._grid` runs the
-same float steps, but shares each among all grid points that need it (sum
-factorization, every level being a tensor-product operator): it walks the
-levels outside and slabs of axis-0 rows inside, keeps a level's reduction
-along axes d-1..1 while consecutive slabs hit the same axis-0 cells, and
-broadcasts the coefficients of a slab inside one cell instead of gathering
-them.  Its values equal the pointwise ones bit for bit.
+of level operators (the classic combination trick): the plan carries the
+weight of each level (`grid.combination_weights`, re-exported here), which
+vanishes for all levels away from the upper boundary of the set.  On every
+cell of a surviving level, ``D^deriv`` of its spline blend of local
+interpolants is again a polynomial of the interpolation degrees (de Boor's
+B-form to pp-form conversion), so the derivative is blended into the level's
+monomial coefficient table once, at construction (`_table`).  Points are
+evaluated in chunks: per level one gather from the table, then Horner's rule
+one axis at a time.  On a tensor grid, the private kernel `Approximant._grid`
+runs the same float steps, but shares each among all grid points that need
+it (sum factorization, every level being a tensor-product operator): it
+walks the levels outside and slabs of axis-0 rows inside, keeps a level's
+reduction along axes d-1..1 while consecutive slabs hit the same axis-0
+cells, and broadcasts the coefficients of a slab inside one cell instead of
+gathering them.  Its values equal the pointwise ones bit for bit.
 
 Points must lie in the closed unit cube (`interp.as_points`).  Blending
 splines take right limits at interior knots; at the right edge ``x_j = 1``
@@ -48,13 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bspline import piece_table
-from .grid import RecoveryPlan
+from .grid import RecoveryPlan, combination_weights  # noqa: F401 (re-exported)
 from .interp import (
     as_integer, as_integers, as_points, as_values, horner, monomial_coeffs, tensor_grid,
     transform,
@@ -68,7 +67,8 @@ PointFn = Callable[[Array], Array]
 
 
 def sample(f: PointFn, plan: RecoveryPlan) -> Array:
-    """Evaluate ``f`` once per plan point; ``values[i]`` belongs to ``plan.keys[i]``.
+    """Evaluate ``f`` once per plan point; ``values[i]`` belongs to point ``i``,
+    row ``i`` of ``plan.keys``.
 
     ``f`` receives a single (n, d) array, so an instrumented callable sees
     exactly ``plan.n_actual`` rows.  Values of the wrong shape abort, and so
@@ -77,27 +77,6 @@ def sample(f: PointFn, plan: RecoveryPlan) -> Array:
     """
     values = np.array(f(plan.floats()), dtype=float)
     return as_values(values, "sample(f)", plan.n_actual, plan.describe)
-
-
-# -- combination weights -------------------------------------------------------------
-
-
-def combination_weights(levels: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-    """Per-level weights that turn a sum of surpluses into a sum of level operators.
-
-    Only levels near the upper boundary of the (downward-closed) set survive.
-    """
-    lset = set(levels)
-    d = len(next(iter(lset)))
-    out: dict[tuple[int, ...], int] = {}
-    for lvl in lset:
-        w = 0
-        for mask in product((0, 1), repeat=d):
-            if tuple(k + e for k, e in zip(lvl, mask)) in lset:
-                w += (-1) ** sum(mask)
-        if w:
-            out[lvl] = w
-    return out
 
 
 # -- the approximant -----------------------------------------------------------------
@@ -161,6 +140,26 @@ def _blend(table: Array, j: int, k: int, r: int) -> Array:
     return 2.0 ** (k * r) * blended
 
 
+def _table(
+    values: Array, level: Sequence[int], degrees: Sequence[int], deriv: Sequence[int]
+) -> Array:
+    """The monomial coefficients of ``D^deriv`` on every cell of one level.
+
+    ``values`` are the level's rows of a value vector, in plan order.  The
+    table is contiguous, of shape ``(*(degrees + 1), n_cells)`` with cells in
+    C order, so a gather of m cells yields one contiguous row of m values
+    per coefficient.
+    """
+    d, nodes = len(level), tuple(dg + 1 for dg in degrees)
+    cells = values.reshape(tuple(1 << k for k in level) + nodes)
+    # (cell_0, ..., cell_{d-1}, node_0, ..., node_{d-1}) -> (node_0, ..., cell_0, ...)
+    table = monomial_coeffs(cells.transpose(list(range(d, 2 * d)) + list(range(d))), degrees)
+    for j, (k, r) in enumerate(zip(level, deriv)):
+        if r:
+            table = _blend(table, j, k, r)
+    return np.ascontiguousarray(table).reshape(nodes + (-1,))
+
+
 class Approximant:
     """The reconstructed derivative, evaluable anywhere in the closed unit cube.
 
@@ -183,28 +182,14 @@ class Approximant:
             )
         values = as_values(values, "reconstruct(values)", plan.n_actual, plan.describe)
         self.plan = plan
-        # One (level, weight, table) per surviving level, in sorted level
-        # order.  A table holds the monomial coefficients of D^deriv on every
-        # cell of its level, shape ``(*(degrees + 1), n_cells)``, cells in C
-        # order, so a gather of m cells yields one contiguous row of m values
-        # per coefficient.
-        weights = combination_weights(plan.levels)
-        nodes = tuple(dg + 1 for dg in params.degrees)
-        d = params.d
-        self._levels = []
-        for li, level in enumerate(plan.levels):
-            if level not in weights:
-                continue
-            # (cell_0, ..., cell_{d-1}, node_0, ..., node_{d-1}) -> (node_0, ..., cell_0, ...)
-            c = values[plan.bounds[li] : plan.bounds[li + 1]].reshape(
-                tuple(1 << k for k in level) + nodes
-            ).transpose(list(range(d, 2 * d)) + list(range(d)))
-            table = monomial_coeffs(c, params.degrees)
-            for j, (k, r) in enumerate(zip(level, deriv)):
-                if r:
-                    table = _blend(table, j, k, r)
-            table = np.ascontiguousarray(table).reshape(nodes + (-1,))
-            self._levels.append((level, weights[level], table))
+        # One (level, weight, table) per surviving level, in sorted level order.
+        self._levels = [
+            (level, weight, _table(values[start:stop], level, params.degrees, deriv))
+            for level, weight, start, stop in zip(
+                plan.levels, plan.combination, plan.bounds, plan.bounds[1:]
+            )
+            if weight
+        ]
         # The (axis, level) pairs whose cells a chunk needs.
         self._axis_levels = sorted(
             {(j, k) for level, _, _ in self._levels for j, k in enumerate(level)}

@@ -26,29 +26,25 @@ class TestLocalInterp:
     def test_reproduces_polynomials_on_cell(self):
         rng = np.random.default_rng(0)
         f, scale = random_poly(rng, (2, 2))
-        poly = DyadicEvaluator((2, 2), (0, 0), f=f).local_interp((2, 1), (1, 0))
+        poly = DyadicEvaluator((2, 2), (0, 0), f=f)._local((2, 1), (1, 0))
         cellpts = (0.25, 0.0) + (0.25, 0.5) * rng.uniform(0, 1, (30, 2))
         assert np.all(np.abs(poly.eval(cellpts) - f(cellpts)) <= 1e-10 * max(scale, 1))
 
     def test_zero_function(self):
-        poly = DyadicEvaluator((1, 1), (0, 0), f=const(0.0)).local_interp((1, 1), (0, 1))
+        poly = DyadicEvaluator((1, 1), (0, 0), f=const(0.0))._local((1, 1), (0, 1))
         assert poly.eval((0.3, 0.8)) == 0.0
 
     def test_midpoint_rule_cell(self):
         # Degree 0 on cell [1/2, 1): the interpolant is f at the cell midpoint-ish node.
-        poly = DyadicEvaluator((0,), (0,), f=lambda p: p[:, 0]).local_interp((1,), (1,))
+        poly = DyadicEvaluator((0,), (0,), f=lambda p: p[:, 0])._local((1,), (1,))
         assert poly.eval((0.6,)) == pytest.approx(0.75, abs=1e-12)
-
-    def test_invalid_cell(self):
-        with pytest.raises(ValueError):
-            DyadicEvaluator((0,), (0,), f=const(0.0)).local_interp((1,), (2,))
 
     def test_function_failure_propagates(self):
         def bad(p):
             raise RuntimeError("no value here")
 
         with pytest.raises(RuntimeError, match="no value here"):
-            DyadicEvaluator((1,), (0,), f=bad).local_interp((1,), (0,))
+            DyadicEvaluator((1,), (0,), f=bad)._local((1,), (0,))
 
 
 class TestQuasiInterp:
@@ -67,7 +63,7 @@ class TestQuasiInterp:
         x = (0.3,)
         got = ev.quasi_interp_deriv((2,), (0,), x)
         cell = (int(x[0] * 4),)
-        want = ev.local_interp((2,), cell).eval(x)
+        want = ev._local((2,), cell).eval(x)
         assert got == want
 
     def test_constant_derivative_vanishes(self):
@@ -158,8 +154,8 @@ class TestSurplus:
 class TestTranslateRepresentation:
     def test_level_zero_reduces_to_local_interp(self):
         ev = DyadicEvaluator((2, 2), (1, 1), f=smooth2)
-        upoly = ev.surplus_local_poly((0, 0), (-1, 0))
-        base = ev.local_interp((0, 0), (0, 0))
+        upoly = ev._surplus_poly((0, 0), (-1, 0))
+        base = ev._local((0, 0), (0, 0))
         for pt in [(0.2, 0.7), (0.9, 0.05)]:
             assert upoly.eval(pt) == pytest.approx(base.eval(pt), abs=1e-12)
 
@@ -220,6 +216,11 @@ class TestMemoization:
             ev.surplus_deriv((2, 1), (0, 0), part)
         assert seen and max(seen.values()) == 1
 
+    def test_cell_and_translate_polynomials_are_kept(self):
+        ev = DyadicEvaluator((1, 1), (1, 1), f=smooth2)
+        assert ev._local((2, 1), (1, 0)) is ev._local((2, 1), (1, 0))
+        assert ev._surplus_poly((2, 1), (-1, 0)) is ev._surplus_poly((2, 1), (-1, 0))
+
 
 def affine(p):
     return 1.0 + p[:, 0] + p[:, 1]
@@ -240,24 +241,12 @@ class TestInputContract:
                 "axis 0: derivative order: expected an integer, got 0.9",
             ),
             (
-                lambda ev: ev.local_interp((2.0, 1), (1.7, 0)),
-                "axis 0: cell: expected an integer, got 1.7",
-            ),
-            (
                 lambda ev: ev.surplus_deriv((True, 1), (0, 0), (0.3, 0.4)),
                 "axis 0: level: expected an integer, got True",
             ),
             (
                 lambda ev: ev.surplus_via_translates((1, 1), (0, 2), (0.3, 0.4)),
                 "axis 1: derivative order 2 exceeds supported maximum 1",
-            ),
-            (
-                lambda ev: ev.surplus_local_poly((1, 1), (-2, 0)),
-                "axis 0: shift must be an integer >= -1, got -2",
-            ),
-            (
-                lambda ev: ev.local_interp((1, 1), (0, 2)),
-                "axis 1: cell 2 exceeds supported maximum 1",
             ),
             (
                 lambda ev: ev.quasi_interp_deriv((1, -1), (0, 0), (0.3, 0.4)),
@@ -304,10 +293,9 @@ class TestInputContract:
             ),
         ],
         ids=[
-            "fractional-level", "fractional-order", "fractional-cell", "bool-level",
-            "order-above-spline", "shift-below", "cell-above", "negative-level",
-            "short-level", "short-point", "narrow-array", "point-outside", "nan-point",
-            "array-row", "nan-value", "values-per-row",
+            "fractional-level", "fractional-order", "bool-level", "order-above-spline",
+            "negative-level", "short-level", "short-point", "narrow-array",
+            "point-outside", "nan-point", "array-row", "nan-value", "values-per-row",
         ],
     )
     def test_refused_with_its_name(self, call, message):
@@ -319,7 +307,6 @@ class TestInputContract:
 
     def test_integral_floats_accepted(self):
         ev = DyadicEvaluator((1, 1), (1, 1), f=affine)
-        assert ev.local_interp((2.0, 1), (1.0, 0)) is ev.local_interp((2, 1), (1, 0))
         got = ev.quasi_interp_deriv((1.0, np.int64(2)), (1.0, 0), (0.3, 1.0))
         assert got == ev.quasi_interp_deriv((1, 2), (1, 0), (0.3, 1.0)) == pytest.approx(1.0)
 
@@ -371,7 +358,7 @@ class TestArrayEqualsPointwise:
 
     def test_tensor_poly_rows(self):
         rng = np.random.default_rng(8)
-        poly = DyadicEvaluator((2, 1, 2), (0, 0, 0), f=smooth2).local_interp((1, 0, 2), (1, 0, 3))
+        poly = DyadicEvaluator((2, 1, 2), (0, 0, 0), f=smooth2)._local((1, 0, 2), (1, 0, 3))
         pts = np.concatenate([rng.uniform(-0.5, 1.5, (20, 3)), np.zeros((1, 3)), np.ones((1, 3))])
         for deriv in product(range(4), range(3), range(2)):
             got = poly.deriv_eval(deriv, pts)

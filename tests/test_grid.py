@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 import re
 import tracemalloc
@@ -13,6 +14,34 @@ import pytest
 
 from hypercross import functions, grid, recovery
 from hypercross.interp import MAX_DEGREE, nodes_exact
+
+
+@pytest.fixture(scope="module", autouse=True)
+def built_plans():
+    """Every plan `grid.build_plan` returns while the module's tests run."""
+    built, build = [], grid.build_plan
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid, "build_plan", recording)
+        yield built
+
+
+@pytest.fixture(autouse=True)
+def plans_carry_combination_weights(built_plans):
+    """Each plan built for a test carries one weight per level: the level's
+    `combination_weights` entry, 0 where it has none, summing to 1."""
+    yield
+    while built_plans:
+        plan = built_plans.pop()
+        assert len(plan.combination) == len(plan.levels)
+        assert all(type(w) is int for w in plan.combination)
+        carried = {lvl: w for lvl, w in zip(plan.levels, plan.combination) if w}
+        assert carried == grid.combination_weights(plan.levels)
+        assert sum(plan.combination) == 1
 
 
 class TestDeriveParams:
@@ -357,22 +386,54 @@ class TestPlans:
 
 
 class TestPlanMemory:
-    def test_keys_are_filled_in_place(self):
-        # The plan-2d benchmark config: radius 12, 196,614 points, 3.0 MiB
-        # of keys.  build_plan fills one (n, d) array level by level, so its
-        # traced peak stays near the key bytes: measured 1.09 times them,
-        # and 2.01 times when each level's block was built on its own and
-        # the blocks then concatenated.
-        params = grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
-        radius = grid.choose_radius(params, 262144)
+    # The plan-2d benchmark config: radius 12, 196,614 points, 3.0 MiB of keys.
+    @staticmethod
+    def traced(build):
         tracemalloc.start()
         try:
-            plan = grid.build_plan(params, radius)
+            out = build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return out, peak
+
+    @pytest.fixture(scope="class")
+    def plan_2d(self):
+        params = grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
+        radius = grid.choose_radius(params, 262144)
+        plan, peak = self.traced(lambda: grid.build_plan(params, radius))
         assert (radius, plan.n_actual) == (12, 196_614)
-        assert peak <= 1.15 * plan.keys.nbytes
+        return plan, peak
+
+    def test_plan_holds_no_point_array(self, plan_2d):
+        # A plan is its level set: build_plan's traced peak measured 0.012
+        # times the key bytes, and 1.09 times when the plan stored its keys.
+        plan, peak = plan_2d
+        assert peak < 0.05 * plan.keys.nbytes
+
+    def test_keys_are_filled_in_place(self, plan_2d):
+        # `plan.keys` fills one (n, d) array level by level, so its traced
+        # peak stays near the key bytes: measured 1.09 times them, and 2.01
+        # times when each level's block was built on its own and the blocks
+        # then concatenated.
+        keys, peak = self.traced(lambda: plan_2d[0].keys)
+        assert peak <= 1.15 * keys.nbytes
+
+    @pytest.mark.parametrize("name, radius", [("d1_mid", 4), ("d2_aniso", 4), ("d3", 2)])
+    def test_keys_are_built_on_each_access(self, name, radius):
+        plan = grid.build_plan(PARAM_SETS[name](), radius)
+        first, second = plan.keys, plan.keys
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+        assert first.shape == (plan.n_actual, plan.params.d)
+
+    @pytest.mark.parametrize("name, radius", [("d1_mid", 4), ("d2_aniso", 4), ("d3", 2)])
+    def test_describe_names_each_point_at_its_floats(self, name, radius):
+        plan = grid.build_plan(PARAM_SETS[name](), radius)
+        floats = plan.floats()
+        for i in range(plan.n_actual):
+            at = re.match(rf"point {i} at (\[[^]]*\]) \(level ", plan.describe(i)).group(1)
+            assert json.loads(at) == floats[i].tolist()
 
 
 class TestPlanOracle:
@@ -410,6 +471,22 @@ class TestPlanOracle:
         plan = grid.build_plan(params_3d(), 2)
         want = np.array([[float(c) for c in pt] for pt in key_fractions(plan)])
         assert np.array_equal(plan.floats(), want)
+
+
+class TestCombinationWeights:
+    def test_one_function(self):
+        assert recovery.combination_weights is grid.combination_weights
+
+    def test_full_box_collapses_to_top_level(self):
+        levels = [(k1, k2) for k1 in range(3) for k2 in range(4)]
+        w = grid.combination_weights(levels)
+        assert w == {(2, 3): 1}
+
+    def test_simplex_weights_cover_boundary_only(self):
+        levels = grid.index_set((1.0, 1.0), 4)
+        w = grid.combination_weights(levels)
+        assert all(sum(lvl) >= 3 for lvl in w)
+        assert sum(w.values()) == 1  # weights telescope to one copy of the data
 
 
 class TestChooseRadius:

@@ -65,14 +65,6 @@ ENTRY_POINTS = {
         lambda v: dyadic.DyadicEvaluator((2,), (2,), _square).surplus_deriv((1,), (v,), (0.3,)),
         "axis 0: derivative order", 0, 2, 1,
     ),
-    "evaluator_cell": (
-        lambda v: dyadic.DyadicEvaluator((1,), (1,), _square).local_interp((2,), (v,)).x0,
-        "axis 0: cell", 0, 3, 2,
-    ),
-    "evaluator_shift": (
-        lambda v: dyadic.DyadicEvaluator((1,), (1,), _square).surplus_local_poly((2,), (v,)).x0,
-        "axis 0: shift", -1, 3, 2,
-    ),
     "tensor_poly_derivative_order": (
         lambda v: interp.interpolate(_square, (2,), (0.0,), (1.0,)).deriv_eval((v,), (0.3,)),
         "axis 0: derivative order", 0, None, 1,

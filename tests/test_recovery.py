@@ -15,6 +15,8 @@ from hypercross.dyadic import DyadicEvaluator
 from hypercross.interp import tensor_grid
 from hypercross.recovery import Quadrature, lq_error, reconstruct, sample
 
+from test_grid import built_plans, plans_carry_combination_weights  # noqa: F401 (autouse)
+
 
 def params_smooth(deriv=(0, 0)):
     return grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
@@ -609,19 +611,6 @@ class TestBlendingOffsets:
         plan, approx = differential_case[2], differential_case[3]
         weights = recovery.combination_weights(plan.levels)
         assert [(lvl, w) for lvl, w, _ in approx._levels] == sorted(weights.items())
-
-
-class TestCombinationWeights:
-    def test_full_box_collapses_to_top_level(self):
-        levels = [(k1, k2) for k1 in range(3) for k2 in range(4)]
-        w = recovery.combination_weights(levels)
-        assert w == {(2, 3): 1}
-
-    def test_simplex_weights_cover_boundary_only(self):
-        levels = grid.index_set((1.0, 1.0), 4)
-        w = recovery.combination_weights(levels)
-        assert all(sum(lvl) >= 3 for lvl in w)
-        assert sum(w.values()) == 1  # weights telescope to one copy of the data
 
 
 class TestLqError:
