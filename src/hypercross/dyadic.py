@@ -25,7 +25,10 @@ cell on the cell's interpolation nodes (`interp.interpolate`), and a surplus
 polynomial evaluates each coarse interpolant once on its anchor cell's nodes.
 Its operators take one point (and return a float) or an ``(n, d)`` array of
 points (and return ``(n,)``) through one code path, in which each point sees
-the same float operations: a single point is the case ``n = 1``.  Every
+the same float operations: a single point is the case ``n = 1``.  Per
+offset of the covering translates, that path builds one polynomial per cell
+group and reduces all the points in one gathered Horner pass per split
+(`interp.stack_deriv_eval`).  Every
 public method checks its input once per call: levels and derivative orders
 go through `interp.as_integers` with their bounds, one per axis, and points
 through `interp.as_points` (finite, in the closed unit cube); anything else
@@ -42,7 +45,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bspline import MAX_ORDER, bspline_derivative, refinement_coeffs
-from .interp import MAX_DEGREE, TensorPoly, as_integer, as_integers, as_points, interpolate
+from .interp import (
+    MAX_DEGREE, TensorPoly, as_integer, as_integers, as_points, interpolate, stack_deriv_eval,
+)
 
 Vector = tuple[int, ...]
 
@@ -155,8 +160,9 @@ class DyadicEvaluator:
         skipped, and a translate's polynomial is built only once one of its
         spline factors is nonzero.  The spline factors take one
         `bspline_derivative` call per axis and split order; per offset the
-        points are grouped by cell (hence by shift), and each group takes one
-        ``poly_at`` call and one `TensorPoly.deriv_eval` call per split.
+        points are grouped by cell (hence by shift), each group takes one
+        ``poly_at`` call, and one `interp.stack_deriv_eval` call per split
+        reduces all the live points over the stack of the groups' polynomials.
         """
         # The right edge of the cube folds into the last cell.
         cells = np.minimum(
@@ -189,10 +195,9 @@ class DyadicEvaluator:
             )
             for split in product(*[range(r + 1) for r in deriv])
         ]
-        # Runs of points sharing a cell, in a stable sort.
+        # Points sorted by cell (stably), and the run of equal cells each falls in.
         by_cell = np.lexsort(cells.T[::-1])
-        ends = np.flatnonzero(np.diff(cells[by_cell], axis=0).any(axis=1)) + 1
-        runs = [by_cell[a:b] for a, b in zip([0, *ends.tolist()], [*ends.tolist(), len(pts)])]
+        run_of = np.cumsum(np.diff(cells[by_cell], axis=0, prepend=-1).any(axis=1))
         total = np.zeros(len(pts))
         terms = np.empty((len(splits), len(pts)))
         for idx in product(*[range(m + 1) for m in self.order]):
@@ -201,14 +206,16 @@ class DyadicEvaluator:
                 for split, _, _ in splits
             ]
             live = reduce(np.logical_or, [spline != 0.0 for spline in splines])
-            offset = np.subtract(idx, self.order)
-            for run in runs:
-                run = run[live[run]]
-                if run.size:
-                    poly = poly_at(tuple((cells[run[0]] + offset).tolist()))
-                    at = pts[run]
-                    for term, (_, rest, _) in zip(terms, splits):
-                        term[run] = poly.deriv_eval(rest, at)
+            # The live points grouped by cell, one polynomial per group.
+            keep = live[by_cell]
+            rows = by_cell[keep]
+            if rows.size:
+                heads, owner = np.unique(run_of[keep], return_index=True, return_inverse=True)[1:]
+                shifts = (cells[rows[heads]] + np.subtract(idx, self.order)).tolist()
+                polys = [poly_at(tuple(shift)) for shift in shifts]
+                at = pts[rows]
+                for term, (_, rest, _) in zip(terms, splits):
+                    term[rows] = stack_deriv_eval(polys, rest, at, owner)
             # A point takes the terms of its nonzero spline factors, split by split.
             for term, spline, (_, _, binom) in zip(terms, splines, splits):
                 add = spline != 0.0

@@ -12,8 +12,9 @@ ever produces a lower estimate.  It is never used as recovery ground truth.
 Functions here follow the package's one calling convention: a registry
 entry evaluates one point ``(d,)`` or an ``(n, d)`` array of finite points
 (`interp.as_points`) and returns ``(n,)`` values, ``(1,)`` for one point;
-`modulus_estimate` calls its ``f`` on ``(n, d)`` arrays of anchors and
-refuses anything but ``n`` finite values (`interp.as_values`).
+`modulus_estimate` calls its ``f`` once per step vector, on the ``(n, d)``
+array of every stencil offset's anchors, and refuses anything but ``n``
+finite values (`interp.as_values`).
 """
 
 from __future__ import annotations
@@ -162,14 +163,15 @@ def modulus_estimate(
     Maximizes the discrete L_p norm of the mixed difference (order masked to
     ``axes``) over a finite lattice of positive step vectors ``h <= t`` and a
     uniform grid of ``_GRID_POINTS`` anchors per axis inside the admissible
-    domain.  Being a finite search it can only under-estimate the true
-    supremum.  Raises ValueError if an order, an axis or ``step_lattice`` is
-    not an integer (never truncated), if an order is negative or
-    ``step_lattice`` below 1, if ``p`` lies outside ``[1, inf]``, if ``t``
-    or ``axes`` does not fit the dimension ``len(order)``, if an entry of
-    ``t`` is not finite and > 0, if every step of the lattice takes the
-    stencil out of the unit cube, or if ``f`` does not return one finite
-    value per point.
+    domain, calling ``f`` once per step vector on the anchors of every
+    stencil offset, stacked in stencil order.  Being a finite search it can
+    only under-estimate the true supremum.  Raises ValueError if an order,
+    an axis or ``step_lattice`` is not an integer (never truncated), if an
+    order is negative or ``step_lattice`` below 1, if ``p`` lies outside
+    ``[1, inf]``, if ``t`` or ``axes`` does not fit the dimension
+    ``len(order)``, if an entry of ``t`` is not finite and > 0, if every
+    step of the lattice takes the stencil out of the unit cube, or if ``f``
+    does not return one finite value per point.
     """
     axes = tuple(sorted(set(as_integer(a, "modulus axis") for a in axes)))
     order = as_integers(order, "difference order", len(order), 0)
@@ -200,15 +202,20 @@ def modulus_estimate(
             continue
         # Anchor grid over the shrunken domain [0, 1 - order*h].
         anchors = tensor_grid([np.linspace(0.0, 1.0 - s, _GRID_POINTS) for s in span])
+        # Every stencil offset's shifted anchors in one array, for one f call.
+        stencil = list(product(*[range(r + 1) for r in eff]))
+        shifted = np.concatenate(
+            [anchors + np.array([kj * hj for kj, hj in zip(k, h)]) for k in stencil]
+        )
+        values = as_values(
+            f(shifted), "modulus_estimate(f)", len(shifted),
+            lambda i: f"point {shifted[i].tolist()}",
+        ).reshape(len(stencil), len(anchors))
         diffs = np.zeros(len(anchors))
-        for k in product(*[range(r + 1) for r in eff]):
+        for k, v in zip(stencil, values):
             c = math.prod(math.comb(r, kj) for r, kj in zip(eff, k))
             s = (-1) ** (sum(eff) - sum(k))
-            shifted = anchors + np.array([kj * hj for kj, hj in zip(k, h)])
-            diffs += s * c * as_values(
-                f(shifted), "modulus_estimate(f)", len(shifted),
-                lambda i: f"point {shifted[i].tolist()}",
-            )
+            diffs += s * c * v
         vol = math.prod(1.0 - s for s in span)
         if math.isinf(p):
             norm = float(np.max(np.abs(diffs)))

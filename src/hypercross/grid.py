@@ -271,20 +271,29 @@ class RecoveryPlan:
         Level ``l`` fills rows ``bounds[l]:bounds[l + 1]`` of the one array,
         cells in C order outside, node indices in C order inside.
         """
+        return self._fill(np.int64)
+
+    def floats(self) -> np.ndarray:
+        """Point coordinates as an ``(n_actual, d)`` float array, correctly rounded.
+
+        Filled like `keys` in one array: each key rounds to the nearest
+        float, which ``2**-KEY_BITS`` then scales exactly.
+        """
+        out = self._fill(float)
+        out *= 2.0**-KEY_BITS
+        return out
+
+    def _fill(self, dtype) -> np.ndarray:
         params, d = self.params, self.params.d
-        keys = np.empty((self.n_actual, d), dtype=np.int64)
+        out = np.empty((self.n_actual, d), dtype=dtype)
         for lvl, start, stop in zip(self.levels, self.bounds, self.bounds[1:]):
-            block = keys[start:stop].reshape(_level_shape(params, lvl) + (d,))
+            block = out[start:stop].reshape(_level_shape(params, lvl) + (d,))
             for j, (k, dg) in enumerate(zip(lvl, params.degrees)):
                 axis_shape = [1] * (2 * d)
                 axis_shape[j] = 1 << k
                 axis_shape[d + j] = dg + 1
                 block[..., j] = _axis_keys(k, dg).reshape(axis_shape)
-        return keys
-
-    def floats(self) -> np.ndarray:
-        """Point coordinates as an ``(n_actual, d)`` float array, correctly rounded."""
-        return self.keys * 2.0**-KEY_BITS
+        return out
 
     def describe(self, i: int) -> str:
         """Point ``i`` with its float coordinates and provenance, for error messages."""

@@ -11,10 +11,12 @@ products, multiplied out in exact rationals and cached per degree
 (`monomial_coeffs`, applied along each axis by `transform`); derivatives
 keep the coefficients from power r on, scaled by falling factorials
 (`differentiate`), and values come from Horner's rule one axis at a time
-(`horner`).  `TensorPoly` evaluates through these helpers, the batched
-`Approximant` blends its derivative into its tables with `transform` and
-reduces them with `horner`, and `bspline.bspline_derivative` reduces its
-piece tables with `horner` too.
+(`horner`).  `stack_deriv_eval` is the one evaluator of tensor polynomials:
+it reduces a stack of same-degree `TensorPoly`s at once, each point at its
+own polynomial, and `TensorPoly.deriv_eval` calls it on a stack of one.
+The batched `Approximant` blends its derivative into its tables with
+`transform` and reduces them with `horner`, and
+`bspline.bspline_derivative` reduces its piece tables with `horner` too.
 `interpolate` is the one way to build a `TensorPoly` from a function.
 
 Every function the package takes is called on an ``(n, d)`` float array of
@@ -281,20 +283,40 @@ class TensorPoly:
         deriv = as_integers(deriv, "derivative order", self.dim, 0)
         pts = as_points(x, self.dim)
         rows = pts.reshape(-1, self.dim)
-        n = len(rows)
-        if any(r > d for r, d in zip(deriv, self.degrees)):
-            return 0.0 if pts.ndim == 1 else np.zeros(n)
-        c = self._coeffs
-        for axis, (r, dl) in enumerate(zip(deriv, self.delta)):
-            if r:
-                c = differentiate(c, axis, r) / dl**r
-        if c.size == 1:  # a constant takes no Horner step over the points
-            out = np.full(n, c.flat[0])
-        else:
-            out = c[..., None]
-            for axis in range(self.dim - 1, -1, -1):
-                out = horner(out, axis, (rows[:, axis] - self.x0[axis]) / self.delta[axis])
+        out = stack_deriv_eval([self], deriv, rows, np.zeros(len(rows), dtype=np.intp))
         return float(out[0]) if pts.ndim == 1 else out
+
+
+def stack_deriv_eval(
+    polys: Sequence[TensorPoly], deriv: Sequence[int], rows: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """Mixed derivative of ``polys[owner[i]]`` at row ``i`` of ``rows``, as ``(n,)``.
+
+    The polynomials share their degrees, and their coefficient tensors are
+    stacked along a trailing axis: Horner's rule gathers row ``i``'s
+    coefficients at ``owner[i]`` and runs along the point axis, each row
+    taking the float steps of its polynomial evaluated alone.  Zero past the
+    degree.  The input is not checked: ``deriv`` holds ints ``>= 0`` and
+    ``rows`` finite points, one per axis (see `TensorPoly.deriv_eval`).
+    """
+    if any(r > d for r, d in zip(deriv, polys[0].degrees)):
+        return np.zeros(len(rows))
+    # A stack of one is a view that broadcasts along the point axis, ungathered.
+    one = len(polys) == 1
+    c = polys[0]._coeffs[..., None] if one else np.stack([p._coeffs for p in polys], axis=-1)
+    for axis, r in enumerate(deriv):
+        if r:
+            c = differentiate(c, axis, r) / np.array([p.delta[axis] ** r for p in polys])
+    if c.size == len(polys):  # constants take no Horner step over the points
+        return c.reshape(-1)[owner]
+    x0, delta = np.array([p.x0 for p in polys]), np.array([p.delta for p in polys])
+    if not one:
+        x0, delta = x0[owner], delta[owner]
+    t = (rows - x0) / delta
+    out = horner(c, c.ndim - 2, t[:, -1], index=None if one else owner, at=-1)
+    for axis in range(c.ndim - 3, -1, -1):
+        out = horner(out, axis, t[:, axis])
+    return out
 
 
 def interpolate(

@@ -2,12 +2,14 @@
 
 import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
 
 from hypercross import functions
 from hypercross.functions import modulus_estimate
+from hypercross.interp import tensor_grid
 
 
 class TestRegistry:
@@ -101,6 +103,33 @@ class TestModulusEstimate:
         f = lambda pts: np.full(len(pts), 3.3)  # noqa: E731
         got = modulus_estimate(f, (2, 2), (0.25, 0.25), (0, 1), 2.0)
         assert got == pytest.approx(0.0, abs=1e-13)
+
+    def test_one_f_call_per_step(self):
+        # A (1, 1) difference on a 3 x 3 step lattice: 9 calls, each on the
+        # 4 stencil offsets' 256 anchors at once.
+        calls = []
+        f = lambda pts: calls.append(pts.shape) or pts[:, 0] * pts[:, 1]  # noqa: E731
+        modulus_estimate(f, (1, 1), (0.3, 0.3), (0, 1), 2.0, step_lattice=3)
+        assert calls == [(4 * 256, 2)] * 9
+
+    def test_equals_per_offset_sum(self):
+        # The reference calls f once per stencil offset; the floats agree bit
+        # for bit.
+        f = functions.get_function("aniso", 2).value
+        order, t, p = (2, 1), (0.2, 0.3), 2.0
+        best = 0.0
+        for h in product(*[[tj * i / 4 for i in range(1, 5)] for tj in t]):
+            span = [r * hj for r, hj in zip(order, h)]
+            grid = [np.linspace(0.0, 1.0 - s, functions._GRID_POINTS) for s in span]
+            anchors = tensor_grid(grid)
+            diffs = np.zeros(len(anchors))
+            for k in product(*[range(r + 1) for r in order]):
+                c = math.prod(math.comb(r, kj) for r, kj in zip(order, k))
+                s = (-1) ** (sum(order) - sum(k))
+                diffs += s * c * f(anchors + np.array([kj * hj for kj, hj in zip(k, h)]))
+            vol = math.prod(1.0 - s for s in span)
+            best = max(best, float((np.mean(np.abs(diffs) ** p) * vol) ** (1.0 / p)))
+        assert modulus_estimate(f, order, t, (0, 1), p).hex() == best.hex()
 
     def test_monotone_in_step_bound(self):
         entry = functions.get_function("trig", 2)
@@ -208,7 +237,7 @@ class TestModulusEstimate:
             ),
             (
                 lambda pts: pts[:, :1],
-                "modulus_estimate(f): values of shape (256, 1) for 256 points, expected (256,)",
+                "modulus_estimate(f): values of shape (1024, 1) for 1024 points, expected (1024,)",
             ),
         ],
         ids=["nan-half-cube", "column"],

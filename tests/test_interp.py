@@ -323,6 +323,39 @@ class TestDerivEval:
                 assert np.all(got == 0.0)
 
 
+class TestStackDerivEval:
+    """The gathered evaluator on a stack gives, bit for bit, each polynomial's
+    own `deriv_eval` on its rows."""
+
+    @pytest.mark.parametrize(
+        "degrees", [(3,), (0,), (2, 0), (0, 3), (0, 0), (1, 3, 2), (2, 0, 1), (0, 0, 0)]
+    )
+    def test_equals_each_polynomial_on_its_rows(self, degrees):
+        rng = np.random.default_rng(len(degrees) * 100 + sum(degrees))
+        d = len(degrees)
+        polys = [
+            interp.TensorPoly(
+                degrees,
+                tuple(rng.uniform(-1, 1, d).tolist()),
+                tuple(rng.choice([0.125, 0.3, 1.0, 2.5], d).tolist()),
+                rng.uniform(-1, 1, tuple(g + 1 for g in degrees)),
+            )
+            for _ in range(5)
+        ]
+        # Shuffled owners; the last polynomial owns no row.
+        owner = rng.permutation(np.repeat(np.arange(4), [6, 1, 9, 4]))
+        rows = rng.uniform(-0.5, 1.5, (len(owner), d))
+        for deriv in product(*[range(g + 2) for g in degrees]):
+            got = interp.stack_deriv_eval(polys, deriv, rows, owner)
+            want = np.full(len(rows), np.nan)
+            for g, poly in enumerate(polys):
+                want[owner == g] = poly.deriv_eval(deriv, rows[owner == g])
+            assert got.shape == (len(rows),)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            if any(r > g for r, g in zip(deriv, degrees)):
+                assert np.all(got == 0.0)
+
+
 class TestPolynomialHelpers:
     """The shared monomial helpers on blocks with a trailing axis of m items."""
 
