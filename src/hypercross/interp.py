@@ -301,19 +301,15 @@ def stack_deriv_eval(
     """
     if any(r > d for r, d in zip(deriv, polys[0].degrees)):
         return np.zeros(len(rows))
-    # A stack of one is a view that broadcasts along the point axis, ungathered.
-    one = len(polys) == 1
-    c = polys[0]._coeffs[..., None] if one else np.stack([p._coeffs for p in polys], axis=-1)
+    c = np.stack([p._coeffs for p in polys], axis=-1)
     for axis, r in enumerate(deriv):
         if r:
             c = differentiate(c, axis, r) / np.array([p.delta[axis] ** r for p in polys])
     if c.size == len(polys):  # constants take no Horner step over the points
         return c.reshape(-1)[owner]
     x0, delta = np.array([p.x0 for p in polys]), np.array([p.delta for p in polys])
-    if not one:
-        x0, delta = x0[owner], delta[owner]
-    t = (rows - x0) / delta
-    out = horner(c, c.ndim - 2, t[:, -1], index=None if one else owner, at=-1)
+    t = (rows - x0[owner]) / delta[owner]
+    out = horner(c, c.ndim - 2, t[:, -1], index=owner, at=-1)
     for axis in range(c.ndim - 3, -1, -1):
         out = horner(out, axis, t[:, axis])
     return out
