@@ -72,15 +72,11 @@ class StudyResult:
     loglog_coeff: float = field(default=math.nan)
 
 
-def _parse_extended(v, what: str) -> float:
-    """Number or the strings inf/infinity (JSON has no infinity literal)."""
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ValueError(f"{what}: cannot parse {v!r}")
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise ValueError(f"{what}: expected a number, got {v!r}")
+def _parse_extended(v):
+    """The strings inf/infinity as math.inf (JSON has no infinity literal)."""
+    if isinstance(v, str) and v.lower() in ("inf", "infinity"):
+        return math.inf
+    return v
 
 
 def _array(v, what: str) -> list:
@@ -89,14 +85,9 @@ def _array(v, what: str) -> list:
     return v
 
 
-def _finite(v, what: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ValueError(f"{what}: expected a finite number, got {v!r}")
-    return float(v)
-
-
 def load_config(text: str) -> StudyConfig:
-    """Parse and validate a study config; unknown keys are rejected."""
+    """Parse and validate a study config; unknown keys are rejected.  The
+    config holds what `derive_params` made of the class parameters."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -107,8 +98,11 @@ def load_config(text: str) -> StudyConfig:
         if key not in raw:
             raise ValueError(f"config missing required key {key!r}")
     d = as_integer(raw["d"], "d")
-    alpha = tuple(_finite(a, "alpha") for a in _array(raw["alpha"], "alpha"))
-    deriv = tuple(as_integer(r, "deriv") for r in _array(raw["deriv"], "deriv"))
+    params = derive_params(
+        d, _array(raw["alpha"], "alpha"),
+        *(_parse_extended(raw[key]) for key in ("p", "q", "theta")),
+        _array(raw["deriv"], "deriv"),
+    )
     budgets = tuple(as_integer(n, "budgets", 1) for n in _array(raw["budgets"], "budgets"))
     if not budgets:
         raise ValueError("budgets must be nonempty")
@@ -125,20 +119,10 @@ def load_config(text: str) -> StudyConfig:
         # Quadrature reads None as its default; in a config, null is no integer.
         quad = Quadrature(d=d, **{k: "null" if v is None else v for k, v in qraw.items()})
     cfg = StudyConfig(
-        d=d,
-        alpha=alpha,
-        deriv=deriv,
-        p=_parse_extended(raw["p"], "p"),
-        q=_parse_extended(raw["q"], "q"),
-        theta=_parse_extended(raw["theta"], "theta"),
-        test_fn=str(raw["test_fn"]),
-        budgets=budgets,
-        seed=as_integer(raw.get("seed", 0), "seed"),
-        quadrature=quad,
+        d, params.alpha, params.deriv, params.p, params.q, params.theta, str(raw["test_fn"]),
+        budgets, as_integer(raw.get("seed", 0), "seed"), quad,
     )
-    # Fail early on inconsistent class parameters or unknown functions.
-    derive_params(cfg.d, cfg.alpha, cfg.p, cfg.q, cfg.theta, cfg.deriv)
-    get_function(cfg.test_fn, cfg.d)
+    get_function(cfg.test_fn, d)  # fail early on an unknown function
     return cfg
 
 
@@ -243,7 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = load_config(fh.read())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .interp import as_integer, as_integers, as_points, as_values, tensor_grid
+from .interp import as_integer, as_integers, as_points, as_real, as_reals, as_values, tensor_grid
 
 Array = np.ndarray
 
@@ -140,7 +140,7 @@ def get_function(fid: str, d: int = 2) -> TestFunction:
         if entry.fid == fid:
             return entry
     known = ", ".join(e.fid for e in registry(d))
-    raise KeyError(f"unknown test function {fid!r} for d={d} (known: {known})")
+    raise ValueError(f"unknown test function {fid!r} for d={d} (known: {known})")
 
 
 # -- moduli of smoothness ----------------------------------------------------------
@@ -148,6 +148,8 @@ def get_function(fid: str, d: int = 2) -> TestFunction:
 
 # Anchor points per axis of the uniform grid each step vector is tried on.
 _GRID_POINTS = 16
+# Steps t_j * i / _STEP_LATTICE, i = 1.._STEP_LATTICE, per active axis j.
+_STEP_LATTICE = 4
 
 
 def modulus_estimate(
@@ -156,42 +158,36 @@ def modulus_estimate(
     t: Sequence[float],
     axes: Sequence[int],
     p: float,
-    step_lattice: int = 4,
 ) -> float:
     """Lower estimate of the mixed modulus of smoothness at step bounds ``t``.
 
     Maximizes the discrete L_p norm of the mixed difference (order masked to
-    ``axes``) over a finite lattice of positive step vectors ``h <= t`` and a
-    uniform grid of ``_GRID_POINTS`` anchors per axis inside the admissible
-    domain, calling ``f`` once per step vector on the anchors of every
-    stencil offset, stacked in stencil order.  Being a finite search it can
-    only under-estimate the true supremum.  Raises ValueError if an order,
-    an axis or ``step_lattice`` is not an integer (never truncated), if an
-    order is negative or ``step_lattice`` below 1, if ``p`` lies outside
+    ``axes``) over a lattice of ``_STEP_LATTICE`` positive steps
+    ``h_j <= t_j`` per active axis and a uniform grid of ``_GRID_POINTS``
+    anchors per axis inside the admissible domain, calling ``f`` once per
+    step vector on the anchors of every stencil offset, stacked in stencil
+    order.  Being a finite search it can only under-estimate the true
+    supremum.  Raises ValueError if an order or an axis is not an integer
+    (never truncated), if an order is negative, if ``p`` lies outside
     ``[1, inf]``, if ``t`` or ``axes`` does not fit the dimension
-    ``len(order)``, if an entry of ``t`` is not finite and > 0, if every
-    step of the lattice takes the stencil out of the unit cube, or if ``f``
-    does not return one finite value per point.
+    ``len(order)``, if an entry of ``t`` is not finite and > 0
+    (`interp.as_real`), if every step of the lattice takes the stencil out
+    of the unit cube, or if ``f`` does not return one finite value per
+    point.
     """
     axes = tuple(sorted(set(as_integer(a, "modulus axis") for a in axes)))
     order = as_integers(order, "difference order", len(order), 0)
-    step_lattice = as_integer(step_lattice, "step_lattice", 1)
     d = len(order)
-    if not p >= 1:
-        raise ValueError(f"p must lie in [1, inf], got {p!r}")
+    p = as_real(p, "p", 1, math.inf)
     if not axes:
         raise ValueError("need at least one active axis")
-    if len(t) != d:
-        raise ValueError(f"t={tuple(t)} has {len(t)} entries; order has {d}")
-    for j, tj in enumerate(t):
-        if not 0 < tj < math.inf:
-            raise ValueError(f"t[{j}]={tj!r} must be finite and > 0")
+    t = as_reals(t, "t", d, 0, open_low=True)
     if not 0 <= axes[0] <= axes[-1] < d:
         raise ValueError(f"axes={axes} must lie in 0..{d - 1}")
     eff = tuple(r if j in axes else 0 for j, r in enumerate(order))
     best = None
     lattice = [
-        [float(t[j]) * i / step_lattice for i in range(1, step_lattice + 1)]
+        [t[j] * i / _STEP_LATTICE for i in range(1, _STEP_LATTICE + 1)]
         if j in axes
         else [0.0]
         for j in range(d)
@@ -223,5 +219,5 @@ def modulus_estimate(
             norm = float((np.mean(np.abs(diffs) ** p) * vol) ** (1.0 / p))
         best = norm if best is None else max(best, norm)
     if best is None:
-        raise ValueError(f"every step h <= t={tuple(map(float, t))} takes the stencil off the cube")
+        raise ValueError(f"every step h <= t={t} takes the stencil off the cube")
     return best

@@ -20,8 +20,10 @@ shape the anisotropic cross.
 
 Integer inputs (the dimension, budgets, and radii in ``[1, MAX_RADIUS]``)
 go through `interp.as_integer`, derivative orders through
-`interp.as_integers`, one per axis; the radius and weights of a level set
-are real and must be finite.
+`interp.as_integers`, one per axis.  Real inputs go through `interp.as_real`
+(`as_reals` per axis): finite ``alpha``, ``p`` in ``[1, inf)``, ``q`` and
+``theta`` in ``[1, inf]``, level weights >= 1 and radii >= 0, finite, and
+finite exponents of the level sums, > 0 for `tail_sum`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .interp import NODE_BITS, as_integer, as_integers, nodes_exact
+from .interp import NODE_BITS, as_integer, as_integers, as_real, as_reals, nodes_exact
 
 _TIE_REL = 1e-9
 # Levels beyond this would overflow the int64 keys below (and make per-axis
@@ -111,25 +113,19 @@ def derive_params(
 ) -> SmoothnessParams:
     """Validate class parameters and derive the recovery bookkeeping.
 
-    Raises ValueError naming the failing axis when ``alpha_j`` is not
-    finite, or when the integrability condition ``alpha_j > 1/p`` or the
+    Each input is checked by `interp.as_integer` or `interp.as_real` (one
+    per axis for ``alpha`` and ``deriv``).  Raises ValueError naming the
+    failing axis when the integrability condition ``alpha_j > 1/p`` or the
     positivity condition ``alpha_j - deriv_j - (1/p - 1/q)_+ > 0`` is
     violated.
     """
     d = as_integer(d, "d", 1)
-    alpha = tuple(float(a) for a in alpha)
-    if len(alpha) != d:
-        raise ValueError("alpha must have length d")
+    alpha = as_reals(alpha, "alpha", d)
     deriv = as_integers(deriv, "derivative order", d, 0)
-    if not 1 <= p < math.inf:
-        raise ValueError("p must lie in [1, inf)")
-    if not 1 <= q:
-        raise ValueError("q must lie in [1, inf]")
-    if not 1 <= theta:
-        raise ValueError("theta must lie in [1, inf]")
+    p = as_real(p, "p", 1)
+    q = as_real(q, "q", 1, math.inf)
+    theta = as_real(theta, "theta", 1, math.inf)
     for j, a in enumerate(alpha):
-        if not math.isfinite(a):
-            raise ValueError(f"axis {j}: alpha={a} is not finite")
         if a - 1.0 / p <= 0:
             raise ValueError(f"axis {j}: alpha={a} fails alpha - 1/p > 0 (p={p})")
     gap = max(1.0 / p - (0.0 if math.isinf(q) else 1.0 / q), 0.0)
@@ -147,19 +143,9 @@ def derive_params(
     )
     orders = tuple(math.floor(a) + 1 for a in alpha)
     return SmoothnessParams(
-        d=d,
-        alpha=alpha,
-        p=float(p),
-        q=float(q),
-        theta=float(theta),
-        deriv=deriv,
-        orders=orders,
-        degrees=tuple(o - 1 for o in orders),
-        eff=eff,
-        rate=rate,
-        rate_mult=len(min_axes),
-        min_axes=min_axes,
-        weights=weights,
+        d=d, alpha=alpha, p=p, q=q, theta=theta, deriv=deriv, orders=orders,
+        degrees=tuple(o - 1 for o in orders), eff=eff, rate=rate, rate_mult=len(min_axes),
+        min_axes=min_axes, weights=weights,
     )
 
 
@@ -172,15 +158,12 @@ def index_set(weights: Sequence[float], radius: float) -> list[tuple[int, ...]]:
     Enumerated axis by axis with budget pruning, each prefix extended in
     increasing order, so the list comes out sorted; weights must be finite
     and >= 1 so the set is finite with per-axis range bounded by the
-    radius, and the radius finite and >= 0 (NaN fails both checks).
+    radius, and the radius finite and >= 0 (`interp.as_real`).
     """
-    weights = tuple(float(w) for w in weights)
-    if not all(1.0 <= w < math.inf for w in weights):
-        raise ValueError(f"level weights must be finite and >= 1, got {weights}")
-    if not 0 <= radius < math.inf:
-        raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
+    weights = as_reals(weights, "level weight", len(weights), 1)
+    radius = as_real(radius, "radius", 0)
     # (prefix, budget left for the remaining axes)
-    front: list[tuple[tuple[int, ...], float]] = [((), float(radius))]
+    front: list[tuple[tuple[int, ...], float]] = [((), radius)]
     for w in weights:
         front = [
             (prefix + (k,), budget - k * w)
@@ -195,11 +178,7 @@ def weighted_sum(exponents: Sequence[float], weights: Sequence[float], radius: f
 
     ``exponents`` must hold one finite value per weight.
     """
-    exponents = tuple(float(a) for a in exponents)
-    if len(exponents) != len(weights) or not all(map(math.isfinite, exponents)):
-        raise ValueError(
-            f"exponents must hold {len(weights)} finite values, one per weight, got {exponents}"
-        )
+    exponents = as_reals(exponents, "exponent", len(weights))
     return math.fsum(
         2.0 ** sum(k * a for k, a in zip(lvl, exponents))
         for lvl in index_set(weights, radius)
@@ -211,10 +190,9 @@ def tail_sum(exponents: Sequence[float], weights: Sequence[float], radius: float
 
     Computed as the closed-form total over all levels (a product of geometric
     series) minus the finite head, so there is no truncation error.
+    ``exponents`` must hold one finite value > 0 per weight.
     """
-    exponents = tuple(float(a) for a in exponents)
-    if not all(0 < a < math.inf for a in exponents):
-        raise ValueError(f"tail exponents must be finite and > 0, got {exponents}")
+    exponents = as_reals(exponents, "tail exponent", len(weights), 0, open_low=True)
     total = math.prod(1.0 / (1.0 - 2.0**-a) for a in exponents)
     return total - weighted_sum([-a for a in exponents], weights, radius)
 

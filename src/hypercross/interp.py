@@ -23,10 +23,12 @@ Every function the package takes is called on an ``(n, d)`` float array of
 points, one per row, and must return ``n`` finite values.  This module holds
 the input checks every other module shares, each raising a ValueError that
 names the input:
-- `as_integer` decides every integer input (degrees, spline and derivative
-  orders, dimensions, radii, budgets, `Quadrature` fields, ...): an integral
-  number is accepted as an int, a bool, a fraction or a value out of
-  bounds is refused; `as_integers` checks one per axis, naming the axis;
+- `as_integer` decides every integer input (degrees, orders, dimensions,
+  radii, budgets, `Quadrature` fields, ...) and `as_real` every real one
+  (class parameters, level weights and radii, exponents, step bounds,
+  boxes): any integral number becomes an int, any real number a float, and
+  a bool, a non-number, a fraction (for an int), NaN or a value out of
+  bounds is refused; `as_integers` and `as_reals` check one per axis;
 - `as_points` checks one point ``(d,)`` or an ``(n, d)`` array: the shape,
   finiteness and, where given, the bounds of every coordinate;
 - `as_values` checks what a function returned: one finite value per point.
@@ -36,9 +38,11 @@ names the input:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,18 +69,54 @@ def as_integer(value, name: str, low: int | None = None, high: int | None = None
     return n
 
 
-def as_integers(values, name: str, d: int, low=None, high=None) -> tuple[int, ...]:
-    """``values`` as d ints, one per axis, entry j checked by `as_integer`
-    as ``axis j: name``.  A bound is one int (or None) for every axis, or a
-    sequence of one per axis; a ValueError names a count other than d."""
-    values = tuple(values)
+def as_real(value, name: str, low=None, high=None, open_low: bool = False) -> float:
+    """``value`` as a float in ``[low, high]``, or ``(low, high]`` with
+    ``open_low``: a bool (Python or numpy), a non-number, NaN or a value out
+    of bounds raises a ValueError naming ``name``.  Without ``high`` the
+    value must be finite; an infinity needs ``high = math.inf``."""
+    if type(value) is not float and (
+        not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_))
+    ):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
+    x = float(value)
+    lo, left = (-math.inf, "(") if low is None else (low, "(" if open_low else "[")
+    hi, right = (math.inf, ")") if high is None else (high, "]")
+    # NaN fails every comparison.
+    if not (lo < x if left == "(" else lo <= x) or not (x < hi if right == ")" else x <= hi):
+        raise ValueError(f"{name} must lie in {left}{lo:g}, {hi:g}{right}, got {value!r}")
+    return x
+
+
+def _per_axis(check, values, name: str, d: int, bounds) -> tuple:
+    """``values`` as d entries, entry j checked by ``check(value, name,
+    *bounds[j])``, its message prefixed by ``axis j:``; a ValueError names
+    a count other than d."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name}: expected {d} entries, one per axis, got {values!r}") from None
     if len(values) != d:
         raise ValueError(f"{name} {values} must have {d} entries, one per axis")
-    low, high = (b if isinstance(b, Sequence) else (b,) * d for b in (low, high))
-    return tuple(
-        as_integer(v, f"axis {j}: {name}", lo, hi)
-        for j, (v, lo, hi) in enumerate(zip(values, low, high))
-    )
+    out = []
+    for v, b in zip(values, bounds):
+        try:
+            out.append(check(v, name, *b))
+        except ValueError as exc:
+            # Every message of a check starts with the name it was given.
+            raise ValueError(f"axis {len(out)}: {exc}") from None
+    return tuple(out)
+
+
+def as_integers(values, name: str, d: int, low=None, high=None) -> tuple[int, ...]:
+    """``values`` as d ints, entry j checked by `as_integer` as ``axis j:
+    name``; a bound is one for every axis, or a tuple or list of one per axis."""
+    low, high = (b if isinstance(b, (tuple, list)) else repeat(b) for b in (low, high))
+    return _per_axis(as_integer, values, name, d, zip(low, high))
+
+
+def as_reals(values, name: str, d: int, low=None, high=None, open_low=False) -> tuple[float, ...]:
+    """``values`` as d floats, entry j checked by `as_real` as ``axis j: name``."""
+    return _per_axis(as_real, values, name, d, repeat((low, high, open_low)))
 
 
 def as_points(x, d: int, low: float | None = None, high: float | None = None) -> np.ndarray:
@@ -228,11 +268,9 @@ def horner(coeffs: np.ndarray, axis: int, t, index=None, at: int = 0, out=None) 
     return acc
 
 
-def _check_box(dim: int, x0: Sequence[float], delta: Sequence[float]) -> None:
-    if len(x0) != dim or not all(math.isfinite(v) for v in x0):
-        raise ValueError(f"x0 must hold {dim} finite coordinates, got {x0}")
-    if len(delta) != dim or not all(0 < v < math.inf for v in delta):
-        raise ValueError(f"delta must hold {dim} finite widths > 0, got {delta}")
+def _box(dim: int, x0, delta) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A box's corner ``x0`` (finite) and widths ``delta`` (> 0) as floats."""
+    return as_reals(x0, "x0", dim), as_reals(delta, "delta", dim, 0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -241,10 +279,10 @@ class TensorPoly:
 
     ``values[i1, ..., id]`` is the value at the node with per-axis indices
     ``i``; the node grid lives on the box ``x0 + delta * [0,1]^d``.  The
-    object is immutable: it keeps a read-only float copy of ``values``, so
-    the caller's array stays writable, and its monomial coefficient tensor,
-    in the local coordinates ``u = (x - x0)/delta``, is computed once at
-    construction.  A ``values``, ``x0`` or ``delta`` that does not fit
+    object is immutable: it keeps ``x0`` and ``delta`` as float tuples and a
+    read-only float copy of ``values``, so the caller's array stays
+    writable, and its monomial coefficient tensor, in the local coordinates
+    ``u = (x - x0)/delta``, is computed once at construction.  A ``values``, ``x0`` or ``delta`` that does not fit
     ``degrees`` raises a ValueError naming the field.
     """
 
@@ -258,7 +296,9 @@ class TensorPoly:
         shape = tuple(d + 1 for d in self.degrees)
         if not isinstance(self.values, np.ndarray) or self.values.shape != shape:
             raise ValueError(f"values must be an array of shape {shape}, one entry per node")
-        _check_box(self.dim, self.x0, self.delta)
+        x0, delta = _box(self.dim, self.x0, self.delta)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "delta", delta)
         values = self.values.astype(float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -327,9 +367,7 @@ def interpolate(
     array of the nodes ``x0 + delta * node`` in C order, and must return
     their ``n`` finite values (see `as_values`).
     """
-    _check_box(len(degrees), x0, delta)
+    x0, delta = _box(len(degrees), x0, delta)
     pts = tensor_grid([a + w * np.array(nodes(g)) for a, w, g in zip(x0, delta, degrees)])
     vals = as_values(f(pts), "interpolate(f)", len(pts), lambda i: f"point {pts[i].tolist()}")
-    return TensorPoly(
-        tuple(degrees), tuple(x0), tuple(delta), vals.reshape([g + 1 for g in degrees])
-    )
+    return TensorPoly(tuple(degrees), x0, delta, vals.reshape([g + 1 for g in degrees]))

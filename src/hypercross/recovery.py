@@ -55,8 +55,8 @@ import numpy as np
 from .bspline import piece_table
 from .grid import RecoveryPlan, combination_weights  # noqa: F401 (re-exported)
 from .interp import (
-    as_integer, as_integers, as_points, as_values, horner, monomial_coeffs, tensor_grid,
-    transform,
+    as_integer, as_integers, as_points, as_real, as_values, horner, monomial_coeffs,
+    tensor_grid, transform,
 )
 
 Array = np.ndarray
@@ -434,13 +434,13 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     ``_SLAB_BYTES`` at ``_CALL_FLOATS`` a point, and the float is the same
     for any slab size.  Beyond the buffer, memory holds one slab's
     temporaries.  An `Approximant` whose dimension is not ``quad.d``, and a
-    rule or lattice beyond ``_MAX_RULE_POINTS`` points, are refused with a
-    ValueError before anything is evaluated or allocated, and a ``g`` or
-    ``h`` that does not return one finite value per point raises one too,
-    naming the function and, for a non-finite value, the point.
+    rule or lattice beyond ``_MAX_RULE_POINTS`` points, and a ``q`` outside
+    ``[1, inf]`` (`interp.as_real`), are refused with a ValueError before
+    anything is evaluated or allocated, and a ``g`` or ``h`` that does not
+    return one finite value per point raises one too, naming the function
+    and, for a non-finite value, the point.
     """
-    if not q >= 1:
-        raise ValueError(f"q must lie in [1, inf], got {q!r}")
+    q = as_real(q, "q", 1, math.inf)
     d = quad.d
     for name, fn in (("g", g), ("h", h)):
         if isinstance(fn, Approximant) and fn.plan.params.d != d:

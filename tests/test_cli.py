@@ -77,7 +77,9 @@ class TestConfig:
         ],
     )
     def test_types_are_strict(self, key, value):
-        with pytest.raises(ValueError, match=rf"^{key}: expected"):
+        # derive_params checks the entries of alpha and deriv, naming the axis.
+        name = {"alpha": "(alpha|axis 1: alpha)", "deriv": "(deriv|axis 0: derivative order)"}
+        with pytest.raises(ValueError, match=rf"^{name.get(key, key)}: expected"):
             cli.load_config(make_cfg(**{key: value}))
 
     @pytest.mark.parametrize(
@@ -100,7 +102,7 @@ class TestConfig:
         assert all(type(v) is int for v in (cfg.d, *cfg.deriv, *cfg.budgets))
 
     def test_unknown_test_fn_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^unknown test function 'missing' for d=2"):
             cli.load_config(make_cfg(test_fn="missing"))
 
 
@@ -218,9 +220,18 @@ class TestMain:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(make_cfg(**override))
         rc = cli.main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
-        key = next(iter(override))
+        key = next(iter(override)).replace("deriv", "axis 0: derivative order")
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"config error: {key}: expected")
+
+    def test_unknown_test_fn_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_cfg(test_fn="nope"))
+        rc = cli.main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown test function 'nope' for d=2 (known: trig, kink, poly, aniso)\n"
+        )
 
     def test_budget_below_minimum_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -20,7 +20,8 @@ class TestRegistry:
         assert "aniso" not in ids1
 
     def test_unknown_id(self):
-        with pytest.raises(KeyError):
+        message = "unknown test function 'nope' for d=2 (known: trig, kink, poly, aniso)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             functions.get_function("nope", 2)
 
     def test_trig_mixed_derivative_formula(self):
@@ -104,12 +105,13 @@ class TestModulusEstimate:
         got = modulus_estimate(f, (2, 2), (0.25, 0.25), (0, 1), 2.0)
         assert got == pytest.approx(0.0, abs=1e-13)
 
-    def test_one_f_call_per_step(self):
+    def test_one_f_call_per_step(self, monkeypatch):
         # A (1, 1) difference on a 3 x 3 step lattice: 9 calls, each on the
         # 4 stencil offsets' 256 anchors at once.
+        monkeypatch.setattr(functions, "_STEP_LATTICE", 3)
         calls = []
         f = lambda pts: calls.append(pts.shape) or pts[:, 0] * pts[:, 1]  # noqa: E731
-        modulus_estimate(f, (1, 1), (0.3, 0.3), (0, 1), 2.0, step_lattice=3)
+        modulus_estimate(f, (1, 1), (0.3, 0.3), (0, 1), 2.0)
         assert calls == [(4 * 256, 2)] * 9
 
     def test_equals_per_offset_sum(self):
@@ -137,15 +139,14 @@ class TestModulusEstimate:
         large = modulus_estimate(entry.value, (2, 2), (0.3, 0.3), (0, 1), 2.0)
         assert small <= large * (1 + 1e-12)
 
-    def test_kink_ratio_bounded(self):
+    def test_kink_ratio_bounded(self, monkeypatch):
         # Declared-exponent scaling for the tensor kink in sup norm.
+        monkeypatch.setattr(functions, "_STEP_LATTICE", 3)
         entry = functions.get_function("kink", 2)
         ratios = []
         for s in range(1, 7):
             t = 0.5**s
-            est = modulus_estimate(
-                entry.value, (1, 1), (t, t), (0, 1), math.inf, step_lattice=3
-            )
+            est = modulus_estimate(entry.value, (1, 1), (t, t), (0, 1), math.inf)
             ratios.append(est / t ** (entry.alpha[0] + entry.alpha[1]))
         assert max(ratios) / min(ratios) <= 8.0
 
@@ -159,11 +160,12 @@ class TestModulusEstimate:
         got = modulus_estimate(f, (2,), (0.1,), (0,), math.inf)
         assert got == pytest.approx(0.0, abs=1e-14)
 
-    def test_square_second_difference_symbolic(self):
+    def test_square_second_difference_symbolic(self, monkeypatch):
         # (x+2h)^2 - 2(x+h)^2 + x^2 = 2 h^2 at every anchor; one step, h = t.
+        monkeypatch.setattr(functions, "_STEP_LATTICE", 1)
         f = lambda pts: pts[:, 0] ** 2  # noqa: E731
         for t in (0.05, 0.2):
-            got = modulus_estimate(f, (2,), (t,), (0,), math.inf, step_lattice=1)
+            got = modulus_estimate(f, (2,), (t,), (0,), math.inf)
             assert got == pytest.approx(2 * t * t, abs=1e-13)
 
     def test_order_zero_is_identity(self):
@@ -181,8 +183,8 @@ class TestModulusEstimate:
     @pytest.mark.parametrize(
         "t, axes, match",
         [
-            ((0.1,), (0, 1), r"t=\(0\.1,\) has 1 entries; order has 2"),
-            ((0.1, 0.1, 0.1), (0,), r"t=.* has 3 entries; order has 2"),
+            ((0.1,), (0, 1), r"^t \(0\.1,\) must have 2 entries, one per axis$"),
+            ((0.1, 0.1, 0.1), (0,), r"^t \(0\.1, 0\.1, 0\.1\) must have 2 entries, one per axis$"),
             ((0.1, 0.1), (5,), r"axes=\(5,\) must lie in 0\.\.1"),
             ((0.1, 0.1), (-1, 0), r"axes=\(-1, 0\) must lie in 0\.\.1"),
         ],
@@ -223,7 +225,7 @@ class TestModulusEstimate:
         # A negative step would put the anchors, and f's arguments, off the cube.
         calls = []
         f = lambda pts: calls.append(pts) or pts[:, 0] ** 2  # noqa: E731
-        with pytest.raises(ValueError, match=rf"^t\[1\]={t!r} must be finite and > 0$"):
+        with pytest.raises(ValueError, match=rf"^axis 1: t must lie in \(0, inf\), got {t!r}$"):
             modulus_estimate(f, (2, 2), (0.1, t), (0, 1), 2.0)
         assert not calls
 

@@ -105,10 +105,6 @@ ENTRY_POINTS = {
         lambda v: functions.modulus_estimate(_square, (2, 2, 2), (0.1,) * 3, (v,), 2.0),
         "modulus axis", None, None, 2,
     ),
-    "modulus_step_lattice": (
-        lambda v: functions.modulus_estimate(_square, (2,), (0.1,), (0,), 2.0, step_lattice=v),
-        "step_lattice", 1, None, 2,
-    ),
     "config_d": (lambda v: _config(d=v).d, "d", 1, None, 2),
     "config_budgets": (lambda v: _config(budgets=[v, 4096]).budgets[0], "budgets", 1, None, 64),
 }
@@ -174,16 +170,16 @@ def _isinstance_of_bool(call: ast.Call) -> bool:
     )
 
 
-def _as_integer_of_an_axis(call: ast.Call) -> bool:
-    """An `as_integer` call whose name is an f-string starting with ``axis ``."""
-    func = call.func
-    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    names = call.args[1:2] + [k.value for k in call.keywords if k.arg == "name"]
-    return called == "as_integer" and any(
-        isinstance(name, ast.JoinedStr)
-        and isinstance(name.values[0], ast.Constant)
-        and name.values[0].value.startswith("axis ")
-        for name in names
+def _prefixes_an_axis(call: ast.Call) -> bool:
+    """A call with an argument ``f"axis {j}: {name}"``: an f-string that puts
+    ``axis j:`` before another formatted value (a name or a message)."""
+    return any(
+        isinstance(arg, ast.JoinedStr)
+        and [type(v) for v in arg.values[:4]]
+        == [ast.Constant, ast.FormattedValue, ast.Constant, ast.FormattedValue]
+        and arg.values[0].value == "axis "
+        and arg.values[2].value == ": "
+        for arg in [*call.args, *(k.value for k in call.keywords)]
     )
 
 
@@ -192,16 +188,15 @@ def _scan(match) -> set[str]:
 
 
 def test_one_integer_policy():
-    # Only `as_integer` decides what an integer is.  The CLI's two
-    # real-number parsers test for bool too, to refuse a JSON `true` where a
-    # number belongs.
-    assert _scan(_isinstance_of_bool) == {"interp.as_integer", "cli._parse_extended", "cli._finite"}
+    # Only `as_integer` decides what an integer is, and `as_real` what a
+    # real number is; both refuse a bool.
+    assert _scan(_isinstance_of_bool) == {"interp.as_integer", "interp.as_real"}
 
 
 def test_one_per_axis_check():
-    # Only `as_integers` checks a vector of one integer per axis, so every
-    # such message names the axis the same way.
-    assert _scan(_as_integer_of_an_axis) == {"interp.as_integers"}
+    # Only the helper of `as_integers` and `as_reals` names the axis of an
+    # entry it checks, so every such message names the axis the same way.
+    assert _scan(_prefixes_an_axis) == {"interp._per_axis"}
 
 
 def test_cached_degree_does_not_answer_for_a_bool():
