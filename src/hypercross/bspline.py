@@ -81,9 +81,7 @@ def bspline_derivative(m: int, r: int, x) -> np.ndarray:
     k = np.floor(x)
     inside = (k >= 0) & (k <= m)
     ks = np.where(inside, k, 0).astype(np.int64)
-    # (m+1-r, *x.shape): the coefficients of each point's piece, one row per power.
-    rows = _float_table(m, r).T[:, ks]
-    return np.where(inside, horner(rows, 0, x - ks), 0.0)
+    return np.where(inside, horner(_float_table(m, r).T, 0, x - ks, index=ks, at=-1), 0.0)
 
 
 def refinement_coeffs(m: int) -> tuple[Fraction, ...]:

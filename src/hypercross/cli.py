@@ -97,9 +97,8 @@ def load_config(text: str) -> StudyConfig:
     for key in ("d", "alpha", "deriv", "p", "q", "theta", "test_fn", "budgets"):
         if key not in raw:
             raise ValueError(f"config missing required key {key!r}")
-    d = as_integer(raw["d"], "d")
     params = derive_params(
-        d, _array(raw["alpha"], "alpha"),
+        raw["d"], _array(raw["alpha"], "alpha"),
         *(_parse_extended(raw[key]) for key in ("p", "q", "theta")),
         _array(raw["deriv"], "deriv"),
     )
@@ -117,12 +116,12 @@ def load_config(text: str) -> StudyConfig:
         if unknown:
             raise ValueError(f"unknown quadrature keys: {sorted(unknown)}")
         # Quadrature reads None as its default; in a config, null is no integer.
-        quad = Quadrature(d=d, **{k: "null" if v is None else v for k, v in qraw.items()})
+        quad = Quadrature(d=params.d, **{k: "null" if v is None else v for k, v in qraw.items()})
     cfg = StudyConfig(
-        d, params.alpha, params.deriv, params.p, params.q, params.theta, str(raw["test_fn"]),
+        params.d, params.alpha, params.deriv, params.p, params.q, params.theta, str(raw["test_fn"]),
         budgets, as_integer(raw.get("seed", 0), "seed"), quad,
     )
-    get_function(cfg.test_fn, d)  # fail early on an unknown function
+    get_function(cfg.test_fn, cfg.d)  # fail early on an unknown function
     return cfg
 
 

@@ -28,9 +28,10 @@ points (and return ``(n,)``) through one code path, in which each point sees
 the same float operations: a single point is the case ``n = 1``.  Per
 offset of the covering translates, that path builds one polynomial per cell
 group and reduces all the points in one gathered Horner pass per split
-(`interp.stack_deriv_eval`).  Every
-public method checks its input once per call: levels and derivative orders
-go through `interp.as_integers` with their bounds, one per axis, and points
+(`interp.stack_deriv_eval`).  The constructor checks the degrees, and a
+spline order per degree, through `interp.as_integers`, and every public
+method checks its input once per call: levels and derivative orders go
+through `interp.as_integers` with their bounds, one per axis, and points
 through `interp.as_points` (finite, in the closed unit cube); anything else
 raises a ValueError naming the input.
 """
@@ -46,7 +47,7 @@ import numpy as np
 
 from .bspline import MAX_ORDER, bspline_derivative, refinement_coeffs
 from .interp import (
-    MAX_DEGREE, TensorPoly, as_integer, as_integers, as_points, interpolate, stack_deriv_eval,
+    MAX_DEGREE, TensorPoly, as_integers, as_points, interpolate, stack_deriv_eval,
 )
 
 Vector = tuple[int, ...]
@@ -75,7 +76,8 @@ class DyadicEvaluator:
 
     ``degrees`` bounds the per-axis polynomial degree of the local
     interpolants and ``order`` is the per-axis B-spline order of the blending
-    partition, each checked against the bounds of `interp.nodes_exact` and
+    partition, one per entry of ``degrees``; each is checked by
+    `interp.as_integers` against the bounds of `interp.nodes_exact` and
     `bspline.bspline_derivative`.  Function values come from ``f``, called
     on the ``(n, d)`` array of one cell's nodes, which must return ``n``
     finite values.
@@ -94,10 +96,8 @@ class DyadicEvaluator:
         order: Sequence[int],
         f: Callable[[np.ndarray], np.ndarray],
     ):
-        self.degrees = tuple(as_integer(d, "degree", 0, MAX_DEGREE) for d in degrees)
-        self.order = tuple(as_integer(m, "spline order", 0, MAX_ORDER) for m in order)
-        if len(self.degrees) != len(self.order):
-            raise ValueError("degrees and order must share one dimension")
+        self.degrees = as_integers(degrees, "degree", None, 0, MAX_DEGREE)
+        self.order = as_integers(order, "spline order", len(self.degrees), 0, MAX_ORDER)
         self.dim = len(self.degrees)
         self._f = f
         self._polys: dict[tuple[Vector, Vector], TensorPoly] = {}

@@ -167,23 +167,22 @@ def modulus_estimate(
     anchors per axis inside the admissible domain, calling ``f`` once per
     step vector on the anchors of every stencil offset, stacked in stencil
     order.  Being a finite search it can only under-estimate the true
-    supremum.  Raises ValueError if an order or an axis is not an integer
-    (never truncated), if an order is negative, if ``p`` lies outside
-    ``[1, inf]``, if ``t`` or ``axes`` does not fit the dimension
-    ``len(order)``, if an entry of ``t`` is not finite and > 0
-    (`interp.as_real`), if every step of the lattice takes the stencil out
-    of the unit cube, or if ``f`` does not return one finite value per
+    supremum.  ``order``, ``t`` and ``axes`` are sequences, checked by
+    `interp.as_integers` and `interp.as_reals`.  Raises ValueError if one
+    is not, if an order or an axis is not an integer (never truncated), if
+    an order is negative, if an axis lies outside ``0..len(order) - 1``, if
+    ``p`` lies outside ``[1, inf]``, if ``t`` does not hold one entry per
+    order, finite and > 0, if every step of the lattice takes the stencil
+    out of the unit cube, or if ``f`` does not return one finite value per
     point.
     """
-    axes = tuple(sorted(set(as_integer(a, "modulus axis") for a in axes)))
-    order = as_integers(order, "difference order", len(order), 0)
+    order = as_integers(order, "difference order", None, 0)
     d = len(order)
+    axes = tuple(sorted(set(as_integers(axes, "modulus axis", None, 0, d - 1))))
     p = as_real(p, "p", 1, math.inf)
     if not axes:
         raise ValueError("need at least one active axis")
     t = as_reals(t, "t", d, 0, open_low=True)
-    if not 0 <= axes[0] <= axes[-1] < d:
-        raise ValueError(f"axes={axes} must lie in 0..{d - 1}")
     eff = tuple(r if j in axes else 0 for j, r in enumerate(order))
     best = None
     lattice = [

@@ -19,11 +19,11 @@ expected convergence rate), its multiplicity, and the level weights that
 shape the anisotropic cross.
 
 Integer inputs (the dimension, budgets, and radii in ``[1, MAX_RADIUS]``)
-go through `interp.as_integer`, derivative orders through
-`interp.as_integers`, one per axis.  Real inputs go through `interp.as_real`
-(`as_reals` per axis): finite ``alpha``, ``p`` in ``[1, inf)``, ``q`` and
-``theta`` in ``[1, inf]``, level weights >= 1 and radii >= 0, finite, and
-finite exponents of the level sums, > 0 for `tail_sum`.
+go through `interp.as_integer`, real ones through `interp.as_real`: finite
+``alpha``, ``p`` in ``[1, inf)``, ``q`` and ``theta`` in ``[1, inf]``, level
+weights >= 1 and radii >= 0, finite, and finite exponents of the level sums
+(positive for `tail_sum`).  Vectors go through `as_integers` and `as_reals`,
+their count set by ``d``, the level weights or a set's first level.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def index_set(weights: Sequence[float], radius: float) -> list[tuple[int, ...]]:
     and >= 1 so the set is finite with per-axis range bounded by the
     radius, and the radius finite and >= 0 (`interp.as_real`).
     """
-    weights = as_reals(weights, "level weight", len(weights), 1)
+    weights = as_reals(weights, "level weight", None, 1)
     radius = as_real(radius, "radius", 0)
     # (prefix, budget left for the remaining axes)
     front: list[tuple[tuple[int, ...], float]] = [((), radius)]
@@ -178,6 +178,7 @@ def weighted_sum(exponents: Sequence[float], weights: Sequence[float], radius: f
 
     ``exponents`` must hold one finite value per weight.
     """
+    weights = as_reals(weights, "level weight", None, 1)
     exponents = as_reals(exponents, "exponent", len(weights))
     return math.fsum(
         2.0 ** sum(k * a for k, a in zip(lvl, exponents))
@@ -192,6 +193,7 @@ def tail_sum(exponents: Sequence[float], weights: Sequence[float], radius: float
     series) minus the finite head, so there is no truncation error.
     ``exponents`` must hold one finite value > 0 per weight.
     """
+    weights = as_reals(weights, "level weight", None, 1)
     exponents = as_reals(exponents, "tail exponent", len(weights), 0, open_low=True)
     total = math.prod(1.0 / (1.0 - 2.0**-a) for a in exponents)
     return total - weighted_sum([-a for a in exponents], weights, radius)
@@ -203,8 +205,10 @@ def combination_weights(levels: Sequence[tuple[int, ...]]) -> dict[tuple[int, ..
     Level k weighs ``sum over masks e of (-1)**|e| [k + e in the set]``.
     Only levels near the upper boundary of the (downward-closed) set survive.
     """
-    lset = set(levels)
-    d = len(next(iter(lset)))
+    if not levels:
+        raise ValueError("levels: expected a nonempty level set")
+    d = len(as_integers(levels[0], "level", None, 0))
+    lset = {as_integers(level, "level", d, 0) for level in levels}
     out: dict[tuple[int, ...], int] = {}
     for lvl in lset:
         w = 0
@@ -295,12 +299,13 @@ def build_plan(params: SmoothnessParams, radius: int) -> RecoveryPlan:
     """The plan of all sample points for the given radius."""
     radius = as_integer(radius, "radius", 1, MAX_RADIUS)
     levels = index_set(params.weights, radius)
-    _guard_raw_size(params, levels)
+    sizes = [math.prod(_level_shape(params, lvl)) for lvl in levels]
+    _guard_raw_size(sum(sizes))
     weights = combination_weights(levels)
     return RecoveryPlan(
         params=params,
         levels=tuple(levels),
-        bounds=np.cumsum([0] + [math.prod(_level_shape(params, lvl)) for lvl in levels]),
+        bounds=np.cumsum([0] + sizes),
         combination=tuple(weights.get(lvl, 0) for lvl in levels),
     )
 
@@ -312,8 +317,7 @@ def _raw_count(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> i
     return sum(math.prod(_level_shape(params, lvl)) for lvl in levels)
 
 
-def _guard_raw_size(params: SmoothnessParams, levels: Sequence[tuple[int, ...]]) -> None:
-    raw = _raw_count(params, levels)
+def _guard_raw_size(raw: int) -> None:
     if raw > _MAX_RAW_POINTS:
         raise ValueError(
             f"level set produces {raw} raw points, beyond the enumerable limit"
@@ -346,7 +350,7 @@ def choose_radius(params: SmoothnessParams, budget: int) -> int:
             break
         radius += 1
     if radius == 0:
-        _guard_raw_size(params, levels)
+        _guard_raw_size(count)
         raise ValueError(f"budget {budget} is below the minimum plan size {count}")
     return radius
 

@@ -28,7 +28,8 @@ names the input:
   (class parameters, level weights and radii, exponents, step bounds,
   boxes): any integral number becomes an int, any real number a float, and
   a bool, a non-number, a fraction (for an int), NaN or a value out of
-  bounds is refused; `as_integers` and `as_reals` check one per axis;
+  bounds is refused; `as_integers` and `as_reals` decide every vector input:
+  a sequence, of d entries where d is known, entry j checked as ``axis j:``;
 - `as_points` checks one point ``(d,)`` or an ``(n, d)`` array: the shape,
   finiteness and, where given, the bounds of every coordinate;
 - `as_values` checks what a function returned: one finite value per point.
@@ -87,15 +88,15 @@ def as_real(value, name: str, low=None, high=None, open_low: bool = False) -> fl
     return x
 
 
-def _per_axis(check, values, name: str, d: int, bounds) -> tuple:
-    """``values`` as d entries, entry j checked by ``check(value, name,
-    *bounds[j])``, its message prefixed by ``axis j:``; a ValueError names
-    a count other than d."""
+def _per_axis(check, values, name: str, d: int | None, bounds) -> tuple:
+    """``values`` as d entries (any count for d = None), entry j checked by
+    ``check(value, name, *bounds[j])``, its message prefixed by ``axis j:``;
+    a ValueError names a non-sequence or a count other than d."""
     try:
         values = tuple(values)
     except TypeError:
-        raise ValueError(f"{name}: expected {d} entries, one per axis, got {values!r}") from None
-    if len(values) != d:
+        raise ValueError(f"{name}: expected a sequence, got {values!r}") from None
+    if d is not None and len(values) != d:
         raise ValueError(f"{name} {values} must have {d} entries, one per axis")
     out = []
     for v, b in zip(values, bounds):
@@ -107,15 +108,17 @@ def _per_axis(check, values, name: str, d: int, bounds) -> tuple:
     return tuple(out)
 
 
-def as_integers(values, name: str, d: int, low=None, high=None) -> tuple[int, ...]:
-    """``values`` as d ints, entry j checked by `as_integer` as ``axis j:
-    name``; a bound is one for every axis, or a tuple or list of one per axis."""
+def as_integers(values, name: str, d: int | None, low=None, high=None) -> tuple[int, ...]:
+    """``values`` as d ints, checked by `as_integer` through `_per_axis`; a
+    bound is one for every axis, or a tuple or list of one per axis."""
     low, high = (b if isinstance(b, (tuple, list)) else repeat(b) for b in (low, high))
     return _per_axis(as_integer, values, name, d, zip(low, high))
 
 
-def as_reals(values, name: str, d: int, low=None, high=None, open_low=False) -> tuple[float, ...]:
-    """``values`` as d floats, entry j checked by `as_real` as ``axis j: name``."""
+def as_reals(
+    values, name: str, d: int | None, low=None, high=None, open_low=False
+) -> tuple[float, ...]:
+    """``values`` as d floats, checked by `as_real` through `_per_axis`."""
     return _per_axis(as_real, values, name, d, repeat((low, high, open_low)))
 
 
@@ -282,8 +285,9 @@ class TensorPoly:
     object is immutable: it keeps ``x0`` and ``delta`` as float tuples and a
     read-only float copy of ``values``, so the caller's array stays
     writable, and its monomial coefficient tensor, in the local coordinates
-    ``u = (x - x0)/delta``, is computed once at construction.  A ``values``, ``x0`` or ``delta`` that does not fit
-    ``degrees`` raises a ValueError naming the field.
+    ``u = (x - x0)/delta``, is computed once at construction.  ``degrees``
+    become ints in ``[0, MAX_DEGREE]``, and a ``values``, ``x0`` or ``delta``
+    that does not fit them raises a ValueError naming the field.
     """
 
     degrees: tuple[int, ...]
@@ -293,7 +297,9 @@ class TensorPoly:
     _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shape = tuple(d + 1 for d in self.degrees)
+        degrees = as_integers(self.degrees, "degree", None, 0, MAX_DEGREE)
+        object.__setattr__(self, "degrees", degrees)
+        shape = tuple(d + 1 for d in degrees)
         if not isinstance(self.values, np.ndarray) or self.values.shape != shape:
             raise ValueError(f"values must be an array of shape {shape}, one entry per node")
         x0, delta = _box(self.dim, self.x0, self.delta)
@@ -345,8 +351,6 @@ def stack_deriv_eval(
     for axis, r in enumerate(deriv):
         if r:
             c = differentiate(c, axis, r) / np.array([p.delta[axis] ** r for p in polys])
-    if c.size == len(polys):  # constants take no Horner step over the points
-        return c.reshape(-1)[owner]
     x0, delta = np.array([p.x0 for p in polys]), np.array([p.delta for p in polys])
     t = (rows - x0[owner]) / delta[owner]
     out = horner(c, c.ndim - 2, t[:, -1], index=owner, at=-1)
@@ -363,11 +367,12 @@ def interpolate(
 ) -> TensorPoly:
     """Tensor interpolant of ``f`` at the nodes of the box ``x0 + delta * [0,1]^d``.
 
-    After the box has been checked, ``f`` is called once, on the ``(n, d)``
-    array of the nodes ``x0 + delta * node`` in C order, and must return
-    their ``n`` finite values (see `as_values`).
+    After the degrees and the box have been checked, ``f`` is called once,
+    on the ``(n, d)`` array of the nodes ``x0 + delta * node`` in C order,
+    and must return their ``n`` finite values (see `as_values`).
     """
+    degrees = as_integers(degrees, "degree", None, 0, MAX_DEGREE)
     x0, delta = _box(len(degrees), x0, delta)
     pts = tensor_grid([a + w * np.array(nodes(g)) for a, w, g in zip(x0, delta, degrees)])
     vals = as_values(f(pts), "interpolate(f)", len(pts), lambda i: f"point {pts[i].tolist()}")
-    return TensorPoly(tuple(degrees), x0, delta, vals.reshape([g + 1 for g in degrees]))
+    return TensorPoly(degrees, x0, delta, vals.reshape([g + 1 for g in degrees]))

@@ -16,14 +16,15 @@ cell of a surviving level, ``D^deriv`` of its spline blend of local
 interpolants is again a polynomial of the interpolation degrees (de Boor's
 B-form to pp-form conversion), so the derivative is blended into the level's
 monomial coefficient table once, at construction (`_table`).  Points are
-evaluated in chunks: per level one gather from the table, then Horner's rule
-one axis at a time.  On a tensor grid, the private kernel `Approximant._grid`
-runs the same float steps, but shares each among all grid points that need
-it (sum factorization, every level being a tensor-product operator): it
-walks the levels outside and slabs of axis-0 rows inside, keeps a level's
-reduction along axes d-1..1 while consecutive slabs hit the same axis-0
-cells, and broadcasts the coefficients of a slab inside one cell instead of
-gathering them.  Its values equal the pointwise ones bit for bit.
+evaluated in chunks: per level Horner's rule one axis at a time, the last
+axis gathering its coefficients from the table.  On a tensor grid, the
+private kernel `Approximant._grid` runs the same float steps, but shares
+each among all grid points that need it (sum factorization, every level
+being a tensor-product operator): it walks the levels outside and slabs of
+axis-0 rows inside, keeps a level's reduction along axes d-1..1 while
+consecutive slabs hit the same axis-0 cells, and broadcasts the
+coefficients of a slab inside one cell instead of gathering them.  Its
+values equal the pointwise ones bit for bit.
 
 Points must lie in the closed unit cube (`interp.as_points`).  Blending
 splines take right limits at interior knots; at the right edge ``x_j = 1``
@@ -88,7 +89,8 @@ def sample(f: PointFn, plan: RecoveryPlan) -> Array:
 # points.
 _SLAB_BYTES = 1 << 19
 # Floats a point of a callable's slab holds: its points, its values and the
-# callable's own temporaries.
+# callable's own temporaries.  An `Approximant` chunk also holds one slice of
+# a level's table taken at its points, prod(degrees[:-1] + 1) floats a point.
 _CALL_FLOATS = 8
 
 
@@ -199,24 +201,22 @@ class Approximant:
         d = self.plan.params.d
         pts = as_points(x, d, 0.0, 1.0).reshape(-1, d)
         out = np.empty(len(pts))
-        # A chunk is a callable's slab; its gather block, (degrees + 1)
-        # coefficients a point, comes on top.
         n = _slab_rows(_CALL_FLOATS)
         for start in range(0, len(pts), n):
             out[start : start + n] = self._chunk(pts[start : start + n])
         return out
 
     def _chunk(self, pts: Array) -> Array:
-        """The weighted level sum at one chunk's points: per level, one gather
-        of the points' cells, reduced by Horner's rule from the last axis to
-        the first."""
+        """The weighted level sum at one chunk's points: per level, Horner's
+        rule from the last axis to the first, the last gathering each
+        coefficient slice at the points' cells."""
         axes = {(j, k): _cells(pts[:, j], k) for j, k in self._axis_levels}
         acc = np.zeros(len(pts))
         for level, weight, table in self._levels:
             cells, ts = zip(*(axes[j, k] for j, k in enumerate(level)))
             index = np.ravel_multi_index(cells, tuple(1 << k for k in level))
-            block = np.take(table, index, axis=-1)
-            for j in reversed(range(len(level))):
+            block = horner(table, len(level) - 1, ts[-1], index, at=-1)
+            for j in reversed(range(len(level) - 1)):
                 block = horner(block, j, ts[j])
             _add(acc, weight, block)
         return acc
@@ -251,7 +251,8 @@ class Approximant:
         buffer = np.empty((min(rows, len(head)),) + grid.shape[1:])
         # Axis 0 sees the head, in slabs, axes 1..d-1 the nodes.
         first = {k: _slabs(head, k, rows, across) for j, k in self._axis_levels if j == 0}
-        rest = {k: _distinct_cells(nodes, k) for k in {k for j, k in self._axis_levels if j}}
+        located = {k: _cells(nodes, k) for k in {k for j, k in self._axis_levels if j}}
+        rest = {k: (*_distinct(cell), t) for k, (cell, t) in located.items()}
         for level, weight, table in self._levels:
             table = table.reshape(table.shape[:d] + tuple(1 << k for k in level))
             for cut, distinct, inverse, t, fresh in first[level[0]]:
@@ -301,13 +302,6 @@ def _distinct(cell: Array) -> tuple[Array, Array | None]:
     if len(cell) and (cell == cell[0]).all():
         return cell[:1], None
     return np.unique(cell, return_inverse=True)
-
-
-def _distinct_cells(x: Array, k: int) -> tuple[Array, Array | None, Array]:
-    """The distinct level-k cells of ``x``, `_distinct`'s index of each
-    coordinate's cell among them, and the local coordinates."""
-    cell, t = _cells(x, k)
-    return *_distinct(cell), t
 
 
 def _slabs(

@@ -314,6 +314,12 @@ class TestInputContract:
         ev = DyadicEvaluator((1, 1), (1, 1), f=affine)
         assert ev.surplus_deriv((1, 1), (1, 0), np.empty((0, 2))).shape == (0,)
 
+    def test_one_spline_order_per_degree(self):
+        # The degrees set the dimension; the orders are counted against it.
+        message = "spline order (1,) must have 2 entries, one per axis"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DyadicEvaluator((1, 1), (1,), f=affine)
+
 
 # (degrees, order, derivative) per case: d = 1, 2 and 3, orders up to
 # (2, 1, 1) and derivatives up to (2, 1).

@@ -185,8 +185,8 @@ class TestModulusEstimate:
         [
             ((0.1,), (0, 1), r"^t \(0\.1,\) must have 2 entries, one per axis$"),
             ((0.1, 0.1, 0.1), (0,), r"^t \(0\.1, 0\.1, 0\.1\) must have 2 entries, one per axis$"),
-            ((0.1, 0.1), (5,), r"axes=\(5,\) must lie in 0\.\.1"),
-            ((0.1, 0.1), (-1, 0), r"axes=\(-1, 0\) must lie in 0\.\.1"),
+            ((0.1, 0.1), (5,), r"^axis 0: modulus axis 5 exceeds supported maximum 1$"),
+            ((0.1, 0.1), (-1, 0), r"^axis 0: modulus axis must be an integer >= 0, got -1$"),
         ],
         ids=["t-short", "t-long", "axis-above", "axis-negative"],
     )

@@ -498,6 +498,15 @@ class TestCombinationWeights:
         assert all(sum(lvl) >= 3 for lvl in w)
         assert sum(w.values()) == 1  # weights telescope to one copy of the data
 
+    def test_empty_set_refused(self):
+        with pytest.raises(ValueError, match="^levels: expected a nonempty level set$"):
+            grid.combination_weights([])
+
+    def test_levels_of_one_dimension(self):
+        message = "level (1,) must have 2 entries, one per axis"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid.combination_weights([(0, 0), (1,)])
+
 
 class TestChooseRadius:
     def test_example_budget_seven(self):

@@ -2,7 +2,8 @@
 
 An integral number is accepted and used as an int; a bool (Python or
 numpy), a fraction, and a value outside the input's bounds are refused with
-a ValueError whose message names the input.
+a ValueError whose message names the input.  A vector input that is not a
+sequence is refused the same way (`interp._per_axis`).
 """
 
 import ast
@@ -49,11 +50,11 @@ ENTRY_POINTS = {
     "refinement_coeffs": (bspline.refinement_coeffs, "spline order", 0, bspline.MAX_ORDER, 2),
     "evaluator_degree": (
         lambda v: dyadic.DyadicEvaluator((v,), (1,), _square).degrees[0],
-        "degree", 0, interp.MAX_DEGREE, 2,
+        "axis 0: degree", 0, interp.MAX_DEGREE, 2,
     ),
     "evaluator_order": (
         lambda v: dyadic.DyadicEvaluator((1,), (v,), _square).order[0],
-        "spline order", 0, bspline.MAX_ORDER, 2,
+        "axis 0: spline order", 0, bspline.MAX_ORDER, 2,
     ),
     "evaluator_level": (
         lambda v: dyadic.DyadicEvaluator((1,), (1,), _square).quasi_interp_deriv(
@@ -64,6 +65,14 @@ ENTRY_POINTS = {
     "evaluator_derivative_order": (
         lambda v: dyadic.DyadicEvaluator((2,), (2,), _square).surplus_deriv((1,), (v,), (0.3,)),
         "axis 0: derivative order", 0, 2, 1,
+    ),
+    "tensor_poly_degree": (
+        lambda v: interp.TensorPoly((v,), (0.0,), (1.0,), np.zeros(3)).degrees[0],
+        "axis 0: degree", 0, interp.MAX_DEGREE, 2,
+    ),
+    "interpolate_degree": (
+        lambda v: interp.interpolate(_square, (v,), (0.0,), (1.0,)).degrees[0],
+        "axis 0: degree", 0, interp.MAX_DEGREE, 2,
     ),
     "tensor_poly_derivative_order": (
         lambda v: interp.interpolate(_square, (2,), (0.0,), (1.0,)).deriv_eval((v,), (0.3,)),
@@ -103,11 +112,58 @@ ENTRY_POINTS = {
     ),
     "modulus_axis": (
         lambda v: functions.modulus_estimate(_square, (2, 2, 2), (0.1,) * 3, (v,), 2.0),
-        "modulus axis", None, None, 2,
+        "axis 0: modulus axis", 0, 2, 2,
     ),
     "config_d": (lambda v: _config(d=v).d, "d", 1, None, 2),
     "config_budgets": (lambda v: _config(budgets=[v, 4096]).budgets[0], "budgets", 1, None, 64),
 }
+
+
+# id: (call taking a vector, the name its messages give, an accepted vector).
+# Every vector input is decided by `interp._per_axis`: a non-sequence is
+# refused by name, whether or not the caller knows the count.
+VECTORS = {
+    "interpolate_degrees": (
+        lambda v: interp.interpolate(_square, v, (0.0,), (1.0,)), "degree", (2,),
+    ),
+    "tensor_poly_degrees": (
+        lambda v: interp.TensorPoly(v, (0.0,), (1.0,), np.zeros(3)), "degree", (2,),
+    ),
+    "evaluator_degrees": (lambda v: dyadic.DyadicEvaluator(v, (1,), _square), "degree", (2,)),
+    "evaluator_order": (
+        lambda v: dyadic.DyadicEvaluator((1,), v, _square), "spline order", (2,),
+    ),
+    "index_set_weights": (lambda v: grid.index_set(v, 3), "level weight", (1.0, 2.0)),
+    "weighted_sum_weights": (
+        lambda v: grid.weighted_sum((1.0,), v, 3), "level weight", (1.0,),
+    ),
+    "tail_sum_weights": (lambda v: grid.tail_sum((1.0,), v, 3), "level weight", (1.0,)),
+    "combination_level": (lambda v: grid.combination_weights([v]), "level", (0, 0)),
+    "modulus_order": (
+        lambda v: functions.modulus_estimate(_square, v, (0.1,), (0,), 2.0),
+        "difference order", (2,),
+    ),
+    "modulus_axes": (
+        lambda v: functions.modulus_estimate(_square, (2,), (0.1,), v, 2.0),
+        "modulus axis", (0,),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [None, 1, 1.0], ids=repr)
+@pytest.mark.parametrize("key", VECTORS)
+def test_vector_that_is_no_sequence_is_named(key, value):
+    call, name, _ = VECTORS[key]
+    message = f"{name}: expected a sequence, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("key", VECTORS)
+def test_vector_as_list_or_array_accepted(key):
+    call, _, good = VECTORS[key]
+    call(list(good))
+    call(np.array(good))
 
 
 def _refusals():

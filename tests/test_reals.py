@@ -184,7 +184,7 @@ def test_tail_sum_count_mismatch_named_before_negating():
 
 
 def test_a_box_that_is_no_sequence_is_named():
-    message = "delta: expected 1 entries, one per axis, got 1.0"
+    message = "delta: expected a sequence, got 1.0"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         interp.interpolate(_square, (1,), (0.0,), 1.0)
 
