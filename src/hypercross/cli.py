@@ -86,8 +86,10 @@ def _array(v, what: str) -> list:
 
 
 def load_config(text: str) -> StudyConfig:
-    """Parse and validate a study config; unknown keys are rejected.  The
-    config holds what `derive_params` made of the class parameters."""
+    """Parse and validate a study config; unknown keys, an unknown test
+    function and a first budget below the smallest plan (`choose_radius`)
+    are rejected.  The config holds what `derive_params` made of the class
+    parameters."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -121,7 +123,9 @@ def load_config(text: str) -> StudyConfig:
         params.d, params.alpha, params.deriv, params.p, params.q, params.theta, str(raw["test_fn"]),
         budgets, as_integer(raw.get("seed", 0), "seed"), quad,
     )
-    get_function(cfg.test_fn, cfg.d)  # fail early on an unknown function
+    # Fail early on an unknown function or a budget below the smallest plan.
+    get_function(cfg.test_fn, cfg.d)
+    choose_radius(params, budgets[0])
     return cfg
 
 
@@ -232,11 +236,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.verb == "plan":
         params = derive_params(cfg.d, cfg.alpha, cfg.p, cfg.q, cfg.theta, cfg.deriv)
-        try:
-            radius = choose_radius(params, cfg.budgets[-1])
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+        radius = choose_radius(params, cfg.budgets[-1])
         plan = build_plan(params, radius)
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

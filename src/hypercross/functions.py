@@ -1,9 +1,11 @@
 """Test functions with known mixed smoothness, and a modulus estimator.
 
-Registry entries carry an analytic value, analytic mixed derivatives (valid
-away from declared kink loci), and the smoothness they are declared to have.
-Declared exponents are what the entry is *known* to satisfy at
-integrability index p = 2; smooth factors satisfy any finite declaration.
+A registry entry is a product of one factor per axis, as mixed smoothness
+is set axis by axis.  Each `Factor` carries its analytic derivatives (valid
+away from its kinks), its declared exponent and its kinks, and the entry's
+dimension, class, kink loci and mixed derivatives follow from them.  A
+declared exponent is what a factor is *known* to satisfy at integrability
+index p = 2; smooth factors satisfy any finite declaration.
 
 `modulus_estimate` is a diagnostic built on the mixed-difference stencil:
 the modulus is a supremum over all step vectors, so a finite lattice only
@@ -20,7 +22,7 @@ finite values (`interp.as_values`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
@@ -32,22 +34,47 @@ Array = np.ndarray
 
 
 @dataclass(frozen=True)
+class Factor:
+    """One axis of a registry entry: ``at(col, r)`` is the r-th derivative on
+    a column of coordinates, ``alpha`` the declared exponent and ``kinks``
+    the positions where a derivative may not exist."""
+
+    at: Callable[[Array, int], Array]
+    alpha: float
+    kinks: tuple[float, ...] = ()
+
+
+@dataclass(frozen=True)
 class TestFunction:
-    """A registered function with analytic derivatives and declared smoothness."""
+    """A registered function: the product of its per-axis ``factors``, whose
+    mixed derivative is the product of the factors' derivatives."""
 
     fid: str
-    d: int
-    alpha: tuple[float, ...]
-    kink_loci: tuple[tuple[float, ...], ...]  # per axis, positions to avoid
-    _deriv: Callable[[tuple[int, ...], Array], Array] = field(repr=False)
+    factors: tuple[Factor, ...]
+
+    @property
+    def d(self) -> int:
+        return len(self.factors)
+
+    @property
+    def alpha(self) -> tuple[float, ...]:
+        return tuple(f.alpha for f in self.factors)
+
+    @property
+    def kink_loci(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(f.kinks for f in self.factors)
 
     def value(self, x) -> Array:
-        return self._deriv((0,) * self.d, as_points(x, self.d).reshape(-1, self.d))
+        return self.deriv((0,) * self.d, x)
 
     def deriv(self, deriv: Sequence[int], x) -> Array:
         """Analytic mixed derivative, valid away from the kink loci."""
         deriv = as_integers(deriv, "derivative order", self.d, 0)
-        return self._deriv(deriv, as_points(x, self.d).reshape(-1, self.d))
+        pts = as_points(x, self.d).reshape(-1, self.d)
+        out = np.ones(len(pts))
+        for factor, r, col in zip(self.factors, deriv, pts.T):
+            out *= factor.at(col, r)
+        return out
 
 
 # -- factor library ---------------------------------------------------------------
@@ -76,14 +103,9 @@ def _sq_factor(col: Array, order: int) -> Array:
     return np.zeros_like(col)
 
 
-def _tensor(factors: list[Callable[[Array, int], Array]]):
-    def deriv(lam: tuple[int, ...], x: Array) -> Array:
-        out = np.ones(len(x))
-        for j, fac in enumerate(factors):
-            out *= fac(x[:, j], lam[j])
-        return out
-
-    return deriv
+def _abs(center: float, expo: float, alpha: float) -> Factor:
+    """``|x - center|**expo``, declared at exponent ``alpha``, kinked at ``center``."""
+    return Factor(lambda col, r: _abs_factor(col, center, expo, r), alpha, (center,))
 
 
 def registry(d: int = 2) -> list[TestFunction]:
@@ -96,50 +118,23 @@ def registry(d: int = 2) -> list[TestFunction]:
     dyadic lattice at 1/3).
     """
     d = as_integer(d, "d", 1)
-    entries = []
-
-    entries.append(
-        TestFunction(
-            fid="trig", d=d, alpha=(2.0,) * d,
-            kink_loci=((),) * d, _deriv=_tensor([_sin_factor] * d),
-        )
-    )
-
-    kink_expo = 0.75
-    entries.append(
-        TestFunction(
-            fid="kink", d=d, alpha=(kink_expo,) * d,
-            kink_loci=((0.5,),) * d,
-            _deriv=_tensor([lambda c, r, e=kink_expo: _abs_factor(c, 0.5, e, r)] * d),
-        )
-    )
-
-    entries.append(
-        TestFunction(
-            fid="poly", d=d, alpha=(2.5,) * d,
-            kink_loci=((),) * d, _deriv=_tensor([_sq_factor] * d),
-        )
-    )
-
+    trig = Factor(_sin_factor, 2.0)
+    entries = [
+        TestFunction("trig", (trig,) * d),
+        TestFunction("kink", (_abs(0.5, 0.75, 0.75),) * d),
+        TestFunction("poly", (Factor(_sq_factor, 2.5),) * d),
+    ]
     if d >= 2:
-        factors = [_sin_factor] * (d - 1) + [
-            lambda c, r: _abs_factor(c, 1.0 / 3.0, 1.0, r)
-        ]
-        entries.append(
-            TestFunction(
-                fid="aniso", d=d, alpha=(2.0,) * (d - 1) + (1.5,),
-                kink_loci=((),) * (d - 1) + ((1.0 / 3.0,),),
-                _deriv=_tensor(factors),
-            )
-        )
+        entries.append(TestFunction("aniso", (trig,) * (d - 1) + (_abs(1.0 / 3.0, 1.0, 1.5),)))
     return entries
 
 
 def get_function(fid: str, d: int = 2) -> TestFunction:
-    for entry in registry(d):
+    entries = registry(d)
+    for entry in entries:
         if entry.fid == fid:
             return entry
-    known = ", ".join(e.fid for e in registry(d))
+    known = ", ".join(e.fid for e in entries)
     raise ValueError(f"unknown test function {fid!r} for d={d} (known: {known})")
 
 
@@ -169,19 +164,17 @@ def modulus_estimate(
     order.  Being a finite search it can only under-estimate the true
     supremum.  ``order``, ``t`` and ``axes`` are sequences, checked by
     `interp.as_integers` and `interp.as_reals`.  Raises ValueError if one
-    is not, if an order or an axis is not an integer (never truncated), if
-    an order is negative, if an axis lies outside ``0..len(order) - 1``, if
-    ``p`` lies outside ``[1, inf]``, if ``t`` does not hold one entry per
-    order, finite and > 0, if every step of the lattice takes the stencil
-    out of the unit cube, or if ``f`` does not return one finite value per
-    point.
+    is not, if ``order`` or ``axes`` is empty, if an order or an axis is not
+    an integer (never truncated), if an order is negative, if an axis lies
+    outside ``0..len(order) - 1``, if ``p`` lies outside ``[1, inf]``, if
+    ``t`` does not hold one entry per order, finite and > 0, if every step
+    of the lattice takes the stencil out of the unit cube, or if ``f`` does
+    not return one finite value per point.
     """
     order = as_integers(order, "difference order", None, 0)
     d = len(order)
     axes = tuple(sorted(set(as_integers(axes, "modulus axis", None, 0, d - 1))))
     p = as_real(p, "p", 1, math.inf)
-    if not axes:
-        raise ValueError("need at least one active axis")
     t = as_reals(t, "t", d, 0, open_low=True)
     eff = tuple(r if j in axes else 0 for j, r in enumerate(order))
     best = None

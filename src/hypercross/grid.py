@@ -23,7 +23,8 @@ go through `interp.as_integer`, real ones through `interp.as_real`: finite
 ``alpha``, ``p`` in ``[1, inf)``, ``q`` and ``theta`` in ``[1, inf]``, level
 weights >= 1 and radii >= 0, finite, and finite exponents of the level sums
 (positive for `tail_sum`).  Vectors go through `as_integers` and `as_reals`,
-their count set by ``d``, the level weights or a set's first level.
+their count set by ``d``, the level weights or a set's first level, which
+hold at least one entry.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ names the input:
   boxes): any integral number becomes an int, any real number a float, and
   a bool, a non-number, a fraction (for an int), NaN or a value out of
   bounds is refused; `as_integers` and `as_reals` decide every vector input:
-  a sequence, of d entries where d is known, entry j checked as ``axis j:``;
+  a sequence, of d entries where d is known and of at least one otherwise,
+  entry j checked as ``axis j:``;
 - `as_points` checks one point ``(d,)`` or an ``(n, d)`` array: the shape,
   finiteness and, where given, the bounds of every coordinate;
 - `as_values` checks what a function returned: one finite value per point.
@@ -89,13 +90,15 @@ def as_real(value, name: str, low=None, high=None, open_low: bool = False) -> fl
 
 
 def _per_axis(check, values, name: str, d: int | None, bounds) -> tuple:
-    """``values`` as d entries (any count for d = None), entry j checked by
+    """``values`` as d entries (at least one for d = None), entry j checked by
     ``check(value, name, *bounds[j])``, its message prefixed by ``axis j:``;
     a ValueError names a non-sequence or a count other than d."""
     try:
         values = tuple(values)
     except TypeError:
         raise ValueError(f"{name}: expected a sequence, got {values!r}") from None
+    if d is None and not values:
+        raise ValueError(f"{name}: expected at least one entry, got ()")
     if d is not None and len(values) != d:
         raise ValueError(f"{name} {values} must have {d} entries, one per axis")
     out = []

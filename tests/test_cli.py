@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -54,6 +55,19 @@ class TestConfig:
     def test_budgets_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             cli.load_config(make_cfg(budgets=[128, 128]))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config must be a JSON object"),
+            (make_cfg(budgets=[]), "budgets must be nonempty"),
+            (make_cfg(quadrature=4), "quadrature must be an object"),
+        ],
+        ids=["array", "no-budgets", "quadrature-number"],
+    )
+    def test_shape_refused(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.load_config(text)
 
     def test_invalid_class_params_rejected(self):
         with pytest.raises(ValueError, match="alpha - 1/p"):
@@ -239,6 +253,18 @@ class TestMain:
         out = tmp_path / "out.csv"
         rc = cli.main(["study", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
+
+    @pytest.mark.parametrize("verb", ["plan", "study"])
+    def test_budget_below_minimum_is_a_config_error(self, tmp_path, capsys, verb):
+        # plan reads only the largest budget, yet refuses the config as study does.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_cfg(budgets=[3, 1024]))
+        out = tmp_path / "out.txt"
+        assert cli.main([verb, "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: budget 3 is below the minimum plan size 45\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_diagnose_verb(self, capsys):
         rc = cli.main(["diagnose", "--suite", "grid"])

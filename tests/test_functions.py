@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -23,6 +24,25 @@ class TestRegistry:
         message = "unknown test function 'nope' for d=2 (known: trig, kink, poly, aniso)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             functions.get_function("nope", 2)
+
+    def test_declared_class_follows_factors(self):
+        got = {e.fid: (e.d, e.alpha, e.kink_loci) for e in functions.registry(3)}
+        assert got == {
+            "trig": (3, (2.0,) * 3, ((),) * 3),
+            "kink": (3, (0.75,) * 3, ((0.5,),) * 3),
+            "poly": (3, (2.5,) * 3, ((),) * 3),
+            "aniso": (3, (2.0, 2.0, 1.5), ((), (), (1.0 / 3.0,))),
+        }
+
+    def test_vanishing_derivative_is_zero_at_the_kink(self):
+        # The second derivative of |x - 1/3| is 0 away from 1/3; at 1/3 the
+        # zero coefficient is not multiplied by |0|**-1.
+        f = functions.get_function("aniso", 2)
+        pts = np.array([[0.2, 1.0 / 3.0], [0.7, 0.1], [0.4, 1.0 / 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.deriv((0, 2), pts)
+        assert np.array_equal(got, np.zeros(3))
 
     def test_trig_mixed_derivative_formula(self):
         f = functions.get_function("trig", 2)
@@ -152,7 +172,8 @@ class TestModulusEstimate:
 
     def test_needs_active_axes(self):
         entry = functions.get_function("trig", 2)
-        with pytest.raises(ValueError):
+        message = "modulus axis: expected at least one entry, got ()"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             modulus_estimate(entry.value, (2, 2), (0.1, 0.1), (), 2.0)
 
     def test_second_difference_kills_affine(self):

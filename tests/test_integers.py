@@ -160,6 +160,17 @@ def test_vector_that_is_no_sequence_is_named(key, value):
 
 
 @pytest.mark.parametrize("key", VECTORS)
+def test_empty_vector_is_named(key):
+    # The spline orders are one per degree; every other count is the caller's.
+    call, name, _ = VECTORS[key]
+    message = f"{name}: expected at least one entry, got ()"
+    if key == "evaluator_order":
+        message = "spline order () must have 1 entries, one per axis"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(())
+
+
+@pytest.mark.parametrize("key", VECTORS)
 def test_vector_as_list_or_array_accepted(key):
     call, _, good = VECTORS[key]
     call(list(good))
