@@ -59,7 +59,9 @@ def piece_table(m: int, r: int) -> tuple[tuple[Fraction, ...], ...]:
 @lru_cache(maxsize=None)
 def _float_table(m: int, r: int) -> np.ndarray:
     """`piece_table` rounded once per entry, shape (m+1, m+1-r)."""
-    return np.array([[float(c) for c in row] for row in piece_table(m, r)])
+    table = np.array([[float(c) for c in row] for row in piece_table(m, r)])
+    table.setflags(write=False)  # cached: every caller shares it
+    return table
 
 
 def bspline_derivative(m: int, r: int, x) -> np.ndarray:

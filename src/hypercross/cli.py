@@ -21,7 +21,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -31,13 +32,6 @@ from .functions import get_function
 from .grid import build_plan, choose_radius, derive_params, write_plan
 from .interp import as_integer
 from .recovery import Quadrature, lq_error, reconstruct, sample
-
-_TOP_KEYS = {
-    "d", "alpha", "deriv", "p", "q", "theta", "test_fn", "budgets", "seed",
-    "quadrature",
-}
-_QUAD_KEYS = {"cells_log2", "points_per_cell", "sup_points"}
-
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -86,19 +80,21 @@ def _array(v, what: str) -> list:
 
 
 def load_config(text: str) -> StudyConfig:
-    """Parse and validate a study config; unknown keys, an unknown test
-    function and a first budget below the smallest plan (`choose_radius`)
-    are rejected.  The config holds what `derive_params` made of the class
-    parameters."""
+    """Parse and validate a study config.  Its keys are `StudyConfig`'s fields
+    (required unless defaulted); the ``quadrature`` object's are `Quadrature`'s
+    but ``d``, the config's own.  Unknown keys, an unknown test function and a
+    first budget below the smallest plan (`choose_radius`) are rejected; the
+    config holds what `derive_params` made of the class parameters."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    schema = fields(StudyConfig)
+    unknown = set(raw) - {f.name for f in schema}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("d", "alpha", "deriv", "p", "q", "theta", "test_fn", "budgets"):
-        if key not in raw:
-            raise ValueError(f"config missing required key {key!r}")
+    for f in schema:
+        if f.default is MISSING and f.name not in raw:
+            raise ValueError(f"config missing required key {f.name!r}")
     params = derive_params(
         raw["d"], _array(raw["alpha"], "alpha"),
         *(_parse_extended(raw[key]) for key in ("p", "q", "theta")),
@@ -114,7 +110,7 @@ def load_config(text: str) -> StudyConfig:
         qraw = raw["quadrature"]
         if not isinstance(qraw, dict):
             raise ValueError("quadrature must be an object")
-        unknown = set(qraw) - _QUAD_KEYS
+        unknown = set(qraw) - {f.name for f in fields(Quadrature) if f.name != "d"}
         if unknown:
             raise ValueError(f"unknown quadrature keys: {sorted(unknown)}")
         # Quadrature reads None as its default; in a config, null is no integer.
@@ -238,32 +234,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         params = derive_params(cfg.d, cfg.alpha, cfg.p, cfg.q, cfg.theta, cfg.deriv)
         radius = choose_radius(params, cfg.budgets[-1])
         plan = build_plan(params, radius)
+        write = partial(write_plan, plan)
+        lines = [f"r={radius} n_actual={plan.n_actual} -> {args.out}"]
+    else:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                write_plan(plan, fh)
-        except OSError as exc:
-            print(f"output error: {exc}", file=sys.stderr)
+            result = run_study(cfg, log=sys.stderr)
+        except ValueError as exc:
+            print(f"study error: {exc}", file=sys.stderr)
             return 1
-        print(f"r={radius} n_actual={plan.n_actual} -> {args.out}")
-        return 0
-
-    try:
-        result = run_study(cfg, log=sys.stderr)
-    except ValueError as exc:
-        print(f"study error: {exc}", file=sys.stderr)
-        return 1
+        write = lambda fh: fh.write(render_csv(result))  # noqa: E731
+        lines = [f"slope={result.slope:.4f} intercept={result.intercept:.4f}"]
+        if not math.isnan(result.slope_logcorr):
+            lines.append(
+                f"logcorr: slope={result.slope_logcorr:.4f} "
+                f"loglog_coeff={result.loglog_coeff:.4f}"
+            )
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_csv(result))
+            write(fh)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1
-    print(f"slope={result.slope:.4f} intercept={result.intercept:.4f}")
-    if not math.isnan(result.slope_logcorr):
-        print(
-            f"logcorr: slope={result.slope_logcorr:.4f} "
-            f"loglog_coeff={result.loglog_coeff:.4f}"
-        )
+    print(*lines, sep="\n")
     return 0
 
 

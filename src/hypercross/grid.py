@@ -280,6 +280,7 @@ class RecoveryPlan:
 
     def describe(self, i: int) -> str:
         """Point ``i`` with its float coordinates and provenance, for error messages."""
+        i = as_integer(i, "point", 0, self.n_actual - 1)
         li = int(np.searchsorted(self.bounds, i, side="right")) - 1
         lvl, d = self.levels[li], self.params.d
         shape = _level_shape(self.params, lvl)

@@ -210,7 +210,9 @@ def _monomial_matrix(deg: int) -> np.ndarray:
             # c * (x - xj) / (xi - xj), ascending powers.
             c = [(lo - xj * hi) / (xi - xj) for lo, hi in zip([0] + c, c + [0])]
         cols.append(c)
-    return np.array([[float(col[p]) for col in cols] for p in range(deg + 1)])
+    matrix = np.array([[float(col[p]) for col in cols] for p in range(deg + 1)])
+    matrix.setflags(write=False)  # cached: every caller shares it
+    return matrix
 
 
 def monomial_coeffs(values: np.ndarray, degrees: Sequence[int]) -> np.ndarray:

@@ -120,6 +120,12 @@ class TestDerivative:
             ex = bspline.bspline_derivative(m, 1, xs)
             np.testing.assert_allclose(fd, ex, atol=1e-6)
 
+    def test_cached_table_is_read_only(self):
+        # lru_cache hands every evaluation the same array.
+        table = bspline._float_table(3, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
 
 class TestRefinement:
     @pytest.mark.parametrize(

@@ -45,12 +45,19 @@ class TestConfig:
         raw["quadrature"] = {"cells_log2": 4, "bogus": 2}
         with pytest.raises(ValueError, match="unknown quadrature keys"):
             cli.load_config(json.dumps(raw))
+        # The quadrature's d is the config's.
+        with pytest.raises(ValueError, match=r"^unknown quadrature keys: \['d'\]$"):
+            cli.load_config(make_cfg(quadrature={"d": 3}))
 
     def test_missing_key_rejected(self):
-        raw = dict(BASE_CFG)
-        del raw["alpha"]
-        with pytest.raises(ValueError, match="missing required key"):
-            cli.load_config(json.dumps(raw))
+        for key in ("d", "alpha", "deriv", "p", "q", "theta", "test_fn", "budgets"):
+            raw = dict(BASE_CFG)
+            del raw[key]
+            with pytest.raises(ValueError, match=f"^config missing required key '{key}'$"):
+                cli.load_config(json.dumps(raw))
+        # The required keys are checked in StudyConfig's field order.
+        with pytest.raises(ValueError, match="^config missing required key 'd'$"):
+            cli.load_config(json.dumps({"budgets": [128], "alpha": [2.0, 2.0]}))
 
     def test_budgets_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -263,6 +270,23 @@ class TestMain:
         assert cli.main([verb, "--config", str(cfg_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "config error: budget 3 is below the minimum plan size 45\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_study_error_exit_code(self, tmp_path, capsys):
+        # The d=5 default rule is too large; load_config accepts the config,
+        # and lq_error refuses it before the table is written.
+        cfg_path = tmp_path / "cfg.json"
+        raw = dict(BASE_CFG, d=5, alpha=[2] * 5, deriv=[0] * 5, budgets=[4000])
+        del raw["quadrature"]
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        assert cli.main(["study", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "study error: quadrature at d=5 needs 33554432 points, above the limit "
+            "of 2097152; lower Quadrature.cells_log2\n"
+        )
         assert captured.out == ""
         assert not out.exists()
 

@@ -98,6 +98,8 @@ ENTRY_POINTS = {
         lambda v: grid.count_profile(_PARAMS, v), "radius", 1, grid.MAX_RADIUS, 2,
     ),
     "choose_radius": (lambda v: grid.choose_radius(_PARAMS, v), "budget", None, None, 4096),
+    # The 153-point plan at radius 2.
+    "plan_describe": (grid.build_plan(_PARAMS, 2).describe, "point", 0, 152, 1),
     "derivative_orders": (
         lambda v: functions.get_function("poly", 2).deriv((v, 0), (0.5, 0.5)),
         "axis 0: derivative order", 0, None, 2,

@@ -398,6 +398,12 @@ class TestPolynomialHelpers:
             P.polyval(0.3, coeffs[:, 0, 0]), abs=1e-14
         )
 
+    def test_cached_monomial_matrix_is_read_only(self):
+        # lru_cache hands every interpolant the same array.
+        matrix = interp._monomial_matrix(3)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+
 
 class TestInputChecks:
     """`as_points`, `as_values` and `tensor_grid`, the checks and the grid

@@ -1,5 +1,7 @@
 """The README's library example and CLI lines run against the current code."""
 
+import dataclasses
+import json
 import os
 import re
 import shlex
@@ -48,3 +50,11 @@ def test_cli_block_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in lines:
         assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+def test_config_block_holds_the_schema():
+    # The config's keys are StudyConfig's fields; the README shows each once.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (config,) = re.findall(r"^```json\n(.*?)^```", text, flags=re.S | re.M)
+    fields = [f.name for f in dataclasses.fields(cli.StudyConfig)]
+    assert list(json.loads(config)) == fields
