@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -65,11 +65,24 @@ def _node_numerators(deg: int) -> tuple[int, ...]:
     return nums
 
 
-def _axis_keys(k: int, deg: int) -> np.ndarray:
-    """Keys of node ``i`` of cell ``c`` along one axis at level ``k``, shape (2**k, deg+1)."""
+def _axis_keys(k: int, deg: int, start: int, stop: int) -> np.ndarray:
+    """Keys of the nodes of cells ``start:stop`` along one axis at level ``k``, (-1, deg+1)."""
     nums = np.array(_node_numerators(deg), dtype=np.int64)
-    cells = np.arange(1 << k, dtype=np.int64) << NODE_BITS
+    cells = np.arange(start, stop, dtype=np.int64) << NODE_BITS
     return (cells[:, None] + nums[None, :]) << (MAX_RADIUS - k)
+
+
+# Bytes of plan text assembled per write, and of keys built at once: a run of
+# indices along one axis of a level, at least one line or cell, so memory stays
+# bounded whatever the plan size.
+_BLOCK = 1 << 18
+
+
+def _cell_runs(k: int, deg: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` runs of the cells of level ``k`` whose keys fit ``_BLOCK`` bytes."""
+    step = max(1, _BLOCK // (8 * (deg + 1)))
+    for start in range(0, 1 << k, step):
+        yield start, min(start + step, 1 << k)
 
 
 # -- smoothness bookkeeping ------------------------------------------------------
@@ -267,15 +280,18 @@ class RecoveryPlan:
         return out
 
     def _fill(self, dtype) -> np.ndarray:
+        """An ``(n_actual, d)`` ``dtype`` array, filled one `_cell_runs` run of keys at a time."""
         params, d = self.params, self.params.d
         out = np.empty((self.n_actual, d), dtype=dtype)
         for lvl, start, stop in zip(self.levels, self.bounds, self.bounds[1:]):
             block = out[start:stop].reshape(_level_shape(params, lvl) + (d,))
             for j, (k, dg) in enumerate(zip(lvl, params.degrees)):
                 axis_shape = [1] * (2 * d)
-                axis_shape[j] = 1 << k
                 axis_shape[d + j] = dg + 1
-                block[..., j] = _axis_keys(k, dg).reshape(axis_shape)
+                for c0, c1 in _cell_runs(k, dg):
+                    axis_shape[j] = c1 - c0
+                    cells = (slice(None),) * j + (slice(c0, c1),)
+                    block[(*cells, ..., j)] = _axis_keys(k, dg, c0, c1).reshape(axis_shape)
         return out
 
     def describe(self, i: int) -> str:
@@ -357,24 +373,34 @@ def choose_radius(params: SmoothnessParams, budget: int) -> int:
     return radius
 
 
-# Bytes of plan text assembled per write.  A block is a run of indices along
-# one axis of a level, at least one line, so memory stays bounded whatever the
-# plan size.
-_BLOCK = 1 << 18
-
-
-def _ascii(strs: Sequence[str]) -> np.ndarray:
-    """ASCII strings as a ``uint8`` matrix, one row each, padded with zeros."""
-    table = np.array(strs, dtype=bytes)
-    return table.view(np.uint8).reshape(len(table), table.itemsize)
+def _digits(values: np.ndarray) -> np.ndarray:
+    """Nonnegative int64 ``values`` as ASCII digits right-aligned in zero bytes, shape
+    ``(*values.shape, width)``, ``width`` the digit count of the largest."""
+    out = np.zeros((*values.shape, len(str(int(values.max(initial=0))))), dtype=np.uint8)
+    for col in reversed(range(out.shape[-1])):
+        out[..., col] = np.where(values > 0, values % 10 + ord("0"), 0)
+        values = values // 10
+    out[..., -1] |= ord("0")  # the one digit of 0
+    return out
 
 
 def _coord_table(k: int, deg: int) -> np.ndarray:
-    """Axis coordinates at level ``k`` as reduced fractions, shape ``(2**k, deg+1, width)``."""
-    keys = _axis_keys(k, deg).ravel()
-    zeros = np.frexp(keys & -keys)[1] - 1
-    nums, dens = (keys >> zeros).tolist(), (np.int64(1) << (KEY_BITS - zeros)).tolist()
-    return _ascii([f"{n}/{q}" for n, q in zip(nums, dens)]).reshape(1 << k, deg + 1, -1)
+    """Axis coordinates at level ``k`` as reduced fractions, shape ``(2**k, deg+1, width)``.
+
+    A node's trailing zeros lie below ``NODE_BITS``, so they and its reduced denominator are
+    the same in every cell, and its numerator grows with the cell: the last cell sets widths.
+    """
+    last = _axis_keys(k, deg, (1 << k) - 1, 1 << k)
+    zeros = np.frexp(last & -last)[1] - 1
+    split = len(str(int((last >> zeros).max())))
+    dens = _digits(np.int64(1) << (KEY_BITS - zeros[0]))
+    table = np.zeros((1 << k, deg + 1, split + 1 + dens.shape[-1]), dtype=np.uint8)
+    table[..., split] = ord("/")
+    table[..., split + 1 :] = dens
+    for c0, c1 in _cell_runs(k, deg):
+        nums = _digits(_axis_keys(k, deg, c0, c1) >> zeros)
+        table[c0:c1, :, split - nums.shape[-1] : split] = nums
+    return table
 
 
 def write_plan(plan: RecoveryPlan, stream: TextIO) -> None:
@@ -385,58 +411,63 @@ def write_plan(plan: RecoveryPlan, stream: TextIO) -> None:
     denominator a power of two); vectors and coordinate lists are
     comma-joined.
 
-    A level's lines are assembled as bytes and written one block at a time:
-    each field is copied from a zero-padded table of its distinct values
-    (cell and node names, and each axis's coordinates, rendered once per
-    call), and the padding is dropped before the write.  A block is a run
-    of indices along the outermost axis whose one index holds at most
-    ``_BLOCK`` bytes of lines, or a single line, so besides those tables
-    memory is one bounded block, whatever the plan size.
+    A level's lines are assembled as bytes one block at a time, each field
+    copied from a `_digits` table of its distinct values, and written without
+    the zero padding.  A coordinate table is dropped after the last level
+    that reads it, so memory holds one block, the cell and node names, and
+    the tables of the level being written, whatever the plan size.
     """
     params, d = plan.params, plan.params.d
     top = max(max(1 << k for lvl in plan.levels for k in lvl), max(params.degrees) + 1)
-    names = _ascii([str(i) for i in range(top)])
+    names = _digits(np.arange(top))
+    last = {key: li for li, lvl in enumerate(plan.levels) for key in zip(lvl, params.degrees)}
     coords: dict[tuple[int, int], np.ndarray] = {}
-    # The byte after each field: commas within a vector, a tab or newline after it.
-    seps = (("," * (d - 1) + "\t") * 2 + "," * (d - 1) + "\n").encode()
-    for lvl in plan.levels:
-        shape = _level_shape(params, lvl)
-        # (table, the axes of `shape` its leading dimensions run along)
-        fields = [(names[: 1 << k, : len(str((1 << k) - 1))], (j,)) for j, k in enumerate(lvl)]
+    for li, lvl in enumerate(plan.levels):
+        fields = [(names[: 1 << k, -len(str((1 << k) - 1)) :], (j,)) for j, k in enumerate(lvl)]
         fields += [
-            (names[: dg + 1, : len(str(dg))], (d + j,)) for j, dg in enumerate(params.degrees)
+            (names[: dg + 1, -len(str(dg)) :], (d + j,)) for j, dg in enumerate(params.degrees)
         ]
-        for j, (k, dg) in enumerate(zip(lvl, params.degrees)):
-            if (k, dg) not in coords:
-                coords[k, dg] = _coord_table(k, dg)
-            fields.append((coords[k, dg], (j, d + j)))
-        # Each table broadcast over the whole level, so that any block of it
-        # is one index away.
-        full = []
-        for table, axes in fields:
-            view = [1] * (2 * d) + [table.shape[-1]]
-            for x, n in zip(axes, table.shape):
-                view[x] = n
-            full.append(np.broadcast_to(table.reshape(view), (*shape, table.shape[-1])))
-        prefix = np.frombuffer((",".join(map(str, lvl)) + "\t").encode(), np.uint8)
-        width = len(prefix) + sum(field.shape[-1] + 1 for field in full)
-        # Blocks run along axis `a`, the outermost whose one index spans at
-        # most `_BLOCK` bytes of lines, at one index of each axis before it.
-        a, span = len(shape) - 1, width
-        while a > 0 and span * shape[a] <= _BLOCK:
-            span *= shape[a]
-            a -= 1
-        step = max(1, _BLOCK // span)
-        buf = np.empty((min(step, shape[a]), *shape[a + 1 :], width), dtype=np.uint8)
-        buf[..., : len(prefix)] = prefix
-        for outer in np.ndindex(*shape[:a]):
-            for start in range(0, shape[a], step):
-                block = buf[: min(step, shape[a] - start)]
-                at = (*outer, slice(start, start + len(block)))
-                col = len(prefix)
-                for field, sep in zip(full, seps):
-                    block[..., col : col + field.shape[-1]] = field[at]
-                    col += field.shape[-1]
-                    block[..., col] = sep
-                    col += 1
-                stream.write(block[block != 0].tobytes().decode("ascii"))
+        for j, key in enumerate(zip(lvl, params.degrees)):
+            if key not in coords:
+                coords[key] = _coord_table(*key)
+            fields.append((coords[key], (j, d + j)))
+        coords = {key: table for key, table in coords.items() if last[key] > li}
+        # In a function, so that a dropped table's views die before the next table is built.
+        _write_level(stream, lvl, _level_shape(params, lvl), fields)
+
+
+def _write_level(stream: TextIO, level: tuple[int, ...], shape: tuple[int, ...], fields: list):
+    """Write ``level``'s lines in blocks of ``_BLOCK`` bytes or one line; ``fields`` are
+    (table, the axes of ``shape`` its leading dimensions run along)."""
+    d = len(level)
+    # Each table broadcast over the whole level, so that any block of it is
+    # one index away.
+    full = []
+    for table, axes in fields:
+        view = [1] * len(shape) + [table.shape[-1]]
+        for x, n in zip(axes, table.shape):
+            view[x] = n
+        full.append(np.broadcast_to(table.reshape(view), (*shape, table.shape[-1])))
+    prefix = np.frombuffer((",".join(map(str, level)) + "\t").encode(), np.uint8)
+    # Each field's first column, and the line's width.
+    cols = len(prefix) + np.cumsum([0] + [field.shape[-1] + 1 for field in full])
+    # Blocks run along axis `a`, the outermost whose one index spans at most
+    # `_BLOCK` bytes of lines, at one index of each axis before it.
+    a, span = len(shape) - 1, cols[-1]
+    while a > 0 and span * shape[a] <= _BLOCK:
+        span *= shape[a]
+        a -= 1
+    step = max(1, _BLOCK // span)
+    # The level vector and the byte after each field (commas within a vector,
+    # a tab or newline after it) are the same on every line.
+    seps = (("," * (d - 1) + "\t") * 2 + "," * (d - 1) + "\n").encode()
+    buf = np.empty((min(step, shape[a]), *shape[a + 1 :], cols[-1]), dtype=np.uint8)
+    buf[..., : len(prefix)] = prefix
+    buf[..., cols[1:] - 1] = np.frombuffer(seps, np.uint8)
+    for outer in np.ndindex(*shape[:a]):
+        for start in range(0, shape[a], step):
+            block = buf[: min(step, shape[a] - start)]
+            at = (*outer, slice(start, start + len(block)))
+            for field, col in zip(full, cols):
+                block[..., col : col + field.shape[-1]] = field[at]
+            stream.write(block[block != 0].tobytes().decode("ascii"))
