@@ -4,6 +4,11 @@ Each check returns its worst residual so regressions show up as numbers, not
 just booleans.  The CLI `diagnose` verb runs these and exits nonzero when a
 property fails; the pytest suite covers the same ground (and more) with finer
 granularity.
+
+Check points, random polynomial coefficients and value vectors come from a
+fixed low-discrepancy sequence (`_Points`), not from numpy's random number
+generators: every run of a check reads the same points under any numpy, and the
+points of a draw spread evenly over its box.
 """
 
 from __future__ import annotations
@@ -34,11 +39,37 @@ def _check(name: str, residual: float, bound: float) -> CheckResult:
     return CheckResult(name, bool(residual <= bound), float(residual), float(bound))
 
 
+class _Points:
+    """A fixed additive-recurrence (Kronecker, Roberts' R_d) sequence in ``[0, 1)^d``.
+
+    Point ``i`` is ``frac(0.5 + i * alpha)`` with ``alpha_j = phi_d ** -(j + 1)``, ``phi_d``
+    the generalized golden ratio, the positive root of ``x ** (d + 1) = x + 1``.  Indices
+    run on from ``start`` across draws, as a seeded generator's stream does.
+    """
+
+    def __init__(self, start: int):
+        self.start = start
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """Values in ``[low, high)`` of shape ``size``: an int draws that many values, a
+        tuple rows of points along its last axis."""
+        shape = size if isinstance(size, tuple) else (size, 1)
+        d, n = shape[-1], math.prod(shape[:-1])
+        phi = 2.0
+        for _ in range(64):
+            phi = (1.0 + phi) ** (1.0 / (d + 1))
+        alpha = phi ** -np.arange(1.0, d + 1)
+        i = np.arange(self.start, self.start + n, dtype=np.float64)
+        self.start += n
+        u = (0.5 + i[:, None] * alpha) % 1.0
+        return (low + (high - low) * u).reshape(size)
+
+
 # -- suite: bspline ----------------------------------------------------------------
 
 
 def bspline_checks() -> list[CheckResult]:
-    rng = np.random.default_rng(2024)
+    seq = _Points(2024)
     out = []
 
     worst = 0.0
@@ -47,7 +78,7 @@ def bspline_checks() -> list[CheckResult]:
         (2, (1, 2), (2, 1)),
         (3, (2, 1, 0), (1, 2, 2)),
     ]:
-        x = rng.uniform(0, 1, size=(2000, d))
+        x = seq.uniform(0, 1, size=(2000, d))
         total = np.ones(len(x))
         for j in range(d):
             axis_sum = np.zeros(len(x))
@@ -62,7 +93,7 @@ def bspline_checks() -> list[CheckResult]:
     worst = 0.0
     for m in range(7):
         coeffs = [float(a) for a in bspline.refinement_coeffs(m)]
-        x = rng.uniform(-1, m + 2, size=4000)
+        x = seq.uniform(-1, m + 2, size=4000)
         lhs = bspline.bspline_derivative(m, 0, x)
         rhs = np.zeros_like(x)
         for mu, a in enumerate(coeffs):
@@ -72,7 +103,7 @@ def bspline_checks() -> list[CheckResult]:
 
     bad = 0.0
     for m in range(5):
-        x = rng.uniform(-0.5, m + 1.5, size=4000)
+        x = seq.uniform(-0.5, m + 1.5, size=4000)
         v = bspline.bspline_derivative(m, 0, x)
         inside = (x > 0) & (x < m + 1)
         # Positivity may only fail within float noise of the support edges.
@@ -99,7 +130,7 @@ def bspline_checks() -> list[CheckResult]:
     worst = 0.0
     h = 1e-5
     for m in range(1, 6):
-        xs = rng.uniform(0.3, m + 0.7, size=200)
+        xs = seq.uniform(0.3, m + 0.7, size=200)
         xs = xs[np.abs(xs - np.round(xs)) > 0.01]
         fd = (
             bspline.bspline_derivative(m, 0, xs + h) - bspline.bspline_derivative(m, 0, xs - h)
@@ -112,8 +143,8 @@ def bspline_checks() -> list[CheckResult]:
 # -- suite: interp -----------------------------------------------------------------
 
 
-def _random_poly(rng, degrees):
-    coeffs = rng.uniform(-1, 1, size=tuple(d + 1 for d in degrees))
+def _random_poly(seq, degrees):
+    coeffs = seq.uniform(-1, 1, size=tuple(d + 1 for d in degrees))
 
     def f(x):
         out = np.zeros(len(x))
@@ -128,16 +159,16 @@ def _random_poly(rng, degrees):
 
 
 def interp_checks() -> list[CheckResult]:
-    rng = np.random.default_rng(7)
+    seq = _Points(7)
     out = []
 
     worst = 0.0
     for degrees in [(2,), (3, 2), (2, 1, 2)]:
         d = len(degrees)
         for _ in range(10):
-            f = _random_poly(rng, degrees)
+            f = _random_poly(seq, degrees)
             poly = interp.interpolate(f, degrees, (0.2,) * d, (0.5,) * d)
-            pts = rng.uniform(0.2, 0.7, size=(40, d))
+            pts = seq.uniform(0.2, 0.7, size=(40, d))
             err = np.max(np.abs(poly.eval(pts) - f(pts)))
             worst = max(worst, float(err))
     out.append(_check("interp.reproduction", worst, 1e-9))
@@ -150,19 +181,19 @@ def interp_checks() -> list[CheckResult]:
         for i, x in enumerate(interp.nodes(deg)):
             got = interp.horner(basis, 0, x)
             worst = max(worst, float(np.max(np.abs(got - np.eye(deg + 1)[i]))))
-        for x in rng.uniform(0, 1, size=50):
+        for x in seq.uniform(0, 1, size=50):
             worst = max(worst, abs(sum(interp.horner(basis, 0, x)) - 1.0))
     out.append(_check("interp.lagrange_kronecker", worst, 1e-12))
 
     worst = 0.0
     degrees = (2, 3)
-    f = _random_poly(rng, degrees)
+    f = _random_poly(seq, degrees)
     x0, delta = (0.25, 0.5), (0.5, 0.25)
     poly = interp.interpolate(f, degrees, x0, delta)
     # Axis-by-axis interpolation must reproduce the tensor result: each row of
     # node values along axis 1 is a 1-D interpolant, and their values at the
     # point are interpolated along axis 0.
-    for p in rng.uniform(0.3, 0.7, size=(30, 2)):
+    for p in seq.uniform(0.3, 0.7, size=(30, 2)):
         inner = [
             interp.TensorPoly(degrees[1:], x0[1:], delta[1:], row).eval(p[1:])
             for row in poly.values
@@ -177,17 +208,17 @@ def interp_checks() -> list[CheckResult]:
 
 
 def dyadic_checks() -> list[CheckResult]:
-    rng = np.random.default_rng(11)
+    seq = _Points(11)
     out = []
     degrees, order = (2, 2), (1, 1)
 
-    poly_f = _random_poly(rng, degrees)
+    poly_f = _random_poly(seq, degrees)
 
     worst = 0.0
     ev = dyadic.DyadicEvaluator(degrees, order, f=poly_f)
-    scale = np.max(np.abs(poly_f(rng.uniform(0, 1, size=(50, 2)))))
+    scale = np.max(np.abs(poly_f(seq.uniform(0, 1, size=(50, 2)))))
     for level in [(1, 0), (0, 2), (2, 1)]:
-        pts = rng.uniform(0.02, 0.98, size=(30, 2))
+        pts = seq.uniform(0.02, 0.98, size=(30, 2))
         worst = max(worst, float(np.max(np.abs(ev.surplus_deriv(level, (0, 0), pts)) / scale)))
     out.append(_check("dyadic.polynomial_annihilation", worst, 1e-9))
 
@@ -195,7 +226,7 @@ def dyadic_checks() -> list[CheckResult]:
     ev = dyadic.DyadicEvaluator(degrees, order, f=smooth)
     worst = 0.0
     for top in [(2, 2), (3, 1)]:
-        pts = rng.uniform(0.02, 0.98, size=(20, 2))
+        pts = seq.uniform(0.02, 0.98, size=(20, 2))
         tele = sum(
             ev.surplus_deriv(lvl, (0, 0), pts) for lvl in product(*[range(t + 1) for t in top])
         )
@@ -204,7 +235,7 @@ def dyadic_checks() -> list[CheckResult]:
 
     worst = 0.0
     for level in [(1, 1), (2, 0), (2, 2)]:
-        pts = rng.uniform(0.02, 0.98, size=(15, 2))
+        pts = seq.uniform(0.02, 0.98, size=(15, 2))
         a = ev.surplus_deriv(level, (1, 0), pts)
         b = ev.surplus_via_translates(level, (1, 0), pts)
         worst = max(worst, float(np.max(np.abs(a - b))))
@@ -275,24 +306,24 @@ def grid_checks() -> list[CheckResult]:
 
 
 def recovery_checks() -> list[CheckResult]:
-    rng = np.random.default_rng(23)
+    seq = _Points(23)
     out = []
     params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (1, 1))
     plan = grid.build_plan(params, 4)
 
-    v1 = rng.uniform(-1, 1, size=plan.n_actual)
-    v2 = rng.uniform(-1, 1, size=plan.n_actual)
+    v1 = seq.uniform(-1, 1, size=plan.n_actual)
+    v2 = seq.uniform(-1, 1, size=plan.n_actual)
     a, b = 0.7, -1.3
     r1 = recovery.reconstruct(v1, plan, (1, 1))
     r2 = recovery.reconstruct(v2, plan, (1, 1))
     r12 = recovery.reconstruct(a * v1 + b * v2, plan, (1, 1))
-    pts = rng.uniform(0.02, 0.98, size=(50, 2))
+    pts = seq.uniform(0.02, 0.98, size=(50, 2))
     worst = float(np.max(np.abs(r12(pts) - a * r1(pts) - b * r2(pts))))
     out.append(_check("recovery.linearity", worst, 1e-10))
 
     f = functions.get_function("poly", 2)
     approx = recovery.reconstruct(recovery.sample(f.value, plan), plan, (1, 1))
-    pts = rng.uniform(0.01, 0.99, size=(400, 2))
+    pts = seq.uniform(0.01, 0.99, size=(400, 2))
     worst = float(np.max(np.abs(approx(pts) - f.deriv((1, 1), pts))))
     out.append(_check("recovery.poly_exactness", worst, 1e-8))
 
@@ -313,14 +344,14 @@ def recovery_checks() -> list[CheckResult]:
 
 
 def lab_checks() -> list[CheckResult]:
-    rng = np.random.default_rng(31)
+    seq = _Points(31)
     out = []
 
     worst = 0.0
     h = 1e-4
     for entry in functions.registry(2):
         for lam in [(1, 0), (0, 1)]:
-            pts = rng.uniform(0.06, 0.94, size=(100, 2))
+            pts = seq.uniform(0.06, 0.94, size=(100, 2))
             for loci, col in zip(entry.kink_loci, range(2)):
                 for c in loci:
                     pts = pts[np.abs(pts[:, col] - c) >= 0.05]
