@@ -8,6 +8,11 @@ Verbs:
 
 Exit codes: 0 success, 1 validation, usage or output error, 2 property failure.
 
+Each verb imports only the modules it runs, since every invocation is a fresh
+process: `plan` loads `functions`, `grid` and `interp`; `study` adds
+`recovery` (and its `bspline`), which a config's ``quadrature`` object also
+loads to be checked; `diagnose` loads `diagnostics`, and with it every module.
+
 Study CSV columns: n_budget, r, n_actual, q, error, wall_ms.  The file is
 byte-identical across runs of the same config, which is why wall_ms is
 written as 0 there; measured per-budget times go to stderr instead.
@@ -23,15 +28,20 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import diagnostics
 from .functions import get_function
 from .grid import build_plan, choose_radius, derive_params, write_plan
 from .interp import as_integer
-from .recovery import Quadrature, lq_error, reconstruct, sample
+
+if TYPE_CHECKING:
+    from .recovery import Quadrature
+
+# diagnostics.SUITES' names, so that parsing --suite imports no suite.
+_SUITE_CHOICES = ("bspline", "interp", "dyadic", "grid", "recovery", "lab", "all")
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -110,6 +120,8 @@ def load_config(text: str) -> StudyConfig:
         qraw = raw["quadrature"]
         if not isinstance(qraw, dict):
             raise ValueError("quadrature must be an object")
+        from .recovery import Quadrature
+
         unknown = set(qraw) - {f.name for f in fields(Quadrature) if f.name != "d"}
         if unknown:
             raise ValueError(f"unknown quadrature keys: {sorted(unknown)}")
@@ -133,6 +145,8 @@ def run_study(cfg: StudyConfig, log=None) -> StudyResult:
     is reported alongside.  The study itself is deterministic; the seed is
     kept in the config for schema stability.
     """
+    from .recovery import Quadrature, lq_error, reconstruct, sample
+
     params = derive_params(cfg.d, cfg.alpha, cfg.p, cfg.q, cfg.theta, cfg.deriv)
     fn = get_function(cfg.test_fn, cfg.d)
     quad = cfg.quadrature or Quadrature(d=cfg.d)
@@ -210,7 +224,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_plan.add_argument("--out", required=True)
 
     p_diag = sub.add_parser("diagnose", help="run property checks")
-    p_diag.add_argument("--suite", default="all", choices=[*diagnostics.SUITES, "all"])
+    p_diag.add_argument("--suite", default="all", choices=_SUITE_CHOICES)
 
     try:
         args = parser.parse_args(argv)
@@ -218,6 +232,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1 if exc.code else 0
 
     if args.verb == "diagnose":
+        from . import diagnostics
+
         results = diagnostics.run_suite(args.suite)
         for res in results:
             print(res.line())

@@ -391,5 +391,7 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 
 def run_suite(selector: str) -> list[CheckResult]:
     """Run one named suite, or every suite for selector "all"."""
-    names = SUITES if selector == "all" else [selector]
+    names = [name for name in SUITES if selector in (name, "all")]
+    if not names:
+        raise ValueError(f"unknown suite {selector!r} (known: {', '.join([*SUITES, 'all'])})")
     return [res for name in names for res in SUITES[name]()]

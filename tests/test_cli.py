@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from hypercross import cli
+from hypercross import cli, diagnostics
 
 
 BASE_CFG = {
@@ -297,5 +297,16 @@ class TestMain:
         assert all(line.startswith(("PASS", "FAIL")) for line in lines)
         assert any("residual=" in line for line in lines)
 
-    def test_diagnose_unknown_suite(self):
+    def test_diagnose_unknown_suite(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal
         assert cli.main(["diagnose", "--suite", "zzz"]) == 1
+        assert capsys.readouterr().err == (
+            "usage: hypercross diagnose [-h]\n"
+            "                           [--suite {bspline,interp,dyadic,grid,recovery,lab,all}]\n"
+            "hypercross diagnose: error: argument --suite: invalid choice: 'zzz' (choose from "
+            "'bspline', 'interp', 'dyadic', 'grid', 'recovery', 'lab', 'all')\n"
+        )
+
+    def test_suite_choices_are_the_suites(self):
+        # cli names the suites itself, so that parsing --suite imports no suite.
+        assert list(cli._SUITE_CHOICES) == [*diagnostics.SUITES, "all"]

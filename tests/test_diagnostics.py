@@ -1,4 +1,4 @@
-"""Tests for the check points of `diagnose`: a fixed low-discrepancy sequence, not numpy's RNG."""
+"""Tests for `diagnostics`: its low-discrepancy check points (no numpy RNG) and suite names."""
 
 import ast
 import math
@@ -105,3 +105,11 @@ def test_diagnose_never_imports_numpy_random():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("selector", ["zzz", 3, None, ""])
+def test_unknown_suite_is_named(selector):
+    known = "bspline, interp, dyadic, grid, recovery, lab, all"
+    with pytest.raises(ValueError) as info:
+        diagnostics.run_suite(selector)
+    assert str(info.value) == f"unknown suite {selector!r} (known: {known})"
