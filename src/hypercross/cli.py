@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .functions import get_function
-from .grid import build_plan, choose_radius, derive_params, write_plan
+from .grid import build_plan, check_budget, choose_radius, derive_params, write_plan
 from .interp import as_integer
 
 if TYPE_CHECKING:
@@ -93,7 +93,7 @@ def load_config(text: str) -> StudyConfig:
     """Parse and validate a study config.  Its keys are `StudyConfig`'s fields
     (required unless defaulted); the ``quadrature`` object's are `Quadrature`'s
     but ``d``, the config's own.  Unknown keys, an unknown test function and a
-    first budget below the smallest plan (`choose_radius`) are rejected; the
+    first budget below the smallest plan (`grid.check_budget`) are rejected; the
     config holds what `derive_params` made of the class parameters."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
@@ -133,7 +133,7 @@ def load_config(text: str) -> StudyConfig:
     )
     # Fail early on an unknown function or a budget below the smallest plan.
     get_function(cfg.test_fn, cfg.d)
-    choose_radius(params, budgets[0])
+    check_budget(params, budgets[0])
     return cfg
 
 
@@ -142,21 +142,24 @@ def run_study(cfg: StudyConfig, log=None) -> StudyResult:
 
     The fitted headline exponent is the plain log-log slope of error against
     actual point count; a two-parameter fit with an additional log log n term
-    is reported alongside.  The study itself is deterministic; the seed is
-    kept in the config for schema stability.
+    is reported alongside.  A quadrature rule that `lq_error` would refuse
+    is refused before anything is sampled.  The study itself is
+    deterministic; the seed is kept in the config for schema stability.
     """
     from .recovery import Quadrature, lq_error, reconstruct, sample
 
     params = derive_params(cfg.d, cfg.alpha, cfg.p, cfg.q, cfg.theta, cfg.deriv)
     fn = get_function(cfg.test_fn, cfg.d)
     quad = cfg.quadrature or Quadrature(d=cfg.d)
-    reference = lambda pts: fn.deriv(cfg.deriv, pts)  # noqa: E731
+    quad.check_size(cfg.q)
+    # Products of per-axis factors, which sample and lq_error fill axis by axis.
+    value, reference = fn.derivative((0,) * cfg.d), fn.derivative(cfg.deriv)
     rows = []
     for budget in cfg.budgets:
         t0 = time.perf_counter()
         radius = choose_radius(params, budget)
         plan = build_plan(params, radius)
-        approx = reconstruct(sample(fn.value, plan), plan, cfg.deriv)
+        approx = reconstruct(sample(value, plan), plan, cfg.deriv)
         err = lq_error(approx, reference, cfg.q, quad)
         wall = (time.perf_counter() - t0) * 1000.0
         rows.append(

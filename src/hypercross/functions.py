@@ -13,7 +13,9 @@ ever produces a lower estimate.  It is never used as recovery ground truth.
 
 Functions here follow the package's one calling convention: a registry
 entry evaluates one point ``(d,)`` or an ``(n, d)`` array of finite points
-(`interp.as_points`) and returns ``(n,)`` values, ``(1,)`` for one point;
+(`interp.as_points`) and returns ``(n,)`` values, ``(1,)`` for one point.
+So does a `Derivative`, which also gives its factors axis by axis, for
+`recovery` to fill tensor grids from.
 `modulus_estimate` calls its ``f`` once per step vector, on the ``(n, d)``
 array of every stencil offset's anchors, and refuses anything but ``n``
 finite values (`interp.as_values`).
@@ -69,12 +71,34 @@ class TestFunction:
 
     def deriv(self, deriv: Sequence[int], x) -> Array:
         """Analytic mixed derivative, valid away from the kink loci."""
-        deriv = as_integers(deriv, "derivative order", self.d, 0)
+        return self.derivative(deriv)(x)
+
+    def derivative(self, deriv: Sequence[int]) -> Derivative:
+        """``D^deriv`` of this function as a callable of points (`Derivative`)."""
+        return Derivative(self.factors, as_integers(deriv, "derivative order", self.d, 0))
+
+
+@dataclass(frozen=True)
+class Derivative:
+    """``D^orders`` of the product of ``factors``: called on points like
+    `TestFunction.deriv`, and a `recovery.ProductFn` of ``factor(j, col)``."""
+
+    factors: tuple[Factor, ...]
+    orders: tuple[int, ...]
+
+    @property
+    def d(self) -> int:
+        return len(self.orders)
+
+    def __call__(self, x) -> Array:
         pts = as_points(x, self.d).reshape(-1, self.d)
         out = np.ones(len(pts))
-        for factor, r, col in zip(self.factors, deriv, pts.T):
-            out *= factor.at(col, r)
+        for j, col in enumerate(pts.T):
+            out *= self.factor(j, col)
         return out
+
+    def factor(self, j: int, col: Array) -> Array:
+        return self.factors[j].at(col, self.orders[j])
 
 
 # -- factor library ---------------------------------------------------------------

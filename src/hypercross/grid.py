@@ -352,24 +352,32 @@ def count_profile(params: SmoothnessParams, r_max: int) -> list[int]:
     return [_raw_count(params, index_set(params.weights, r)) for r in range(1, r_max + 1)]
 
 
+def check_budget(params: SmoothnessParams, budget: int) -> int:
+    """``budget`` as an int, refused with a ValueError unless the radius-1
+    plan fits within it (and within ``_MAX_RAW_POINTS``)."""
+    budget = as_integer(budget, "budget")
+    count = _raw_count(params, index_set(params.weights, 1))
+    _guard_raw_size(count)
+    if count > budget:
+        raise ValueError(f"budget {budget} is below the minimum plan size {count}")
+    return budget
+
+
 def choose_radius(params: SmoothnessParams, budget: int) -> int:
     """Largest radius whose point count fits within ``budget``.
 
     The scan stops at ``MAX_RADIUS`` and at the last radius whose point
     count is within ``_MAX_RAW_POINTS``: a larger budget gets that radius.
-    A budget that is not an integer raises a ValueError naming it.
+    A budget that is not an integer, or below the smallest plan
+    (`check_budget`), raises a ValueError naming it.
     """
-    budget = as_integer(budget, "budget")
-    radius = 0
+    budget = check_budget(params, budget)
+    radius = 1
     while radius < MAX_RADIUS:
-        levels = index_set(params.weights, radius + 1)
-        count = _raw_count(params, levels)
+        count = _raw_count(params, index_set(params.weights, radius + 1))
         if count > budget or count > _MAX_RAW_POINTS:
             break
         radius += 1
-    if radius == 0:
-        _guard_raw_size(count)
-        raise ValueError(f"budget {budget} is below the minimum plan size {count}")
     return radius
 
 

@@ -1,8 +1,10 @@
 """Assembling and measuring the recovery operator.
 
-`sample` evaluates the target function once, on the ``(n, d)`` array of the
-plan's exact keys converted to floats, and returns the checked value vector
-(`interp.as_values`): one finite float per point, in the plan's row order.
+`sample` evaluates the target function at the plan's exact keys converted to
+floats, and returns the checked value vector (`interp.as_values`): one finite
+float per point, in the plan's row order.  A product of per-axis factors
+(`ProductFn`) is filled level by level from the outer product of its factor
+values, with the floats of the pointwise product.
 `reconstruct`, another name of `Approximant`, builds from it the linear
 approximant
 
@@ -35,13 +37,12 @@ the cube (`_cells`, the one cell rule of both routes).
 on a dyadic cell partition (finite q) or on a dense interior lattice united
 with the quadrature nodes (q = infinity).  Both are tensor grids, walked in
 blocks of axis-0 rows that fill one buffer of the rule's size, the finite-q
-term vector: g fills a block, an `Approximant` through `_grid`, and h is
-subtracted from it per slab of axis-0 rows (`_fill`; any callable but an
-`Approximant` on a slab's points as rows, `interp.tensor_grid`); either
-must give one finite value per point.  Memory is that buffer plus one
-slab's temporaries (`_SLAB_BYTES`).  Rules beyond a fixed point count, and
-an `Approximant` of another dimension, are refused before anything is
-allocated.
+term vector: g fills a block, and h is subtracted from it per slab of
+axis-0 rows (`_fill`: an `Approximant` or a `ProductFn` from the grid's
+axes, a plain callable on a slab's points as rows); either must give one
+finite value per point.  Memory is that buffer plus one slab's temporaries
+(`_SLAB_BYTES`).  Rules beyond a fixed point count, and an `Approximant` of
+another dimension, are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -49,12 +50,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from .bspline import piece_table
-from .grid import RecoveryPlan, combination_weights  # noqa: F401 (re-exported)
+from .grid import (  # noqa: F401 (combination_weights is re-exported)
+    KEY_BITS, RecoveryPlan, _axis_keys, combination_weights,
+)
 from .interp import (
     as_integer, as_integers, as_points, as_real, as_values, horner, monomial_coeffs,
     tensor_grid, transform,
@@ -64,19 +67,64 @@ Array = np.ndarray
 PointFn = Callable[[Array], Array]
 
 
+class ProductFn(Protocol):
+    """A function of ``d`` coordinates, ``1 * factor(0, x_0) * ... *
+    factor(d - 1, x_{d-1})`` multiplied in axis order, like
+    `functions.Derivative`; ``factor(j, col)`` is one value per entry."""
+
+    d: int
+
+    def __call__(self, x) -> Array: ...
+
+    def factor(self, j: int, col: Array) -> Array: ...
+
+
+def _is_product(fn, d: int) -> bool:
+    """Whether ``fn`` is a `ProductFn` of ``d`` coordinates (one of another
+    d is called on points, which refuse it)."""
+    return getattr(fn, "d", None) == d and callable(getattr(fn, "factor", None))
+
+
+def _outer(vectors: Sequence[Array], out: Array | None = None) -> Array:
+    """The outer product of ``vectors``, into ``out`` if given, multiplied
+    from 1.0 in axis order as a `ProductFn` is (``1.0 * x`` is exact)."""
+    return np.multiply.outer(reduce(np.multiply.outer, vectors[:-1], 1.0), vectors[-1], out=out)
+
+
 # -- sampling ----------------------------------------------------------------------
 
 
-def sample(f: PointFn, plan: RecoveryPlan) -> Array:
+def sample(f: PointFn | ProductFn, plan: RecoveryPlan) -> Array:
     """Evaluate ``f`` once per plan point; ``values[i]`` belongs to point ``i``,
     row ``i`` of ``plan.keys``.
 
-    ``f`` receives a single (n, d) array, so an instrumented callable sees
-    exactly ``plan.n_actual`` rows.  Values of the wrong shape abort, and so
-    does a non-finite value, naming the offending point with its coordinates
-    and provenance.
+    A plain callable receives a single (n, d) array, ``plan.floats()``, so an
+    instrumented callable sees exactly ``plan.n_actual`` rows.  A `ProductFn`
+    gets one ``factor`` call per axis and level, and each level is filled
+    from the outer product of its factor values: the same floats, in 8 bytes
+    a point plus one level's.  Values of the wrong shape abort, and so does
+    a non-finite value, naming the offending point with its coordinates and
+    provenance.
     """
-    values = np.array(f(plan.floats()), dtype=float)
+    if not _is_product(f, plan.params.d):
+        values = np.array(f(plan.floats()), dtype=float)
+        return as_values(values, "sample(f)", plan.n_actual, plan.describe)
+    d, degrees = plan.params.d, plan.params.degrees
+    # Per axis and level: cells outside, nodes inside, rounded as `floats` does.
+    factors = {
+        (j, k): f.factor(j, _axis_keys(k, degrees[j], 0, 1 << k).ravel() * 2.0**-KEY_BITS)
+        for j, k in {(j, k) for level in plan.levels for j, k in enumerate(level)}
+    }
+    values = np.empty(plan.n_actual)
+    for level, start, stop in zip(plan.levels, plan.bounds, plan.bounds[1:]):
+        shape = [(1 << k, dg + 1) for k, dg in zip(level, degrees)]
+        grid = _outer([factors[j, k] for j, k in enumerate(level)])
+        # (cell_0, node_0, cell_1, node_1, ...) -> the plan's (cell_0, cell_1, ..., node_0, ...)
+        grid = grid.reshape([n for axis in shape for n in axis])
+        cells, nodes = zip(*shape)
+        values[start:stop].reshape(cells + nodes)[...] = grid.transpose(
+            [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+        )
     return as_values(values, "sample(f)", plan.n_actual, plan.describe)
 
 
@@ -365,6 +413,18 @@ class Quadrature:
             return self.sup_points
         return 2**10 + 1 if self.d <= 2 else 2**6 + 1
 
+    def check_size(self, q: float) -> None:
+        """Refuse a rule or ``q = inf`` lattice beyond ``_MAX_RULE_POINTS``."""
+        counts = {"cells_log2": (self.points_per_cell << self.resolved_cells_log2()) ** self.d}
+        if math.isinf(q):
+            counts["sup_points"] = self.resolved_sup_points() ** self.d
+        for field, count in counts.items():
+            if count > _MAX_RULE_POINTS:
+                raise ValueError(
+                    f"quadrature at d={self.d} needs {count} points, above the limit of "
+                    f"{_MAX_RULE_POINTS}; lower Quadrature.{field}"
+                )
+
 
 def _axis_rule(cells_log2: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     gx, gw = np.polynomial.legendre.leggauss(k)
@@ -382,38 +442,40 @@ def _axis_rule(cells_log2: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 _MAX_RULE_POINTS = 1 << 21
 
 
-def _check_rule_size(d: int, count: int, field: str) -> None:
-    if count > _MAX_RULE_POINTS:
-        raise ValueError(
-            f"quadrature at d={d} needs {count} points, above the limit of "
-            f"{_MAX_RULE_POINTS}; lower Quadrature.{field}"
-        )
-
-
-def _fill(name: str, fn: PointFn, head: Array, nodes: Array, d: int, out: Array) -> Array:
+def _fill(
+    name: str, fn: PointFn | ProductFn, head: Array, nodes: Array, d: int, out: Array
+) -> Array:
     """Write ``fn`` on the tensor grid ``head x nodes^(d-1)`` into the flat
     float array ``out`` in C order, and return it.
 
-    An `Approximant` fills it with one `Approximant._grid` call, any other
-    callable is called once per slab of axis-0 rows, on the slab's points
-    as rows; either must give one finite value per point (see
-    `interp.as_values`).
+    An `Approximant` (`Approximant._grid`) or a `ProductFn` (`_outer`) fills
+    it in one call, any other callable is called once per slab of axis-0
+    rows, on the slab's points as rows; either must give one finite value
+    per point (see `interp.as_values`).
     """
     span = len(nodes) ** (d - 1)
-    whole = isinstance(fn, Approximant)
+    whole = isinstance(fn, Approximant) or _is_product(fn, d)
     rows = max(len(head), 1) if whole else _slab_rows(_CALL_FLOATS, span)
     for start in range(0, len(head), rows):
         axes = [head[start : start + rows]] + [nodes] * (d - 1)
         part = out[start * span : (start + len(axes[0])) * span]
-        v = fn._grid(axes[0], nodes, part) if whole else fn(tensor_grid(axes))
-        # A no-op when _grid wrote the values in place.
+        if isinstance(fn, Approximant):
+            v = fn._grid(axes[0], nodes, part)
+        elif whole:
+            factors = [fn.factor(j, axis) for j, axis in enumerate(axes)]
+            v = _outer(factors, part.reshape([len(axis) for axis in axes])).ravel()
+        else:
+            v = fn(tensor_grid(axes))
+        # A no-op when the values were written in place.
         part[...] = as_values(
             v, f"lq_error({name})", len(part), lambda i: f"point {tensor_grid(axes)[i].tolist()}"
         )
     return out
 
 
-def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
+def lq_error(
+    g: PointFn | ProductFn, h: PointFn | ProductFn, q: float, quad: Quadrature
+) -> float:
     """L_q distance of two point-evaluable functions over the unit cube.
 
     Finite q: composite Gauss-Legendre.  q = infinity: maximum of |g - h|
@@ -423,16 +485,17 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
     summed once; at q = infinity blocks of lattice rows reuse it for a
     running maximum.  ``g`` fills each block and ``h`` is subtracted from it
     per slab of axis-0 rows (`_fill`); the slab's entries become gaps, then
-    terms, in place.  Pass an approximant as ``g``: as ``h`` it gives the
-    same float, evaluated slab by slab.  A slab holds the rows that fit
-    ``_SLAB_BYTES`` at ``_CALL_FLOATS`` a point, and the float is the same
-    for any slab size.  Beyond the buffer, memory holds one slab's
-    temporaries.  An `Approximant` whose dimension is not ``quad.d``, and a
-    rule or lattice beyond ``_MAX_RULE_POINTS`` points, and a ``q`` outside
-    ``[1, inf]`` (`interp.as_real`), are refused with a ValueError before
-    anything is evaluated or allocated, and a ``g`` or ``h`` that does not
-    return one finite value per point raises one too, naming the function
-    and, for a non-finite value, the point.
+    terms, in place.  An `Approximant` or a `ProductFn` fills them from the
+    grid's axes, a plain callable gets the points.  Pass an approximant as
+    ``g``: as ``h`` it gives the same float, evaluated slab by slab.  A slab
+    holds the rows that fit ``_SLAB_BYTES`` at ``_CALL_FLOATS`` a point, and
+    the float is the same for any slab size.  Beyond the buffer, memory
+    holds one slab's temporaries.  An `Approximant` whose dimension is not
+    ``quad.d``, and a rule or lattice beyond ``_MAX_RULE_POINTS`` points,
+    and a ``q`` outside ``[1, inf]`` (`interp.as_real`), are refused with a
+    ValueError before anything is evaluated or allocated, and a ``g`` or
+    ``h`` that does not return one finite value per point raises one too,
+    naming the function and, for a non-finite value, the point.
     """
     q = as_real(q, "q", 1, math.inf)
     d = quad.d
@@ -442,10 +505,8 @@ def lq_error(g: PointFn, h: PointFn, q: float, quad: Quadrature) -> float:
                 f"lq_error({name}): an approximant of dimension {fn.plan.params.d} "
                 f"on a quadrature of dimension {d}"
             )
+    quad.check_size(q)
     per_axis = quad.points_per_cell << quad.resolved_cells_log2()
-    _check_rule_size(d, per_axis**d, "cells_log2")
-    if math.isinf(q):
-        _check_rule_size(d, quad.resolved_sup_points() ** d, "sup_points")
     nodes, weights = _axis_rule(quad.resolved_cells_log2(), quad.points_per_cell)
     grids = [nodes]
     if math.isinf(q):

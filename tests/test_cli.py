@@ -126,6 +126,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="^unknown test function 'missing' for d=2"):
             cli.load_config(make_cfg(test_fn="missing"))
 
+    def test_first_budget_at_the_smallest_plan(self, monkeypatch):
+        # The radius-1 plan has 45 points; load_config counts it and scans no radii.
+        monkeypatch.setattr(cli, "choose_radius", None)
+        assert cli.load_config(make_cfg(budgets=[45, 46])).budgets == (45, 46)
+        message = "budget 44 is below the minimum plan size 45"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli.load_config(make_cfg(budgets=[44, 46]))
+
 
 class TestStudy:
     def test_rows_match_budgets(self):
@@ -289,6 +297,18 @@ class TestMain:
         )
         assert captured.out == ""
         assert not out.exists()
+
+    def test_study_refuses_the_rule_before_sampling(self, tmp_path, monkeypatch):
+        from hypercross import recovery
+
+        calls = []
+        monkeypatch.setattr(recovery, "sample", lambda *args: calls.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        raw = dict(BASE_CFG, d=5, alpha=[2] * 5, deriv=[0] * 5, budgets=[4000])
+        del raw["quadrature"]
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert calls == []
 
     def test_diagnose_verb(self, capsys):
         rc = cli.main(["diagnose", "--suite", "grid"])

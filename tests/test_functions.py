@@ -117,6 +117,20 @@ class TestRegistry:
             f.deriv((1,), [[0.5, 0.5]])
         with pytest.raises(ValueError):
             f.deriv((-1, 0), [[0.5, 0.5]])
+        with pytest.raises(ValueError, match="derivative order"):
+            f.derivative((1,))
+
+    def test_derivative_is_the_product_of_its_factors(self):
+        # Called on points, D^r multiplies its factors from 1.0 in axis order.
+        f = functions.get_function("aniso", 3)
+        view = f.derivative((1, 0, 2.0))
+        assert (view.d, view.orders) == (3, (1, 0, 2))
+        pts = tensor_grid([np.array([0.0, 0.3, 0.71, 1.0])] * 3)
+        want = np.ones(len(pts))
+        for j in range(3):
+            want = want * view.factor(j, pts[:, j])
+        assert view(pts).tobytes() == want.tobytes()
+        assert view(pts[5]).tobytes() == want[5:6].tobytes()
 
 
 class TestModulusEstimate:

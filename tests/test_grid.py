@@ -574,8 +574,9 @@ class TestChooseRadius:
     def test_first_radius_beyond_the_enumerable_limit(self, monkeypatch):
         # Radius 1 has 3 points: no radius fits the limit, whatever the budget.
         monkeypatch.setattr(grid, "_MAX_RAW_POINTS", 2)
-        with pytest.raises(ValueError, match="3 raw points, beyond the enumerable limit"):
-            grid.choose_radius(params_1d_midpoints(), 100)
+        for check in (grid.choose_radius, grid.check_budget):
+            with pytest.raises(ValueError, match="3 raw points, beyond the enumerable limit"):
+                check(params_1d_midpoints(), 100)
 
     def test_budget_below_minimum(self):
         with pytest.raises(ValueError, match="minimum plan size"):
@@ -590,6 +591,15 @@ class TestChooseRadius:
             assert grid.choose_radius(params, counts[r - 1] - 1) == r - 1
         with pytest.raises(ValueError, match=f"minimum plan size {counts[0]}"):
             grid.choose_radius(params, counts[0] - 1)
+
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_check_budget_counts_the_radius_one_plan(self, name):
+        params = PARAM_SETS[name]()
+        count = grid.count_profile(params, 1)[0]
+        assert grid.check_budget(params, count) == count
+        message = f"budget {count - 1} is below the minimum plan size {count}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid.check_budget(params, count - 1)
 
 
 # (radius, n_actual, bytes, sha256) of `write_plan` output, pinned from the

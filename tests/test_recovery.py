@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestSample:
             return np.ones(len(pts))
 
         sample(probe, plan)
-        assert sum(rows) == plan.n_actual
+        assert rows == [plan.n_actual]
 
     def test_failure_reports_point(self):
         plan = grid.build_plan(params_smooth(), 2)
@@ -101,6 +102,126 @@ class TestSample:
         seen = []
         sample(lambda pts: seen.append(pts.copy()) or np.zeros(len(pts)), plan)
         assert np.array_equal(seen[0], plan.keys * 2.0**-grid.KEY_BITS)
+
+
+# Axis coordinates that hold both edges of the cube and miss every kink (1/2, 1/3).
+EDGE_COORDS = np.array([0.0, 0.25, 0.3, 0.71, 0.8125, 1.0])
+
+
+class NanProduct:
+    """A `recovery.ProductFn` of ``d`` coordinates, with axis-j factor
+    ``1 + j + x`` and NaN where axis j's coordinate is ``nan_at[j]``."""
+
+    def __init__(self, d, nan_at):
+        self.d, self.nan_at = d, nan_at
+
+    def factor(self, j, col):
+        return np.where(col == self.nan_at[j], np.nan, 1.0 + j + col)
+
+    def __call__(self, x):
+        out = np.ones(len(x))
+        for j, col in enumerate(np.asarray(x).T):
+            out *= self.factor(j, col)
+        return out
+
+
+def outcome(call):
+    """The bytes of ``call()``'s values, or its ValueError's message."""
+    try:
+        return np.asarray(call()).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestProductRoute:
+    """A product of per-axis factors, filled axis by axis, against the
+    pointwise route on the same points: the same floats and errors."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_grid_fill_equals_pointwise(self, d):
+        # Every registry entry and derivative order up to 2 per axis, on a
+        # grid that holds both edges of the cube.
+        axes = [EDGE_COORDS] * d
+        for entry in functions.registry(d):
+            for deriv in product(range(3), repeat=d):
+                view = entry.derivative(deriv)
+                want = entry.deriv(deriv, tensor_grid(axes))
+                out = np.full(len(want), np.nan)
+                # The product route never calls the function on points.
+                with mock.patch.object(functions.Derivative, "__call__", None):
+                    got = recovery._fill("h", view, EDGE_COORDS, EDGE_COORDS, d, out)
+                assert got is out
+                assert got.tobytes() == want.tobytes(), (entry.fid, deriv)
+
+    @pytest.mark.parametrize("d, radius", [(1, 5), (2, 3), (3, 2), (4, 2)])
+    def test_sample_equals_pointwise(self, d, radius):
+        # Plans hold x = 1/2 at level 0, where the kink's derivatives are
+        # infinite: both routes then refuse the same point.
+        params = grid.derive_params(d, (2.0,) * d, 2.0, 2.0, math.inf, (0,) * d)
+        plan = grid.build_plan(params, radius)
+        refused = 0
+        for entry in functions.registry(d):
+            for deriv in product(range(3), repeat=d):
+                view = entry.derivative(deriv)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got = outcome(lambda: sample(view, plan))
+                    want = outcome(lambda: sample(lambda pts: entry.deriv(deriv, pts), plan))
+                assert got == want, (entry.fid, deriv)
+                refused += isinstance(got, str)
+        assert refused
+
+    @pytest.mark.parametrize("radius", [2, 4])
+    def test_nan_factor_names_the_same_point(self, radius):
+        # NaN wherever x_0 = 1/2: row 3 is the first such point.
+        plan = grid.build_plan(params_smooth(), radius)
+        f = NanProduct(2, (0.5, None))
+        message = outcome(lambda: sample(f, plan))
+        assert message == outcome(lambda: sample(lambda pts: f(pts), plan))
+        want = "sample(f): value nan is not finite: evaluation failed at point 3 at [0.5, "
+        assert message.startswith(want)
+
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    @pytest.mark.parametrize("side", ["g", "h"])
+    def test_nan_factor_in_lq_error(self, side, q, monkeypatch):
+        monkeypatch.setattr(recovery, "_SLAB_BYTES", 0)
+        quad = Quadrature(d=2, cells_log2=2, sup_points=65)
+        nodes, _ = recovery._axis_rule(2, quad.points_per_cell)
+        # NaN wherever x_1 is the sixth Gauss node: first at the first node of axis 0.
+        f = NanProduct(2, (None, nodes[5]))
+        zero = lambda p: np.zeros(len(p))  # noqa: E731
+        messages = [
+            outcome(lambda: lq_error(*((fn, zero) if side == "g" else (zero, fn)), q, quad))
+            for fn in (f, lambda p: f(p))
+        ]
+        want = f"lq_error({side}): value nan is not finite: evaluation failed at point "
+        assert messages[0] == messages[1]
+        assert messages[0] == want + str([float(nodes[0]), float(nodes[5])])
+
+    def test_product_of_another_dimension_is_called_on_points(self):
+        # Points of 2 coordinates refuse a function of 3, as they always have.
+        f = functions.get_function("trig", 3).derivative((0, 0, 0))
+        plan = grid.build_plan(params_smooth(), 2)
+        with pytest.raises(ValueError, match=r"^points of shape \(\d+, 2\): expected"):
+            sample(f, plan)
+        with pytest.raises(ValueError, match=r"^points of shape \(\d+, 2\): expected"):
+            lq_error(lambda p: np.zeros(len(p)), f, 2.0, Quadrature(d=2, cells_log2=1))
+
+    def test_sample_memory(self):
+        # A d=2 plan of 884,745 points: beyond its 8-byte values, sampling
+        # holds one level's outer product and the per-axis factor values.
+        # Measured 9.8 bytes a point, and 40 on the plan's (n, 2) points.
+        params = params_smooth()
+        plan = grid.build_plan(params, grid.choose_radius(params, 1 << 20))
+        f = functions.get_function("trig", 2).derivative((0, 0))
+        sample(f, plan)  # allocations numpy makes once per process
+        tracemalloc.start()
+        try:
+            sample(f, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.n_actual == 884_745
+        assert peak <= 12 * plan.n_actual
 
 
 class TestReconstruct:
@@ -745,6 +866,7 @@ class TestLqError:
         f = functions.get_function("aniso", d)
         approx = reconstruct(sample(f.value, plan), plan, deriv)
         truth = lambda pts: f.deriv(deriv, pts)  # noqa: E731
+        view = f.derivative(deriv)  # filled axis by axis
         default = recovery._SLAB_BYTES
 
         def at_default_slabs(fn):
@@ -774,6 +896,10 @@ class TestLqError:
             assert lq_error(approx, other, q, quad) == pair
             assert lq_error(other, approx, q, quad) == pair
             assert lq_error(pointwise, other_pointwise, q, quad) == pair
+            assert lq_error(approx, view, q, quad) == got
+            assert lq_error(pointwise, view, q, quad) == got
+            assert lq_error(view, approx, q, quad) == flipped
+            assert lq_error(view, pointwise, q, quad) == flipped
 
     @staticmethod
     def traced_peak(d, fid, alpha, deriv, budget, q, warm=False):
