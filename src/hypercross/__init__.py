@@ -12,13 +12,13 @@ __version__ = "0.1.0"
 # Each submodule the namespace serves, with the public names it is home to.
 _HOME = {
     "bspline": ("bspline_derivative", "refinement_coeffs"),
-    "dyadic": ("DyadicEvaluator",),
+    "exact": (),
     "functions": ("TestFunction", "get_function", "modulus_estimate", "registry"),
     "grid": (
         "RecoveryPlan", "SmoothnessParams", "build_plan", "choose_radius", "count_profile",
         "derive_params", "index_set", "tail_sum", "weighted_sum", "write_plan",
     ),
-    "interp": ("TensorPoly", "interpolate", "nodes"),
+    "interp": ("nodes",),
     "recovery": ("Approximant", "Quadrature", "lq_error", "reconstruct", "sample"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}

@@ -8,11 +8,12 @@ Splines*)
 
     psi_m^(r)(x) = sum_i (-1)^i C(m+1, i) (x - i)_+^(m-r) / (m-r)!,
 
-expanded exactly in rationals (`piece_table`, which `recovery` blends with)
-and rounded once per coefficient.  One evaluator, `bspline_derivative`,
-serves scalars and arrays alike: it looks up each point's row of a cached
-float table of derivative coefficients and reduces it with `interp.horner`,
-the Horner step every polynomial in the package goes through.
+expanded exactly in rationals (`piece_table`, which `recovery` blends with
+and the oracle `exact` reads) and rounded once per coefficient.  One
+evaluator, `bspline_derivative`, serves scalars and arrays alike: it looks
+up each point's row of a cached float table of derivative coefficients and
+reduces it with `interp.horner`, the Horner step every polynomial in the
+package goes through.
 
 Pointwise values at knots follow the half-open convention: the defining
 polynomial piece on ``[k, k+1)`` also supplies the value at ``x = k``, so a

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from . import bspline, dyadic, functions, grid, interp, recovery
+from . import bspline, exact, functions, grid, interp, recovery
 
 
 @dataclass(frozen=True)
@@ -144,18 +145,25 @@ def bspline_checks() -> list[CheckResult]:
 
 
 def _random_poly(seq, degrees):
+    """A tensor polynomial of random coefficients, summed monomial by monomial."""
     coeffs = seq.uniform(-1, 1, size=tuple(d + 1 for d in degrees))
+    powers = np.indices(coeffs.shape).reshape(len(degrees), -1).T
+    return lambda x: np.prod(x[:, None, :] ** powers, axis=2) @ coeffs.ravel()
 
-    def f(x):
-        out = np.zeros(len(x))
-        for idx in product(*[range(d + 1) for d in degrees]):
-            term = coeffs[idx] * np.ones(len(x))
-            for j, e in enumerate(idx):
-                term *= x[:, j] ** e
-            out += term
-        return out
 
-    return f
+def _horner_at(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Monomial ``coeffs`` at each row of ``pts`` by `interp.horner`, last
+    axis first along a trailing point axis, as `recovery.Approximant` does."""
+    out = coeffs[..., None]
+    for axis in reversed(range(pts.shape[1])):
+        out = interp.horner(out, axis, pts[:, axis])
+    return out
+
+
+def _node_values(f, degrees) -> np.ndarray:
+    """``f`` at the tensor nodes of the unit cube, shaped ``degrees + 1``."""
+    nodes = interp.tensor_grid([np.array(interp.nodes(g)) for g in degrees])
+    return f(nodes).reshape([g + 1 for g in degrees])
 
 
 def interp_checks() -> list[CheckResult]:
@@ -164,13 +172,11 @@ def interp_checks() -> list[CheckResult]:
 
     worst = 0.0
     for degrees in [(2,), (3, 2), (2, 1, 2)]:
-        d = len(degrees)
         for _ in range(10):
             f = _random_poly(seq, degrees)
-            poly = interp.interpolate(f, degrees, (0.2,) * d, (0.5,) * d)
-            pts = seq.uniform(0.2, 0.7, size=(40, d))
-            err = np.max(np.abs(poly.eval(pts) - f(pts)))
-            worst = max(worst, float(err))
+            coeffs = interp.monomial_coeffs(_node_values(f, degrees), degrees)
+            pts = seq.uniform(0, 1, size=(40, len(degrees)))
+            worst = max(worst, float(np.max(np.abs(_horner_at(coeffs, pts) - f(pts)))))
     out.append(_check("interp.reproduction", worst, 1e-9))
 
     worst = 0.0
@@ -185,21 +191,16 @@ def interp_checks() -> list[CheckResult]:
             worst = max(worst, abs(sum(interp.horner(basis, 0, x)) - 1.0))
     out.append(_check("interp.lagrange_kronecker", worst, 1e-12))
 
-    worst = 0.0
+    # Axis-by-axis interpolation must reproduce the tensor result: the node
+    # values along axis 1 are 1-D interpolants, and their values at the point
+    # are interpolated along axis 0.
     degrees = (2, 3)
-    f = _random_poly(seq, degrees)
-    x0, delta = (0.25, 0.5), (0.5, 0.25)
-    poly = interp.interpolate(f, degrees, x0, delta)
-    # Axis-by-axis interpolation must reproduce the tensor result: each row of
-    # node values along axis 1 is a 1-D interpolant, and their values at the
-    # point are interpolated along axis 0.
-    for p in seq.uniform(0.3, 0.7, size=(30, 2)):
-        inner = [
-            interp.TensorPoly(degrees[1:], x0[1:], delta[1:], row).eval(p[1:])
-            for row in poly.values
-        ]
-        pfin = interp.TensorPoly(degrees[:1], x0[:1], delta[:1], np.array(inner))
-        worst = max(worst, abs(pfin.eval((p[0],)) - poly.eval(p)))
+    values = _node_values(_random_poly(seq, degrees), degrees)
+    pts = seq.uniform(0, 1, size=(30, 2))
+    rows = interp.monomial_coeffs(values.T[..., None], degrees[1:])
+    inner = interp.monomial_coeffs(interp.horner(rows, 0, pts[:, 1]), degrees[:1])
+    tensor = _horner_at(interp.monomial_coeffs(values, degrees), pts)
+    worst = float(np.max(np.abs(interp.horner(inner, 0, pts[:, 0]) - tensor)))
     out.append(_check("interp.axis_factorization", worst, 1e-10))
     return out
 
@@ -207,46 +208,65 @@ def interp_checks() -> list[CheckResult]:
 # -- suite: dyadic -----------------------------------------------------------------
 
 
+def _surplus(ev: exact.ExactEvaluator, level, x) -> Fraction:
+    """``S_level = sum over masks e <= sign(level) of (-1)^|e| R_{level - e}`` at ``x``."""
+    masks = product(*[(0, 1) if k else (0,) for k in level])
+    return sum((-1) ** sum(e) * ev.level([k - j for k, j in zip(level, e)], x)[0] for e in masks)
+
+
 def dyadic_checks() -> list[CheckResult]:
     seq = _Points(11)
     out = []
-    degrees, order = (2, 2), (1, 1)
+    params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (0, 0))
+    plan = grid.build_plan(params, 3)
 
-    poly_f = _random_poly(seq, degrees)
-
+    # Exact samples at the keys (over 2**KEY_BITS) of an integer polynomial
+    # of the interpolation degrees: every level operator is D^deriv of it, so
+    # every surplus is exactly 0.
+    coeffs = np.round(seq.uniform(-8, 8, size=(3, 3))).astype(int)
+    terms = [(int(c), a, b, grid.KEY_BITS * (4 - a - b)) for (a, b), c in np.ndenumerate(coeffs)]
+    values = [
+        Fraction(sum(c * x**a * y**b << s for c, a, b, s in terms), 1 << 4 * grid.KEY_BITS)
+        for x, y in plan.keys.tolist()
+    ]
+    ev = exact.ExactEvaluator(plan, values, (1, 1))
     worst = 0.0
-    ev = dyadic.DyadicEvaluator(degrees, order, f=poly_f)
-    scale = np.max(np.abs(poly_f(seq.uniform(0, 1, size=(50, 2)))))
     for level in [(1, 0), (0, 2), (2, 1)]:
-        pts = seq.uniform(0.02, 0.98, size=(30, 2))
-        worst = max(worst, float(np.max(np.abs(ev.surplus_deriv(level, (0, 0), pts)) / scale)))
+        for x in seq.uniform(0.02, 0.98, size=(10, 2)):
+            worst = max(worst, float(abs(_surplus(ev, level, x))))
     out.append(_check("dyadic.polynomial_annihilation", worst, 1e-9))
 
-    smooth = lambda p: np.sin(2.1 * p[:, 0] + 0.4) * np.cos(1.7 * p[:, 1])  # noqa: E731
-    ev = dyadic.DyadicEvaluator(degrees, order, f=smooth)
+    # The surpluses over the plan's levels against its combination of level
+    # operators: grid.combination_weights in exact arithmetic.
+    f = functions.get_function("trig", 2)
+    values = recovery.sample(f.value, plan)
+    ev = exact.ExactEvaluator(plan, values, (1, 0))
+    pts = seq.uniform(0.02, 0.98, size=(10, 2))
     worst = 0.0
-    for top in [(2, 2), (3, 1)]:
-        pts = seq.uniform(0.02, 0.98, size=(20, 2))
-        tele = sum(
-            ev.surplus_deriv(lvl, (0, 0), pts) for lvl in product(*[range(t + 1) for t in top])
-        )
-        worst = max(worst, float(np.max(np.abs(tele - ev.quasi_interp_deriv(top, (0, 0), pts)))))
+    for x in pts:
+        combined, total = ev(x)
+        tele = sum(_surplus(ev, level, x) for level in plan.levels)
+        worst = max(worst, float(abs(tele - combined) / total))
     out.append(_check("dyadic.telescoping", worst, 1e-9))
 
+    # The approximant's pp-form tables against the exact translate sum.
     worst = 0.0
-    for level in [(1, 1), (2, 0), (2, 2)]:
-        pts = seq.uniform(0.02, 0.98, size=(15, 2))
-        a = ev.surplus_deriv(level, (1, 0), pts)
-        b = ev.surplus_via_translates(level, (1, 0), pts)
-        worst = max(worst, float(np.max(np.abs(a - b))))
+    for x, got in zip(pts, recovery.reconstruct(values, plan, (1, 0))(pts)):
+        combined, total = ev(x)
+        worst = max(worst, float(abs(Fraction(got) - combined) / total))
     out.append(_check("dyadic.translate_representation", worst, 1e-9))
 
-    errs = []
-    quad = recovery.Quadrature(d=2, cells_log2=3)
-    for s in range(1, 5):
-        ev_s = dyadic.DyadicEvaluator(degrees, order, f=smooth)
-        approx = lambda pts: ev_s.quasi_interp_deriv((s, s), (0, 0), pts)  # noqa: E731
-        errs.append(recovery.lq_error(approx, smooth, 2.0, quad))
+    # R_(s,s) f converges as the levels refine.  A level operator reads only
+    # its own samples, so the plan holds the diagonal levels alone: 4**s
+    # cells of 3 x 3 nodes each.
+    bounds = np.cumsum([0] + [9 << 2 * s for s in range(1, 5)])
+    plan = grid.RecoveryPlan(params, tuple((s, s) for s in range(1, 5)), bounds, (0,) * 4)
+    ev = exact.ExactEvaluator(plan, recovery.sample(f.value, plan), (0, 0))
+    pts = seq.uniform(0.02, 0.98, size=(10, 2))
+    errs = [
+        max(abs(float(ev.level((s, s), x)[0]) - w) for x, w in zip(pts, f.value(pts)))
+        for s in range(1, 5)
+    ]
     ratio = max(errs[i + 1] / errs[i] for i in range(len(errs) - 1))
     out.append(_check("dyadic.level_convergence", ratio, 1.01))
     return out

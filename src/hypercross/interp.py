@@ -1,4 +1,4 @@
-"""Tensor-product Lagrange interpolation on axis-aligned boxes.
+"""Tensor-product Lagrange interpolation on dyadic cells, and the shared input checks.
 
 Per axis the nodes are Chebyshev-Gauss points mapped to (0, 1) and then
 snapped once to dyadic rationals with denominator ``2**NODE_BITS``.  The snap
@@ -8,16 +8,11 @@ used anywhere else.
 
 Node values become local monomial coefficients through the Lagrange basis
 products, multiplied out in exact rationals and cached per degree
-(`monomial_coeffs`, applied along each axis by `transform`); derivatives
-keep the coefficients from power r on, scaled by falling factorials
-(`differentiate`), and values come from Horner's rule one axis at a time
-(`horner`).  `stack_deriv_eval` is the one evaluator of tensor polynomials:
-it reduces a stack of same-degree `TensorPoly`s at once, each point at its
-own polynomial, and `TensorPoly.deriv_eval` calls it on a stack of one.
-The batched `Approximant` blends its derivative into its tables with
-`transform` and reduces them with `horner`, and
-`bspline.bspline_derivative` reduces its piece tables with `horner` too.
-`interpolate` is the one way to build a `TensorPoly` from a function.
+(`monomial_coeffs`, applied along each axis by `transform`), and values come
+from Horner's rule one axis at a time (`horner`).  The batched `Approximant`
+blends its derivative into its tables with `transform` and reduces them with
+`horner`, and `bspline.bspline_derivative` reduces its piece tables with
+`horner` too.
 
 Every function the package takes is called on an ``(n, d)`` float array of
 points, one per row, and must return ``n`` finite values.  This module holds
@@ -25,8 +20,8 @@ the input checks every other module shares, each raising a ValueError that
 names the input:
 - `as_integer` decides every integer input (degrees, orders, dimensions,
   radii, budgets, `Quadrature` fields, ...) and `as_real` every real one
-  (class parameters, level weights and radii, exponents, step bounds,
-  boxes): any integral number becomes an int, any real number a float, and
+  (class parameters, level weights and radii, exponents, step bounds):
+  any integral number becomes an int, any real number a float, and
   a bool, a non-number, a fraction (for an int), NaN or a value out of
   bounds is refused; `as_integers` and `as_reals` decide every vector input:
   a sequence, of d entries where d is known and of at least one otherwise,
@@ -41,7 +36,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -233,19 +227,6 @@ def transform(coeffs: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(matrix, coeffs, axes=([1], [axis])), 0, axis)
 
 
-def differentiate(coeffs: np.ndarray, axis: int, r: int) -> np.ndarray:
-    """Coefficients of the ``r``-th derivative along coefficient axis ``axis``.
-
-    Keeps powers ``r`` and above, each times the falling factorial
-    ``perm(i, r)``; the axis shrinks by ``r``.
-    """
-    if r == 0:
-        return coeffs
-    fac = np.array([math.perm(i, r) for i in range(r, coeffs.shape[axis])], dtype=float)
-    lead = (slice(None),) * axis
-    return coeffs[lead + (slice(r, None),)] * fac.reshape((-1,) + (1,) * (coeffs.ndim - axis - 1))
-
-
 def horner(coeffs: np.ndarray, axis: int, t, index=None, at: int = 0, out=None) -> np.ndarray:
     """Reduce coefficient axis ``axis`` by Horner's rule at ``t``.
 
@@ -274,110 +255,3 @@ def horner(coeffs: np.ndarray, axis: int, t, index=None, at: int = 0, out=None) 
         acc *= t
         acc += coeff(i)
     return acc
-
-
-def _box(dim: int, x0, delta) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """A box's corner ``x0`` (finite) and widths ``delta`` (> 0) as floats."""
-    return as_reals(x0, "x0", dim), as_reals(delta, "delta", dim, 0, open_low=True)
-
-
-@dataclass(frozen=True)
-class TensorPoly:
-    """Tensor-product polynomial stored by its values at the box nodes.
-
-    ``values[i1, ..., id]`` is the value at the node with per-axis indices
-    ``i``; the node grid lives on the box ``x0 + delta * [0,1]^d``.  The
-    object is immutable: it keeps ``x0`` and ``delta`` as float tuples and a
-    read-only float copy of ``values``, so the caller's array stays
-    writable, and its monomial coefficient tensor, in the local coordinates
-    ``u = (x - x0)/delta``, is computed once at construction.  ``degrees``
-    become ints in ``[0, MAX_DEGREE]``, and a ``values``, ``x0`` or ``delta``
-    that does not fit them raises a ValueError naming the field.
-    """
-
-    degrees: tuple[int, ...]
-    x0: tuple[float, ...]
-    delta: tuple[float, ...]
-    values: np.ndarray
-    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        degrees = as_integers(self.degrees, "degree", None, 0, MAX_DEGREE)
-        object.__setattr__(self, "degrees", degrees)
-        shape = tuple(d + 1 for d in degrees)
-        if not isinstance(self.values, np.ndarray) or self.values.shape != shape:
-            raise ValueError(f"values must be an array of shape {shape}, one entry per node")
-        x0, delta = _box(self.dim, self.x0, self.delta)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "delta", delta)
-        values = self.values.astype(float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_coeffs", monomial_coeffs(values, self.degrees))
-
-    @property
-    def dim(self) -> int:
-        return len(self.degrees)
-
-    def eval(self, x):
-        return self.deriv_eval((0,) * self.dim, x)
-
-    def deriv_eval(self, deriv: Sequence[int], x):
-        """Mixed derivative of the polynomial at a point (a float), or at each
-        row of an ``(n, d)`` array (an ``(n,)`` array); zero past the degree.
-
-        The points may lie outside the box but must be finite (see
-        `as_points`); an order must be an integer ``>= 0``, one per axis (see
-        `as_integers`).  One point is the case ``n = 1``: Horner's rule runs
-        along a trailing point axis, with the same float operations per point.
-        """
-        deriv = as_integers(deriv, "derivative order", self.dim, 0)
-        pts = as_points(x, self.dim)
-        rows = pts.reshape(-1, self.dim)
-        out = stack_deriv_eval([self], deriv, rows, np.zeros(len(rows), dtype=np.intp))
-        return float(out[0]) if pts.ndim == 1 else out
-
-
-def stack_deriv_eval(
-    polys: Sequence[TensorPoly], deriv: Sequence[int], rows: np.ndarray, owner: np.ndarray
-) -> np.ndarray:
-    """Mixed derivative of ``polys[owner[i]]`` at row ``i`` of ``rows``, as ``(n,)``.
-
-    The polynomials share their degrees, and their coefficient tensors are
-    stacked along a trailing axis: Horner's rule gathers row ``i``'s
-    coefficients at ``owner[i]`` and runs along the point axis, each row
-    taking the float steps of its polynomial evaluated alone.  Zero past the
-    degree.  The input is not checked: ``deriv`` holds ints ``>= 0`` and
-    ``rows`` finite points, one per axis (see `TensorPoly.deriv_eval`).
-    """
-    if any(r > d for r, d in zip(deriv, polys[0].degrees)):
-        return np.zeros(len(rows))
-    c = np.stack([p._coeffs for p in polys], axis=-1)
-    for axis, r in enumerate(deriv):
-        if r:
-            c = differentiate(c, axis, r) / np.array([p.delta[axis] ** r for p in polys])
-    x0, delta = np.array([p.x0 for p in polys]), np.array([p.delta for p in polys])
-    t = (rows - x0[owner]) / delta[owner]
-    out = horner(c, c.ndim - 2, t[:, -1], index=owner, at=-1)
-    for axis in range(c.ndim - 3, -1, -1):
-        out = horner(out, axis, t[:, axis])
-    return out
-
-
-def interpolate(
-    f: Callable[[np.ndarray], np.ndarray],
-    degrees: Sequence[int],
-    x0: Sequence[float],
-    delta: Sequence[float],
-) -> TensorPoly:
-    """Tensor interpolant of ``f`` at the nodes of the box ``x0 + delta * [0,1]^d``.
-
-    After the degrees and the box have been checked, ``f`` is called once,
-    on the ``(n, d)`` array of the nodes ``x0 + delta * node`` in C order,
-    and must return their ``n`` finite values (see `as_values`).
-    """
-    degrees = as_integers(degrees, "degree", None, 0, MAX_DEGREE)
-    x0, delta = _box(len(degrees), x0, delta)
-    pts = tensor_grid([a + w * np.array(nodes(g)) for a, w, g in zip(x0, delta, degrees)])
-    vals = as_values(f(pts), "interpolate(f)", len(pts), lambda i: f"point {pts[i].tolist()}")
-    return TensorPoly(degrees, x0, delta, vals.reshape([g + 1 for g in degrees]))

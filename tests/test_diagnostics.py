@@ -43,8 +43,8 @@ def test_same_start_same_points():
 
 
 def test_draws_keep_range_and_shape(draws):
-    # Five suites draw: 107 arrays, of 1 to 4,000 points in 1 to 4 dimensions.
-    assert len(draws) == 107
+    # Five suites draw: 103 arrays, of 1 to 4,000 points in 1 to 4 dimensions.
+    assert len(draws) == 103
     for low, high, size, values in draws:
         assert values.shape == (size if isinstance(size, tuple) else (size,))
         assert values.min() >= low and values.max() < high
@@ -53,10 +53,10 @@ def test_draws_keep_range_and_shape(draws):
 def test_draws_cover_every_cell(draws):
     # A draw of n points in d dimensions puts a point in each of the 2**(k*d)
     # cells of side 2**-k, for k = floor(log2(n) / d) - 1 (each cell expects
-    # 2**d points or more).  Measured: this k is the finest grid 61 of the
-    # 107 draws cover, and the other 46 cover the grid at k + 1; uniform
-    # random draws of the same sizes left a cell empty in 26 to 32 of the
-    # 107 (20 trials).
+    # 2**d points or more).  Measured: this k is the finest grid 60 of the
+    # 103 draws cover, and the other 43 cover the grid at k + 1; uniform
+    # random draws of the same sizes left a cell empty in 28 to 32 of the
+    # 103 (20 trials).
     for low, high, size, values in draws:
         shape = size if isinstance(size, tuple) else (size, 1)
         d = shape[-1]

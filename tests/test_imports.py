@@ -21,7 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
 HOME = {
     "bspline_derivative": "bspline",
     "refinement_coeffs": "bspline",
-    "DyadicEvaluator": "dyadic",
     "TestFunction": "functions",
     "get_function": "functions",
     "modulus_estimate": "functions",
@@ -36,8 +35,6 @@ HOME = {
     "tail_sum": "grid",
     "weighted_sum": "grid",
     "write_plan": "grid",
-    "TensorPoly": "interp",
-    "interpolate": "interp",
     "nodes": "interp",
     "Approximant": "recovery",
     "Quadrature": "recovery",
@@ -45,7 +42,7 @@ HOME = {
     "reconstruct": "recovery",
     "sample": "recovery",
 }
-SUBMODULES = ("bspline", "dyadic", "functions", "grid", "interp", "recovery")
+SUBMODULES = ("bspline", "exact", "functions", "grid", "interp", "recovery")
 
 CFG = {
     "d": 2, "alpha": [2, 2], "deriv": [1, 0], "p": 2, "q": 2, "theta": "inf",
@@ -96,7 +93,7 @@ def test_verb_loads_only_what_it_runs(tmp_path, name, quadrature, loaded):
 
 def test_diagnose_loads_every_module():
     _, loaded = fresh(verb(["diagnose", "--suite", "grid"]))
-    assert loaded == sorted([*STUDY, "hypercross.diagnostics", "hypercross.dyadic"])
+    assert loaded == sorted([*STUDY, "hypercross.diagnostics", "hypercross.exact"])
 
 
 def test_quadrature_config_parsed_and_refused_as_before():
@@ -120,7 +117,7 @@ def test_quadrature_config_parsed_and_refused_as_before():
 
 def test_all_is_the_public_names():
     assert hypercross.__all__ == sorted(HOME)
-    assert len(hypercross.__all__) == 25
+    assert len(hypercross.__all__) == 22
 
 
 @pytest.mark.parametrize("name", sorted(HOME))

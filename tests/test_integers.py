@@ -15,11 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypercross import bspline, cli, dyadic, functions, grid, interp, recovery
+from hypercross import bspline, cli, exact, functions, grid, interp, recovery
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hypercross"
 
 _PARAMS = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, 2.0, (0, 0))
+# A d=1 plan of degree 2 and levels 0..3, for the exact oracle.
+_PLAN1 = grid.build_plan(grid.derive_params(1, (2.0,), 2.0, 2.0, 2.0, (0,)), 3)
+
+
+def _oracle(deriv=(0,)):
+    return exact.ExactEvaluator(_PLAN1, np.ones(_PLAN1.n_actual), deriv)
 
 
 def _square(pts):
@@ -48,35 +54,11 @@ ENTRY_POINTS = {
         lambda v: bspline.bspline_derivative(2, v, 0.5), "derivative order", 0, 2, 1,
     ),
     "refinement_coeffs": (bspline.refinement_coeffs, "spline order", 0, bspline.MAX_ORDER, 2),
-    "evaluator_degree": (
-        lambda v: dyadic.DyadicEvaluator((v,), (1,), _square).degrees[0],
-        "axis 0: degree", 0, interp.MAX_DEGREE, 2,
-    ),
-    "evaluator_order": (
-        lambda v: dyadic.DyadicEvaluator((1,), (v,), _square).order[0],
-        "axis 0: spline order", 0, bspline.MAX_ORDER, 2,
-    ),
     "evaluator_level": (
-        lambda v: dyadic.DyadicEvaluator((1,), (1,), _square).quasi_interp_deriv(
-            (v,), (0,), (0.3,)
-        ),
-        "axis 0: level", 0, dyadic.MAX_LEVEL, 2,
+        lambda v: _oracle().level((v,), (0.3,)), "axis 0: level", 0, 3, 2,
     ),
     "evaluator_derivative_order": (
-        lambda v: dyadic.DyadicEvaluator((2,), (2,), _square).surplus_deriv((1,), (v,), (0.3,)),
-        "axis 0: derivative order", 0, 2, 1,
-    ),
-    "tensor_poly_degree": (
-        lambda v: interp.TensorPoly((v,), (0.0,), (1.0,), np.zeros(3)).degrees[0],
-        "axis 0: degree", 0, interp.MAX_DEGREE, 2,
-    ),
-    "interpolate_degree": (
-        lambda v: interp.interpolate(_square, (v,), (0.0,), (1.0,)).degrees[0],
-        "axis 0: degree", 0, interp.MAX_DEGREE, 2,
-    ),
-    "tensor_poly_derivative_order": (
-        lambda v: interp.interpolate(_square, (2,), (0.0,), (1.0,)).deriv_eval((v,), (0.3,)),
-        "axis 0: derivative order", 0, None, 1,
+        lambda v: _oracle((v,)).deriv[0], "axis 0: derivative order", 0, 2, 1,
     ),
     "quadrature_d": (lambda v: recovery.Quadrature(d=v).d, "Quadrature.d", 1, None, 2),
     "quadrature_cells_log2": (
@@ -125,16 +107,8 @@ ENTRY_POINTS = {
 # Every vector input is decided by `interp._per_axis`: a non-sequence is
 # refused by name, whether or not the caller knows the count.
 VECTORS = {
-    "interpolate_degrees": (
-        lambda v: interp.interpolate(_square, v, (0.0,), (1.0,)), "degree", (2,),
-    ),
-    "tensor_poly_degrees": (
-        lambda v: interp.TensorPoly(v, (0.0,), (1.0,), np.zeros(3)), "degree", (2,),
-    ),
-    "evaluator_degrees": (lambda v: dyadic.DyadicEvaluator(v, (1,), _square), "degree", (2,)),
-    "evaluator_order": (
-        lambda v: dyadic.DyadicEvaluator((1,), v, _square), "spline order", (2,),
-    ),
+    "evaluator_level": (lambda v: _oracle().level(v, (0.3,)), "level", (2,)),
+    "evaluator_order": (_oracle, "derivative order", (1,)),
     "index_set_weights": (lambda v: grid.index_set(v, 3), "level weight", (1.0, 2.0)),
     "weighted_sum_weights": (
         lambda v: grid.weighted_sum((1.0,), v, 3), "level weight", (1.0,),
@@ -163,11 +137,12 @@ def test_vector_that_is_no_sequence_is_named(key, value):
 
 @pytest.mark.parametrize("key", VECTORS)
 def test_empty_vector_is_named(key):
-    # The spline orders are one per degree; every other count is the caller's.
+    # The oracle's levels and orders are one per axis of its plan; every
+    # other count is the caller's.
     call, name, _ = VECTORS[key]
     message = f"{name}: expected at least one entry, got ()"
-    if key == "evaluator_order":
-        message = "spline order () must have 1 entries, one per axis"
+    if key.startswith("evaluator_"):
+        message = f"{name} () must have 1 entries, one per axis"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(())
 

@@ -9,31 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypercross import interp
+from hypercross import exact, grid, interp, recovery
 
 P = np.polynomial.polynomial
 SRC = Path(__file__).resolve().parents[1] / "src" / "hypercross"
-
-
-def numpy_polyval(coeffs, pts):
-    """Monomial coefficient tensor at (n, d) points, d <= 3, by numpy: a
-    reference independent of the package's own evaluator."""
-    fn = {1: P.polyval, 2: P.polyval2d, 3: P.polyval3d}[pts.shape[1]]
-    return fn(*pts.T, coeffs)
-
-
-def random_poly(rng, degrees):
-    """Random polynomial with the given coordinate degrees, taking (n, d)
-    points, plus its coeff scale."""
-    coeffs = rng.uniform(-1, 1, size=tuple(d + 1 for d in degrees))
-
-    def f(pts):
-        out = np.zeros(len(pts))
-        for idx in product(*[range(d + 1) for d in degrees]):
-            out += coeffs[idx] * np.prod(pts ** np.array(idx), axis=1)
-        return out
-
-    return f, float(np.abs(coeffs).max())
 
 
 class TestNodes:
@@ -92,116 +71,69 @@ class TestLagrangeBasis:
                 assert sum(self.basis_at(deg, x)) == pytest.approx(1.0, abs=1e-12)
 
 
+def random_poly(rng, degrees):
+    """Random polynomial with the given coordinate degrees, taking (n, d)
+    points, plus its coeff scale."""
+    coeffs = rng.uniform(-1, 1, size=tuple(d + 1 for d in degrees))
+
+    def f(pts):
+        out = np.zeros(len(pts))
+        for idx in product(*[range(d + 1) for d in degrees]):
+            out += coeffs[idx] * np.prod(pts ** np.array(idx), axis=1)
+        return out
+
+    return f, float(np.abs(coeffs).max())
+
+
+def node_values(f, degrees):
+    """``f`` on the tensor nodes of the unit cube, shaped ``degrees + 1``."""
+    pts = interp.tensor_grid([np.array(interp.nodes(g)) for g in degrees])
+    return f(pts).reshape([g + 1 for g in degrees])
+
+
+def evaluate(coeffs, pts):
+    """Monomial coefficients at the (n, d) points, Horner's rule from the last
+    axis to the first, as `recovery.Approximant` evaluates a cell."""
+    pts = np.atleast_2d(pts)
+    block = np.broadcast_to(coeffs[..., None], coeffs.shape + (len(pts),))
+    for j in reversed(range(coeffs.ndim)):
+        block = interp.horner(block, j, pts[:, j])
+    return block
+
+
 class TestTensorInterpolate:
+    """Tensor interpolation on the production path: node values through
+    `monomial_coeffs`, evaluated by `horner`."""
+
     def test_constant(self):
-        poly = interp.interpolate(lambda pts: np.full(len(pts), 3.25), (1, 2), (0, 0), (1, 1))
+        coeffs = interp.monomial_coeffs(np.full((2, 3), 3.25), (1, 2))
         for pt in [(0.1, 0.9), (0.5, 0.5)]:
-            assert poly.eval(pt) == pytest.approx(3.25, abs=1e-13)
+            assert evaluate(coeffs, pt)[0] == pytest.approx(3.25, abs=1e-13)
 
     def test_bilinear_product(self):
-        poly = interp.interpolate(bilinear, (1, 1), (0, 0), (1, 1))
+        coeffs = interp.monomial_coeffs(node_values(bilinear, (1, 1)), (1, 1))
         rng = np.random.default_rng(1)
-        for pt in rng.uniform(0, 1, (50, 2)):
-            assert poly.eval(pt) == pytest.approx(pt[0] * pt[1], abs=1e-12)
+        pts = rng.uniform(0, 1, (50, 2))
+        np.testing.assert_allclose(evaluate(coeffs, pts), bilinear(pts), rtol=0, atol=1e-12)
 
     def test_reproduction_random_polys(self):
         rng = np.random.default_rng(2)
         for degrees in [(3,), (2, 2), (1, 3), (2, 1, 2), (3, 3, 3), (2, 1, 3)]:
-            d = len(degrees)
-            box = ((0.0,) * d, (1.0,) * d)
             for _ in range(5):
                 f, scale = random_poly(rng, degrees)
-                poly = interp.interpolate(f, degrees, *box)
-                pts = rng.uniform(0, 1, (20, d))
-                assert np.all(np.abs(poly.eval(pts) - f(pts)) <= 1e-9 * max(scale, 1.0))
-
-    def test_bad_fields_rejected(self):
-        # Each error names the field at fault, before any evaluation.
-        good = dict(degrees=(1, 2), x0=(0.0, 0.0), delta=(1.0, 1.0))
-        nan, inf = math.nan, math.inf
-        bad = [
-            ("values", np.ones((3, 2))),
-            ("values", np.ones(6)),
-            ("values", [[1.0] * 3] * 2),
-            ("x0", (0.0,)),
-            ("x0", (0.0, 0.0, 0.0)),
-            ("x0", (nan, 0.0)),
-            ("x0", (0.0, -inf)),
-            ("delta", (1.0,)),
-            ("delta", (1.0, 1.0, 1.0)),
-            ("delta", (nan, 1.0)),
-            ("delta", (1.0, inf)),
-            ("delta", (0.0, 1.0)),
-            ("delta", (1.0, -0.5)),
-        ]
-        for name, value in bad:
-            fields = {**good, "values": np.ones((2, 3)), name: value}
-            with pytest.raises(ValueError, match=name):
-                interp.TensorPoly(**fields)
-            if name != "values":
-                # interpolate checks the box before it calls f on the nodes.
-                with pytest.raises(ValueError, match=name):
-                    interp.interpolate(lambda pts: pts[:, 1], (1, 2), fields["x0"], fields["delta"])
-        poly = interp.TensorPoly(**good, values=np.ones((2, 3)))
-        assert poly.eval((0.3, 0.7)) == pytest.approx(1.0, abs=1e-13)
+                coeffs = interp.monomial_coeffs(node_values(f, degrees), degrees)
+                pts = rng.uniform(0, 1, (20, len(degrees)))
+                assert np.all(np.abs(evaluate(coeffs, pts) - f(pts)) <= 1e-9 * max(scale, 1.0))
 
     def test_caller_array_stays_writable(self):
-        # The polynomial freezes its own float copy, not the caller's array.
+        # The coefficients are a new array: the caller's node values stay
+        # writable, and writing them changes no coefficient, although the
+        # cached matrix applied to them is read-only.
         a = np.ones((2, 3))
-        poly = interp.TensorPoly((1, 2), (0.0, 0.0), (1.0, 1.0), a)
+        coeffs = interp.monomial_coeffs(a, (1, 2))
         a[0, 0] = 2.0
-        assert not poly.values.flags.writeable and poly.values[0, 0] == 1.0
-        assert poly.eval((0.3, 0.7)) == pytest.approx(1.0, abs=1e-13)
-
-    def test_affine_covariance(self):
-        rng = np.random.default_rng(3)
-        degrees = (2, 2)
-        f, _ = random_poly(rng, degrees)
-        x0, delta = (0.25, 0.5), (0.25, 0.125)
-        p_local = interp.interpolate(f, degrees, x0, delta)
-        p_unit = interp.interpolate(
-            lambda pts: f(np.array(x0) + np.array(delta) * pts), degrees, (0, 0), (1, 1)
-        )
-        for pt in rng.uniform(0, 1, (30, 2)):
-            x = (x0[0] + delta[0] * pt[0], x0[1] + delta[1] * pt[1])
-            assert p_local.eval(x) == pytest.approx(p_unit.eval(pt), abs=1e-12)
-
-    def test_f_takes_the_nodes_once_as_rows(self):
-        # One call, the nodes x0 + delta * node in C order, the same floats as
-        # the per-axis sums.
-        calls = []
-
-        def probe(pts):
-            calls.append(pts.copy())
-            return pts[:, 0] - pts[:, 1]
-
-        x0, delta = (0.25, 0.5), (0.5, 0.125)
-        poly = interp.interpolate(probe, (1, 2), x0, delta)
-        (pts,) = calls
-        assert pts.tolist() == [
-            [x0[0] + delta[0] * a, x0[1] + delta[1] * b]
-            for a in interp.nodes(1)
-            for b in interp.nodes(2)
-        ]
-        assert np.array_equal(poly.values.ravel(), pts[:, 0] - pts[:, 1])
-
-    @pytest.mark.parametrize(
-        "f, message",
-        [
-            (lambda p: math.inf, "interpolate(f): values of shape () for 2 points, expected (2,)"),
-            (lambda p: p, "interpolate(f): values of shape (2, 1) for 2 points, expected (2,)"),
-            (
-                lambda p: np.where(p[:, 0] > 0.5, math.inf, 0.0),
-                "interpolate(f): value inf is not finite: evaluation failed at "
-                "point [0.8535533905933335]",
-            ),
-        ],
-        ids=["scalar", "column", "inf"],
-    )
-    def test_values_checked(self, f, message):
-        # Each gave a polynomial whose every value was nan.
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            interp.interpolate(f, (1,), (0.0,), (1.0,))
+        assert a.flags.writeable and not np.shares_memory(a, coeffs)
+        assert evaluate(coeffs, (0.3, 0.7))[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_axiswise_equals_tensor(self):
         # Interpolating one axis at a time gives the full tensor interpolant:
@@ -209,151 +141,38 @@ class TestTensorInterpolate:
         rng = np.random.default_rng(4)
         degrees = (2, 3)
         f, _ = random_poly(rng, (4, 4))  # higher degree: interpolation not exact
-        full = interp.interpolate(f, degrees, (0.0, 0.0), (1.0, 1.0))
-        nodes0 = interp.nodes(degrees[0])
+        values = node_values(f, degrees)
+        full = interp.monomial_coeffs(values, degrees)
         for pt in rng.uniform(0, 1, (25, 2)):
             stage = [
-                interp.TensorPoly(degrees[1:], (0.0,), (1.0,), row).eval((pt[1],))
-                for row in full.values
+                evaluate(interp.monomial_coeffs(row, degrees[1:]), pt[1:])[0] for row in values
             ]
-            p0 = interp.TensorPoly(degrees[:1], (0.0,), (1.0,), np.array(stage))
-            assert p0.eval((pt[0],)) == pytest.approx(full.eval(pt), abs=1e-10)
-            assert nodes0[0] > 0.0  # axis order irrelevant; sanity anchor
+            p0 = interp.monomial_coeffs(np.array(stage), degrees[:1])
+            assert evaluate(p0, pt[:1])[0] == pytest.approx(evaluate(full, pt)[0], abs=1e-10)
 
-
-def square(pts):
-    return pts[:, 0] ** 2
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            (lambda p: math.inf, "node values: values of shape () for 2 points, expected (2,)"),
+            (lambda p: p, "node values: values of shape (2, 1) for 2 points, expected (2,)"),
+            (
+                lambda p: np.where(p[:, 0] > 0.5, math.inf, 0.0),
+                "node values: value inf is not finite: evaluation failed at "
+                "point [0.8535533905933335]",
+            ),
+        ],
+        ids=["scalar", "column", "inf"],
+    )
+    def test_values_checked(self, f, message):
+        # Node values pass `as_values` before they become coefficients: each
+        # of these would give a polynomial whose every value is nan.
+        pts = interp.tensor_grid([np.array(interp.nodes(1))])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interp.as_values(f(pts), "node values", len(pts), lambda i: f"point {pts[i].tolist()}")
 
 
 def bilinear(pts):
     return pts[:, 0] * pts[:, 1]
-
-
-class TestDerivEval:
-    def test_zero_order_is_eval(self):
-        poly = interp.interpolate(square, (2,), (0,), (1,))
-        assert poly.deriv_eval((0,), (0.3,)) == pytest.approx(poly.eval((0.3,)))
-
-    def test_beyond_degree_vanishes(self):
-        poly = interp.interpolate(square, (2,), (0,), (1,))
-        assert poly.deriv_eval((3,), (0.3,)) == 0.0
-
-    def test_square_derivative_fd_oracle(self):
-        poly = interp.interpolate(square, (2,), (0,), (1,))
-        h = 1e-6
-        for x in (0.15, 0.5, 0.85):
-            fd = (poly.eval((x + h,)) - poly.eval((x - h,))) / (2 * h)
-            got = poly.deriv_eval((1,), (x,))
-            assert got == pytest.approx(2 * x, abs=1e-10)
-            assert got == pytest.approx(fd, abs=1e-8)
-
-    def test_scaled_box_chain_rule(self):
-        poly = interp.interpolate(square, (2,), (0.5,), (0.25,))
-        assert poly.deriv_eval((2,), (0.6,)) == pytest.approx(2.0, abs=1e-9)
-
-    def test_constant_derivative_vanishes(self):
-        poly = interp.interpolate(lambda pts: np.ones(len(pts)), (1,), (0,), (1,))
-        assert poly.deriv_eval((1,), (0.4,)) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_point_rejected(self, bad):
-        # Points outside the box are legal; a non-finite one is named.
-        poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
-        assert poly.eval((2.0, -1.0)) == pytest.approx(-2.0, abs=1e-12)
-        for deriv in [(0, 0), (1, 0), (2, 0)]:
-            with pytest.raises(ValueError, match=rf"^point \[{bad}, 0\.5\] is not finite$"):
-                poly.deriv_eval(deriv, (bad, 0.5))
-        with pytest.raises(ValueError, match="not finite"):
-            poly.eval((0.5, bad))
-
-    @pytest.mark.parametrize("order", [True, np.True_, 0.5, -1])
-    def test_order_goes_through_as_integer(self, order):
-        # A bool is not read as the first derivative, nor a fraction passed
-        # on to math.perm.
-        poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ValueError, match="^axis 0: derivative order"):
-            poly.deriv_eval((order, 0), (0.3, 0.4))
-        assert poly.deriv_eval((1.0, 0), (0.3, 0.4)) == pytest.approx(0.4)
-
-    @pytest.mark.parametrize("deriv", [(0,), (0, 0, 0)])
-    def test_order_of_wrong_length_is_named(self, deriv):
-        # The one per-axis check, `interp.as_integers`, shared with the oracle.
-        poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
-        message = f"derivative order {deriv} must have 2 entries, one per axis"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            poly.deriv_eval(deriv, (0.3, 0.4))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            poly.deriv_eval(list(deriv), np.zeros((3, 2)))
-
-    def test_rows_in_rows_out(self):
-        poly = interp.interpolate(bilinear, (1, 1), (0.0, 0.0), (1.0, 1.0))
-        pts = np.array([[0.3, 0.4], [2.0, -1.0], [0.0, 1.0]])
-        np.testing.assert_allclose(poly.eval(pts), [0.12, -2.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(poly.deriv_eval((0, 1), pts), [0.3, 2.0, 0.0], atol=1e-12)
-        assert poly.deriv_eval((2, 0), pts).tolist() == [0.0] * 3
-        assert poly.eval(np.empty((0, 2))).shape == (0,)
-        const = interp.interpolate(
-            lambda pts: np.full(len(pts), 2.5), (0, 0), (0.0, 0.0), (1.0, 1.0)
-        )
-        assert const.eval(pts).tolist() == [2.5] * 3
-        with pytest.raises(ValueError, match=r"^point \[0\.5, nan\] \(row 1\) is not finite$"):
-            poly.eval([[0.3, 0.4], [0.5, math.nan]])
-        with pytest.raises(ValueError, match=r"^points of shape \(2, 3\): expected one point"):
-            poly.eval(np.zeros((2, 3)))
-
-    @pytest.mark.parametrize("degrees", [(2, 3), (2, 1, 2)])
-    def test_mixed_derivatives_match_numpy(self, degrees):
-        # Random polynomials in global coordinates on a scaled, shifted box;
-        # every derivative order up to one past the degree (which gives 0).
-        rng = np.random.default_rng(sum(degrees))
-        d = len(degrees)
-        x0, delta = (0.25, 0.5, 0.125)[:d], (0.25, 0.125, 0.5)[:d]
-        coeffs = rng.uniform(-1, 1, size=tuple(g + 1 for g in degrees))
-        poly = interp.interpolate(lambda pts: numpy_polyval(coeffs, pts), degrees, x0, delta)
-        pts = np.array(x0) + np.array(delta) * rng.uniform(0, 1, size=(10, d))
-        for deriv in product(*[range(g + 2) for g in degrees]):
-            dc = coeffs
-            for axis, r in enumerate(deriv):
-                dc = P.polyder(dc, m=r, axis=axis)
-            want = numpy_polyval(dc, pts)
-            got = np.array([poly.deriv_eval(deriv, p) for p in pts])
-            scale = max(1.0, float(np.abs(want).max()))
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
-            if any(r > g for r, g in zip(deriv, degrees)):
-                assert np.all(got == 0.0)
-
-
-class TestStackDerivEval:
-    """The gathered evaluator on a stack gives, bit for bit, each polynomial's
-    own `deriv_eval` on its rows."""
-
-    @pytest.mark.parametrize(
-        "degrees", [(3,), (0,), (2, 0), (0, 3), (0, 0), (1, 3, 2), (2, 0, 1), (0, 0, 0)]
-    )
-    def test_equals_each_polynomial_on_its_rows(self, degrees):
-        rng = np.random.default_rng(len(degrees) * 100 + sum(degrees))
-        d = len(degrees)
-        polys = [
-            interp.TensorPoly(
-                degrees,
-                tuple(rng.uniform(-1, 1, d).tolist()),
-                tuple(rng.choice([0.125, 0.3, 1.0, 2.5], d).tolist()),
-                rng.uniform(-1, 1, tuple(g + 1 for g in degrees)),
-            )
-            for _ in range(5)
-        ]
-        # Shuffled owners; the last polynomial owns no row.
-        owner = rng.permutation(np.repeat(np.arange(4), [6, 1, 9, 4]))
-        rows = rng.uniform(-0.5, 1.5, (len(owner), d))
-        for deriv in product(*[range(g + 2) for g in degrees]):
-            got = interp.stack_deriv_eval(polys, deriv, rows, owner)
-            want = np.full(len(rows), np.nan)
-            for g, poly in enumerate(polys):
-                want[owner == g] = poly.deriv_eval(deriv, rows[owner == g])
-            assert got.shape == (len(rows),)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            if any(r > g for r, g in zip(deriv, degrees)):
-                assert np.all(got == 0.0)
 
 
 class TestPolynomialHelpers:
@@ -371,14 +190,6 @@ class TestPolynomialHelpers:
         got = interp.monomial_coeffs(values, degrees)
         assert got.shape == coeffs.shape
         np.testing.assert_allclose(got, coeffs, rtol=0, atol=1e-11)
-
-    def test_differentiate_matches_polyder(self):
-        rng = np.random.default_rng(8)
-        coeffs = rng.uniform(-1, 1, size=(4, 3, 6))
-        for axis in (0, 1):
-            for r in range(coeffs.shape[axis]):
-                got = interp.differentiate(coeffs, axis, r)
-                np.testing.assert_array_equal(got, P.polyder(coeffs, m=r, axis=axis))
 
     def test_horner_matches_polyval(self):
         rng = np.random.default_rng(9)
@@ -403,6 +214,78 @@ class TestPolynomialHelpers:
         matrix = interp._monomial_matrix(3)
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 1.0
+
+
+class TestDerivEval:
+    """Evaluating cell polynomials: Horner's rule takes any finite point, one
+    or many, and a derivative order goes through the one per-axis check that
+    the float route and the exact oracle share."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # Points outside the cube are legal; a non-finite one is named.
+        coeffs = interp.monomial_coeffs(node_values(bilinear, (1, 1)), (1, 1))
+        assert evaluate(coeffs, interp.as_points((2.0, -1.0), 2))[0] == pytest.approx(
+            -2.0, abs=1e-12
+        )
+        for pt in [(bad, 0.5), (0.5, bad)]:
+            message = f"point {list(pt)} is not finite"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                interp.as_points(pt, 2)
+
+    @pytest.mark.parametrize("deriv", [(0,), (0, 0, 0)])
+    def test_order_of_wrong_length_is_named(self, deriv):
+        # The one per-axis check, `interp.as_integers`, shared with the oracle.
+        plan = grid.build_plan(grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, 2.0, (0, 0)), 2)
+        message = f"derivative order {deriv} must have 2 entries, one per axis"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            recovery.Approximant(np.ones(plan.n_actual), plan, deriv)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exact.ExactEvaluator(plan, np.ones(plan.n_actual), deriv)
+
+    def test_rows_in_rows_out(self):
+        coeffs = interp.monomial_coeffs(node_values(bilinear, (1, 1)), (1, 1))
+        pts = np.array([[0.3, 0.4], [2.0, -1.0], [0.0, 1.0]])
+        np.testing.assert_allclose(evaluate(coeffs, pts), [0.12, -2.0, 0.0], atol=1e-12)
+        assert evaluate(coeffs, np.empty((0, 2))).shape == (0,)
+        const = interp.monomial_coeffs(np.full((1, 1), 2.5), (0, 0))
+        assert evaluate(const, pts).tolist() == [2.5] * 3
+        with pytest.raises(ValueError, match=r"^point \[0\.5, nan\] \(row 1\) is not finite$"):
+            interp.as_points([[0.3, 0.4], [0.5, math.nan]], 2)
+        with pytest.raises(ValueError, match=r"^points of shape \(2, 3\): expected one point"):
+            interp.as_points(np.zeros((2, 3)), 2)
+
+
+class TestStackDerivEval:
+    """The gathered Horner step on a stack of tensor polynomials gives, bit
+    for bit, each polynomial's own evaluation on its rows, for the
+    coefficients of every derivative: the table gather of
+    `recovery.Approximant`, one polynomial per cell."""
+
+    @pytest.mark.parametrize(
+        "degrees", [(3,), (0,), (2, 0), (0, 3), (0, 0), (1, 3, 2), (2, 0, 1), (0, 0, 0)]
+    )
+    def test_equals_each_polynomial_on_its_rows(self, degrees):
+        rng = np.random.default_rng(len(degrees) * 100 + sum(degrees))
+        d = len(degrees)
+        stack = rng.uniform(-1, 1, tuple(g + 1 for g in degrees) + (5,))
+        # Shuffled owners; the last polynomial owns no row.
+        owner = rng.permutation(np.repeat(np.arange(4), [6, 1, 9, 4]))
+        rows = rng.uniform(-0.5, 1.5, (len(owner), d))
+        for deriv in product(*[range(g + 2) for g in degrees]):
+            dc = stack
+            for axis, r in enumerate(deriv):
+                dc = P.polyder(dc, m=r, axis=axis)
+            got = interp.horner(dc, d - 1, rows[:, -1], owner, at=-1)
+            for j in reversed(range(d - 1)):
+                got = interp.horner(got, j, rows[:, j])
+            want = np.full(len(rows), np.nan)
+            for g in range(dc.shape[-1]):
+                want[owner == g] = evaluate(dc[..., g], rows[owner == g])
+            assert got.shape == (len(rows),)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            if any(r > g for r, g in zip(deriv, degrees)):
+                assert np.all(got == 0.0)
 
 
 class TestInputChecks:

@@ -80,22 +80,6 @@ ENTRY_POINTS = {
         lambda v: functions.modulus_estimate(_product, (1, 1), (v, 0.1), (0, 1), 2.0),
         "axis 0: t", 0, None, True, 1,
     ),
-    "interpolate_x0": (
-        lambda v: interp.interpolate(_square, (1,), (v,), (1.0,)).x0,
-        "axis 0: x0", None, None, False, 0,
-    ),
-    "interpolate_delta": (
-        lambda v: interp.interpolate(_square, (1,), (0.0,), (v,)).delta,
-        "axis 0: delta", 0, None, True, 1,
-    ),
-    "tensor_poly_x0": (
-        lambda v: interp.TensorPoly((1,), (v,), (1.0,), np.ones(2)).x0,
-        "axis 0: x0", None, None, False, 0,
-    ),
-    "tensor_poly_delta": (
-        lambda v: interp.TensorPoly((1,), (0.0,), (v,), np.ones(2)).delta,
-        "axis 0: delta", 0, None, True, 1,
-    ),
     "config_alpha": (
         lambda v: _config(alpha=[v, 2.0]).alpha, "axis 0: alpha", None, None, False, 2,
     ),
@@ -158,9 +142,6 @@ def test_infinity_accepted_where_the_bound_is_inf(key):
 
 
 def test_stored_values_are_floats():
-    poly = interp.TensorPoly((1,), (0,), (Fraction(1, 2),), np.ones(2))
-    assert poly.x0 == (0.0,) and poly.delta == (0.5,)
-    assert all(type(v) is float for v in poly.x0 + poly.delta)
     params = _params(alpha=(2, np.float32(2.5)), p=2, q=np.int64(2), theta=Fraction(3, 2))
     assert all(type(v) is float for v in params.alpha + (params.p, params.q, params.theta))
     assert params.theta == 1.5
@@ -181,12 +162,6 @@ def test_tail_sum_count_mismatch_named_before_negating():
     message = "tail exponent (1.0,) must have 2 entries, one per axis"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         grid.tail_sum((1.0,), (1.0, 1.0), 3)
-
-
-def test_a_box_that_is_no_sequence_is_named():
-    message = "delta: expected a sequence, got 1.0"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        interp.interpolate(_square, (1,), (0.0,), 1.0)
 
 
 def _is_math(node, attr: str) -> bool:

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hypercross import functions, grid, recovery
-from hypercross.dyadic import DyadicEvaluator
+from hypercross.exact import ExactEvaluator
 from hypercross.interp import tensor_grid
 from hypercross.recovery import Quadrature, lq_error, reconstruct, sample
 
@@ -21,6 +22,29 @@ from test_grid import built_plans, plans_carry_combination_weights  # noqa: F401
 
 def params_smooth(deriv=(0, 0)):
     return grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
+
+
+# Units of roundoff (2**-53) that a float value of the approximant may lie
+# from the exact oracle's, relative to the oracle's absolute term sum.  The
+# approximant evaluates in the monomial basis, whose roundoff outgrows the
+# Lagrange form's term sum as the degree rises: at most 103 units measured
+# here (d=3, degrees (1, 2, 1), deriv 0, on the edge grid), at most 16 over
+# 1,500 random points of each differential case, and 3,676 at degree 6, d=1.
+ORACLE_UNITS = 256
+
+
+def assert_near_oracle(got, ev, pts):
+    """Each value of ``got`` within ``ORACLE_UNITS`` units of roundoff, times
+    the absolute term sum, of the exact oracle's value at its point."""
+    for value, x in zip(got, pts):
+        exact, total = ev(x)
+        gap = abs(Fraction(float(value)) - exact)
+        assert gap <= Fraction(ORACLE_UNITS, 2**53) * total, (x.tolist(), value, float(exact))
+
+
+def oracle_floats(ev, pts):
+    """The exact oracle's values at the rows of ``pts``, rounded to floats."""
+    return np.array([float(ev(x)[0]) for x in pts])
 
 
 def chunk_bytes(points):
@@ -294,15 +318,14 @@ class TestReconstruct:
             reconstruct(s, plan, (3, 0))
 
     def test_matches_scalar_surplus_sum(self):
-        # The vectorized combination evaluation equals the direct sum of
-        # surpluses computed by the oracle.
+        # The vectorized combination evaluation against the exact oracle, the
+        # surpluses over the plan's levels summed in rationals.
         f = functions.get_function("trig", 2)
         plan = grid.build_plan(params_smooth(), 3)
-        approx = reconstruct(sample(f.value, plan), plan, (0, 0))
-        ev = DyadicEvaluator(plan.params.degrees, (0, 0), f=f.value)
+        values = sample(f.value, plan)
+        approx = reconstruct(values, plan, (0, 0))
         pts = np.random.default_rng(4).uniform(0.01, 0.99, (25, 2))
-        direct = sum(ev.surplus_deriv(lvl, (0, 0), pts) for lvl in plan.levels)
-        np.testing.assert_allclose(approx(pts), direct, atol=1e-12)
+        assert_near_oracle(approx(pts), ExactEvaluator(plan, values, (0, 0)), pts)
 
     def test_matches_scalar_surplus_sum_at_cell_boundaries(self):
         # The half-open knot convention must act identically in the oracle
@@ -310,21 +333,19 @@ class TestReconstruct:
         f = functions.get_function("trig", 2)
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, (1, 1))
         plan = grid.build_plan(params, 3)
-        approx = reconstruct(sample(f.value, plan), plan, (1, 1))
-        ev = DyadicEvaluator(params.degrees, (1, 1), f=f.value)
+        values = sample(f.value, plan)
+        approx = reconstruct(values, plan, (1, 1))
         pts = np.array([(0.5, 0.25), (0.0, 0.5), (0.125, 0.0), (0.0, 0.0), (1.0, 0.3)])
-        direct = sum(ev.surplus_deriv(lvl, (1, 1), pts) for lvl in plan.levels)
-        np.testing.assert_allclose(approx(pts), direct, rtol=0, atol=1e-10)
+        assert_near_oracle(approx(pts), ExactEvaluator(plan, values, (1, 1)), pts)
 
     def test_matches_scalar_surplus_sum_with_derivative(self):
         f = functions.get_function("trig", 2)
         params = grid.derive_params(2, (2.0, 1.5), 2.0, 2.0, 2.0, (1, 0))
         plan = grid.build_plan(params, 3)
-        approx = reconstruct(sample(f.value, plan), plan, (1, 0))
-        ev = DyadicEvaluator(plan.params.degrees, (1, 0), f=f.value)
+        values = sample(f.value, plan)
+        approx = reconstruct(values, plan, (1, 0))
         pts = np.random.default_rng(5).uniform(0.01, 0.99, (20, 2))
-        direct = sum(ev.surplus_deriv(lvl, (1, 0), pts) for lvl in plan.levels)
-        np.testing.assert_allclose(approx(pts), direct, atol=1e-11)
+        assert_near_oracle(approx(pts), ExactEvaluator(plan, values, (1, 0)), pts)
 
     def test_error_decreases_with_radius(self):
         f = functions.get_function("trig", 2)
@@ -406,12 +427,11 @@ class TestRightEdge:
         f = functions.get_function("trig", 2)
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
         plan = grid.build_plan(params, 5)
-        approx = reconstruct(sample(f.value, plan), plan, deriv)
-        ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
+        values = sample(f.value, plan)
+        approx = reconstruct(values, plan, deriv)
         pts = np.array([(a, b) for a in self.COORDS for b in self.COORDS])
         got = approx(pts)
-        direct = sum(ev.surplus_deriv(lvl, deriv, pts) for lvl in plan.levels)
-        np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-11)
+        assert_near_oracle(got, ExactEvaluator(plan, values, deriv), pts)
         np.testing.assert_allclose(got, f.deriv(deriv, pts), atol=tol)
 
     @pytest.mark.parametrize("deriv", [(0, 0), (1, 1)])
@@ -419,11 +439,11 @@ class TestRightEdge:
         f = functions.get_function("trig", 2)
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
         plan = grid.build_plan(params, 5)
-        approx = reconstruct(sample(f.value, plan), plan, deriv)
-        ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
+        values = sample(f.value, plan)
+        approx = reconstruct(values, plan, deriv)
         edges = np.array([(1.0, 0.5), (1.0, 1.0)])
         near = approx([(1 - 1e-12, 0.5), (1 - 1e-12, 1 - 1e-12)])
-        oracle = sum(ev.surplus_deriv(lvl, deriv, edges) for lvl in plan.levels)
+        oracle = oracle_floats(ExactEvaluator(plan, values, deriv), edges)
         for got in (approx(edges), oracle):
             assert np.all(np.abs(got - near) <= np.maximum(1e-9 * np.abs(near), 1e-9))
 
@@ -435,12 +455,12 @@ class TestRightEdge:
         f = functions.get_function("trig", 2)
         params = grid.derive_params(2, (2.0, 2.0), 2.0, 2.0, math.inf, deriv)
         plan = grid.build_plan(params, 4)
-        approx = reconstruct(sample(f.value, plan), plan, deriv)
-        ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
+        values = sample(f.value, plan)
+        approx = reconstruct(values, plan, deriv)
         knots = np.array([0.25, 0.5, 1.0])
         below = np.stack([np.nextafter(knots, 0.0), np.full(3, 0.3)], axis=1)
         near = approx(np.stack([knots - 1e-12, np.full(3, 0.3)], axis=1))
-        oracle = sum(ev.surplus_deriv(lvl, deriv, below) for lvl in plan.levels)
+        oracle = oracle_floats(ExactEvaluator(plan, values, deriv), below)
         for got in (approx(below), oracle):
             assert np.all(np.abs(got - near) <= np.maximum(1e-9 * np.abs(near), 1e-9))
 
@@ -457,15 +477,14 @@ def batched_case(request):
     alpha, deriv = request.param
     params = grid.derive_params(3, alpha, 2.0, 2.0, 2.0, deriv)
     plan = grid.build_plan(params, 3)
-    f = functions.get_function("aniso", 3)
-    approx = reconstruct(sample(f.value, plan), plan, deriv)
+    values = sample(functions.get_function("aniso", 3).value, plan)
+    approx = reconstruct(values, plan, deriv)
     assert any(deriv)
-    ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
-    return deriv, plan, approx, ev
+    return deriv, plan, approx, ExactEvaluator(plan, values, deriv)
 
 
 class TestBatchedEvaluation:
-    """The chunked table evaluation against the oracle's surplus sum."""
+    """The chunked table evaluation against the exact oracle."""
 
     @staticmethod
     def points(n, seed):
@@ -480,8 +499,7 @@ class TestBatchedEvaluation:
         deriv, plan, approx, ev = batched_case
         monkeypatch.setattr(recovery, "_SLAB_BYTES", chunk_bytes(16))
         pts = self.points(41, 6)  # three chunks, the last one partial
-        direct = sum(ev.surplus_deriv(lvl, deriv, pts) for lvl in plan.levels)
-        np.testing.assert_allclose(approx(pts), direct, atol=1e-10)
+        assert_near_oracle(approx(pts), ev, pts)
 
     def test_result_does_not_depend_on_chunking(self, batched_case, monkeypatch):
         approx = batched_case[2]
@@ -518,10 +536,9 @@ def differential_case(request):
     d, fid, alpha, q, radius, deriv = request.param
     params = grid.derive_params(d, alpha, 2.0, 2.0, q, deriv)
     plan = grid.build_plan(params, radius)
-    f = functions.get_function(fid, d)
-    approx = reconstruct(sample(f.value, plan), plan, deriv)
-    ev = DyadicEvaluator(params.degrees, deriv, f=f.value)
-    return d, deriv, plan, approx, ev
+    values = sample(functions.get_function(fid, d).value, plan)
+    approx = reconstruct(values, plan, deriv)
+    return d, deriv, plan, approx, ExactEvaluator(plan, values, deriv)
 
 
 # A coordinate is uniform in [0, 1], a dyadic cell edge c / 2**L, 0 or 1.
@@ -532,8 +549,8 @@ _coordinate = st.one_of(
 )
 
 
-# No shrink phase: each shrink step reruns the oracle over every plan
-# level, so shrinking a failure would take a minute or more.
+# No shrink phase: each shrink step reruns the exact oracle over the plan's
+# combination levels.
 @settings(
     max_examples=12,
     deadline=None,
@@ -541,23 +558,47 @@ _coordinate = st.one_of(
 )
 @given(data=st.data())
 def test_approximant_equals_surplus_sum(differential_case, data):
-    """``Approximant`` against the oracle: the surpluses over the plan's
-    levels, at a few points and on the product grid of a few nodes per axis."""
+    """``Approximant`` against the exact oracle, whose combination equals the
+    surpluses over the plan's levels (`test_exact`), at a few points and on
+    the product grid of a few nodes per axis."""
     d, deriv, plan, approx, ev = differential_case
     pts = np.array(
         data.draw(st.lists(st.tuples(*[_coordinate] * d), min_size=1, max_size=5))
     )
     nodes = np.array(data.draw(st.lists(_coordinate, min_size=1, max_size=2)))
     grid_pts = tensor_grid([nodes] * d)
-    both = np.concatenate([pts, grid_pts])
-    direct = sum(ev.surplus_deriv(lvl, deriv, both) for lvl in plan.levels)
     for size in (chunk_bytes(2), recovery._SLAB_BYTES):
         with mock.patch.object(recovery, "_SLAB_BYTES", size):
-            np.testing.assert_allclose(approx(pts), direct[: len(pts)], rtol=1e-12, atol=1e-10)
-    np.testing.assert_allclose(
-        approx._grid(nodes, nodes, np.empty(len(grid_pts))), direct[len(pts) :],
-        rtol=1e-12, atol=1e-10,
-    )
+            assert_near_oracle(approx(pts), ev, pts)
+    assert_near_oracle(approx._grid(nodes, nodes, np.empty(len(grid_pts))), ev, grid_pts)
+
+
+# (d, alpha, radius) of the exact-oracle cases: degree 3 at d = 1, (2, 2) at
+# d = 2 and (1, 2, 1) at d = 3, each at every derivative up to its degrees.
+EXACT_CASES = [(1, (3.0,), 4), (2, (2.0, 2.0), 3), (3, (1.5, 2.0, 1.0), 2)]
+
+
+def _exact_cases():
+    for d, alpha, radius in EXACT_CASES:
+        degrees = [math.floor(a) for a in alpha]
+        for deriv in product(*[range(g + 1) for g in degrees]):
+            yield pytest.param(d, alpha, radius, deriv, id=f"d{d}-deriv{''.join(map(str, deriv))}")
+
+
+@pytest.mark.parametrize("d, alpha, radius, deriv", _exact_cases())
+def test_approximant_within_roundoff_of_exact_oracle(d, alpha, radius, deriv):
+    # Both routes on the tensor grid of the edge coordinates (four of them
+    # at d = 3): 0, 1, knots, the largest float below a knot, 31/32.
+    params = grid.derive_params(d, alpha, 2.0, 2.0, 2.0, (0,) * d)
+    assert params.degrees == tuple(math.floor(a) for a in alpha)
+    plan = grid.build_plan(params, radius)
+    values = sample(functions.get_function("trig", d).value, plan)
+    approx = reconstruct(values, plan, deriv)
+    ev = ExactEvaluator(plan, values, deriv)
+    nodes = edge_nodes(d)[[1, 2, 3, 8]] if d == 3 else edge_nodes(d)
+    pts = tensor_grid([nodes] * d)
+    assert_near_oracle(approx(pts), ev, pts)
+    assert_near_oracle(approx._grid(nodes, nodes, np.empty(len(pts))), ev, pts)
 
 
 # (d, function, alpha, deriv, radius) per grid case: every dimension up to 4,
